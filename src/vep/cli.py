@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -289,7 +290,31 @@ def cmd_estimate_constants(prob, args, report: Report) -> int:
 # ---------------------------------------------------------------------------
 
 def _floats(text: str) -> list[float]:
-    return [float(t) for t in text.split(",") if t.strip()]
+    vals = [float(t) for t in text.split(",") if t.strip()]
+    if not all(math.isfinite(v) for v in vals):
+        raise argparse.ArgumentTypeError(f"non-finite entry in {text!r}")
+    return vals
+
+
+def _positive_floats(text: str) -> list[float]:
+    vals = _floats(text)
+    if not vals or min(vals) <= 0:
+        raise argparse.ArgumentTypeError(f"entries must be positive, got {text!r}")
+    return vals
+
+
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    v = int(text)
+    if v <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return v
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-erbo", help="estimate gamma and verify the error bound")
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, required=True)
-    p.add_argument("--rho", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--rho", type=_positive_float, default=1.0)
+    p.add_argument("--gamma", type=_positive_float, default=None)
     p.set_defaults(fn=cmd_check_erbo)
 
     p = sub.add_parser("check-subtransversality",
@@ -331,35 +356,37 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, required=True)
     p.add_argument("--x-bar", dest="x_bar", type=_floats, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=_floats, default=None)
+    p.add_argument("--gamma", type=_positive_float, required=True)
+    p.add_argument("--lambda-grid", dest="lambda_grid", type=_positive_floats,
+                   default=None)
     p.add_argument("--smooth-concave", action="store_true")
-    p.add_argument("--eps-list", dest="eps_list", type=_floats, default=[0.05, 0.1])
-    p.add_argument("--lf", type=float, default=1.0)
+    p.add_argument("--eps-list", dest="eps_list", type=_positive_floats,
+                   default=[0.05, 0.1])
+    p.add_argument("--lf", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_check_stationarity)
 
     p = sub.add_parser("solve", help="penalty-schedule subgradient descent")
     common(p)
-    p.add_argument("--lambda0", type=float, default=0.5)
+    p.add_argument("--lambda0", type=_positive_float, default=0.5)
     p.add_argument("--growth", type=float, default=2.0)
     p.add_argument("--lambda-max", dest="lambda_max", type=float, default=64.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--iters", type=int, default=250)
-    p.add_argument("--starts", type=int, default=5)
+    p.add_argument("--gamma", type=_positive_float, default=0.5)
+    p.add_argument("--iters", type=_positive_int, default=250)
+    p.add_argument("--starts", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("probe-stability", help="solution-map stability probe")
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, required=True)
     p.add_argument("--x-bar", dest="x_bar", type=_floats, required=True)
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=_positive_float, default=0.5)
     p.set_defaults(fn=cmd_probe_stability)
 
     p = sub.add_parser("estimate-constants",
                        help="Lipschitz constant, openness rate, gamma, boundedness")
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, default=[0.0])
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_estimate_constants)
     return ap
 
@@ -373,6 +400,14 @@ def main(argv=None) -> int:
     except (pb.ProblemError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LOAD
+    dims = {"xi": prob.p, "xi_bar": prob.p, "x": prob.n, "x_bar": prob.n}
+    for name, dim in dims.items():
+        point = getattr(args, name, None)
+        if point is not None and len(point) != dim:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} has {len(point)} entries, expected {dim}",
+                  file=sys.stderr)
+            return EXIT_LOAD
     params = {
         k: v for k, v in vars(args).items()
         if k not in ("fn", "command", "problem", "format") and v is not None

@@ -89,11 +89,7 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
             best = d
             witness = (np.asarray(xi, dtype=float), np.asarray(x, dtype=float))
         if d <= GAMMA_MARGIN:
-            return Certificate(
-                "gamma", REFUTED, float(d), (witness,),
-                {"grid": spec.grid_shape, "random": spec.n_random, "rho": rho},
-                tuple(sorted(flags)) + ("subgradient_model: branch-hull",),
-            )
+            break  # refuted: no need to scan further
     if tested == 0:
         raise pb.ProblemError("every sample solves the inner problem; nothing to test")
     verdict = CERTIFIED if best > GAMMA_MARGIN else REFUTED

@@ -149,13 +149,6 @@ def generated_cone(generators) -> ConeRepr:
     return ConeRepr(g.shape[1], "generators", g)
 
 
-def halfspace_cone(normals, dim: int | None = None) -> ConeRepr:
-    n = np.atleast_2d(np.asarray(normals, dtype=float))
-    if n.size == 0 and dim is not None:
-        n = n.reshape(0, dim)
-    return ConeRepr(n.shape[1], "halfspaces", n)
-
-
 def cone_generators(C: ConeRepr) -> np.ndarray:
     """Generator rows for orthant/generator cones (halfspace form unsupported)."""
     if C.kind == "orthant":

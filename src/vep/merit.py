@@ -44,10 +44,6 @@ def _enlarged_box(S: geo.Box, eps: float) -> geo.Box:
     return geo.Box(S.lower - eps, S.upper + eps)
 
 
-def _vertex_values(prob, xi, x, verts) -> np.ndarray:
-    return np.array([_dist_f_to_cone(prob, xi, x, v) for v in verts])
-
-
 def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0,
             z_resolution: int = 201) -> NuEval:
     """sup over z in the (eps-enlarged) slice of dist(f(xi, x, z), C).
@@ -61,26 +57,23 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0,
     S = pb.slice_at(prob.K, xi)
     flags: list[str] = []
 
-    if isinstance(S, geo.Box) and S.bounded and prob.f.affine_in_z:
-        box = S if eps == 0.0 else _enlarged_box(S, eps)
-        if eps > 0.0 and prob.n > 1:
-            flags.append("eps-box-superset")
-        verts = box.vertices()
-        vals = _vertex_values(prob, xi, x, verts)
+    verts = None
+    if prob.f.affine_in_z:
+        if isinstance(S, geo.Box) and S.bounded:
+            box = S if eps == 0.0 else _enlarged_box(S, eps)
+            if eps > 0.0 and prob.n > 1:
+                flags.append("eps-box-superset")
+            verts = box.vertices()
+        elif isinstance(S, geo.Halfspaces) and eps == 0.0:
+            try:
+                verts = geo.halfspace_vertices(S)
+            except geo.GeometryError:
+                pass
+    if verts is not None:
+        vals = np.array([_dist_f_to_cone(prob, xi, x, v) for v in verts])
         best = float(vals.max())
         arg = tuple(v for v, w in zip(verts, vals) if w >= best - ARGMAX_TOL)
         return NuEval(best, arg, "vertex-exact", tuple(flags))
-
-    if isinstance(S, geo.Halfspaces) and prob.f.affine_in_z and eps == 0.0:
-        try:
-            verts = geo.halfspace_vertices(S)
-        except geo.GeometryError:
-            verts = None
-        if verts is not None:
-            vals = _vertex_values(prob, xi, x, verts)
-            best = float(vals.max())
-            arg = tuple(v for v, w in zip(verts, vals) if w >= best - ARGMAX_TOL)
-            return NuEval(best, arg, "vertex-exact", tuple(flags))
 
     # grid path over the (enlarged) slice
     axes, truncated = pb._axis_grids(prob, S, z_resolution)

@@ -468,10 +468,12 @@ def _members(S, pts: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _dist_to_cone_batch(prob: VepProblem, F: np.ndarray) -> np.ndarray:
-    """Distance of stacked values F (shape (m, N)) to the ordering cone."""
+    """Distance of stacked values F (shape (m, ...)) to the ordering cone."""
     if prob.cone.kind == "orthant":
         return geo.dist_orthant_batch(F)
-    return np.array([geo.dist(F[:, j], prob.cone) for j in range(F.shape[1])])
+    cols = F.reshape(prob.m, -1)
+    return np.array([geo.dist(cols[:, j], prob.cone)
+                     for j in range(cols.shape[1])]).reshape(F.shape[1:])
 
 
 def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np.ndarray:
@@ -506,15 +508,7 @@ def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np
             )
             for c in prob.f.components
         ]
-        F = np.stack(vals)  # (m, Nx, Nz)
-        if prob.cone.kind == "orthant":
-            D = geo.dist_orthant_batch(F)
-        else:
-            D = np.empty(F.shape[1:])
-            for i in range(F.shape[1]):
-                for j in range(F.shape[2]):
-                    D[i, j] = geo.dist(F[:, i, j], prob.cone)
-        worst = D.max(axis=1)
+        worst = _dist_to_cone_batch(prob, np.stack(vals)).max(axis=1)  # over z
         sols.append(xb[worst <= grid.tol_c])
     return np.vstack(sols) if sols else np.zeros((0, prob.n))
 

@@ -2,10 +2,13 @@
 
 The solver minimizes objective + lambda * (distance to the geometric set +
 merit/gamma) by subgradient descent with an increasing penalty schedule and
-a pattern-search polish.  The checkers assemble the stationarity inclusion
-right-hand side from structured subgradient bodies and either certify a
-near-zero residual with a decomposition witness or refute the inclusion for
-every penalty weight by a sign analysis that is affine in lambda.
+a pattern-search polish.  One assembler builds the stationarity inclusion
+right-hand side from structured subgradient bodies over a list of nu bodies
+and either certifies a near-zero residual with a decomposition witness or
+refutes the inclusion for every penalty weight by a sign analysis that is
+affine in lambda.  The two public checkers differ only in the nu model they
+feed it: the gradient-limit hull (general) or the per-enlargement outer
+estimate (smooth-concave).
 """
 
 from __future__ import annotations
@@ -104,16 +107,11 @@ def _penalized_subgradient(prob, xi, x, lam, gamma, h=1e-7) -> np.ndarray:
     g_om = np.zeros(p + len(x))
     if d_om > 1e-12:
         g_om[:p] = (xi - geo.project(xi, prob.omega)) / d_om
-    q0 = np.concatenate([xi, x])
 
     def merit_at(q):
         return mr.eval_merit(prob, q[:p], q[p:]).merit
 
-    g_mf = np.empty(len(q0))
-    for i in range(len(q0)):
-        e = np.zeros(len(q0))
-        e[i] = h
-        g_mf[i] = (merit_at(q0 + e) - merit_at(q0 - e)) / (2 * h)
+    g_mf = sd._fd_gradient(merit_at, np.concatenate([xi, x]), h)
     return g_phi + lam * g_om + (lam / gamma) * g_mf
 
 
@@ -315,135 +313,48 @@ def _residual_and_witness(factor_pts: list[np.ndarray], ball: float):
     return residual, tuple(parts)
 
 
-def _refutation_scan(prob, phi_body, omega_body, nu_bodies, k_bodies, gamma,
-                     dirs, tol=1e-9):
+def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs,
+                     tol=1e-9):
     """lambda-affine sign test: a direction refutes when the support of the
     right-hand side stays negative for every lambda > 0."""
     for d in dirs:
-        c0 = geo.support(phi_body, d)
-        if not c0 < -tol:
+        if not geo.support(phi_body, d) < -tol:
             continue
-        ok = True
-        for nu_body in nu_bodies:
-            for kb in k_bodies:
-                c1 = geo.support(omega_body, d) + (
-                    geo.support(nu_body, d) + geo.support(kb, d)
-                ) / gamma
-                if c1 > tol:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        slopes = (geo.support(omega_body, d)
+                  + (geo.support(nu_body, d) + geo.support(kb, d)) / gamma
+                  for kb in k_bodies)
+        if not any(c1 > tol for c1 in slopes):
             return np.asarray(d, dtype=float)
     return None
 
 
-def check_stationarity_general(prob: pb.VepProblem, xi_bar, x_bar,
-                               lambda_grid=None, gamma: float = 0.5,
-                               refutation_dirs=None, tol_stat: float = 1e-9,
-                               tol_on_graph: float = 1e-6) -> StationarityReport:
-    """Inclusion test: 0 in subgrad(objective) + lam*(Omega normal cap x {0})
-    + (lam/gamma)*(nu subgradient + coderivative-ball branch).
+def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
+              refutation_dirs, tol_stat, flags) -> StationarityReport:
+    """Inclusion test over (key, nu body) pairs: 0 in subgrad(objective)
+    + lam*(Omega normal cap x {0}) + (lam/gamma)*(nu body + coderivative-ball
+    branch).
 
-    Residuals are minimized over the lambda grid and branches; the
-    refutation test is affine in lambda so a single sign analysis covers
-    every positive penalty weight.
+    Residuals are minimized over the lambda grid and branches per nu body;
+    stationary requires a small residual for EVERY nu body, refutation a
+    separating direction for a single one.  The refutation test is affine
+    in lambda so a single sign analysis covers every positive penalty
+    weight.  Residual-table rows are key + (lambda, branch, residual).
     """
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else (
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     phi_body = _phi_body(prob, xi_bar, x_bar)
     omega_body = _omega_cap_body(prob, xi_bar)
-    nu_est = sd.nu_subgradient_full(prob, xi_bar, x_bar)
-    mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
-    flags = nu_est.qc_flags + mu_est.qc_flags
-    if nu_est.lipschitz:
-        flags = flags + ("qualification: singular-part-trivial",)
-    else:
-        flags = flags + ("qc-assumed",)
-    if nu_est.exactness != sd.EXACT_CONVEX:
-        flags = flags + (f"subgradient_model: {nu_est.exactness}",)
-    dirs = refutation_dirs if refutation_dirs is not None else _default_dirs(
-        prob.p + prob.n)
-    refuting = _refutation_scan(prob, phi_body, omega_body, nu_est.bodies,
-                                mu_est.bodies, gamma, dirs)
-    table = []
-    best = (math.inf, None, None, ())
-    for lam in lambda_grid:
-        for bi, kb in enumerate(mu_est.bodies):
-            factors = [
-                phi_body.ball_discretized(),
-                geo.scale_body(omega_body, lam).ball_discretized(),
-                geo.scale_body(nu_est.body, lam / gamma).ball_discretized(),
-                geo.scale_body(kb, lam / gamma).ball_discretized(),
-            ]
-            residual, parts = _residual_and_witness(factors, 0.0)
-            table.append((lam, bi, residual))
-            if residual < best[0]:
-                best = (residual, lam, bi, parts)
-    residual, lam_best, branch, parts = best
-    if refuting is not None:
-        verdict = REFUTED_BY_DIRECTION
-    elif residual <= tol_stat:
-        verdict = STATIONARY
-    else:
-        verdict = INCONCLUSIVE
-    return StationarityReport(
-        point=(tuple(xi_bar.tolist()), tuple(x_bar.tolist())),
-        lam=float(lam_best) if lam_best is not None else float("nan"),
-        gamma=gamma,
-        residual=float(residual),
-        branch_id=int(branch) if branch is not None else -1,
-        verdict=verdict,
-        direction=tuple(refuting.tolist()) if refuting is not None else None,
-        decomposition=tuple(tuple(p.tolist()) for p in parts)
-        if verdict == STATIONARY else (),
-        residual_table=tuple(table),
-        flags=flags,
-    )
-
-
-def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
-                                      lambda_grid=None, gamma: float = 0.5,
-                                      eps_list=(0.05, 0.1), l_f: float = 1.0,
-                                      refutation_dirs=None,
-                                      tol_stat: float = 1e-9,
-                                      tol_on_graph: float = 1e-6) -> StationarityReport:
-    """Same assembly with the nu subgradient replaced by the per-enlargement
-    outer estimate; stationary requires a small residual for EVERY
-    enlargement, refutation a separating direction for a single one."""
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
-    lambda_grid = tuple(lambda_grid) if lambda_grid is not None else (
-        0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-    required = {"K-concave"}
-    if not required <= prob.asserts:
-        flags_pre = ("hypotheses-not-asserted",)
-    else:
-        flags_pre = ()
-    phi_body = _phi_body(prob, xi_bar, x_bar)
-    omega_body = _omega_cap_body(prob, xi_bar)
-    outer = sd.nu_outer_estimate(prob, xi_bar, x_bar, eps_list, l_f)
-    mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
-    flags = flags_pre + outer.qc_flags + mu_est.qc_flags + (
-        f"eps-list={tuple(e for e, _ in outer.per_eps)}", f"l_f={l_f:g}")
     dirs = refutation_dirs if refutation_dirs is not None else _default_dirs(
         prob.p + prob.n)
     refuting = None
-    for _, body in outer.per_eps:
-        refuting = _refutation_scan(prob, phi_body, omega_body, (body,),
-                                    mu_est.bodies, gamma, dirs)
-        if refuting is not None:
-            break
     table = []
-    worst_eps_residual = -math.inf
-    best_overall = (math.inf, None, None, ())
-    for eps, nu_body in outer.per_eps:
-        best_eps = (math.inf, None, None, ())
+    worst_residual = -math.inf
+    best = (math.inf, None, None, ())
+    for key, nu_body in nu_bodies:
+        if refuting is None:
+            refuting = _refutation_scan(phi_body, omega_body, nu_body,
+                                        mu_est.bodies, gamma, dirs)
+        best_key = (math.inf, None, None, ())
         for lam in lambda_grid:
             for bi, kb in enumerate(mu_est.bodies):
                 factors = [
@@ -453,24 +364,24 @@ def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
                     geo.scale_body(kb, lam / gamma).ball_discretized(),
                 ]
                 residual, parts = _residual_and_witness(factors, 0.0)
-                table.append((eps, lam, bi, residual))
-                if residual < best_eps[0]:
-                    best_eps = (residual, lam, bi, parts)
-        worst_eps_residual = max(worst_eps_residual, best_eps[0])
-        if best_eps[0] < best_overall[0]:
-            best_overall = best_eps
+                table.append(key + (lam, bi, residual))
+                if residual < best_key[0]:
+                    best_key = (residual, lam, bi, parts)
+        worst_residual = max(worst_residual, best_key[0])
+        if best_key[0] < best[0]:
+            best = best_key
     if refuting is not None:
         verdict = REFUTED_BY_DIRECTION
-    elif worst_eps_residual <= tol_stat:
+    elif worst_residual <= tol_stat:
         verdict = STATIONARY
     else:
         verdict = INCONCLUSIVE
-    residual, lam_best, branch, parts = best_overall
+    _, lam_best, branch, parts = best
     return StationarityReport(
         point=(tuple(xi_bar.tolist()), tuple(x_bar.tolist())),
         lam=float(lam_best) if lam_best is not None else float("nan"),
         gamma=gamma,
-        residual=float(worst_eps_residual),
+        residual=float(worst_residual),
         branch_id=int(branch) if branch is not None else -1,
         verdict=verdict,
         direction=tuple(refuting.tolist()) if refuting is not None else None,
@@ -479,3 +390,46 @@ def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
         residual_table=tuple(table),
         flags=flags,
     )
+
+
+def check_stationarity_general(prob: pb.VepProblem, xi_bar, x_bar,
+                               lambda_grid=None, gamma: float = 0.5,
+                               refutation_dirs=None, tol_stat: float = 1e-9,
+                               tol_on_graph: float = 1e-6) -> StationarityReport:
+    """The assembled inclusion with the nu subgradient taken as the
+    gradient-limit hull."""
+    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
+    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
+    nu_est = sd.nu_subgradient_full(prob, xi_bar, x_bar)
+    mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
+    flags = nu_est.qc_flags + mu_est.qc_flags
+    if nu_est.lipschitz:
+        flags = flags + ("qualification: singular-part-trivial",)
+    else:
+        flags = flags + ("qc-assumed",)
+    if nu_est.exactness != sd.EXACT_CONVEX:
+        flags = flags + (f"subgradient_model: {nu_est.exactness}",)
+    return _assemble(prob, xi_bar, x_bar, [((), nu_est.body)], mu_est,
+                     lambda_grid, gamma, refutation_dirs, tol_stat, flags)
+
+
+def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
+                                      lambda_grid=None, gamma: float = 0.5,
+                                      eps_list=(0.05, 0.1), l_f: float = 1.0,
+                                      refutation_dirs=None,
+                                      tol_stat: float = 1e-9,
+                                      tol_on_graph: float = 1e-6) -> StationarityReport:
+    """The assembled inclusion with the nu subgradient replaced by the
+    per-enlargement outer estimate, one nu body per enlargement."""
+    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
+    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
+    flags_pre = () if "K-concave" in prob.asserts else ("hypotheses-not-asserted",)
+    outer = sd.nu_outer_estimate(prob, xi_bar, x_bar, eps_list, l_f)
+    mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
+    flags = flags_pre + outer.qc_flags + mu_est.qc_flags + (
+        f"eps-list={tuple(e for e, _ in outer.per_eps)}", f"l_f={l_f:g}")
+    return _assemble(prob, xi_bar, x_bar,
+                     [((eps,), body) for eps, body in outer.per_eps], mu_est,
+                     lambda_grid, gamma, refutation_dirs, tol_stat, flags)

@@ -282,36 +282,27 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
         kink_tol = 1e-8
         degenerate = False
         for i in range(n):
-            up_e = prob.K.upper[i]
-            lo_e = prob.K.lower[i]
             e_i = np.zeros(n)
             e_i[i] = 1.0
-            up_active = up_e is not None and abs(zbar[i] - float(ex.eval_expr(up_e, xi=xi))) <= tol_on * scale
-            lo_active = lo_e is not None and abs(zbar[i] - float(ex.eval_expr(lo_e, xi=xi))) <= tol_on * scale
-            if up_active and lo_active:
-                degenerate = True
-            if up_active:
-                sm, sp = _one_sided_slopes(up_e, xi)
-                gm = np.concatenate([[-sm], e_i])
-                gp = np.concatenate([[-sp], e_i])
-                if sp - sm > kink_tol:       # convex kink: reentrant corner
+            active = 0
+            for bound, sign in ((prob.K.upper[i], 1.0), (prob.K.lower[i], -1.0)):
+                if bound is None:
+                    continue
+                gap = abs(zbar[i] - float(ex.eval_expr(bound, xi=xi)))
+                if not gap <= tol_on * scale:  # a NaN gap counts as inactive
+                    continue
+                active += 1
+                sm, sp = _one_sided_slopes(bound, xi)
+                gm = np.concatenate([[-sign * sm], sign * e_i])
+                gp = np.concatenate([[-sign * sp], sign * e_i])
+                if sign * (sp - sm) > kink_tol:      # reentrant corner
                     branches.append(gm.reshape(1, -1))
                     branches.append(gp.reshape(1, -1))
-                elif sm - sp > kink_tol:     # concave kink: salient corner
+                elif sign * (sm - sp) > kink_tol:    # salient corner
                     branches.append(np.vstack([gm, gp]))
                 else:
                     branches.append(gm.reshape(1, -1))
-            if lo_active:
-                sm, sp = _one_sided_slopes(lo_e, xi)
-                gm = np.concatenate([[sm], -e_i])
-                gp = np.concatenate([[sp], -e_i])
-                if sm - sp > kink_tol:       # concave kink of the lower bound
-                    branches.append(gm.reshape(1, -1))
-                    branches.append(gp.reshape(1, -1))
-                elif sp - sm > kink_tol:
-                    branches.append(np.vstack([gm, gp]))
-                else:
-                    branches.append(gm.reshape(1, -1))
+            degenerate = degenerate or active == 2
         if not branches:
             return geo.RayUnion((np.zeros((0, dim)),))
         note = "degenerate-slice" if degenerate else ""
@@ -439,6 +430,23 @@ def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int,
     return [Gxi.T @ coef], []
 
 
+def _image_of_v(normals: geo.RayUnion, v: np.ndarray, p: int, tol: float,
+                dedup_tol: float, exact: bool) -> CoderivativeImage:
+    """Union over normal-cone branches of {u : (u, -v) in cone(branch)},
+    merging points closer than dedup_tol."""
+    pts: list[np.ndarray] = []
+    rays: list[np.ndarray] = []
+    for br in normals.branches:
+        bpts, brays = _branch_image_of_v(br, v, p, tol)
+        pts.extend(bpts)
+        rays.extend(brays)
+    uniq: list[np.ndarray] = []
+    for q in pts:
+        if not any(np.linalg.norm(q - r) <= dedup_tol for r in uniq):
+            uniq.append(q)
+    return CoderivativeImage(tuple(uniq), tuple(rays), exact=exact)
+
+
 def coderivative_K(prob: pb.VepProblem, xi, zbar, v,
                    tol: float = 1e-9) -> CoderivativeImage:
     """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}."""
@@ -446,17 +454,7 @@ def coderivative_K(prob: pb.VepProblem, xi, zbar, v,
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     normals = graph_normal_branches(prob, xi, zbar)
-    pts: list[np.ndarray] = []
-    rays: list[np.ndarray] = []
-    for br in normals.branches:
-        bpts, brays = _branch_image_of_v(br, v, prob.p, tol)
-        pts.extend(bpts)
-        rays.extend(brays)
-    uniq: list[np.ndarray] = []
-    for q in pts:
-        if not any(np.linalg.norm(q - r) <= 1e-9 for r in uniq):
-            uniq.append(q)
-    return CoderivativeImage(tuple(uniq), tuple(rays), exact=normals.exact)
+    return _image_of_v(normals, v, prob.p, tol, 1e-9, normals.exact)
 
 
 def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar,
@@ -523,17 +521,7 @@ def coderivative_E_sampled(prob: pb.VepProblem, xi, x, v, window: float = 0.5,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     normals = graph_E_normals(prob, xi, x, window=window, n_xi=n_xi)
-    pts: list[np.ndarray] = []
-    rays: list[np.ndarray] = []
-    for br in normals.branches:
-        bpts, brays = _branch_image_of_v(br, v, prob.p, tol)
-        pts.extend(bpts)
-        rays.extend(brays)
-    uniq: list[np.ndarray] = []
-    for q in pts:
-        if not any(np.linalg.norm(q - r) <= 1e-6 for r in uniq):
-            uniq.append(q)
-    return CoderivativeImage(tuple(uniq), tuple(rays), exact=False)
+    return _image_of_v(normals, v, prob.p, tol, 1e-6, False)
 
 
 def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5,

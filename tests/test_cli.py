@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from vep import cli
 
@@ -160,3 +163,55 @@ def test_determinism_of_fast_commands(capsys):
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("extra, golden", [
+    ((), "stationarity_paper_0_1.json"),
+    (("--smooth-concave",), "stationarity_paper_0_1_smooth_concave.json"),
+])
+def test_stationarity_body_golden(capsys, extra, golden):
+    code, body = run_cli(capsys, "--format", "json-like", "check-stationarity",
+                         "example:paper", "--xi-bar", "0", "--x-bar", "1",
+                         "--gamma", "0.5", *extra)
+    assert code == 0
+    assert body == (DATA / golden).read_text().rstrip("\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "example:paper", "--xi", "0", "--x", "0,0"),
+    ("eval", "example:paper", "--xi", "0,5,7", "--x", "0"),
+    ("check-erbo", "example:paper", "--xi-bar", "0,1"),
+])
+def test_wrong_length_point_exit_code(capsys, argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "example:paper", "--starts", "0"),
+    ("solve", "example:paper", "--gamma", "0"),
+    ("solve", "example:paper", "--iters", "-3"),
+    ("solve", "example:paper", "--lambda0", "0"),
+    ("probe-stability", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+     "--gamma", "0"),
+    ("estimate-constants", "example:paper", "--rho", "-1"),
+    ("eval", "example:paper", "--xi", "nan", "--x", "0"),
+    ("check-stationarity", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+     "--gamma", "0.5", "--lambda-grid", "0"),
+    ("check-stationarity", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+     "--gamma", "0.5", "--smooth-concave", "--eps-list", "0.05,-1", "--lf", "2"),
+    ("check-stationarity", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+     "--gamma", "0.5", "--smooth-concave", "--lf", "inf"),
+])
+def test_bad_numeric_flag_exit_code(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "error:" in err and "Traceback" not in err

@@ -1,27 +1,11 @@
-"""Optional thread parallelism for embarrassingly parallel sweeps.
+"""Serial map over the items of a grid sweep.
 
-The environment variable VEP_THREADS caps the worker count (default 1,
-fully serial).  Results keep the input order, so parallel runs stay
-deterministic.
+``pmap`` is a named function, imported by name in ``problem`` and
+``diagnostics``, so the benchmark tracer (``perfbench/spans.py``) can patch
+each of those names and count the items of every sweep.  Results keep the
+input order.
 """
-
-from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("VEP_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def pmap(fn, items):
-    items = list(items)
-    k = worker_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

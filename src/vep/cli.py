@@ -242,8 +242,8 @@ def cmd_solve(prob, args, report: Report) -> int:
             for t in trace[-4:]
         ],
     })
-    if me.merit > config.tol_merit * 10 or \
-            geo.dist(xi_best, prob.omega) > config.tol_merit * 10:
+    if me.merit > sv.TOL_MERIT * 10 or \
+            geo.dist(xi_best, prob.omega) > sv.TOL_MERIT * 10:
         report.flags.append("no-feasible-incumbent")
         return EXIT_SOLVER
     try:
@@ -303,18 +303,36 @@ def _positive_floats(text: str) -> list[float]:
     return vals
 
 
+def _checked(v, ok: bool, text: str, what: str):
+    if not (math.isfinite(v) and ok):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+    return v
+
+
 def _positive_float(text: str) -> float:
     v = float(text)
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return v
+    return _checked(v, v > 0, text, "positive and finite")
+
+
+def _nonnegative_float(text: str) -> float:
+    v = float(text)
+    return _checked(v, v >= 0, text, "non-negative and finite")
+
+
+def _growth_factor(text: str) -> float:
+    # a factor of at most 1 never reaches --lambda-max
+    v = float(text)
+    return _checked(v, v > 1, text, "finite and greater than 1")
 
 
 def _positive_int(text: str) -> int:
     v = int(text)
-    if v <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return v
+    return _checked(v, v > 0, text, "a positive integer")
+
+
+def _nonnegative_int(text: str) -> int:
+    v = int(text)
+    return _checked(v, v >= 0, text, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="merit functions, error bounds and stationarity checks "
                     "for equilibrium-constrained programs",
     )
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_nonnegative_int, default=0)
     ap.add_argument("--format", choices=("text", "json-like"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -334,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--xi", type=_floats, required=True)
     p.add_argument("--x", type=_floats, required=True)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_nonnegative_float, default=0.0)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("check-erbo", help="estimate gamma and verify the error bound")
@@ -349,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, required=True)
     p.add_argument("--x-bar", dest="x_bar", type=_floats, required=True)
-    p.add_argument("--radius", type=float, default=0.5)
+    p.add_argument("--radius", type=_positive_float, default=0.5)
     p.set_defaults(fn=cmd_check_subtransversality)
 
     p = sub.add_parser("check-stationarity", help="stationarity inclusion test")
@@ -368,8 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="penalty-schedule subgradient descent")
     common(p)
     p.add_argument("--lambda0", type=_positive_float, default=0.5)
-    p.add_argument("--growth", type=float, default=2.0)
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=64.0)
+    p.add_argument("--growth", type=_growth_factor, default=2.0)
+    p.add_argument("--lambda-max", dest="lambda_max", type=_positive_float, default=64.0)
     p.add_argument("--gamma", type=_positive_float, default=0.5)
     p.add_argument("--iters", type=_positive_int, default=250)
     p.add_argument("--starts", type=_positive_int, default=5)

@@ -52,8 +52,7 @@ class SampleSpec:
 # ---------------------------------------------------------------------------
 
 def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
-                   spec: SampleSpec | None = None,
-                   tol_solution: float = 1e-8) -> Certificate:
+                   spec: SampleSpec | None = None) -> Certificate:
     """Smallest sampled distance from the origin to the x-block subgradient
     of nu plus the truncated normal map, over non-solution samples."""
     spec = spec or SampleSpec()
@@ -77,7 +76,7 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     tested = 0
     for xi, x in samples:
         me = mr.eval_merit(prob, xi, x)
-        if me.merit <= tol_solution:
+        if me.merit <= 1e-8:
             continue
         tested += 1
         est = sd.nu_partial_subgradient_smooth(prob, xi, x)
@@ -101,12 +100,10 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
 
 
 def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
-                       grid: pb.OracleGrid | None = None,
                        x_check: tuple | None = None) -> Certificate:
     """Check dist(x, E(xi)) <= merit(xi, x)/gamma + grid slack on a grid."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    grid = grid or pb.OracleGrid()
     xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
     if prob.p != 1:
         raise pb.ProblemError("error-bound sweep implemented for p = 1")
@@ -114,18 +111,16 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
     if x_check is None:
         x_check = (float(xlo[0]), float(xup[0]), 161)
     x_grid = np.linspace(*x_check)
-    xi_grid = np.linspace(float(xi_bar[0] - rho), float(xi_bar[0] + rho),
-                          grid.xi_resolution)
+    xi_grid = np.linspace(float(xi_bar[0] - rho), float(xi_bar[0] + rho), 41)
     empty_slices = []
     worst = -math.inf
     witness = None
-    per_t = pmap(lambda t: pb.oracle_solutions(prob, [t], grid), xi_grid)
+    per_t = pmap(lambda t: pb.oracle_solutions(prob, [t]), xi_grid)
     for t, sols in zip(xi_grid, per_t):
         if len(sols) == 0:
             empty_slices.append(t)
             continue
-        step = _solution_grid_step(prob, [t], grid)
-        slack = step + 1e-9
+        slack = _solution_grid_step(prob, [t]) + 1e-9
         for xv in x_grid:
             d = float(np.min(np.abs(sols[:, 0] - xv))) if prob.n == 1 else \
                 float(np.min(np.linalg.norm(sols - xv, axis=1)))
@@ -140,7 +135,6 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
                     {"xi_points": len(xi_grid), "x_points": len(x_grid)},
                     ("witness-violates-bound",),
                 )
-    flags = ()
     if empty_slices:
         return Certificate(
             "error-bound", INCONCLUSIVE, gamma, tuple((t,) for t in empty_slices[:4]),
@@ -150,25 +144,24 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
     return Certificate(
         "error-bound", CERTIFIED, gamma, (witness,),
         {"xi_points": len(xi_grid), "x_points": len(x_grid), "worst_gap": worst},
-        flags,
     )
 
 
-def _solution_grid_step(prob, xi, grid) -> float:
+def _solution_grid_step(prob, xi) -> float:
+    """Grid step of the default oracle grid over K(xi)."""
     S = pb.slice_at(prob.K, np.atleast_1d(np.asarray(xi, dtype=float)))
-    axes, _ = pb._axis_grids(prob, S, grid.x_resolution)
+    axes, _ = pb._axis_grids(prob, S, pb.OracleGrid().x_resolution)
     return max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
 
 
-def strong_slope(prob: pb.VepProblem, xi, x,
-                 radii=(0.1, 0.05, 0.025, 0.0125), n_dirs: int = 16) -> float:
+def strong_slope(prob: pb.VepProblem, xi, x) -> float:
     """Sampled maximal descent rate of merit(xi, .) at x, clamped at zero."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     base = mr.eval_merit(prob, xi, x).merit
-    dirs = geo._sphere_dirs(prob.n, n_dirs)
+    dirs = geo._sphere_dirs(prob.n, 16)
     slopes = []
-    for r in sorted(radii, reverse=True):
+    for r in (0.1, 0.05, 0.025, 0.0125):
         vals = [mr.eval_merit(prob, xi, x + r * u).merit for u in dirs]
         slopes.append(max((base - v) / r for v in vals))
     return max(0.0, slopes[-1])
@@ -178,10 +171,9 @@ def strong_slope(prob: pb.VepProblem, xi, x,
 # subtransversality
 # ---------------------------------------------------------------------------
 
-def subtransversality_kappa(dist1, dist2, dist12, s_bar, r: float,
-                            resolution: int = 21,
-                            exclude_tol: float = 1e-9) -> Certificate:
+def subtransversality_kappa(dist1, dist2, dist12, s_bar, r: float) -> Certificate:
     """Metric subtransversality constant from distance oracles on a grid."""
+    resolution = 21
     s_bar = np.atleast_1d(np.asarray(s_bar, dtype=float))
     axes = [np.linspace(c - r, c + r, resolution) for c in s_bar]
     pts = pb._grid_points(axes)
@@ -191,7 +183,7 @@ def subtransversality_kappa(dist1, dist2, dist12, s_bar, r: float,
     for w in pts:
         d1, d2 = dist1(w), dist2(w)
         denom = max(d1, d2)
-        if denom <= exclude_tol:
+        if denom <= 1e-9:
             continue
         d12 = dist12(w)
         if not math.isfinite(d12):
@@ -242,9 +234,9 @@ def _arcs_intersect(a: tuple[float, float], b: tuple[float, float],
     return None
 
 
-def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion,
-                         tol_deg: float = 0.5) -> Certificate:
+def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion) -> Certificate:
     """Normal-cone sufficient test: certified when N1 and -N2 meet only at 0."""
+    tol_deg = 0.5  # angular slack for two arcs to count as meeting
     dim = n1.dim
     flags = () if (n1.exact and n2.exact) else ("sampled-normals",)
     neg2 = geo.RayUnion(tuple(-b for b in n2.branches), n2.exact, n2.note)
@@ -271,10 +263,9 @@ def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion,
                        {"dirs": len(dirs)}, flags + ("sampled-test",))
 
 
-def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float,
-                             n_xi: int = 401, grid: pb.OracleGrid | None = None):
+def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
     """Distance oracles (to Omega x R^n, to graph E, to their intersection)."""
-    cloud = pb.graph_samples(prob, xi_lo, xi_hi, n_xi, grid)
+    cloud = pb.graph_samples(prob, xi_lo, xi_hi, 401)
     if len(cloud) == 0:
         raise pb.ProblemError("no solution-graph samples in the window")
     inside = np.array([geo.dist(row[: prob.p], prob.omega) <= 1e-9 for row in cloud])
@@ -299,10 +290,10 @@ def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float,
 # boundedness, Lipschitz constant, openness rate
 # ---------------------------------------------------------------------------
 
-def check_c_bounded(prob: pb.VepProblem, xi, x0, levels: int = 4,
-                    resolution: int = 101) -> Certificate:
+def check_c_bounded(prob: pb.VepProblem, xi, x0) -> Certificate:
     """Sample f(xi, x0, .) on growing z-grids; certified when the supremum
     norm of values outside the cone stabilizes."""
+    levels, resolution = 4, 101
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     S = pb.slice_at(prob.K, xi)
@@ -338,19 +329,19 @@ def check_c_bounded(prob: pb.VepProblem, xi, x0, levels: int = 4,
                        ("window-truncated",))
 
 
-def estimate_lipschitz_f(prob: pb.VepProblem, window=None, z_set=None,
-                         n_pairs: int = 2000, seed: int = 0) -> float:
-    """Largest sampled difference quotient of (xi, x) -> f at fixed z."""
+def estimate_lipschitz_f(prob: pb.VepProblem, seed: int = 0) -> float:
+    """Largest sampled difference quotient of (xi, x) -> f at fixed z, over
+    about 2000 pairs in the problem window and z on a 9-point grid per axis of
+    the slice at the window's centre."""
     rng = np.random.default_rng(seed)
-    wlo, wup = prob.xi_window() if window is None else window[0]
-    xlo, xup = prob.x_window() if window is None else window[1]
-    if z_set is None:
-        S = pb.slice_at(prob.K, 0.5 * (wlo + wup))
-        axes, _ = pb._axis_grids(prob, S, 9)
-        z_set = pb._grid_points(axes)
+    wlo, wup = prob.xi_window()
+    xlo, xup = prob.x_window()
+    S = pb.slice_at(prob.K, 0.5 * (wlo + wup))
+    axes, _ = pb._axis_grids(prob, S, 9)
+    z_set = pb._grid_points(axes)
     best = 0.0
     for z in z_set:
-        for _ in range(max(1, n_pairs // max(len(z_set), 1))):
+        for _ in range(max(1, 2000 // len(z_set))):
             a = (rng.uniform(wlo, wup), rng.uniform(xlo, xup))
             if rng.uniform() < 0.5:
                 step = 10.0 ** rng.uniform(-6, -1)
@@ -370,27 +361,27 @@ def estimate_lipschitz_f(prob: pb.VepProblem, window=None, z_set=None,
     return best
 
 
-def estimate_openness_rate(prob: pb.VepProblem, n_anchors: int = 5,
-                           radii=(0.5, 0.25), m_dirs: int = 32,
-                           z_resolution: int = 61, seed: int = 0) -> float:
+def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
     """Linear openness rate of the z-slice maps by a ball-coverage test.
 
-    For sampled anchors (xi, x, z) and radii r, finds the largest a such
-    that every target on the sphere of radius a*r around f(xi, x, z) is
-    covered by the sampled image of the z-ball of radius r.  Reports the
-    minimum over anchors (0 when the image fails to cover any ball).
+    For 5 sampled anchors (xi, x, z) and radii r in (0.5, 0.25), finds the
+    largest a such that every target on the sphere of radius a*r around
+    f(xi, x, z) (32 directions) is covered by the image of the z-ball of
+    radius r sampled on a 61-point grid per axis.  Reports the minimum over
+    anchors (0 when the image fails to cover any ball).
     """
+    z_resolution = 61
     rng = np.random.default_rng(seed)
     wlo, wup = prob.xi_window()
     xlo, xup = prob.x_window()
     alpha = math.inf
-    dirs = geo._sphere_dirs(prob.m, m_dirs)
-    for _ in range(n_anchors):
+    dirs = geo._sphere_dirs(prob.m, 32)
+    for _ in range(5):
         xi = rng.uniform(wlo, wup)
         x = rng.uniform(xlo, xup)
         S = pb.slice_at(prob.K, xi)
         z0 = geo.project(rng.uniform(xlo, xup), S)
-        for r in radii:
+        for r in (0.5, 0.25):
             axes = [np.linspace(z0[i] - r, z0[i] + r, z_resolution)
                     for i in range(prob.n)]
             pts = pb._grid_points(axes)
@@ -430,23 +421,22 @@ def estimate_openness_rate(prob: pb.VepProblem, n_anchors: int = 5,
 # stability probe
 # ---------------------------------------------------------------------------
 
-def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float,
-                    window: float = 0.5, n_xi: int = 21,
-                    grid: pb.OracleGrid | None = None) -> Certificate:
-    """Quantitative lower-semicontinuity and Aubin-modulus cross-check."""
+def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certificate:
+    """Quantitative lower-semicontinuity and Aubin-modulus cross-check on
+    21 parameter samples in [xi_bar - 0.5, xi_bar + 0.5]."""
     xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    grid = grid or pb.OracleGrid()
+    window, n_xi = 0.5, 21
     ts = np.linspace(float(xi_bar[0] - window), float(xi_bar[0] + window), n_xi)
     beta = 0.0
     lsc_ok = True
     lsc_witness = None
     sols_by_t = {}
     for t in ts:
-        sols = pb.oracle_solutions(prob, [t], grid)
+        sols = pb.oracle_solutions(prob, [t])
         sols_by_t[t] = sols
         me = mr.eval_merit(prob, [t], x_bar).merit
-        slack = _solution_grid_step(prob, [t], grid) + 1e-9
+        slack = _solution_grid_step(prob, [t]) + 1e-9
         d = float(np.min(np.linalg.norm(sols - x_bar, axis=1))) if len(sols) else math.inf
         if d > me / gamma + slack:
             lsc_ok = False
@@ -472,7 +462,7 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float,
             continue
         exc = max(float(np.min(np.linalg.norm(s1 - q, axis=1))) for q in near)
         worst_ratio = max(worst_ratio, exc / abs(ts[i + 1] - ts[i]))
-    slack = _solution_grid_step(prob, xi_bar, grid) / (ts[1] - ts[0]) + 1e-6
+    slack = _solution_grid_step(prob, xi_bar) / (ts[1] - ts[0]) + 1e-6
     ok = lsc_ok and worst_ratio <= aubin_bound + slack
     return Certificate(
         "stability", CERTIFIED if ok else REFUTED, aubin_bound,

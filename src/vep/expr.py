@@ -354,7 +354,6 @@ class GradHull:
     """
 
     generators: tuple
-    active_tol: float = ACTIVE_TOL
 
     @property
     def single(self) -> bool:
@@ -364,15 +363,15 @@ class GradHull:
         return np.asarray(self.generators, dtype=float)
 
 
-def _dedup(grads: list[np.ndarray], tol: float = 1e-12) -> list[np.ndarray]:
+def _dedup(grads: list[np.ndarray]) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     for g in grads:
-        if not any(np.max(np.abs(g - h)) <= tol * max(1.0, np.max(np.abs(g))) for h in out):
+        if not any(np.max(np.abs(g - h)) <= 1e-12 * max(1.0, np.max(np.abs(g))) for h in out):
             out.append(g)
     return out
 
 
-def grad_hull(e: Expr, point, wrt: str, active_tol: float = ACTIVE_TOL) -> GradHull:
+def grad_hull(e: Expr, point, wrt: str) -> GradHull:
     """Branch gradients of ``e`` at ``point`` w.r.t. a variable block.
 
     ``point`` is a triple (xi, x, z) of float sequences; ``wrt`` is one of
@@ -417,7 +416,7 @@ def grad_hull(e: Expr, point, wrt: str, active_tol: float = ACTIVE_TOL) -> GradH
             return -v, _dedup([-g for g in gs])
         if isinstance(node, Abs):
             v, gs = rec(node.a)
-            tol = active_tol * max(1.0, abs(v))
+            tol = ACTIVE_TOL * max(1.0, abs(v))
             if v > tol:
                 return v, gs
             if v < -tol:
@@ -443,7 +442,7 @@ def grad_hull(e: Expr, point, wrt: str, active_tol: float = ACTIVE_TOL) -> GradH
             vb, gb = rec(node.b)
             lo = isinstance(node, Min2)
             val = min(va, vb) if lo else max(va, vb)
-            tol = active_tol * max(1.0, abs(va), abs(vb))
+            tol = ACTIVE_TOL * max(1.0, abs(va), abs(vb))
             if abs(va - vb) <= tol:
                 return val, _dedup(ga + gb)
             take_a = (va < vb) if lo else (va > vb)
@@ -459,7 +458,7 @@ def grad_hull(e: Expr, point, wrt: str, active_tol: float = ACTIVE_TOL) -> GradH
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
     _, grads = rec(e)
-    return GradHull(tuple(grads), active_tol)
+    return GradHull(tuple(grads))
 
 
 # ---------------------------------------------------------------------------
@@ -560,14 +559,14 @@ class VectorFunc:
     def m(self) -> int:
         return len(self.components)
 
-    def eval(self, xi=(), x=(), z=()) -> np.ndarray:
+    def eval(self, xi, x, z) -> np.ndarray:
         vals = [eval_expr(c, xi, x, z) for c in self.components]
         return np.stack(np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in vals]))
 
     def jac_hull(self, point, wrt: str) -> list[GradHull]:
         return [grad_hull(c, point, wrt) for c in self.components]
 
-    def jac_branches(self, point, wrt: str, max_branches: int = 64) -> list[np.ndarray]:
+    def jac_branches(self, point, wrt: str) -> list[np.ndarray]:
         """All branch Jacobians (rows = components) at ``point``.
 
         Branch choices combine independently across components, which is an
@@ -577,9 +576,8 @@ class VectorFunc:
         count = 1
         for h in hulls:
             count *= len(h.generators)
-        if count > max_branches:
+        if count > 64:
             raise EvalError(f"too many kink branch combinations ({count})")
-        mats = [np.empty((0,))]
 
         def build(idx: int, rows: list) -> list:
             if idx == len(hulls):

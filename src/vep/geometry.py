@@ -174,7 +174,7 @@ def cone_contains(C: ConeRepr, v, tol: float = 1e-9) -> bool:
     return bool(resid <= tol * scale)
 
 
-def cone_pointed(C: ConeRepr, tol: float = 1e-9) -> bool:
+def cone_pointed(C: ConeRepr) -> bool:
     """Pointedness check: no generator's negation lies in the cone."""
     if C.kind == "orthant":
         return True
@@ -183,21 +183,21 @@ def cone_pointed(C: ConeRepr, tol: float = 1e-9) -> bool:
             return C.dim == 0
         return bool(np.linalg.matrix_rank(C.mat, tol=1e-12) == C.dim)
     for g in C.mat:
-        if np.linalg.norm(g) > tol and cone_contains(C, -g, tol):
+        if np.linalg.norm(g) > 1e-9 and cone_contains(C, -g):
             return False
     return True
 
 
-def cone_nontrivial(C: ConeRepr, tol: float = 1e-9) -> bool:
+def cone_nontrivial(C: ConeRepr) -> bool:
     if C.kind == "orthant":
         return C.dim >= 1
     if C.kind == "generators":
-        return bool(len(C.mat) > 0 and np.max(np.abs(C.mat)) > tol)
+        return bool(len(C.mat) > 0 and np.max(np.abs(C.mat)) > 1e-9)
     # halfspace form: nontrivial iff some nonzero direction is feasible
     if len(C.mat) == 0:
         return C.dim >= 1
     return bool(np.linalg.matrix_rank(C.mat, tol=1e-12) < C.dim) or any(
-        cone_contains(C, -n, tol) or cone_contains(C, n, tol) for n in C.mat
+        cone_contains(C, -n) or cone_contains(C, n) for n in C.mat
     )
 
 
@@ -230,8 +230,7 @@ def _project_cone(x: np.ndarray, C: ConeRepr) -> np.ndarray:
     return x - _project_cone(x, polar)
 
 
-def _hildreth(x: np.ndarray, A: np.ndarray, b: np.ndarray,
-              tol: float = 1e-12, max_sweeps: int = 5000) -> np.ndarray:
+def _hildreth(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Projection onto {y : Ay <= b} by Hildreth's dual coordinate ascent."""
     y = x.astype(float).copy()
     k = len(A)
@@ -246,7 +245,7 @@ def _hildreth(x: np.ndarray, A: np.ndarray, b: np.ndarray,
         k = len(A)
         lam = np.zeros(k)
     scale = max(1.0, float(np.linalg.norm(x)), float(np.max(np.abs(b))) if k else 1.0)
-    for sweep in range(max_sweeps):
+    for sweep in range(5000):
         biggest = 0.0
         for i in range(k):
             w = (A[i] @ y - b[i]) / n2[i]
@@ -256,7 +255,7 @@ def _hildreth(x: np.ndarray, A: np.ndarray, b: np.ndarray,
                 lam[i] = new
                 y = y - d * A[i]
                 biggest = max(biggest, abs(d) * math.sqrt(n2[i]))
-        if biggest <= tol * scale:
+        if biggest <= 1e-12 * scale:
             viol = float(np.max(A @ y - b)) if k else 0.0
             if viol <= 1e-8 * scale:
                 return y
@@ -332,7 +331,7 @@ def _affine_min(Q: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def _segment_refine(P: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
+def _segment_refine(P: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Dense pairwise refinement: exact line-search toward each point."""
     x = x.copy()
     for _ in range(200):
@@ -349,14 +348,14 @@ def _segment_refine(P: np.ndarray, x: np.ndarray, tol: float) -> np.ndarray:
             t = min(t, 1.0)
             cand = x + t * d
             cn = float(cand @ cand)
-            if cn < xn - tol * max(1.0, xn):
+            if cn < xn - TOL_MNP * max(1.0, xn):
                 x, xn, improved = cand, cn, True
         if not improved:
             break
     return x
 
 
-def wolfe_min_norm(points, tol: float = TOL_MNP):
+def wolfe_min_norm(points):
     """Min-norm point of conv(points).
 
     Returns (q, indices, weights) with q = sum_i weights[i] * points[indices[i]].
@@ -376,8 +375,11 @@ def wolfe_min_norm(points, tol: float = TOL_MNP):
         dots = P @ x
         xx = float(x @ x)
         j = int(np.argmin(dots))
-        if xx - float(dots[j]) <= tol * max(1.0, xx):
-            break
+        gap = xx - float(dots[j])
+        if gap <= TOL_MNP * max(1.0, xx):
+            # optimal: every point of conv(P) has squared norm >= xx - 2*gap,
+            # so the refinement below could never gain the 10*TOL_MNP it needs
+            return x, idx, w
         if j in idx:
             break
         idx.append(j)
@@ -405,8 +407,8 @@ def wolfe_min_norm(points, tol: float = TOL_MNP):
             w = w[keep]
             w = w / w.sum()
         x = w @ P[idx]
-    refined = _segment_refine(P, x, tol)
-    if float(refined @ refined) < float(x @ x) - 10 * tol * max(1.0, float(x @ x)):
+    refined = _segment_refine(P, x)
+    if float(refined @ refined) < float(x @ x) - 10 * TOL_MNP * max(1.0, float(x @ x)):
         # recover simplex weights for the refined point
         aug = np.vstack([P.T, np.ones(len(P))])
         target = np.concatenate([refined, [1.0]])
@@ -452,45 +454,45 @@ class RayUnion:
                    for b in self.branches)
 
 
-def _active_box_generators(S: Box, x: np.ndarray, tol_on: float) -> np.ndarray:
+def _active_box_generators(S: Box, x: np.ndarray) -> np.ndarray:
     gens = []
     for i in range(S.dim):
         scale = 1.0 + min(abs(x[i]), abs(S.upper[i]) if np.isfinite(S.upper[i]) else abs(x[i]))
-        if np.isfinite(S.upper[i]) and abs(x[i] - S.upper[i]) <= tol_on * scale:
+        if np.isfinite(S.upper[i]) and abs(x[i] - S.upper[i]) <= TOL_ON * scale:
             e = np.zeros(S.dim)
             e[i] = 1.0
             gens.append(e)
-        if np.isfinite(S.lower[i]) and abs(x[i] - S.lower[i]) <= tol_on * scale:
+        if np.isfinite(S.lower[i]) and abs(x[i] - S.lower[i]) <= TOL_ON * scale:
             e = np.zeros(S.dim)
             e[i] = -1.0
             gens.append(e)
     return np.asarray(gens) if gens else np.zeros((0, S.dim))
 
 
-def normal_cone(S, point, tol_on: float = TOL_ON) -> RayUnion:
+def normal_cone(S, point) -> RayUnion:
     """Normal cone (convex-analysis sense) to a convex set at a point on it."""
     x = np.asarray(point, dtype=float)
     d = dist(x, S)
-    if not d <= tol_on * (1.0 + np.linalg.norm(x)):
+    if not d <= TOL_ON * (1.0 + np.linalg.norm(x)):
         raise GeometryError(f"point is not on the set (dist {d:.3g})")
     if isinstance(S, Box):
-        return RayUnion((_active_box_generators(S, x, tol_on),))
+        return RayUnion((_active_box_generators(S, x),))
     if isinstance(S, Halfspaces):
         resid = S.A @ x - S.b
         scale = 1.0 + np.abs(S.b)
-        active = resid >= -tol_on * scale
+        active = resid >= -TOL_ON * scale
         return RayUnion((S.A[active],)) if np.any(active) else RayUnion((np.zeros((0, S.dim)),))
     if isinstance(S, Polytope):
-        return RayUnion((_polytope_normal_generators(S, x, tol_on),))
+        return RayUnion((_polytope_normal_generators(S, x),))
     raise TypeError(f"no normal cone for {type(S).__name__}")
 
 
-def _polytope_normal_generators(S: Polytope, x: np.ndarray, tol_on: float) -> np.ndarray:
+def _polytope_normal_generators(S: Polytope, x: np.ndarray) -> np.ndarray:
     pts = S.points
     d = S.dim
     if d == 1:
         lo, up = float(pts.min()), float(pts.max())
-        return _active_box_generators(Box([lo], [up]), x, tol_on)
+        return _active_box_generators(Box([lo], [up]), x)
     center = pts.mean(axis=0)
     U, s, _ = np.linalg.svd(pts - center, full_matrices=True) if len(pts) > 1 else (None, np.zeros(0), None)
     rank = int(np.sum(s > 1e-10 * max(1.0, s.max() if len(s) else 1.0)))
@@ -502,7 +504,7 @@ def _polytope_normal_generators(S: Polytope, x: np.ndarray, tol_on: float) -> np
         gens = []
         for eq in hull.equations:  # n . y + off <= 0 on the polytope
             n, off = eq[:-1], eq[-1]
-            if abs(n @ x + off) <= tol_on * (1.0 + abs(off)):
+            if abs(n @ x + off) <= TOL_ON * (1.0 + abs(off)):
                 gens.append(n)
         return np.asarray(gens) if gens else np.zeros((0, d))
     # degenerate polytope: split into affine-hull part plus orthogonal lines
@@ -512,7 +514,7 @@ def _polytope_normal_generators(S: Polytope, x: np.ndarray, tol_on: float) -> np
     gens = [v for c in comp for v in (c, -c)]
     if rank > 0:
         sub = Polytope((pts - center) @ basis.T)
-        sub_gens = _polytope_normal_generators(sub, basis @ (x - center), tol_on)
+        sub_gens = _polytope_normal_generators(sub, basis @ (x - center))
         gens.extend(g @ basis for g in sub_gens)
     return np.asarray(gens) if gens else np.zeros((0, d))
 
@@ -538,15 +540,21 @@ def polyline_project(w: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, flo
     return cand[j], float(dists[j])
 
 
-def _sphere_dirs(dim: int, n: int, seed: int = 0) -> np.ndarray:
+def _sphere_dirs(dim: int, n: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
         ang = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
         return np.c_[np.cos(ang), np.sin(ang)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     v = rng.normal(size=(n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# clustering of limit directions: a gap wider than _GAP_DEG splits two
+# clusters, and a cluster no wider than _RAY_WIDTH_DEG is one ray
+_GAP_DEG = 12.0
+_RAY_WIDTH_DEG = 5.0
 
 
 def _angular_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
@@ -559,10 +567,10 @@ def _angular_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
     return max(float(ang.min(axis=1).max()), float(ang.min(axis=0).max()))
 
 
-def _cluster_dirs_2d(dirs: np.ndarray, gap_deg: float, ray_width_deg: float):
+def _cluster_dirs_2d(dirs: np.ndarray):
     ang = np.sort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi))
     gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-    cut = np.nonzero(gaps > np.deg2rad(gap_deg))[0]
+    cut = np.nonzero(gaps > np.deg2rad(_GAP_DEG))[0]
     if len(cut) == 0:
         # directions wrap the whole circle
         return [np.array([[math.cos(a), math.sin(a)] for a in
@@ -573,7 +581,7 @@ def _cluster_dirs_2d(dirs: np.ndarray, gap_deg: float, ray_width_deg: float):
     clusters = []
     cur = [ang[0]]
     for a in ang[1:]:
-        if a - cur[-1] > np.deg2rad(gap_deg):
+        if a - cur[-1] > np.deg2rad(_GAP_DEG):
             clusters.append(cur)
             cur = [a]
         else:
@@ -582,7 +590,7 @@ def _cluster_dirs_2d(dirs: np.ndarray, gap_deg: float, ray_width_deg: float):
     branches = []
     for c in clusters:
         width = c[-1] - c[0]
-        if width <= np.deg2rad(ray_width_deg):
+        if width <= np.deg2rad(_RAY_WIDTH_DEG):
             mid = 0.5 * (c[0] + c[-1])
             branches.append(np.array([[math.cos(mid), math.sin(mid)]]))
         else:
@@ -591,12 +599,12 @@ def _cluster_dirs_2d(dirs: np.ndarray, gap_deg: float, ray_width_deg: float):
     return branches
 
 
-def _cluster_dirs_nd(dirs: np.ndarray, ray_width_deg: float):
+def _cluster_dirs_nd(dirs: np.ndarray):
     reps: list[np.ndarray] = []
     for d in dirs:
         placed = False
         for i, r in enumerate(reps):
-            if np.arccos(np.clip(d @ r, -1, 1)) <= np.deg2rad(ray_width_deg):
+            if np.arccos(np.clip(d @ r, -1, 1)) <= np.deg2rad(_RAY_WIDTH_DEG):
                 reps[i] = r + d
                 reps[i] = reps[i] / np.linalg.norm(reps[i])
                 placed = True
@@ -606,35 +614,28 @@ def _cluster_dirs_nd(dirs: np.ndarray, ray_width_deg: float):
     return [r.reshape(1, -1) for r in reps]
 
 
-def limiting_normal_graph(boundary_branches, point, inside=None, *,
-                          radii=None, n_probes: int = 240,
-                          tol_ray: float = 0.08, gap_deg: float = 12.0,
-                          ray_width_deg: float = 5.0,
-                          tol_on: float = 1e-6) -> RayUnion:
+def limiting_normal_graph(boundary_branches, point, inside=None, *, radii) -> RayUnion:
     """Sampled basic normal cone to a set described by boundary samples.
 
     ``boundary_branches`` is a list of ordered point arrays (one-sided smooth
     parameterizations near ``point``); ``inside`` is an optional membership
     predicate for thick sets so interior probes are skipped.  Probe points on
-    shrinking spheres around ``point`` are projected onto the boundary
-    polylines; the limit directions cone[x - Proj(x, S)] are clustered into
-    ray/fan branches.  Always flagged approximate.
+    the spheres of the given ``radii`` around ``point`` are projected onto the
+    boundary polylines; the limit directions cone[x - Proj(x, S)] are
+    clustered into ray/fan branches.  Always flagged approximate.
     """
     point = np.asarray(point, dtype=float)
     branches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in boundary_branches]
     dim = len(point)
     scale = max(1.0, float(np.linalg.norm(point)))
     near = min(polyline_project(point, b)[1] for b in branches)
-    if near > tol_on * scale:
+    if near > 1e-6 * scale:
         raise GeometryError(f"point is not on the sampled set (dist {near:.3g})")
-    if radii is None:
-        ext = max(float(np.max(np.linalg.norm(b - point, axis=1))) for b in branches)
-        radii = (0.05 * ext, 0.025 * ext, 0.0125 * ext)
     radii = sorted(radii, reverse=True)
     per_radius = []
     for r in radii:
         dirs = []
-        for u in _sphere_dirs(dim, n_probes):
+        for u in _sphere_dirs(dim, 240):
             w = point + r * u
             if inside is not None and inside(w):
                 continue
@@ -649,15 +650,12 @@ def limiting_normal_graph(boundary_branches, point, inside=None, *,
                 continue
             dirs.append((w - best_q) / best_d)
         per_radius.append(np.asarray(dirs) if dirs else np.zeros((0, dim)))
-    if _angular_hausdorff(per_radius[-1], per_radius[-2]) > tol_ray:
+    if _angular_hausdorff(per_radius[-1], per_radius[-2]) > 0.08:
         raise GeometryError("ray directions failed to stabilize across radii")
     finest = per_radius[-1]
     if len(finest) == 0:
         return RayUnion((np.zeros((0, dim)),), exact=False, note="sampled")
-    if dim == 2:
-        out = _cluster_dirs_2d(finest, gap_deg, ray_width_deg)
-    else:
-        out = _cluster_dirs_nd(finest, ray_width_deg)
+    out = _cluster_dirs_2d(finest) if dim == 2 else _cluster_dirs_nd(finest)
     return RayUnion(tuple(out), exact=False, note="sampled")
 
 
@@ -665,7 +663,7 @@ def limiting_normal_graph(boundary_branches, point, inside=None, *,
 # convex bodies: conv(points) + r*B + capped cones
 # ---------------------------------------------------------------------------
 
-def cap_points(C: ConeRepr, res_deg: float = CAP_RES_DEG) -> np.ndarray:
+def cap_points(C: ConeRepr) -> np.ndarray:
     """Discretization of cone ∩ unit ball as conv of finitely many points."""
     d = C.dim
     if d == 1:
@@ -684,7 +682,7 @@ def cap_points(C: ConeRepr, res_deg: float = CAP_RES_DEG) -> np.ndarray:
                     pts.append(g / nrm)
         except GeometryError:
             pass
-        for u in _sphere_dirs(2, int(round(360.0 / res_deg))):
+        for u in _sphere_dirs(2, int(round(360.0 / CAP_RES_DEG))):
             if cone_contains(C, u):
                 pts.append(u)
         return _prune_hull(np.asarray(pts))
@@ -744,22 +742,22 @@ class ConvexBody:
     def is_empty(self) -> bool:
         return len(self.points) == 0
 
-    def effective_points(self, res_deg: float = CAP_RES_DEG) -> np.ndarray:
+    def effective_points(self) -> np.ndarray:
         """Hull points after folding the cone caps in (ball kept separate)."""
         if self.is_empty:
             return self.points
         pts = self.points
         for cap in self.caps:
-            cp = cap_points(cap, res_deg)
+            cp = cap_points(cap)
             pts = _prune_hull((pts[:, None, :] + cp[None, :, :]).reshape(-1, self.dim))
         return pts
 
-    def ball_discretized(self, res_deg: float = CAP_RES_DEG) -> np.ndarray:
+    def ball_discretized(self) -> np.ndarray:
         """Points covering the whole body with the ball sampled on a sphere."""
-        pts = self.effective_points(res_deg)
+        pts = self.effective_points()
         if self.ball <= 0.0 or len(pts) == 0:
             return pts
-        dirs = _sphere_dirs(self.dim, max(8, int(round(360.0 / res_deg))) if self.dim == 2 else 64)
+        dirs = _sphere_dirs(self.dim, int(round(360.0 / CAP_RES_DEG)) if self.dim == 2 else 64)
         shift = self.ball * dirs
         return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
 
@@ -770,8 +768,8 @@ def body_from_points(points, label: str = "", ball: float = 0.0) -> ConvexBody:
                       ball=ball, label=label)
 
 
-def unit_ball_body(dim: int, radius: float = 1.0, label: str = "ball") -> ConvexBody:
-    return ConvexBody(dim, np.zeros((1, dim)), ball=radius, label=label)
+def unit_ball_body(dim: int) -> ConvexBody:
+    return ConvexBody(dim, np.zeros((1, dim)), ball=1.0, label="ball")
 
 
 def minkowski(a: ConvexBody, b: ConvexBody) -> ConvexBody:
@@ -792,10 +790,10 @@ def scale_body(a: ConvexBody, t: float) -> ConvexBody:
     return ConvexBody(a.dim, t * pts, ball=t * a.ball, label=a.label)
 
 
-def product_body(a: ConvexBody, b: ConvexBody, res_deg: float = CAP_RES_DEG) -> ConvexBody:
+def product_body(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     """Cartesian product; balls are discretized (inscribed, flagged by label)."""
-    pa = a.ball_discretized(res_deg)
-    pb = b.ball_discretized(res_deg)
+    pa = a.ball_discretized()
+    pb = b.ball_discretized()
     if len(pa) == 0 or len(pb) == 0:
         return ConvexBody(a.dim + b.dim, np.zeros((0, a.dim + b.dim)), label="empty")
     pts = np.concatenate(
@@ -829,12 +827,11 @@ def support(obj, direction) -> float:
     raise TypeError(f"no support function for {type(obj).__name__}")
 
 
-def min_norm_point(body: ConvexBody, tol: float = TOL_MNP) -> tuple[np.ndarray, float]:
+def min_norm_point(body: ConvexBody) -> tuple[np.ndarray, float]:
     """Point of the body nearest the origin and its norm."""
     if body.is_empty:
         raise GeometryError("min-norm point of an empty body")
-    pts = body.effective_points()
-    q, _, _ = wolfe_min_norm(pts, tol)
+    q, _, _ = wolfe_min_norm(body.effective_points())
     nq = float(np.linalg.norm(q))
     if nq <= body.ball:
         return np.zeros(body.dim), 0.0
@@ -843,12 +840,11 @@ def min_norm_point(body: ConvexBody, tol: float = TOL_MNP) -> tuple[np.ndarray, 
     return point, d0
 
 
-def dist_to_body(x, body: ConvexBody, tol: float = TOL_MNP) -> float:
+def dist_to_body(x, body: ConvexBody) -> float:
     x = np.asarray(x, dtype=float)
     if body.is_empty:
         return float("inf")
-    pts = body.effective_points() - x
-    q, _, _ = wolfe_min_norm(pts, tol)
+    q, _, _ = wolfe_min_norm(body.effective_points() - x)
     return max(float(np.linalg.norm(q)) - body.ball, 0.0)
 
 
@@ -856,14 +852,14 @@ def body_contains(body: ConvexBody, x, tol: float = 1e-8) -> bool:
     return dist_to_body(x, body) <= tol
 
 
-def truncated_normal(x, S, tol_on: float = TOL_ON) -> ConvexBody:
+def truncated_normal(x, S) -> ConvexBody:
     """Unit-truncated normal map: N(x;S) ∩ B on the set, unit projection
     direction off the set."""
     x = np.asarray(x, dtype=float)
     d = dist(x, S)
     dim = len(x)
-    if d <= tol_on * (1.0 + np.linalg.norm(x)):
-        gens = normal_cone(S, project(x, S), tol_on).branches[0]
+    if d <= TOL_ON * (1.0 + np.linalg.norm(x)):
+        gens = normal_cone(S, project(x, S)).branches[0]
         if len(gens) == 0:
             return ConvexBody(dim, np.zeros((1, dim)), label="normal-cap")
         return ConvexBody(dim, np.zeros((1, dim)),

@@ -44,8 +44,7 @@ def _enlarged_box(S: geo.Box, eps: float) -> geo.Box:
     return geo.Box(S.lower - eps, S.upper + eps)
 
 
-def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0,
-            z_resolution: int = 201) -> NuEval:
+def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
     """sup over z in the (eps-enlarged) slice of dist(f(xi, x, z), C).
 
     When f is affine in z and the slice is a bounded box/polytope the sup
@@ -76,7 +75,7 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0,
         return NuEval(best, arg, "vertex-exact", tuple(flags))
 
     # grid path over the (enlarged) slice
-    axes, truncated = pb._axis_grids(prob, S, z_resolution)
+    axes, truncated = pb._axis_grids(prob, S, 201)
     if truncated:
         flags.append("unbounded-window")
     if eps > 0.0:
@@ -128,9 +127,8 @@ def eval_mu(prob: pb.VepProblem, xi, x) -> float:
     return geo.dist(x, pb.slice_at(prob.K, xi))
 
 
-def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0,
-               z_resolution: int = 201) -> MeritEval:
-    nu = eval_nu(prob, xi, x, eps, z_resolution)
+def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
+    nu = eval_nu(prob, xi, x, eps)
     mu = eval_mu(prob, xi, x)
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)
 
@@ -139,8 +137,8 @@ def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0,
 # sampled hypothesis probes
 # ---------------------------------------------------------------------------
 
-def probe_lower_semicontinuity(prob: pb.VepProblem, n_sequences: int = 100,
-                               seed: int = 0, slack: float = 1e-6) -> tuple[bool, float]:
+def probe_lower_semicontinuity(prob: pb.VepProblem, n_sequences: int,
+                               seed: int) -> tuple[bool, float]:
     """liminf of merit along random convergent sequences vs the limit value.
 
     Returns (ok, worst gap); worst gap is max over sequences of
@@ -162,12 +160,11 @@ def probe_lower_semicontinuity(prob: pb.VepProblem, n_sequences: int = 100,
             for r in (1e-7, 1e-8)
         )
         worst = max(worst, base - lim)
-    return bool(worst <= slack), float(worst)
+    return bool(worst <= 1e-6), float(worst)
 
 
-def probe_midpoint_convexity(prob: pb.VepProblem, which: str = "nu",
-                             n_segments: int = 1000, seed: int = 0,
-                             slack: float = 1e-8) -> tuple[bool, float]:
+def probe_midpoint_convexity(prob: pb.VepProblem, which: str,
+                             n_segments: int, seed: int) -> tuple[bool, float]:
     """Midpoint convexity of nu or mu on random segments inside the window."""
     rng = np.random.default_rng(seed)
     xlo, xup = prob.x_window()
@@ -181,4 +178,4 @@ def probe_midpoint_convexity(prob: pb.VepProblem, which: str = "nu",
         mid = fn(0.5 * (xi1 + xi2), 0.5 * (x1 + x2))
         avg = 0.5 * (fn(xi1, x1) + fn(xi2, x2))
         worst = max(worst, mid - avg)
-    return bool(worst <= slack), float(worst)
+    return bool(worst <= 1e-8), float(worst)

@@ -111,15 +111,12 @@ class VepProblem:
 class OracleGrid:
     """Sampling plan for the brute-force solution oracle."""
 
-    xi_center: tuple = (0.0,)
-    xi_radius: float = 1.0
-    xi_resolution: int = 41
     x_resolution: int = 201
     tol_c: float = 1e-9
 
     def __post_init__(self):
-        if self.xi_resolution <= 0 or self.x_resolution <= 0 or self.tol_c <= 0:
-            raise ValueError("resolutions and tol_c must be positive")
+        if self.x_resolution <= 0 or self.tol_c <= 0:
+            raise ValueError("x_resolution and tol_c must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def _parse_kinks(val: str) -> tuple:
     return tuple(kinks)
 
 
-def parse_problem_text(text: str, name: str = "file") -> VepProblem:
+def parse_problem_text(text: str, name: str) -> VepProblem:
     sec = _parse_sections(text)
     if "problem" not in sec:
         raise ProblemError("missing [problem] section")
@@ -356,11 +353,11 @@ def parse_problem_text(text: str, name: str = "file") -> VepProblem:
     return problem
 
 
-def _validate_standing(prob: VepProblem, n_samples: int = 1000):
+def _validate_standing(prob: VepProblem):
     """Standing-assumption surrogate: closed nonempty slices on sampled xi."""
     rng = np.random.default_rng(0)
     lo, up = prob.xi_window()
-    for _ in range(n_samples):
+    for _ in range(1000):
         xi = rng.uniform(lo, up)
         try:
             slice_at(prob.K, xi)
@@ -513,22 +510,20 @@ def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np
     return np.vstack(sols) if sols else np.zeros((0, prob.n))
 
 
-def oracle_dist_to_solutions(prob: VepProblem, xi, x,
-                             grid: OracleGrid | None = None) -> float:
-    sols = oracle_solutions(prob, xi, grid)
+def oracle_dist_to_solutions(prob: VepProblem, xi, x) -> float:
+    sols = oracle_solutions(prob, xi)
     if len(sols) == 0:
         return float("inf")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(np.min(np.linalg.norm(sols - x, axis=1)))
 
 
-def graph_samples(prob: VepProblem, xi_lo: float, xi_hi: float, n_xi: int = 301,
-                  grid: OracleGrid | None = None) -> np.ndarray:
+def graph_samples(prob: VepProblem, xi_lo: float, xi_hi: float, n_xi: int) -> np.ndarray:
     """Sampled graph of the solution map over a scalar-xi window (p = 1)."""
     if prob.p != 1:
         raise ProblemError("graph sampling implemented for p = 1")
     ts = np.linspace(xi_lo, xi_hi, n_xi)
-    per_t = pmap(lambda t: oracle_solutions(prob, [t], grid), ts)
+    per_t = pmap(lambda t: oracle_solutions(prob, [t]), ts)
     rows = [np.concatenate([[t], s]) for t, sols in zip(ts, per_t) for s in sols]
     if not rows:
         return np.zeros((0, 1 + prob.n))

@@ -34,6 +34,8 @@ from . import subdiff as sd
 STATIONARY = "stationary-within-tol"
 REFUTED_BY_DIRECTION = "refuted-by-direction"
 INCONCLUSIVE = "inconclusive"
+# merit and Omega-distance under which a solver incumbent counts as feasible
+TOL_MERIT = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -51,15 +53,13 @@ class PenaltyConfig:
     lambda_max: float = 64.0
     gamma: float = 0.5
     max_iter: int = 250
-    restarts: int = 1
-    tol_stat: float = 1e-4
-    tol_merit: float = 1e-6
-    step_scale: float | None = None  # default: window diameter / 10
     seed: int = 0
 
     def __post_init__(self):
-        if self.lambda_init <= 0 or self.gamma <= 0 or self.tol_stat <= 0:
-            raise ValueError("lambda_init, gamma and tol_stat must be positive")
+        if self.lambda_init <= 0 or self.gamma <= 0:
+            raise ValueError("lambda_init and gamma must be positive")
+        if not self.growth > 1:
+            raise ValueError("growth must exceed 1, or the schedule never ends")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +101,7 @@ def penalized_value(prob: pb.VepProblem, xi, x, lam: float, gamma: float) -> flo
     return phi + lam * pen
 
 
-def _penalized_subgradient(prob, xi, x, lam, gamma, h=1e-7) -> np.ndarray:
+def _penalized_subgradient(prob, xi, x, lam, gamma) -> np.ndarray:
     """A subgradient of the penalized objective.
 
     Objective and Omega-distance parts are structured; the merit part uses
@@ -118,39 +118,37 @@ def _penalized_subgradient(prob, xi, x, lam, gamma, h=1e-7) -> np.ndarray:
     def merit_at(q):
         return mr.eval_merit(prob, q[:p], q[p:]).merit
 
-    g_mf = sd._fd_gradient(merit_at, np.concatenate([xi, x]), h)
+    g_mf = sd._fd_gradient(merit_at, np.concatenate([xi, x]), 1e-7)
     return g_phi + lam * g_om + (lam / gamma) * g_mf
 
 
-def _compass_polish(fn, q0: np.ndarray, step: float, lo=None, up=None,
-                    tol: float = 1e-7, max_iter: int = 400) -> tuple[np.ndarray, float]:
+def _compass_polish(fn, q0: np.ndarray, step: float, lo, up) -> tuple[np.ndarray, float]:
     q = q0.copy()
     v = fn(q)
     d = len(q)
-    for _ in range(max_iter):
+    for _ in range(400):
         improved = False
         for i in range(d):
             for s in (step, -step):
                 cand = q.copy()
                 cand[i] += s
-                if lo is not None:
-                    cand = np.clip(cand, lo, up)
+                cand = np.clip(cand, lo, up)
                 cv = fn(cand)
                 if cv < v - 1e-15:
                     q, v, improved = cand, cv, True
         if not improved:
             step *= 0.5
-            if step < tol:
+            if step < 1e-7:
                 break
     return q, v
 
 
-def _penalized_slope(prob, q, lam, gamma, p, radii=(1e-3, 1e-4)) -> float:
+def _penalized_slope(prob, q, lam, gamma, p) -> float:
     """Sampled strong slope of the penalized objective at q."""
     base = penalized_value(prob, q[:p], q[p:], lam, gamma)
     dirs = _default_dirs(len(q))
     best = 0.0
-    for r in radii:
+    for r in (1e-3, 1e-4):
         for u in dirs:
             w = q + r * np.asarray(u)
             v = penalized_value(prob, w[:p], w[p:], lam, gamma)
@@ -163,8 +161,8 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
 
     Returns (incumbent as (xi, x), trace of StageRecord).  A stage runs the
     descent plus a pattern-search polish until the sampled strong slope of
-    the penalized objective at the incumbent drops under tol_stat; the
-    schedule advances while the incumbent's merit stays above tol_merit and
+    the penalized objective at the incumbent drops under 1e-4; the
+    schedule advances while the incumbent's merit stays above TOL_MERIT and
     stops as soon as the incumbent is feasible with a small slope.
     """
     starts = [
@@ -180,7 +178,7 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     lo = np.concatenate([wlo, xlo])
     up = np.concatenate([wup, xup])
     diam = float(np.linalg.norm(up - lo))
-    a0 = config.step_scale if config.step_scale is not None else diam / 10.0
+    a0 = diam / 10.0
 
     trace: list[StageRecord] = []
     incumbents = [np.concatenate(s) for s in starts]
@@ -192,10 +190,8 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
 
         stage_incumbents = []
         for si, q_start in enumerate(incumbents):
-            seeds = [q_start] + [
-                np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up)
-                for _ in range(config.restarts)
-            ]
+            seeds = [q_start,
+                     np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up)]
             best_local, best_local_val, accepted = None, math.inf, 0
             for q in seeds:
                 q = q.copy()
@@ -229,8 +225,8 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
         inc_merit = mr.eval_merit(prob, incumbent[: prob.p], incumbent[prob.p:]).merit
         inc_omega = geo.dist(incumbent[: prob.p], prob.omega)
         slope = _penalized_slope(prob, incumbent, lam, config.gamma, prob.p)
-        feasible = inc_merit <= config.tol_merit and inc_omega <= config.tol_merit
-        if feasible and slope <= config.tol_stat:
+        feasible = inc_merit <= TOL_MERIT and inc_omega <= TOL_MERIT
+        if feasible and slope <= 1e-4:
             break
         lam *= config.growth
     return (incumbent[: prob.p].copy(), incumbent[prob.p:].copy()), tuple(trace)
@@ -320,10 +316,10 @@ def _residual_and_witness(factor_pts: list[np.ndarray], ball: float):
     return residual, tuple(parts)
 
 
-def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs,
-                     tol=1e-9):
+def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs):
     """lambda-affine sign test: a direction refutes when the support of the
     right-hand side stays negative for every lambda > 0."""
+    tol = 1e-9
     for d in dirs:
         if not geo.support(phi_body, d) < -tol:
             continue
@@ -336,7 +332,7 @@ def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs,
 
 
 def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
-              refutation_dirs, tol_stat, flags) -> StationarityReport:
+              tol_stat, flags) -> StationarityReport:
     """Inclusion test over (key, nu body) pairs: 0 in subgrad(objective)
     + lam*(Omega normal cap x {0}) + (lam/gamma)*(nu body + coderivative-ball
     branch).
@@ -354,8 +350,7 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     phi_body = _phi_body(prob, xi_bar, x_bar)
     omega_body = _omega_cap_body(prob, xi_bar)
-    dirs = refutation_dirs if refutation_dirs is not None else _default_dirs(
-        prob.p + prob.n)
+    dirs = _default_dirs(prob.p + prob.n)
     coupled = sd.mu_subgradient_coupled(prob, xi_bar, x_bar)
     if coupled is not None:
         refute_bodies, mu_model = coupled.bodies, "graph-normal-cap"
@@ -409,8 +404,8 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
 
 
 def check_stationarity_general(prob: pb.VepProblem, xi_bar, x_bar,
-                               lambda_grid=None, gamma: float = 0.5,
-                               refutation_dirs=None, tol_stat: float = 1e-9,
+                               lambda_grid, gamma: float,
+                               tol_stat: float = 1e-9,
                                tol_on_graph: float = 1e-6) -> StationarityReport:
     """The assembled inclusion with the nu subgradient taken as the
     gradient-limit hull."""
@@ -427,20 +422,17 @@ def check_stationarity_general(prob: pb.VepProblem, xi_bar, x_bar,
     if nu_est.exactness != sd.EXACT_CONVEX:
         flags = flags + (f"subgradient_model: {nu_est.exactness}",)
     return _assemble(prob, xi_bar, x_bar, [((), nu_est.body)], mu_est,
-                     lambda_grid, gamma, refutation_dirs, tol_stat, flags)
+                     lambda_grid, gamma, tol_stat, flags)
 
 
 def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
-                                      lambda_grid=None, gamma: float = 0.5,
-                                      eps_list=(0.05, 0.1), l_f: float = 1.0,
-                                      refutation_dirs=None,
-                                      tol_stat: float = 1e-9,
-                                      tol_on_graph: float = 1e-6) -> StationarityReport:
+                                      lambda_grid, gamma: float, eps_list,
+                                      l_f: float) -> StationarityReport:
     """The assembled inclusion with the nu subgradient replaced by the
     per-enlargement outer estimate, one nu body per enlargement."""
     xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
     x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
-    _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
+    _check_preconditions(prob, xi_bar, x_bar, gamma, 1e-6)
     flags_pre = () if "K-concave" in prob.asserts else ("hypotheses-not-asserted",)
     outer = sd.nu_outer_estimate(prob, xi_bar, x_bar, eps_list, l_f)
     mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
@@ -448,4 +440,4 @@ def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
         f"eps-list={tuple(e for e, _ in outer.per_eps)}", f"l_f={l_f:g}")
     return _assemble(prob, xi_bar, x_bar,
                      [((eps,), body) for eps, body in outer.per_eps], mu_est,
-                     lambda_grid, gamma, refutation_dirs, tol_stat, flags)
+                     lambda_grid, gamma, 1e-9, flags)

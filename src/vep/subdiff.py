@@ -12,6 +12,8 @@ bookkeeping.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +73,10 @@ def _weakest(a: str, b: str) -> str:
 # x-block subgradient of nu by the adjoint-image formula
 # ---------------------------------------------------------------------------
 
-def _dist_grad_cap(prob: pb.VepProblem, F: np.ndarray, d: float,
-                   tol: float = 1e-9) -> np.ndarray:
+def _dist_grad_cap(prob: pb.VepProblem, F: np.ndarray, d: float) -> np.ndarray:
     """Subgradient set of dist(., C) at F as points: the unit outward
     direction off the cone, the normal-cone cap on it."""
-    if d > tol * (1.0 + np.linalg.norm(F)):
+    if d > 1e-9 * (1.0 + np.linalg.norm(F)):
         return ((F - geo.project(F, prob.cone)) / d).reshape(1, -1)
     cap = geo.cap_points(geo.dual_cone(prob.cone))
     scale = max(1.0, float(np.linalg.norm(F)))
@@ -83,14 +84,13 @@ def _dist_grad_cap(prob: pb.VepProblem, F: np.ndarray, d: float,
     return np.asarray(keep) if keep else np.zeros((1, prob.m))
 
 
-def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x,
-                                  z_resolution: int = 201) -> SubgradEstimate:
+def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     """x-block subgradient of nu: conv over farthest points z of J_x(f)^T u,
     u the unit outward direction of f(xi, x, z) from the cone (or the
     normal-cone cap when the value sits on the cone)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    nu = mr.eval_nu(prob, xi, x, z_resolution=z_resolution)
+    nu = mr.eval_nu(prob, xi, x)
     if not nu.argmax:
         raise SubdiffError("empty farthest-point set")
     flags: list[str] = []
@@ -132,8 +132,7 @@ def _fd_gradient(fn, q: np.ndarray, h: float) -> np.ndarray:
     return g
 
 
-def _fd_gradient_checked(fn, q: np.ndarray, h: float,
-                         tol: float = 1e-5) -> np.ndarray | None:
+def _fd_gradient_checked(fn, q: np.ndarray, h: float) -> np.ndarray | None:
     """Central-difference gradient, rejected when one-sided slopes disagree
     (the probe straddles a kink)."""
     g = np.empty(len(q))
@@ -143,49 +142,45 @@ def _fd_gradient_checked(fn, q: np.ndarray, h: float,
         e[i] = h
         fwd = (fn(q + e) - f0) / h
         bwd = (f0 - fn(q - e)) / h
-        if abs(fwd - bwd) > tol * (1.0 + abs(fwd) + abs(bwd)):
+        if abs(fwd - bwd) > 1e-5 * (1.0 + abs(fwd) + abs(bwd)):
             return None
         g[i] = 0.5 * (fwd + bwd)
     return g
 
 
-def nu_subgradient_full(prob: pb.VepProblem, xi, x, *,
-                        radius: float = 1e-3, n_dirs: int = 64,
-                        fd_h: float = 1e-5,
-                        z_resolution: int = 201) -> SubgradEstimate:
+def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     """Full (xi, x)-block subgradient of nu as the convex hull of sampled
     gradient limits around the point.
 
-    Samples on a small ring, keeps points where nu is numerically smooth
-    (finite differences stable under step halving), clusters the resulting
-    gradients and returns their hull.  For a convex nu this hull equals the
-    convex subdifferential whenever every smooth region adjacent to the
-    point is hit by a sample; the sampling resolution is recorded.
+    Samples 64 directions on a ring of radius 1e-3, keeps points where nu is
+    numerically smooth (one-sided differences of step 1e-5 agree), clusters
+    the resulting gradients and returns their hull.  For a convex nu this
+    hull equals the convex subdifferential whenever every smooth region
+    adjacent to the point is hit by a sample; the sampling resolution is
+    recorded.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     q0 = np.concatenate([xi, x])
-    dim = len(q0)
 
     def val(q):
-        return mr.eval_nu(prob, q[: prob.p], q[prob.p:],
-                          z_resolution=z_resolution).value
+        return mr.eval_nu(prob, q[: prob.p], q[prob.p:]).value
 
     grads: list[np.ndarray] = []
-    for u in geo._sphere_dirs(dim, n_dirs):
-        g = _fd_gradient_checked(val, q0 + radius * u, fd_h)
+    for u in geo._sphere_dirs(len(q0), 64):
+        g = _fd_gradient_checked(val, q0 + 1e-3 * u, 1e-5)
         if g is None:
             continue  # sample straddles a kink
         if not any(np.max(np.abs(g - h)) <= 1e-6 for h in grads):
             grads.append(g)
     if not grads:
-        grads = [_fd_gradient(val, q0, fd_h)]
+        grads = [_fd_gradient(val, q0, 1e-5)]
     body = geo.body_from_points(np.asarray(grads), label="nu-subgradient")
     convex = "nu-convex" in prob.asserts or (
         "K-concave" in prob.asserts and "f-C-concave" in prob.asserts
     )
     exact = EXACT_CONVEX if convex else OUTER
-    flags = (f"ring-radius={radius:g}", f"dirs={n_dirs}")
+    flags = ("ring-radius=0.001", "dirs=64")
     if not convex:
         flags = flags + ("convexity-not-asserted",)
     return SubgradEstimate((body,), exact, flags)
@@ -199,7 +194,7 @@ def nu_subgradient_full(prob: pb.VepProblem, xi, x, *,
 class NuOuterEstimate(SubgradEstimate):
     per_eps: tuple = ()  # tuple of (eps, ConvexBody)
 
-    def support_table(self, n_dirs: int = 64) -> dict:
+    def support_table(self, n_dirs: int) -> dict:
         dirs = geo._sphere_dirs(self.dim, n_dirs)
         return {
             eps: np.array([geo.support(b, d) for d in dirs])
@@ -207,9 +202,7 @@ class NuOuterEstimate(SubgradEstimate):
         }
 
 
-def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float,
-                      eta: float | None = None,
-                      z_resolution: int = 201) -> NuOuterEstimate:
+def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOuterEstimate:
     """Per-enlargement outer estimate: conv over enlarged farthest points of
     the adjoint images of the polar-cone cap, fattened by the Lipschitz ball.
 
@@ -222,12 +215,10 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float,
     if any(e <= 0 for e in eps_list):
         raise SubdiffError("enlargements must be positive")
     flags: list[str] = []
-    if eta is not None and any(e >= eta / 2 for e in eps_list):
-        flags.append("eps-exceeds-eta-half")
     cap = geo.cap_points(geo.dual_cone(prob.cone))
     per_eps = []
     for eps in eps_list:
-        nu = mr.eval_nu(prob, xi, x, eps=eps, z_resolution=z_resolution)
+        nu = mr.eval_nu(prob, xi, x, eps=eps)
         pts: list[np.ndarray] = []
         for z in nu.argmax:
             jacs = prob.f.jac_branches((xi, x, np.asarray(z, dtype=float)), "xix")
@@ -249,23 +240,25 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float,
 # graph normals and coderivatives of the feasible-set map
 # ---------------------------------------------------------------------------
 
-def _one_sided_slopes(bound: ex.Expr, xi: np.ndarray,
-                      h: float = 2.0 ** -20) -> tuple[float, float]:
+def _one_sided_slopes(bound: ex.Expr, xi: np.ndarray) -> tuple[float, float]:
     # dyadic step: exact slopes for piecewise-linear bounds at dyadic points
+    h = 2.0 ** -20
     v0 = float(ex.eval_expr(bound, xi=xi))
     vm = float(ex.eval_expr(bound, xi=xi - np.array([h])))
     vp = float(ex.eval_expr(bound, xi=xi + np.array([h])))
     return (v0 - vm) / h, (vp - v0) / h
 
 
-def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
-                          tol_on: float = 1e-7) -> geo.RayUnion:
+def graph_normal_branches(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
     """Basic normal cone to the graph of the feasible-set map at (xi, zbar).
 
     Exact for scalar-parameter box maps: one-sided slopes of the active bound
     classify the corner (reentrant corners give a union of two rays, salient
-    corners one two-generator fan).  Smooth multi-dimensional active bounds
-    yield the cone of constraint gradients.  Other cases fall back to the
+    corners one two-generator fan).  Bounds active on several coordinates
+    add: the normal cone is the sum of the per-coordinate cones, one branch
+    per combination of per-coordinate branches with their rows stacked.
+    Smooth multi-dimensional active bounds yield the cone of constraint
+    gradients.  Other cases fall back to the
     sampled limiting-normal computation, flagged approximate.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
@@ -273,24 +266,25 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
     S = pb.slice_at(prob.K, xi)
     d = geo.dist(zbar, S)
     scale = 1.0 + float(np.linalg.norm(zbar))
-    if d > tol_on * scale:
+    if d > geo.TOL_ON * scale:
         raise SubdiffError(f"point is not on the graph (slice distance {d:.3g})")
     p, n = prob.p, prob.n
     dim = p + n
 
     if isinstance(prob.K, pb.ParamBox) and p == 1:
-        branches: list[np.ndarray] = []
+        per_coord: list[list[np.ndarray]] = []
         kink_tol = 1e-8
         degenerate = False
         for i in range(n):
             e_i = np.zeros(n)
             e_i[i] = 1.0
+            branches: list[np.ndarray] = []
             active = 0
             for bound, sign in ((prob.K.upper[i], 1.0), (prob.K.lower[i], -1.0)):
                 if bound is None:
                     continue
                 gap = abs(zbar[i] - float(ex.eval_expr(bound, xi=xi)))
-                if not gap <= tol_on * scale:  # a NaN gap counts as inactive
+                if not gap <= geo.TOL_ON * scale:  # a NaN gap counts as inactive
                     continue
                 active += 1
                 sm, sp = _one_sided_slopes(bound, xi)
@@ -303,11 +297,14 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
                     branches.append(np.vstack([gm, gp]))
                 else:
                     branches.append(gm.reshape(1, -1))
+            if branches:
+                per_coord.append(branches)
             degenerate = degenerate or active == 2
-        if not branches:
+        if not per_coord:
             return geo.RayUnion((np.zeros((0, dim)),))
         note = "degenerate-slice" if degenerate else ""
-        return geo.RayUnion(tuple(branches), exact=True, note=note)
+        return geo.RayUnion(tuple(np.vstack(c) for c in itertools.product(*per_coord)),
+                            exact=True, note=note)
 
     # smooth multi-dimensional path: gradients of active constraints
     gens: list[np.ndarray] = []
@@ -320,7 +317,7 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
                 if bound is None:
                     continue
                 bval = float(ex.eval_expr(bound, xi=xi))
-                if abs(zbar[i] - bval) > tol_on * scale:
+                if abs(zbar[i] - bval) > geo.TOL_ON * scale:
                     continue
                 hull = ex.grad_hull(bound, (xi, (), ()), "xi")
                 if not hull.single:
@@ -331,7 +328,7 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar,
         for row, rhs in zip(prob.K.rows, prob.K.rhs):
             a = np.array([float(ex.eval_expr(e, xi=xi)) for e in row])
             b = float(ex.eval_expr(rhs, xi=xi))
-            if abs(a @ zbar - b) > tol_on * (1.0 + abs(b)):
+            if abs(a @ zbar - b) > geo.TOL_ON * (1.0 + abs(b)):
                 continue
             terms = [ex.Mul(e, ex.Const(float(zbar[j]))) for j, e in enumerate(row)]
             acc = terms[0]
@@ -373,8 +370,7 @@ def _sampled_graph_k_normals(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
                                      inside=inside, radii=(0.02, 0.01, 0.005))
 
 
-def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int,
-                       tol: float = 1e-9):
+def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int, tol: float):
     """{u : (u, -v) in cone(branch rows)} as (points, rays)."""
     k = len(branch)
     n = len(v)
@@ -448,19 +444,36 @@ def _image_of_v(normals: geo.RayUnion, v: np.ndarray, p: int, tol: float,
     return CoderivativeImage(tuple(uniq), tuple(rays), exact=exact)
 
 
-def coderivative_K(prob: pb.VepProblem, xi, zbar, v,
-                   tol: float = 1e-9) -> CoderivativeImage:
+def coderivative_K(prob: pb.VepProblem, xi, zbar, v) -> CoderivativeImage:
     """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     normals = graph_normal_branches(prob, xi, zbar)
-    return _image_of_v(normals, v, prob.p, tol, 1e-9, normals.exact)
+    return _image_of_v(normals, v, prob.p, 1e-9, 1e-9, normals.exact)
 
 
-def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar,
-                              cap_radius: float = 1e6) -> list[geo.ConvexBody]:
-    """Per-branch bodies for the image of the unit ball under the coderivative."""
+def _simplex_samples(k: int) -> np.ndarray:
+    """Weights on the unit simplex of R^k, k >= 2: 91 points for k = 2, else
+    the grid of multiples of 1/s with the largest s giving at most 2000."""
+    if k == 2:
+        w = np.linspace(0.0, 1.0, 91)
+        return np.c_[1.0 - w, w]
+    s = 1
+    while math.comb(s + k, k - 1) <= 2000:
+        s += 1
+    # stars and bars: k - 1 bars among s + k - 1 slots split s into k parts
+    grid = [np.diff((-1,) + bars + (s + k - 1,)) - 1
+            for bars in itertools.combinations(range(s + k - 1), k - 1)]
+    return np.asarray(grid, dtype=float) / s
+
+
+def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexBody]:
+    """Per-branch bodies for the image of the unit ball under the coderivative.
+
+    A direction whose x-part vanishes spans an unbounded ray of the image,
+    truncated at length 1e6."""
+    cap_radius = 1e6
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     normals = graph_normal_branches(prob, xi, zbar)
@@ -485,8 +498,7 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar,
             continue
         # fan: sample directions of the branch cone, cap each at the ball
         pts = [np.zeros(p)]
-        for w in np.linspace(0.0, 1.0, 91):
-            t = np.array([1.0 - w, w]) if k == 2 else np.full(k, 1.0 / k)
+        for t in _simplex_samples(k):
             gx = Gx.T @ t
             nx = float(np.linalg.norm(gx))
             if nx <= 1e-12:
@@ -542,8 +554,8 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     return SubgradEstimate(bodies, OUTER)
 
 
-def coderivative_E_sampled(prob: pb.VepProblem, xi, x, v, window: float = 0.5,
-                           n_xi: int = 501, tol: float = 5e-2) -> CoderivativeImage:
+def coderivative_E_sampled(prob: pb.VepProblem, xi, x, v,
+                           window: float = 0.5) -> CoderivativeImage:
     """Sampled coderivative of the solution map from oracle graph samples.
 
     Always approximate: limiting normals are estimated from projections onto
@@ -552,19 +564,18 @@ def coderivative_E_sampled(prob: pb.VepProblem, xi, x, v, window: float = 0.5,
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    normals = graph_E_normals(prob, xi, x, window=window, n_xi=n_xi)
-    return _image_of_v(normals, v, prob.p, tol, 1e-6, False)
+    normals = graph_E_normals(prob, xi, x, window=window)
+    return _image_of_v(normals, v, prob.p, 5e-2, 1e-6, False)
 
 
-def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5,
-                    n_xi: int = 501) -> geo.RayUnion:
+def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayUnion:
     """Sampled basic normal cone to the solution-map graph at (xi, x)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if prob.p != 1 or prob.n != 1:
         raise SubdiffError("sampled solution-graph normals need p = n = 1")
     t0 = float(xi[0])
-    cloud = pb.graph_samples(prob, t0 - window, t0 + window, n_xi)
+    cloud = pb.graph_samples(prob, t0 - window, t0 + window, 501)
     if len(cloud) == 0:
         raise SubdiffError("no solution-graph samples in the window")
     left = cloud[cloud[:, 0] <= t0 + 1e-12]

@@ -215,6 +215,14 @@ def test_wrong_length_point_exit_code(capsys, argv):
      "--gamma", "0.5", "--smooth-concave", "--eps-list", "0.05,-1", "--lf", "2"),
     ("check-stationarity", "example:paper", "--xi-bar", "0", "--x-bar", "1",
      "--gamma", "0.5", "--smooth-concave", "--lf", "inf"),
+    ("solve", "example:paper", "--growth", "1"),
+    ("--seed", "-1", "solve", "example:paper"),
+    ("check-subtransversality", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+     "--radius", "-0.5"),
+    ("eval", "example:paper", "--xi", "0", "--x", "1", "--epsilon", "-1"),
+    ("eval", "example:paper", "--xi", "0", "--x", "1", "--epsilon", "nan"),
+    ("solve", "example:paper", "--lambda-max", "-1"),
+    ("solve", "example:paper", "--lambda-max", "nan"),
 ])
 def test_bad_numeric_flag_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:

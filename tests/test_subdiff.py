@@ -210,6 +210,34 @@ def test_mu_coupled_none_where_not_exact(tent):
     assert sd.mu_subgradient_coupled(tent, [0.0], [1.5]) is None
 
 
+def test_graph_normals_add_over_active_coordinates(tent):
+    # p = 1, n = 2 with both upper bounds active at xi = 0, z = (1, 1): the
+    # graph normal cone is cone{(-1, 1, 0)} + cone{(-2, 0, 1)}, so it holds
+    # (-3, 1, 1) and the coderivative at v = (-1, -1) contains -3
+    dims = (1, 0, 0)
+    K = pb.ParamBox((None, None), (ex.parse("xi1 + 1", dims), ex.parse("2*xi1 + 1", dims)))
+    prob = dataclasses.replace(tent, n=2, K=K)
+    normals = sd.graph_normal_branches(prob, [0.0], [1.0, 1.0])
+    assert normals.exact
+    assert len(normals.branches) == 1
+    assert {tuple(r) for r in normals.branches[0]} == {(-1.0, 1.0, 0.0), (-2.0, 0.0, 1.0)}
+    img = sd.coderivative_K(prob, [0.0], [1.0, 1.0], [-1.0, -1.0])
+    assert any(abs(u[0] + 3.0) <= 1e-9 for u in img.points)
+    # rows with different x-parts: the coupled mu estimate still declines
+    assert sd.mu_subgradient_coupled(prob, [0.0], [1.0, 1.0]) is None
+
+
+def test_ball_image_of_a_summed_fan(tent):
+    # both upper bounds 1 - |xi1| have salient corners at xi = 0, z = (1, 1):
+    # one four-row branch, whose unit-ball image {t2 + t4 - t1 - t3 :
+    # t >= 0, |(t1 + t2, t3 + t4)| <= 1} is [-sqrt(2), sqrt(2)]
+    up = ex.parse("1 - abs(xi1)", (1, 0, 0))
+    prob = dataclasses.replace(tent, n=2, K=pb.ParamBox((None, None), (up, up)))
+    (body,) = sd.coderivative_K_ball_image(prob, [0.0], [1.0, 1.0])
+    for d in (1.0, -1.0):
+        assert geo.support(body, [d]) == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # outer estimate with enlargement
 # ---------------------------------------------------------------------------

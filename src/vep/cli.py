@@ -412,6 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "solve" and args.lambda_max < args.lambda0:
+        # the schedule would run no penalty stage
+        ap.error("--lambda-max must be at least --lambda0")
     t0 = time.perf_counter()
     try:
         prob = pb.load(args.problem)

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.optimize import linprog, nnls
 from scipy.spatial import ConvexHull, QhullError
 
-TOL_PROJ = 1e-9
 TOL_ON = 1e-7
 TOL_MNP = 1e-10
 CAP_RES_DEG = 2.0  # angular resolution of cone-cap discretization in 2-D

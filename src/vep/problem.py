@@ -32,13 +32,11 @@ class ProblemError(ValueError):
 class ParamBox:
     """Parametric box: lower_i(xi) <= x_i <= upper_i(xi).
 
-    A bound of None means unbounded on that side.  ``kinks`` lists declared
-    kink locations of the bound expressions as (block, index, value).
+    A bound of None means unbounded on that side.
     """
 
     lower: tuple
     upper: tuple
-    kinks: tuple = ()
 
     @property
     def n(self) -> int:
@@ -51,7 +49,6 @@ class ParamPolytope:
 
     rows: tuple  # tuple of tuples of Expr
     rhs: tuple   # tuple of Expr
-    kinks: tuple = ()
 
     @property
     def n(self) -> int:
@@ -211,18 +208,6 @@ def _parse_window(val: str, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(lo), np.asarray(up)
 
 
-def _parse_kinks(val: str) -> tuple:
-    kinks = []
-    for tok in _split_top(val, ","):
-        if not tok:
-            continue
-        m = re.fullmatch(r"(xi|x|z)(\d+)@(-?[0-9.eE+]+)", tok.strip())
-        if not m:
-            raise ProblemError(f"bad kink annotation {tok!r} (expected e.g. xi1@0)")
-        kinks.append((m.group(1), int(m.group(2)), float(m.group(3))))
-    return tuple(kinks)
-
-
 def parse_problem_text(text: str, name: str) -> VepProblem:
     sec = _parse_sections(text)
     if "problem" not in sec:
@@ -271,7 +256,6 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
         raise ProblemError("missing [K] section")
     ksec = sec["k"]
     kkind = ksec.get("type", "box").lower()
-    kinks = _parse_kinks(ksec.get("kinks", ""))
     if kkind == "box":
         lows = _split_top(ksec.get("lower", ""), ";")
         ups = _split_top(ksec.get("upper", ""), ";")
@@ -285,7 +269,7 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
         for t in ups:
             b = _parse_bound_expr(t, p)
             upper.append(None if isinstance(b, str) else b)
-        K = ParamBox(tuple(lower), tuple(upper), kinks)
+        K = ParamBox(tuple(lower), tuple(upper))
     elif kkind == "polytope":
         rows = []
         for r in _split_top(ksec.get("a", ""), ";"):
@@ -296,7 +280,7 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
         rhs = tuple(ex.parse(t, (p, 0, 0)) for t in _split_top(ksec.get("b", ""), ";"))
         if len(rhs) != len(rows):
             raise ProblemError("[K] A and b row counts differ")
-        K = ParamPolytope(tuple(rows), rhs, kinks)
+        K = ParamPolytope(tuple(rows), rhs)
     else:
         raise ProblemError(f"[K] unknown type {kkind!r}")
 
@@ -376,7 +360,6 @@ def _builtin_tent() -> VepProblem:
     K = ParamBox(
         (ex.parse("-abs(xi1) - 1", (1, 0, 0)),),
         (ex.parse("abs(xi1) + 1", (1, 0, 0)),),
-        kinks=(("xi", 1, 0.0),),
     )
     return VepProblem(
         name="example:paper",

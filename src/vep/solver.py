@@ -60,6 +60,8 @@ class PenaltyConfig:
             raise ValueError("lambda_init and gamma must be positive")
         if not self.growth > 1:
             raise ValueError("growth must exceed 1, or the schedule never ends")
+        if self.lambda_max < self.lambda_init:
+            raise ValueError("lambda_max below lambda_init runs no penalty stage")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,8 @@
 Covers the x-block subgradient of the excess value via the adjoint-image
 formula, full-block subgradients via gradient-limit hulls, the
 enlargement-based outer estimate with a Lipschitz ball, the coderivative
-of the feasible-set map (exact from one-sided branch slopes of the bound
-expressions where available, sampled otherwise), two outer estimates of
+of the feasible-set map (exact, from the one-sided slopes or gradients of
+the active constraints of a box or polytope map), two outer estimates of
 the feasibility-gap subdifferential (the coderivative-ball product and the
 coupled graph-normal cap), and the sum rule with its qualification
 bookkeeping.
@@ -12,6 +12,7 @@ bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -240,134 +241,99 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
 # graph normals and coderivatives of the feasible-set map
 # ---------------------------------------------------------------------------
 
-def _one_sided_slopes(bound: ex.Expr, xi: np.ndarray) -> tuple[float, float]:
-    # dyadic step: exact slopes for piecewise-linear bounds at dyadic points
+def _one_sided_slopes(g: ex.Expr, xi: np.ndarray) -> tuple[float, float]:
+    # dyadic step: exact slopes for piecewise-linear expressions at dyadic points
     h = 2.0 ** -20
-    v0 = float(ex.eval_expr(bound, xi=xi))
-    vm = float(ex.eval_expr(bound, xi=xi - np.array([h])))
-    vp = float(ex.eval_expr(bound, xi=xi + np.array([h])))
+    v0 = float(ex.eval_expr(g, xi=xi))
+    vm = float(ex.eval_expr(g, xi=xi - np.array([h])))
+    vp = float(ex.eval_expr(g, xi=xi + np.array([h])))
     return (v0 - vm) / h, (vp - v0) / h
+
+
+def _active_constraint_groups(prob: pb.VepProblem, xi, zbar) -> list[list[tuple]]:
+    """Active constraints of the feasible-set map at (xi, zbar), grouped.
+
+    Near the point each constraint reads s·g(xi) + a·z <= const, with g an
+    expression in xi alone, a sign s and a fixed row a; it is returned as
+    (a, g, s).  A box coordinate is one group holding its active bounds
+    (a = sign·e_i, g = the bound, s = -sign; both bounds active pinch the
+    slice).  A polytope row is a group of one (a = a(xi),
+    g = a(.)·zbar - b(.), s = +1).  A NaN gap counts as inactive.
+    """
+    K = prob.K
+    groups: list[list[tuple]] = []
+    if isinstance(K, pb.ParamBox):
+        tol = geo.TOL_ON * (1.0 + float(np.linalg.norm(zbar)))
+        for i in range(prob.n):
+            e_i = np.zeros(prob.n)
+            e_i[i] = 1.0
+            group = []
+            for bound, sign in ((K.upper[i], 1.0), (K.lower[i], -1.0)):
+                if bound is not None and abs(zbar[i] - float(ex.eval_expr(bound, xi=xi))) <= tol:
+                    group.append((sign * e_i, bound, -sign))
+            if group:
+                groups.append(group)
+        return groups
+    for row, rhs in zip(K.rows, K.rhs):
+        a = np.array([float(ex.eval_expr(e, xi=xi)) for e in row])
+        b = float(ex.eval_expr(rhs, xi=xi))
+        if abs(a @ zbar - b) <= geo.TOL_ON * (1.0 + abs(b)):
+            az = functools.reduce(ex.Add, (ex.Mul(e, ex.Const(float(zj)))
+                                           for e, zj in zip(row, zbar)))
+            groups.append([(a, ex.Sub(az, rhs), 1.0)])
+    return groups
+
+
+def _constraint_branches(a: np.ndarray, g: ex.Expr, s: float, xi: np.ndarray) -> list:
+    """Graph-normal branches (row matrices) of one active constraint
+    s·g(xi) + a·z <= const.
+
+    For p = 1 the rows are (s·slope, a) over the one-sided slopes of g:
+    where s·g is concave the graph has a reentrant corner and each row is
+    its own branch; where s·g is convex the corner is salient and both rows
+    form one fan; otherwise one row.  For p > 1 the row is (s·grad g, a),
+    and a kink of g raises.
+    """
+    if len(xi) == 1:
+        sm, sp = _one_sided_slopes(g, xi)
+        gm = np.concatenate([[s * sm], a])
+        gp = np.concatenate([[s * sp], a])
+        if s * (sm - sp) > 1e-8:      # reentrant corner
+            return [gm.reshape(1, -1), gp.reshape(1, -1)]
+        if s * (sp - sm) > 1e-8:      # salient corner
+            return [np.vstack([gm, gp])]
+        return [gm.reshape(1, -1)]
+    hull = ex.grad_hull(g, (xi, (), ()), "xi")
+    if not hull.single:
+        raise SubdiffError("graph normals at a kink of the map need p = 1")
+    return [np.concatenate([s * hull.generators[0], a]).reshape(1, -1)]
 
 
 def graph_normal_branches(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
     """Basic normal cone to the graph of the feasible-set map at (xi, zbar).
 
-    Exact for scalar-parameter box maps: one-sided slopes of the active bound
-    classify the corner (reentrant corners give a union of two rays, salient
-    corners one two-generator fan).  Bounds active on several coordinates
-    add: the normal cone is the sum of the per-coordinate cones, one branch
-    per combination of per-coordinate branches with their rows stacked.
-    Smooth multi-dimensional active bounds yield the cone of constraint
-    gradients.  Other cases fall back to the
-    sampled limiting-normal computation, flagged approximate.
+    Exact for box and polytope maps alike: the cone is generated by the
+    normals of the active constraints (Rockafellar-Wets, Thm 6.14), each
+    from one-sided slopes (p = 1) or the gradient (p > 1) of its
+    xi-expression.  Within a group of active constraints the branches are a
+    union, which at a pinched box coordinate is the limiting normal cone
+    (note ``degenerate-slice``); across groups the cones add: one branch
+    per combination of group branches, rows stacked.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
     S = pb.slice_at(prob.K, xi)
     d = geo.dist(zbar, S)
-    scale = 1.0 + float(np.linalg.norm(zbar))
-    if d > geo.TOL_ON * scale:
+    if d > geo.TOL_ON * (1.0 + float(np.linalg.norm(zbar))):
         raise SubdiffError(f"point is not on the graph (slice distance {d:.3g})")
-    p, n = prob.p, prob.n
-    dim = p + n
-
-    if isinstance(prob.K, pb.ParamBox) and p == 1:
-        per_coord: list[list[np.ndarray]] = []
-        kink_tol = 1e-8
-        degenerate = False
-        for i in range(n):
-            e_i = np.zeros(n)
-            e_i[i] = 1.0
-            branches: list[np.ndarray] = []
-            active = 0
-            for bound, sign in ((prob.K.upper[i], 1.0), (prob.K.lower[i], -1.0)):
-                if bound is None:
-                    continue
-                gap = abs(zbar[i] - float(ex.eval_expr(bound, xi=xi)))
-                if not gap <= geo.TOL_ON * scale:  # a NaN gap counts as inactive
-                    continue
-                active += 1
-                sm, sp = _one_sided_slopes(bound, xi)
-                gm = np.concatenate([[-sign * sm], sign * e_i])
-                gp = np.concatenate([[-sign * sp], sign * e_i])
-                if sign * (sp - sm) > kink_tol:      # reentrant corner
-                    branches.append(gm.reshape(1, -1))
-                    branches.append(gp.reshape(1, -1))
-                elif sign * (sm - sp) > kink_tol:    # salient corner
-                    branches.append(np.vstack([gm, gp]))
-                else:
-                    branches.append(gm.reshape(1, -1))
-            if branches:
-                per_coord.append(branches)
-            degenerate = degenerate or active == 2
-        if not per_coord:
-            return geo.RayUnion((np.zeros((0, dim)),))
-        note = "degenerate-slice" if degenerate else ""
-        return geo.RayUnion(tuple(np.vstack(c) for c in itertools.product(*per_coord)),
-                            exact=True, note=note)
-
-    # smooth multi-dimensional path: gradients of active constraints
-    gens: list[np.ndarray] = []
-    smooth = True
-    if isinstance(prob.K, pb.ParamBox):
-        for i in range(n):
-            e_i = np.zeros(n)
-            e_i[i] = 1.0
-            for bound, sign in ((prob.K.upper[i], 1.0), (prob.K.lower[i], -1.0)):
-                if bound is None:
-                    continue
-                bval = float(ex.eval_expr(bound, xi=xi))
-                if abs(zbar[i] - bval) > geo.TOL_ON * scale:
-                    continue
-                hull = ex.grad_hull(bound, (xi, (), ()), "xi")
-                if not hull.single:
-                    smooth = False
-                g = hull.generators[0]
-                gens.append(np.concatenate([-sign * g, sign * e_i]))
-    else:
-        for row, rhs in zip(prob.K.rows, prob.K.rhs):
-            a = np.array([float(ex.eval_expr(e, xi=xi)) for e in row])
-            b = float(ex.eval_expr(rhs, xi=xi))
-            if abs(a @ zbar - b) > geo.TOL_ON * (1.0 + abs(b)):
-                continue
-            terms = [ex.Mul(e, ex.Const(float(zbar[j]))) for j, e in enumerate(row)]
-            acc = terms[0]
-            for term in terms[1:]:
-                acc = ex.Add(acc, term)
-            resid = ex.Sub(acc, rhs)
-            hull = ex.grad_hull(resid, (xi, (), ()), "xi")
-            if not hull.single:
-                smooth = False
-            gens.append(np.concatenate([hull.generators[0], a]))
-    if smooth:
-        mat = np.asarray(gens) if gens else np.zeros((0, dim))
-        return geo.RayUnion((mat,), exact=True)
-    return _sampled_graph_k_normals(prob, xi, zbar)
-
-
-def _sampled_graph_k_normals(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
-    if prob.p != 1 or prob.n != 1:
-        raise SubdiffError("sampled graph normals implemented for p = n = 1")
-    t0 = float(xi[0])
-    ts = np.linspace(t0 - 0.5, t0 + 0.5, 801)
-    ups, los = [], []
-    for t in ts:
-        s = pb.slice_at(prob.K, [t])
-        if isinstance(s, geo.Halfspaces):
-            v = geo.halfspace_vertices(s)
-            los.append([t, float(v.min())])
-            ups.append([t, float(v.max())])
-        else:
-            los.append([t, float(s.lower[0])])
-            ups.append([t, float(s.upper[0])])
-    branches = [np.asarray(ups), np.asarray(los)]
-
-    def inside(w):
-        s = pb.slice_at(prob.K, [w[0]])
-        return geo.dist(np.array([w[1]]), s) <= 0.0
-
-    return geo.limiting_normal_graph(branches, np.concatenate([xi, zbar]),
-                                     inside=inside, radii=(0.02, 0.01, 0.005))
+    groups = _active_constraint_groups(prob, xi, zbar)
+    if not groups:
+        return geo.RayUnion((np.zeros((0, prob.p + prob.n)),))
+    per_group = [[br for a, g, s in group for br in _constraint_branches(a, g, s, xi)]
+                 for group in groups]
+    note = "degenerate-slice" if any(len(group) == 2 for group in groups) else ""
+    return geo.RayUnion(tuple(np.vstack(c) for c in itertools.product(*per_group)),
+                        exact=True, note=note)
 
 
 def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int, tol: float):
@@ -531,8 +497,8 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     graph, and mu is 1-Lipschitz in x, so the bodies conv{0, g/|g_x|} over
     the rows g of each normal-cone branch form an outer estimate of the
     subdifferential.  Returns None where that does not hold exactly: x off
-    K(xi) beyond 1e-9 relative, a non-box map, inexact graph normals, or
-    more than one active bound (rows whose x-parts differ).
+    K(xi) beyond 1e-9 relative, a non-box map, or more than one active
+    bound (rows whose x-parts differ).
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -541,8 +507,6 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     if geo.dist(x, pb.slice_at(prob.K, xi)) > 1e-9 * (1.0 + np.linalg.norm(x)):
         return None
     normals = graph_normal_branches(prob, xi, x)
-    if not normals.exact:
-        return None
     p, dim = prob.p, prob.p + prob.n
     rows = np.vstack(normals.branches)
     if len(rows) and np.ptp(rows[:, p:], axis=0).max() > 1e-12:

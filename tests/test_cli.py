@@ -187,6 +187,44 @@ def test_stationarity_body_golden(capsys, extra, golden):
     assert body == (DATA / golden).read_text().rstrip("\n")
 
 
+
+def test_polytope_stationarity_at_the_kink(capsys, tmp_path):
+    # the minimizer of perfbench/problems/polytope.vep sits on the |xi| kink
+    # of its first row; the graph normals there are exact
+    text = """
+[problem]
+p = 1
+n = 2
+m = 2
+window_xi = -2, 2
+window_x = -2, 3
+
+[cone]
+type = orthant
+
+[K]
+type = polytope
+A = 1, 1 ; 1, 0 ; 0, 1 ; -1, 0 ; 0, -1
+b = 1 + abs(xi1) ; 2 ; 2 ; 1 ; 1
+
+[f]
+components = x1 + x2 - z1 - z2 ; abs(xi1)
+
+[objective]
+expr = xi1^2 + x1^2 + x2^2
+
+[Omega]
+type = box
+lower = 0
+upper = inf
+"""
+    path = tmp_path / "polytope.vep"
+    path.write_text(text)
+    code, body = run_cli(capsys, "check-stationarity", str(path),
+                         "--xi-bar", "0", "--x-bar", "0.5,0.5", "--gamma", "0.5")
+    assert code == 0
+    assert "stationary-within-tol" in body
+
 @pytest.mark.parametrize("argv", [
     ("eval", "example:paper", "--xi", "0", "--x", "0,0"),
     ("eval", "example:paper", "--xi", "0,5,7", "--x", "0"),
@@ -223,6 +261,7 @@ def test_wrong_length_point_exit_code(capsys, argv):
     ("eval", "example:paper", "--xi", "0", "--x", "1", "--epsilon", "nan"),
     ("solve", "example:paper", "--lambda-max", "-1"),
     ("solve", "example:paper", "--lambda-max", "nan"),
+    ("solve", "example:paper", "--lambda0", "2", "--lambda-max", "1", "--starts", "1"),
 ])
 def test_bad_numeric_flag_exit_code(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -238,6 +238,57 @@ def test_ball_image_of_a_summed_fan(tent):
         assert geo.support(body, [d]) == pytest.approx(np.sqrt(2.0), abs=1e-9)
 
 
+def _branch_set(normals):
+    return sorted(sorted(tuple(float(v) for v in row) for row in br)
+                  for br in normals.branches)
+
+
+def test_tent_as_polytope_has_the_box_normals(tent):
+    # the same map written as rows z <= |xi| + 1 and -z <= |xi| + 1: its
+    # graph normals are those of the box map, exact, kink included
+    dims = (1, 0, 0)
+    A = ((ex.parse("1", dims),), (ex.parse("0 - 1", dims),))
+    b = (ex.parse("abs(xi1) + 1", dims),) * 2
+    poly = dataclasses.replace(tent, K=pb.ParamPolytope(A, b))
+    for xi, z in ((0.0, 1.0), (0.0, -1.0), (0.5, 1.5), (-1.0, 2.0)):
+        want = sd.graph_normal_branches(tent, [xi], [z])
+        got = sd.graph_normal_branches(poly, [xi], [z])
+        assert want.exact and got.exact
+        assert len(got.branches) == len(want.branches), (xi, z)
+        for g, w in zip(_branch_set(got), _branch_set(want)):
+            assert np.allclose(g, w, rtol=0.0, atol=1e-12), (xi, z)
+
+
+def test_polytope_normals_at_the_kink(tent):
+    # the map of perfbench/problems/polytope.vep at xi = 0, z = (1/2, 1/2):
+    # only x1 + x2 <= 1 + |xi| is active, a reentrant corner in xi
+    dims = (1, 0, 0)
+    A = tuple(tuple(ex.parse(t, dims) for t in row) for row in
+              (("1", "1"), ("1", "0"), ("0", "1"), ("0 - 1", "0"), ("0", "0 - 1")))
+    b = tuple(ex.parse(t, dims) for t in ("1 + abs(xi1)", "2", "2", "1", "1"))
+    prob = dataclasses.replace(tent, n=2, K=pb.ParamPolytope(A, b))
+    normals = sd.graph_normal_branches(prob, [0.0], [0.5, 0.5])
+    assert normals.exact
+    assert _branch_set(normals) == [[(-1.0, 1.0, 1.0)], [(1.0, 1.0, 1.0)]]
+
+
+def test_degenerate_box_slice_keeps_the_union(tent):
+    # both bounds active on one coordinate pinch the slice: the limiting
+    # normal cone is the union of the per-bound branches, not their sum
+    dims = (1, 0, 0)
+    absxi = ex.parse("abs(xi1)", dims)
+    for lower, want in (
+        (ex.parse("0 - abs(xi1)", dims),
+         [[(-1.0, -1.0)], [(-1.0, 1.0)], [(1.0, -1.0)], [(1.0, 1.0)]]),
+        (ex.parse("0", dims), [[(-1.0, 1.0)], [(0.0, -1.0)], [(1.0, 1.0)]]),
+    ):
+        prob = dataclasses.replace(tent, K=pb.ParamBox((lower,), (absxi,)))
+        normals = sd.graph_normal_branches(prob, [0.0], [0.0])
+        assert normals.exact
+        assert normals.note == "degenerate-slice"
+        assert _branch_set(normals) == want
+
+
 # ---------------------------------------------------------------------------
 # outer estimate with enlargement
 # ---------------------------------------------------------------------------

@@ -112,13 +112,22 @@ class Report:
         )
 
 
+def _witness(w):
+    """A witness as nested lists; a tuple converts block by block, since its
+    blocks (xi and x, say) may differ in length."""
+    if w is None:
+        return None
+    if isinstance(w, tuple):
+        return [np.asarray(b, dtype=float).tolist() for b in w]
+    return np.asarray(w, dtype=float).tolist()
+
+
 def _cert_dict(cert: dg.Certificate) -> dict:
     return {
         "kind": cert.kind,
         "verdict": cert.verdict,
         "constant": cert.constant,
-        "witnesses": [np.asarray(w, dtype=float).tolist() if w is not None else None
-                      for w in cert.witnesses],
+        "witnesses": [_witness(w) for w in cert.witnesses],
         "resolution": cert.resolution,
         "cert_flags": list(cert.flags),
     }
@@ -416,19 +425,17 @@ def main(argv=None) -> int:
         # the schedule would run no penalty stage
         ap.error("--lambda-max must be at least --lambda0")
     t0 = time.perf_counter()
+    if args.command == "eval":
+        xi, x = args.xi, args.x
+    else:
+        xi, x = getattr(args, "xi_bar", None), getattr(args, "x_bar", None)
     try:
         prob = pb.load(args.problem)
+        if xi is not None:
+            prob.point(xi, x)
     except (pb.ProblemError, ex.ParseError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LOAD
-    dims = {"xi": prob.p, "xi_bar": prob.p, "x": prob.n, "x_bar": prob.n}
-    for name, dim in dims.items():
-        point = getattr(args, name, None)
-        if point is not None and len(point) != dim:
-            flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} has {len(point)} entries, expected {dim}",
-                  file=sys.stderr)
-            return EXIT_LOAD
     params = {
         k: v for k, v in vars(args).items()
         if k not in ("fn", "command", "problem", "format") and v is not None

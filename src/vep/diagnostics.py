@@ -56,7 +56,7 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     """Smallest sampled distance from the origin to the x-block subgradient
     of nu plus the truncated normal map, over non-solution samples."""
     spec = spec or SampleSpec()
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
+    xi_bar, _ = prob.point(xi_bar, None)
     xlo, xup = spec.x_window if spec.x_window is not None else prob.x_window()
     rng = np.random.default_rng(spec.seed)
     n_xi, n_x = spec.grid_shape
@@ -101,12 +101,13 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
 
 def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
                        x_check: tuple | None = None) -> Certificate:
-    """Check dist(x, E(xi)) <= merit(xi, x)/gamma + grid slack on a grid."""
+    """Check dist(x, E(xi)) <= merit(xi, x)/gamma + grid slack on a grid in
+    (xi, x); p = n = 1."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    if prob.p != 1:
-        raise pb.ProblemError("error-bound sweep implemented for p = 1")
+    xi_bar, _ = prob.point(xi_bar, None)
+    if prob.p != 1 or prob.n != 1:
+        raise pb.ProblemError("error-bound sweep implemented for p = n = 1")
     xlo, xup = prob.x_window()
     if x_check is None:
         x_check = (float(xlo[0]), float(xup[0]), 161)
@@ -122,8 +123,7 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
             continue
         slack = _solution_grid_step(prob, [t]) + 1e-9
         for xv in x_grid:
-            d = float(np.min(np.abs(sols[:, 0] - xv))) if prob.n == 1 else \
-                float(np.min(np.linalg.norm(sols - xv, axis=1)))
+            d = float(np.min(np.abs(sols[:, 0] - xv)))
             bound = mr.eval_merit(prob, [t], [xv]).merit / gamma + slack
             gap = d - bound
             if gap > worst:
@@ -235,32 +235,23 @@ def _arcs_intersect(a: tuple[float, float], b: tuple[float, float],
 
 
 def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion) -> Certificate:
-    """Normal-cone sufficient test: certified when N1 and -N2 meet only at 0."""
+    """Normal-cone sufficient test in the plane: certified when N1 and -N2
+    meet only at 0, compared as circular arcs."""
     tol_deg = 0.5  # angular slack for two arcs to count as meeting
-    dim = n1.dim
+    if n1.dim != 2:
+        raise pb.ProblemError(f"normal-cone test is planar, got dimension {n1.dim}")
     flags = () if (n1.exact and n2.exact) else ("sampled-normals",)
-    neg2 = geo.RayUnion(tuple(-b for b in n2.branches), n2.exact, n2.note)
-    if dim == 2:
-        arcs1 = _branch_arcs_2d(n1.branches)
-        arcs2 = _branch_arcs_2d(neg2.branches)
-        tol = math.radians(tol_deg)
-        for a in arcs1:
-            for b in arcs2:
-                common = _arcs_intersect(a, b, tol)
-                if common is not None:
-                    w = np.array([math.cos(common), math.sin(common)])
-                    return Certificate("subtransversal-nc", REFUTED, 0.0,
-                                       (w,), {"tol_deg": tol_deg}, flags)
-        return Certificate("subtransversal-nc", CERTIFIED, 1.0, (),
-                           {"tol_deg": tol_deg}, flags)
-    # sampled membership test in higher dimension
-    dirs = geo._sphere_dirs(dim, 256)
-    for d in dirs:
-        if n1.contains(d, 1e-6) and neg2.contains(d, 1e-6):
-            return Certificate("subtransversal-nc", REFUTED, 0.0, (d,),
-                               {"dirs": len(dirs)}, flags + ("sampled-test",))
+    tol = math.radians(tol_deg)
+    arcs2 = _branch_arcs_2d([-g for g in n2.branches])
+    for a in _branch_arcs_2d(n1.branches):
+        for b in arcs2:
+            common = _arcs_intersect(a, b, tol)
+            if common is not None:
+                w = np.array([math.cos(common), math.sin(common)])
+                return Certificate("subtransversal-nc", REFUTED, 0.0,
+                                   (w,), {"tol_deg": tol_deg}, flags)
     return Certificate("subtransversal-nc", CERTIFIED, 1.0, (),
-                       {"dirs": len(dirs)}, flags + ("sampled-test",))
+                       {"tol_deg": tol_deg}, flags)
 
 
 def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
@@ -294,8 +285,7 @@ def check_c_bounded(prob: pb.VepProblem, xi, x0) -> Certificate:
     """Sample f(xi, x0, .) on growing z-grids; certified when the supremum
     norm of values outside the cone stabilizes."""
     levels, resolution = 4, 101
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    xi, x0 = prob.point(xi, x0)
     S = pb.slice_at(prob.K, xi)
     axes_full, truncated = pb._axis_grids(prob, S, resolution)
 
@@ -424,8 +414,7 @@ def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
 def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certificate:
     """Quantitative lower-semicontinuity and Aubin-modulus cross-check on
     21 parameter samples in [xi_bar - 0.5, xi_bar + 0.5]."""
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    xi_bar, x_bar = prob.point(xi_bar, x_bar)
     window, n_xi = 0.5, 21
     ts = np.linspace(float(xi_bar[0] - window), float(xi_bar[0] + window), n_xi)
     beta = 0.0

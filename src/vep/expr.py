@@ -484,11 +484,6 @@ def vars_of(e: Expr) -> frozenset[tuple[str, int]]:
     return frozenset(out)
 
 
-def depth(e: Expr) -> int:
-    kids = _children(e)
-    return 1 + (max(depth(c) for c in kids) if kids else 0)
-
-
 def uses_block(e: Expr, block: str) -> bool:
     return any(b == block for b, _ in vars_of(e))
 
@@ -514,24 +509,6 @@ def is_affine_in(e: Expr, block: str) -> bool:
     # abs / min / max are affine only when the block does not enter them,
     # which was excluded above.
     return False
-
-
-def subst(e: Expr, block: str, mapping: dict[int, Expr]) -> Expr:
-    """Replace variables of ``block`` by expressions."""
-    if isinstance(e, Var):
-        if e.block == block and e.index in mapping:
-            return mapping[e.index]
-        return e
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Neg):
-        return Neg(subst(e.a, block, mapping))
-    if isinstance(e, Abs):
-        return Abs(subst(e.a, block, mapping))
-    if isinstance(e, Pow):
-        return Pow(subst(e.base, block, mapping), e.power)
-    cls = type(e)
-    return cls(subst(e.a, block, mapping), subst(e.b, block, mapping))
 
 
 # ---------------------------------------------------------------------------

@@ -67,27 +67,6 @@ class Box:
 
 
 @dataclass(frozen=True, eq=False)
-class Polytope:
-    """Convex hull of finitely many points; zero points encode the empty set."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            pts = pts.reshape(0, pts.shape[-1] if pts.ndim == 2 and pts.shape[-1] else 1)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.points) == 0
-
-
-@dataclass(frozen=True, eq=False)
 class Halfspaces:
     """Intersection of halfspaces {y : A y <= b}."""
 
@@ -113,10 +92,6 @@ class Halfspaces:
 
 def full_space(dim: int) -> Box:
     return Box(np.full(dim, -np.inf), np.full(dim, np.inf))
-
-
-def empty_set(dim: int) -> Polytope:
-    return Polytope(np.zeros((0, dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,11 +246,6 @@ def project(x, S):
     x = np.asarray(x, dtype=float)
     if isinstance(S, Box):
         return np.clip(x, S.lower, S.upper)
-    if isinstance(S, Polytope):
-        if S.is_empty:
-            raise GeometryError("projection onto the empty set")
-        q, _, _ = wolfe_min_norm(S.points - x)
-        return x + q
     if isinstance(S, Halfspaces):
         if S.contains(x, tol=1e-12):
             return x.copy()
@@ -286,24 +256,14 @@ def project(x, S):
 
 
 def dist(x, S) -> float:
-    """Distance of a point to a set; +inf for the empty set."""
+    """Distance of a point to a set; +inf for an infeasible halfspace set."""
     x = np.asarray(x, dtype=float)
-    if isinstance(S, Polytope) and S.is_empty:
-        return float("inf")
     try:
         return float(np.linalg.norm(x - project(x, S)))
     except GeometryError as err:
         if "infeasible" in str(err):
             return float("inf")
         raise
-
-
-def excess(A_points, S) -> float:
-    """sup over a in A of dist(a, S); excess of the empty set is 0."""
-    pts = np.atleast_2d(np.asarray(A_points, dtype=float))
-    if pts.size == 0:
-        return 0.0
-    return max(dist(a, S) for a in pts)
 
 
 def dist_orthant_batch(F: np.ndarray) -> np.ndarray:
@@ -444,14 +404,6 @@ class RayUnion:
     def dim(self) -> int:
         return self.branches[0].shape[1]
 
-    def contains(self, v, tol: float = 1e-8) -> bool:
-        v = np.asarray(v, dtype=float)
-        if np.linalg.norm(v) <= tol:
-            return True
-        return any(cone_contains(generated_cone(b) if len(b) else
-                                 generated_cone(np.zeros((0, len(v)))), v, tol)
-                   for b in self.branches)
-
 
 def _active_box_generators(S: Box, x: np.ndarray) -> np.ndarray:
     gens = []
@@ -481,41 +433,7 @@ def normal_cone(S, point) -> RayUnion:
         scale = 1.0 + np.abs(S.b)
         active = resid >= -TOL_ON * scale
         return RayUnion((S.A[active],)) if np.any(active) else RayUnion((np.zeros((0, S.dim)),))
-    if isinstance(S, Polytope):
-        return RayUnion((_polytope_normal_generators(S, x),))
     raise TypeError(f"no normal cone for {type(S).__name__}")
-
-
-def _polytope_normal_generators(S: Polytope, x: np.ndarray) -> np.ndarray:
-    pts = S.points
-    d = S.dim
-    if d == 1:
-        lo, up = float(pts.min()), float(pts.max())
-        return _active_box_generators(Box([lo], [up]), x)
-    center = pts.mean(axis=0)
-    U, s, _ = np.linalg.svd(pts - center, full_matrices=True) if len(pts) > 1 else (None, np.zeros(0), None)
-    rank = int(np.sum(s > 1e-10 * max(1.0, s.max() if len(s) else 1.0)))
-    if rank == d:
-        try:
-            hull = ConvexHull(pts)
-        except QhullError as err:  # pragma: no cover
-            raise GeometryError(f"polytope hull failed: {err}")
-        gens = []
-        for eq in hull.equations:  # n . y + off <= 0 on the polytope
-            n, off = eq[:-1], eq[-1]
-            if abs(n @ x + off) <= TOL_ON * (1.0 + abs(off)):
-                gens.append(n)
-        return np.asarray(gens) if gens else np.zeros((0, d))
-    # degenerate polytope: split into affine-hull part plus orthogonal lines
-    _, _, Vt = np.linalg.svd(pts - center)
-    basis = Vt[:rank]
-    comp = Vt[rank:]
-    gens = [v for c in comp for v in (c, -c)]
-    if rank > 0:
-        sub = Polytope((pts - center) @ basis.T)
-        sub_gens = _polytope_normal_generators(sub, basis @ (x - center))
-        gens.extend(g @ basis for g in sub_gens)
-    return np.asarray(gens) if gens else np.zeros((0, d))
 
 
 # ---------------------------------------------------------------------------
@@ -598,34 +516,20 @@ def _cluster_dirs_2d(dirs: np.ndarray):
     return branches
 
 
-def _cluster_dirs_nd(dirs: np.ndarray):
-    reps: list[np.ndarray] = []
-    for d in dirs:
-        placed = False
-        for i, r in enumerate(reps):
-            if np.arccos(np.clip(d @ r, -1, 1)) <= np.deg2rad(_RAY_WIDTH_DEG):
-                reps[i] = r + d
-                reps[i] = reps[i] / np.linalg.norm(reps[i])
-                placed = True
-                break
-        if not placed:
-            reps.append(d.copy())
-    return [r.reshape(1, -1) for r in reps]
+def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
+    """Sampled basic normal cone to a planar curve described by samples.
 
-
-def limiting_normal_graph(boundary_branches, point, inside=None, *, radii) -> RayUnion:
-    """Sampled basic normal cone to a set described by boundary samples.
-
-    ``boundary_branches`` is a list of ordered point arrays (one-sided smooth
-    parameterizations near ``point``); ``inside`` is an optional membership
-    predicate for thick sets so interior probes are skipped.  Probe points on
-    the spheres of the given ``radii`` around ``point`` are projected onto the
-    boundary polylines; the limit directions cone[x - Proj(x, S)] are
-    clustered into ray/fan branches.  Always flagged approximate.
+    ``boundary_branches`` is a list of ordered point arrays in the plane
+    (one-sided smooth parameterizations near ``point``).  Probe points on
+    the circles of the given ``radii`` around ``point`` are projected onto
+    the polylines; the limit directions cone[x - Proj(x, S)] are clustered
+    into ray/fan branches.  Always flagged approximate.
     """
     point = np.asarray(point, dtype=float)
     branches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in boundary_branches]
     dim = len(point)
+    if dim != 2:
+        raise GeometryError(f"sampled limiting normals are planar, got dimension {dim}")
     scale = max(1.0, float(np.linalg.norm(point)))
     near = min(polyline_project(point, b)[1] for b in branches)
     if near > 1e-6 * scale:
@@ -636,8 +540,6 @@ def limiting_normal_graph(boundary_branches, point, inside=None, *, radii) -> Ra
         dirs = []
         for u in _sphere_dirs(dim, 240):
             w = point + r * u
-            if inside is not None and inside(w):
-                continue
             best_q, best_d = None, np.inf
             for b in branches:
                 q, dq = polyline_project(w, b)
@@ -654,8 +556,7 @@ def limiting_normal_graph(boundary_branches, point, inside=None, *, radii) -> Ra
     finest = per_radius[-1]
     if len(finest) == 0:
         return RayUnion((np.zeros((0, dim)),), exact=False, note="sampled")
-    out = _cluster_dirs_2d(finest) if dim == 2 else _cluster_dirs_nd(finest)
-    return RayUnion(tuple(out), exact=False, note="sampled")
+    return RayUnion(tuple(_cluster_dirs_2d(finest)), exact=False, note="sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -801,29 +702,15 @@ def product_body(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     return ConvexBody(a.dim + b.dim, _prune_hull(pts), label=f"({a.label})x({b.label})")
 
 
-def support(obj, direction) -> float:
-    """Support function; +inf on uncapped cones that contain the direction's dual."""
+def support(body: ConvexBody, direction) -> float:
+    """Support function of a body; -inf on the empty body."""
     d = np.asarray(direction, dtype=float)
-    if isinstance(obj, ConvexBody):
-        if obj.is_empty:
-            return -float("inf")
-        val = float(np.max(obj.points @ d))
-        for cap in obj.caps:
-            val += float(np.max(cap_points(cap) @ d))
-        return val + obj.ball * float(np.linalg.norm(d))
-    if isinstance(obj, ConeRepr):
-        return 0.0 if cone_contains(dual_cone(obj), d) else float("inf")
-    if isinstance(obj, RayUnion):
-        best = -float("inf")
-        for b in obj.branches:
-            if len(b) == 0:
-                best = max(best, 0.0)
-            elif np.all(b @ d <= 1e-12 * (1.0 + np.abs(b @ d))):
-                best = max(best, 0.0)
-            else:
-                return float("inf")
-        return best
-    raise TypeError(f"no support function for {type(obj).__name__}")
+    if body.is_empty:
+        return -float("inf")
+    val = float(np.max(body.points @ d))
+    for cap in body.caps:
+        val += float(np.max(cap_points(cap) @ d))
+    return val + body.ball * float(np.linalg.norm(d))
 
 
 def min_norm_point(body: ConvexBody) -> tuple[np.ndarray, float]:

@@ -128,6 +128,7 @@ def eval_mu(prob: pb.VepProblem, xi, x) -> float:
 
 
 def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
+    xi, x = prob.point(xi, x)
     nu = eval_nu(prob, xi, x, eps)
     mu = eval_mu(prob, xi, x)
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)

@@ -89,7 +89,7 @@ class VepProblem:
     cone: geo.ConeRepr
     K: ParamBox | ParamPolytope
     objective: ex.Expr
-    omega: geo.Box | geo.Halfspaces | geo.Polytope
+    omega: geo.Box | geo.Halfspaces
     window: dict = field(default_factory=dict)
     asserts: frozenset = frozenset()
 
@@ -102,6 +102,25 @@ class VepProblem:
         if "x" in self.window:
             return self.window["x"]
         return np.full(self.n, -4.0), np.full(self.n, 4.0)
+
+    def point(self, xi, x) -> tuple[np.ndarray, np.ndarray | None]:
+        """The point (xi, x) as float arrays of shapes (p,) and (n,).
+
+        Raises ProblemError on a wrong length or a non-finite entry, so no
+        wrong-length point is silently broadcast.  An x of None, from a
+        caller that takes xi alone, is returned as None.
+        """
+        return (_checked_vector("xi", xi, self.p),
+                None if x is None else _checked_vector("x", x, self.n))
+
+
+def _checked_vector(name: str, v, dim: int) -> np.ndarray:
+    a = np.atleast_1d(np.asarray(v, dtype=float))
+    if a.shape != (dim,):
+        raise ProblemError(f"{name} has {a.size} entries, expected {dim}")
+    if not np.all(np.isfinite(a)):
+        raise ProblemError(f"{name} has a non-finite entry: {a.tolist()}")
+    return a
 
 
 @dataclass(frozen=True)

@@ -167,11 +167,7 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     schedule advances while the incumbent's merit stays above TOL_MERIT and
     stops as soon as the incumbent is feasible with a small slope.
     """
-    starts = [
-        (np.atleast_1d(np.asarray(s[0], dtype=float)),
-         np.atleast_1d(np.asarray(s[1], dtype=float)))
-        for s in starts
-    ]
+    starts = [prob.point(xi, x) for xi, x in starts]
     if not starts:
         raise ValueError("at least one start required")
     rng = np.random.default_rng(config.seed)
@@ -411,16 +407,12 @@ def check_stationarity_general(prob: pb.VepProblem, xi_bar, x_bar,
                                tol_on_graph: float = 1e-6) -> StationarityReport:
     """The assembled inclusion with the nu subgradient taken as the
     gradient-limit hull."""
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    xi_bar, x_bar = prob.point(xi_bar, x_bar)
     _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph)
     nu_est = sd.nu_subgradient_full(prob, xi_bar, x_bar)
     mu_est = sd.mu_subgradient_estimate(prob, xi_bar, x_bar)
-    flags = nu_est.qc_flags + mu_est.qc_flags
-    if nu_est.lipschitz:
-        flags = flags + ("qualification: singular-part-trivial",)
-    else:
-        flags = flags + ("qc-assumed",)
+    # nu is locally Lipschitz, so the singular part of its subdifferential is {0}
+    flags = nu_est.qc_flags + mu_est.qc_flags + ("qualification: singular-part-trivial",)
     if nu_est.exactness != sd.EXACT_CONVEX:
         flags = flags + (f"subgradient_model: {nu_est.exactness}",)
     return _assemble(prob, xi_bar, x_bar, [((), nu_est.body)], mu_est,
@@ -432,8 +424,7 @@ def check_stationarity_smooth_concave(prob: pb.VepProblem, xi_bar, x_bar,
                                       l_f: float) -> StationarityReport:
     """The assembled inclusion with the nu subgradient replaced by the
     per-enlargement outer estimate, one nu body per enlargement."""
-    xi_bar = np.atleast_1d(np.asarray(xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(x_bar, dtype=float))
+    xi_bar, x_bar = prob.point(xi_bar, x_bar)
     _check_preconditions(prob, xi_bar, x_bar, gamma, 1e-6)
     flags_pre = () if "K-concave" in prob.asserts else ("hypotheses-not-asserted",)
     outer = sd.nu_outer_estimate(prob, xi_bar, x_bar, eps_list, l_f)

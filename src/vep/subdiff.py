@@ -6,8 +6,8 @@ enlargement-based outer estimate with a Lipschitz ball, the coderivative
 of the feasible-set map (exact, from the one-sided slopes or gradients of
 the active constraints of a box or polytope map), two outer estimates of
 the feasibility-gap subdifferential (the coderivative-ball product and the
-coupled graph-normal cap), and the sum rule with its qualification
-bookkeeping.
+coupled graph-normal cap), and the sampled normal cone to the graph of the
+solution map.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ EXACT_CONVEX = "exact-convex"
 OUTER = "outer-estimate"
 BRANCH_HULL = "branch-hull-approx"
 
-_EXACTNESS_ORDER = {EXACT_CONVEX: 0, OUTER: 1, BRANCH_HULL: 2}
-
 
 class SubdiffError(ValueError):
     pass
@@ -42,7 +40,6 @@ class SubgradEstimate:
     bodies: tuple
     exactness: str
     qc_flags: tuple = ()
-    lipschitz: bool = True  # locally Lipschitz source: singular part is {0}
 
     @property
     def body(self) -> geo.ConvexBody:
@@ -59,15 +56,10 @@ class CoderivativeImage:
 
     points: tuple   # tuple of vectors
     rays: tuple     # tuple of ray generator vectors
-    exact: bool = True
 
     @property
     def is_empty(self) -> bool:
         return len(self.points) == 0 and len(self.rays) == 0
-
-
-def _weakest(a: str, b: str) -> str:
-    return a if _EXACTNESS_ORDER[a] >= _EXACTNESS_ORDER[b] else b
 
 
 # ---------------------------------------------------------------------------
@@ -195,20 +187,13 @@ def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
 class NuOuterEstimate(SubgradEstimate):
     per_eps: tuple = ()  # tuple of (eps, ConvexBody)
 
-    def support_table(self, n_dirs: int) -> dict:
-        dirs = geo._sphere_dirs(self.dim, n_dirs)
-        return {
-            eps: np.array([geo.support(b, d) for d in dirs])
-            for eps, b in self.per_eps
-        }
-
 
 def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOuterEstimate:
     """Per-enlargement outer estimate: conv over enlarged farthest points of
     the adjoint images of the polar-cone cap, fattened by the Lipschitz ball.
 
-    The estimate for each eps is an outer bound; their intersection is
-    reported through the per-eps support table rather than constructed.
+    The estimate for each eps is an outer bound; the checker tests every
+    eps body rather than constructing their intersection.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -234,7 +219,7 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
                               ball=float(l_f), label=f"nu-outer-eps={eps:g}")
         per_eps.append((eps, body))
     bodies = (per_eps[0][1],)
-    return NuOuterEstimate(bodies, OUTER, tuple(flags), True, tuple(per_eps))
+    return NuOuterEstimate(bodies, OUTER, tuple(flags), tuple(per_eps))
 
 
 # ---------------------------------------------------------------------------
@@ -393,30 +378,23 @@ def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int, tol: float):
     return [Gxi.T @ coef], []
 
 
-def _image_of_v(normals: geo.RayUnion, v: np.ndarray, p: int, tol: float,
-                dedup_tol: float, exact: bool) -> CoderivativeImage:
-    """Union over normal-cone branches of {u : (u, -v) in cone(branch)},
-    merging points closer than dedup_tol."""
+def coderivative_K(prob: pb.VepProblem, xi, zbar, v) -> CoderivativeImage:
+    """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}: the union
+    over normal-cone branches, points closer than 1e-9 merged."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
+    v = np.atleast_1d(np.asarray(v, dtype=float))
     pts: list[np.ndarray] = []
     rays: list[np.ndarray] = []
-    for br in normals.branches:
-        bpts, brays = _branch_image_of_v(br, v, p, tol)
+    for br in graph_normal_branches(prob, xi, zbar).branches:
+        bpts, brays = _branch_image_of_v(br, v, prob.p, 1e-9)
         pts.extend(bpts)
         rays.extend(brays)
     uniq: list[np.ndarray] = []
     for q in pts:
-        if not any(np.linalg.norm(q - r) <= dedup_tol for r in uniq):
+        if not any(np.linalg.norm(q - r) <= 1e-9 for r in uniq):
             uniq.append(q)
-    return CoderivativeImage(tuple(uniq), tuple(rays), exact=exact)
-
-
-def coderivative_K(prob: pb.VepProblem, xi, zbar, v) -> CoderivativeImage:
-    """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    normals = graph_normal_branches(prob, xi, zbar)
-    return _image_of_v(normals, v, prob.p, 1e-9, 1e-9, normals.exact)
+    return CoderivativeImage(tuple(uniq), tuple(rays))
 
 
 def _simplex_samples(k: int) -> np.ndarray:
@@ -518,22 +496,9 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     return SubgradEstimate(bodies, OUTER)
 
 
-def coderivative_E_sampled(prob: pb.VepProblem, xi, x, v,
-                           window: float = 0.5) -> CoderivativeImage:
-    """Sampled coderivative of the solution map from oracle graph samples.
-
-    Always approximate: limiting normals are estimated from projections onto
-    the sampled graph, then sliced at the requested v.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    normals = graph_E_normals(prob, xi, x, window=window)
-    return _image_of_v(normals, v, prob.p, 5e-2, 1e-6, False)
-
-
 def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayUnion:
-    """Sampled basic normal cone to the solution-map graph at (xi, x)."""
+    """Sampled basic normal cone to the solution-map graph at (xi, x); the
+    graph is a planar curve, so p = n = 1."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if prob.p != 1 or prob.n != 1:
@@ -550,30 +515,4 @@ def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayU
     return geo.limiting_normal_graph(
         branches, np.concatenate([xi, x]),
         radii=(0.04 * window, 0.02 * window, 0.01 * window),
-    )
-
-
-# ---------------------------------------------------------------------------
-# sum rule
-# ---------------------------------------------------------------------------
-
-def sum_rule(a: SubgradEstimate, b: SubgradEstimate) -> SubgradEstimate:
-    """Minkowski sum of estimates under the singular-part qualification.
-
-    The qualification holds automatically for a semi-Lipschitzian pair
-    (either operand locally Lipschitz, singular part {0}); otherwise the
-    result is flagged qc-assumed.
-    """
-    if a.dim != b.dim:
-        raise SubdiffError("sum rule dimension mismatch")
-    bodies = tuple(geo.minkowski(x, y) for x in a.bodies for y in b.bodies)
-    if a.lipschitz or b.lipschitz:
-        qc = ("semi-lipschitzian-pair",)
-    else:
-        qc = ("qc-assumed",)
-    return SubgradEstimate(
-        bodies,
-        _weakest(a.exactness, b.exactness),
-        tuple(dict.fromkeys(a.qc_flags + b.qc_flags + qc)),
-        a.lipschitz and b.lipschitz,
     )

@@ -225,6 +225,40 @@ upper = inf
     assert code == 0
     assert "stationary-within-tol" in body
 
+def test_check_erbo_witness_when_p_differs_from_n(capsys, tmp_path):
+    # f = (z1 - 2, 1) leaves the cone for every z in K, and nu is constant
+    # in x, so gamma is refuted; its witness (xi, x) has blocks of 1 and 2
+    text = """
+[problem]
+p = 1
+n = 2
+m = 2
+window_xi = -1, 1
+window_x = -1, 1
+
+[cone]
+type = orthant
+
+[K]
+type = box
+lower = -1 ; -1
+upper = 1 ; 1
+
+[f]
+components = z1 - 2 ; 1
+
+[objective]
+expr = xi1^2 + x1^2 + x2^2
+"""
+    path = tmp_path / "wide.vep"
+    path.write_text(text)
+    code, body = run_cli(capsys, "--format", "json-like", "check-erbo", str(path),
+                         "--xi-bar", "0")
+    assert code == 4
+    [witness] = json.loads(body)["results"]["gamma_estimate"]["witnesses"]
+    assert [len(block) for block in witness] == [1, 2]
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "example:paper", "--xi", "0", "--x", "0,0"),
     ("eval", "example:paper", "--xi", "0,5,7", "--x", "0"),

@@ -16,7 +16,6 @@ DIMS = (2, 2, 2)
 
 def test_parse_abs_plus_one():
     e = ex.parse("abs(xi1)+1", (1, 1, 1))
-    assert ex.depth(e) == 3
     assert ex.vars_of(e) == frozenset({("xi", 1)})
 
 
@@ -232,10 +231,3 @@ def test_affine_in_z_checker():
     assert not ex.is_affine_in(ex.parse("abs(z1)", dims), "z")
     assert not ex.is_affine_in(ex.parse("1/z1", dims), "z")
     assert ex.is_affine_in(ex.parse("xi1*z1 - x1", dims), "z")
-
-
-def test_subst_replaces_block_variables():
-    dims = (1, 1, 1)
-    e = ex.parse("x1 - z1", dims)
-    out = ex.subst(e, "z", {1: ex.parse("abs(xi1) + 1", dims)})
-    assert ex.eval_expr(out, xi=[2.0], x=[0.0], z=[99.0]) == -3.0

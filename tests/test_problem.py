@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from vep import diagnostics as dg
 from vep import expr as ex
 from vep import geometry as geo
 from vep import merit as mr
 from vep import problem as pb
+from vep import solver as sv
 
 FILE_TEXT = """
 # same instance as the builtin, written through the file format
@@ -191,3 +193,36 @@ def test_graph_samples_shape(tent):
     cloud = pb.graph_samples(tent, -0.5, 0.5, 41)
     assert cloud.shape[1] == 2
     assert np.allclose(cloud[:, 1], np.abs(cloud[:, 0]) + 1.0, atol=0.02)
+
+
+# ---------------------------------------------------------------------------
+# the point contract
+# ---------------------------------------------------------------------------
+
+ENTRIES = {
+    "eval_merit": mr.eval_merit,
+    "solve_penalized": lambda prob, xi, x: sv.solve_penalized(
+        prob, sv.PenaltyConfig(), [(xi, x)]),
+    "check_stationarity_general": lambda prob, xi, x: sv.check_stationarity_general(
+        prob, xi, x, None, 0.5),
+    "check_stationarity_smooth_concave": lambda prob, xi, x:
+        sv.check_stationarity_smooth_concave(prob, xi, x, None, 0.5,
+                                             eps_list=[0.05], l_f=1.0),
+    "estimate_gamma": lambda prob, xi, x: dg.estimate_gamma(prob, xi, 1.0),
+    "verify_error_bound": lambda prob, xi, x: dg.verify_error_bound(prob, xi, 1.0, 0.5),
+    "stability_probe": lambda prob, xi, x: dg.stability_probe(prob, xi, x, 0.5),
+    "check_c_bounded": dg.check_c_bounded,
+}
+XI_ONLY = ("estimate_gamma", "verify_error_bound")
+# example:paper has p = n = 1
+POINT_CASES = ([(name, "xi-long", ([0.0, 5.0], [1.0])) for name in ENTRIES]
+               + [(name, "x-long", ([0.0], [1.0, 1.0])) for name in ENTRIES
+                  if name not in XI_ONLY]
+               + [("eval_merit", "nan", ([float("nan")], [1.0]))])
+
+
+@pytest.mark.parametrize("name, point", [(name, pt) for name, _, pt in POINT_CASES],
+                         ids=[f"{name}-{case}" for name, case, _ in POINT_CASES])
+def test_wrong_point_raises_instead_of_broadcasting(tent, name, point):
+    with pytest.raises(pb.ProblemError, match="entries, expected 1|non-finite"):
+        ENTRIES[name](tent, *point)

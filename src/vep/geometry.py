@@ -7,8 +7,10 @@ favour robustness and exactness certificates over speed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog, nnls
@@ -96,7 +98,11 @@ def full_space(dim: int) -> Box:
 
 @dataclass(frozen=True, eq=False)
 class ConeRepr:
-    """Closed convex cone: nonnegative orthant, generated, or halfspace form."""
+    """Closed convex cone: nonnegative orthant, generated, or halfspace form.
+
+    ``mat`` is a read-only copy of the rows passed in, so the data derived
+    from it once per cone (``dual``, ``cap``, ``faces``) cannot go stale.
+    """
 
     dim: int
     kind: str  # 'orthant' | 'generators' | 'halfspaces'
@@ -106,12 +112,50 @@ class ConeRepr:
         if self.kind not in ("orthant", "generators", "halfspaces"):
             raise GeometryError(f"unknown cone kind {self.kind!r}")
         if self.kind != "orthant":
-            m = np.atleast_2d(np.asarray(self.mat, dtype=float))
+            m = np.array(np.atleast_2d(np.asarray(self.mat, dtype=float)))
             if m.size == 0:
                 m = m.reshape(0, self.dim)
             if m.shape[1] != self.dim:
                 raise GeometryError("cone matrix has wrong width")
-            object.__setattr__(self, "mat", m)
+            object.__setattr__(self, "mat", _read_only(m))
+
+    @cached_property
+    def dual(self) -> ConeRepr:
+        """Negative dual cone {x : <c, x> <= 0 for all c in C}."""
+        if self.kind == "orthant":
+            return generated_cone(-np.eye(self.dim))
+        if self.kind == "generators":
+            return ConeRepr(self.dim, "halfspaces", self.mat)
+        return ConeRepr(self.dim, "generators", self.mat)
+
+    @cached_property
+    def cap(self) -> np.ndarray:
+        """Discretization of cone ∩ unit ball as conv of finitely many points."""
+        return _read_only(_cap_points(self))
+
+    @cached_property
+    def faces(self) -> tuple:
+        """(R, P) for every linearly independent set of at most ``dim``
+        generator rows R, with P = Rᵀ(RRᵀ)⁻¹ (the pseudo-inverse of R), so
+        that Rᵀ(Pᵀx) projects x onto the span of R.
+
+        A halfspace-form cone {x : Ax <= 0} stores the faces of its polar
+        cone(rows of A).  The table has at most Σ_{j<=dim} C(k, j) entries
+        for k rows, all of them when the rows are in general position.
+        """
+        rows = np.eye(self.dim) if self.kind == "orthant" else self.mat
+        faces = []
+        for j in range(1, min(len(rows), self.dim) + 1):
+            for subset in itertools.combinations(range(len(rows)), j):
+                R = rows[list(subset)]
+                if np.linalg.matrix_rank(R) == j:
+                    faces.append((_read_only(R), _read_only(np.linalg.pinv(R))))
+        return tuple(faces)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def orthant(m: int) -> ConeRepr:
@@ -176,12 +220,8 @@ def cone_nontrivial(C: ConeRepr) -> bool:
 
 
 def dual_cone(C: ConeRepr) -> ConeRepr:
-    """Negative dual cone {x : <c, x> <= 0 for all c in C}."""
-    if C.kind == "orthant":
-        return generated_cone(-np.eye(C.dim))
-    if C.kind == "generators":
-        return ConeRepr(C.dim, "halfspaces", C.mat.copy())
-    return ConeRepr(C.dim, "generators", C.mat.copy())
+    """Negative dual cone {x : <c, x> <= 0 for all c in C}, built once per cone."""
+    return C.dual
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +310,47 @@ def dist_orthant_batch(F: np.ndarray) -> np.ndarray:
     """Vectorized distance to the nonnegative orthant; F has shape (m, ...)."""
     neg = np.minimum(F, 0.0)
     return np.sqrt(np.sum(neg * neg, axis=0))
+
+
+def dist_cone_batch(F: np.ndarray, C: ConeRepr) -> np.ndarray:
+    """Exact distance of stacked values F (shape (m, ...)) to the cone C.
+
+    By Moreau's decomposition (J. J. Moreau, C. R. Acad. Sci. Paris 255,
+    1962) the projection onto a polyhedral cone is, among the projections
+    onto the spans of its faces ``C.faces`` with nonnegative coefficients
+    and the apex, the one nearest to x.  The residual ‖x - Rᵀc‖ is formed
+    explicitly: ‖x‖² - ‖Rᵀc‖² cancels to about 1e-8 near the cone.  For a
+    halfspace-form cone the faces are those of the polar cone, and the
+    distance is the norm of the projection onto the polar.  Temporaries are
+    a few arrays of one value per column, reused across faces.
+    """
+    if C.kind == "orthant":
+        return dist_orthant_batch(F)
+    X = np.asarray(F, dtype=float).reshape(C.dim, -1)
+    n = X.shape[1]
+    polar = C.kind == "halfspaces"
+    best = np.einsum("ij,ij->j", X, X)      # squared residual, apex first
+    out = np.zeros(n) if polar else best    # squared distance
+    coef = np.empty((C.dim, n))
+    proj, res, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    sq, norm2 = (np.empty(n), np.empty(n)) if polar else (None, None)
+    for R, P in C.faces:
+        c = np.dot(P.T, X, out=coef[:len(R)])
+        np.all(c >= 0.0, axis=0, out=ok)
+        res.fill(0.0)
+        if polar:
+            norm2.fill(0.0)
+        for i in range(C.dim):
+            np.dot(R[:, i], c, out=proj)    # coordinate i of Rᵀc
+            if polar:
+                norm2 += np.multiply(proj, proj, out=sq)
+            np.subtract(X[i], proj, out=proj)
+            res += np.multiply(proj, proj, out=proj)
+        ok &= res < best
+        np.copyto(best, res, where=ok)
+        if polar:
+            np.copyto(out, norm2, where=ok)
+    return np.sqrt(out).reshape(np.shape(F)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +645,12 @@ def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
 # ---------------------------------------------------------------------------
 
 def cap_points(C: ConeRepr) -> np.ndarray:
-    """Discretization of cone ∩ unit ball as conv of finitely many points."""
+    """Discretization of cone ∩ unit ball as conv of finitely many points,
+    built once per cone and read-only."""
+    return C.cap
+
+
+def _cap_points(C: ConeRepr) -> np.ndarray:
     d = C.dim
     if d == 1:
         pts = [np.zeros(1)]

@@ -51,8 +51,12 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
     is attained at a vertex and evaluated exactly; otherwise a dense grid
     plus multistart local ascent is used and the method is recorded.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
+    return _nu(prob, xi, x, eps)
+
+
+def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float) -> NuEval:
+    """eval_nu at a point already checked by ``prob.point``."""
     S = pb.slice_at(prob.K, xi)
     flags: list[str] = []
 
@@ -122,15 +126,18 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
 
 def eval_mu(prob: pb.VepProblem, xi, x) -> float:
     """Distance of x to the slice K(xi)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
+    return _mu(prob, xi, x)
+
+
+def _mu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray) -> float:
     return geo.dist(x, pb.slice_at(prob.K, xi))
 
 
 def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
     xi, x = prob.point(xi, x)
-    nu = eval_nu(prob, xi, x, eps)
-    mu = eval_mu(prob, xi, x)
+    nu = _nu(prob, xi, x, eps)
+    mu = _mu(prob, xi, x)
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)
 
 

@@ -466,15 +466,6 @@ def _members(S, pts: np.ndarray, tol: float) -> np.ndarray:
     return np.all(pts @ S.A.T <= S.b + tol, axis=1)
 
 
-def _dist_to_cone_batch(prob: VepProblem, F: np.ndarray) -> np.ndarray:
-    """Distance of stacked values F (shape (m, ...)) to the ordering cone."""
-    if prob.cone.kind == "orthant":
-        return geo.dist_orthant_batch(F)
-    cols = F.reshape(prob.m, -1)
-    return np.array([geo.dist(cols[:, j], prob.cone)
-                     for j in range(cols.shape[1])]).reshape(F.shape[1:])
-
-
 def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np.ndarray:
     """Grid approximation of the strong-solution set E(xi).
 
@@ -482,7 +473,7 @@ def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np
     dist(f(xi, x, z), C) <= tol_c for every grid z in K(xi).
     """
     grid = grid or OracleGrid()
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi, _ = prob.point(xi, None)
     S = slice_at(prob.K, xi)
     axes, truncated = _axis_grids(prob, S, grid.x_resolution)
     if prob.n > 3:
@@ -507,16 +498,16 @@ def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np
             )
             for c in prob.f.components
         ]
-        worst = _dist_to_cone_batch(prob, np.stack(vals)).max(axis=1)  # over z
+        worst = geo.dist_cone_batch(np.stack(vals), prob.cone).max(axis=1)  # over z
         sols.append(xb[worst <= grid.tol_c])
     return np.vstack(sols) if sols else np.zeros((0, prob.n))
 
 
 def oracle_dist_to_solutions(prob: VepProblem, xi, x) -> float:
+    xi, x = prob.point(xi, x)
     sols = oracle_solutions(prob, xi)
     if len(sols) == 0:
         return float("inf")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     return float(np.min(np.linalg.norm(sols - x, axis=1)))
 
 

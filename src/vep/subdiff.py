@@ -81,8 +81,7 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
     """x-block subgradient of nu: conv over farthest points z of J_x(f)^T u,
     u the unit outward direction of f(xi, x, z) from the cone (or the
     normal-cone cap when the value sits on the cone)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     nu = mr.eval_nu(prob, xi, x)
     if not nu.argmax:
         raise SubdiffError("empty farthest-point set")
@@ -152,8 +151,7 @@ def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     adjacent to the point is hit by a sample; the sampling resolution is
     recorded.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     q0 = np.concatenate([xi, x])
 
     def val(q):
@@ -195,8 +193,7 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
     The estimate for each eps is an outer bound; the checker tests every
     eps body rather than constructing their intersection.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     eps_list = sorted(float(e) for e in eps_list)
     if any(e <= 0 for e in eps_list):
         raise SubdiffError("enlargements must be positive")
@@ -305,8 +302,7 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
     (note ``degenerate-slice``); across groups the cones add: one branch
     per combination of group branches, rows stacked.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
+    xi, zbar = prob.point(xi, zbar)
     S = pb.slice_at(prob.K, xi)
     d = geo.dist(zbar, S)
     if d > geo.TOL_ON * (1.0 + float(np.linalg.norm(zbar))):
@@ -381,8 +377,7 @@ def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int, tol: float):
 def coderivative_K(prob: pb.VepProblem, xi, zbar, v) -> CoderivativeImage:
     """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}: the union
     over normal-cone branches, points closer than 1e-9 merged."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
+    xi, zbar = prob.point(xi, zbar)
     v = np.atleast_1d(np.asarray(v, dtype=float))
     pts: list[np.ndarray] = []
     rays: list[np.ndarray] = []
@@ -418,8 +413,7 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexB
     A direction whose x-part vanishes spans an unbounded ray of the image,
     truncated at length 1e6."""
     cap_radius = 1e6
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    zbar = np.atleast_1d(np.asarray(zbar, dtype=float))
+    xi, zbar = prob.point(xi, zbar)
     normals = graph_normal_branches(prob, xi, zbar)
     p = prob.p
     bodies = []
@@ -457,8 +451,7 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexB
 def mu_subgradient_estimate(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     """Outer estimate of the feasibility-gap subdifferential: union over
     projection points of (coderivative image of the unit ball) x (unit ball)."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     S = pb.slice_at(prob.K, xi)
     zbar = geo.project(x, S)
     branches = coderivative_K_ball_image(prob, xi, zbar)
@@ -478,8 +471,7 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     K(xi) beyond 1e-9 relative, a non-box map, or more than one active
     bound (rows whose x-parts differ).
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     if not isinstance(prob.K, pb.ParamBox):
         return None
     if geo.dist(x, pb.slice_at(prob.K, xi)) > 1e-9 * (1.0 + np.linalg.norm(x)):
@@ -499,8 +491,7 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
 def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayUnion:
     """Sampled basic normal cone to the solution-map graph at (xi, x); the
     graph is a planar curve, so p = n = 1."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    xi, x = prob.point(xi, x)
     if prob.p != 1 or prob.n != 1:
         raise SubdiffError("sampled solution-graph normals need p = n = 1")
     t0 = float(xi[0])

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from vep import geometry as geo
 
-from _oracles import grid_min_distance, sampled_min_norm
+from _oracles import grid_min_distance, per_value_cone_dist, sampled_min_norm
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -73,6 +73,98 @@ def test_dist_matches_grid_oracle_on_random_sets():
         oracle = grid_min_distance(x, lambda p: S.contains(p), lo, hi, res=201)
         step = float(np.max((hi - lo) / 200))
         assert abs(geo.dist(x, S) - oracle) <= 2 * step
+
+
+def _random_cones(rng):
+    """Generator- and halfspace-form cones with m <= 3 and k <= 6 rows:
+    pointed, a half-space, one with a zero generator, and no rows at all."""
+    for m in (1, 2, 3):
+        for k in range(1, 7):
+            G = rng.normal(size=(k, m))
+            pointed = np.abs(G) * np.sign(rng.normal(size=m))  # one orthant
+            zero = G.copy()
+            zero[rng.integers(k)] = 0.0
+            for rows in (pointed, G, zero):
+                yield geo.generated_cone(rows)
+                yield geo.ConeRepr(m, "halfspaces", rows)
+        half = np.vstack([np.eye(m)[:-1], -np.eye(m)[:-1], np.eye(m)[-1:]])
+        yield geo.generated_cone(half)
+        yield geo.ConeRepr(m, "halfspaces", half[-1:])
+        yield geo.generated_cone(np.zeros((0, m)))
+        yield geo.ConeRepr(m, "halfspaces", np.zeros((0, m)))
+
+
+def _values_near(C, rng, count):
+    """Random values at mixed scales; a quarter are nonnegative combinations
+    of the rows, so they lie in the cone (generator form) or in its polar
+    (halfspace form), at distance 0 or |x|."""
+    X = rng.normal(size=(C.dim, count)) * rng.choice([1e-6, 1.0, 1e3], count)
+    if len(C.mat):
+        X[:, : count // 4] = C.mat.T @ rng.uniform(0, 2, size=(len(C.mat), count // 4))
+    return X
+
+
+def test_dist_cone_batch_matches_nnls_row_by_row():
+    rng = np.random.default_rng(17)
+    for C in _random_cones(rng):
+        X = _values_near(C, rng, 40)
+        got = geo.dist_cone_batch(X, C)
+        ref = per_value_cone_dist(X, C)
+        tol = 1e-12 * (1.0 + np.linalg.norm(X, axis=0))
+        assert np.all(np.abs(got - ref) <= tol), (C.kind, C.mat)
+
+
+def test_dist_cone_batch_empty_rows_and_shape():
+    x = np.array([[3.0], [-4.0]])
+    assert geo.dist_cone_batch(x, geo.generated_cone(np.zeros((0, 2))))[0] == 5.0
+    assert geo.dist_cone_batch(x, geo.ConeRepr(2, "halfspaces", np.zeros((0, 2))))[0] == 0.0
+    F = np.random.default_rng(3).normal(size=(2, 4, 5))
+    C = geo.generated_cone([[1.0, 0.0], [-1.0, 1.0]])
+    out = geo.dist_cone_batch(F, C)
+    assert out.shape == (4, 5)
+    assert np.allclose(out, per_value_cone_dist(F, C), rtol=0, atol=1e-12 * (1 + np.abs(F).max()))
+    assert np.array_equal(geo.dist_cone_batch(F, geo.orthant(2)), geo.dist_orthant_batch(F))
+
+
+def test_cone_dist_matches_grid_oracle():
+    # generator- and halfspace-form cones in the plane; the nearest point of
+    # the cone to x lies within |x| of the apex, so the grid covers it
+    cases = [
+        (geo.generated_cone([[1.0, 0.0], [-1.0, 1.0]]), None),
+        (geo.generated_cone([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]), None),
+        (geo.ConeRepr(2, "halfspaces", [[1.0, -1.0], [-1.0, -3.0]]),
+         lambda p: bool(np.all(np.array([[1.0, -1.0], [-1.0, -3.0]]) @ p <= 0.0))),
+    ]
+    rng = np.random.default_rng(12)
+    for C, member in cases:
+        member = member or (lambda p, C=C: geo.cone_contains(C, p, 1e-12))
+        for _ in range(2):
+            x = rng.uniform(-2, 2, 2)
+            r = float(np.linalg.norm(x)) + 0.1
+            oracle = grid_min_distance(x, member, [-r, -r], [r, r], res=121)
+            step = 2 * r / 120
+            assert abs(geo.dist(x, C) - oracle) <= 2 * step
+            assert abs(geo.dist_cone_batch(x.reshape(2, 1), C)[0] - oracle) <= 2 * step
+
+
+def test_cone_caches_are_frozen_copies():
+    G = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    C = geo.generated_cone(G)
+    fresh = geo.generated_cone(G.copy())
+    G[0] = [5.0, 5.0]
+    X = np.random.default_rng(8).normal(size=(2, 30))
+    assert np.array_equal(C.mat, fresh.mat)
+    assert np.array_equal(geo.dist_cone_batch(X, C), geo.dist_cone_batch(X, fresh))
+    assert np.array_equal(geo.cap_points(C), geo.cap_points(fresh))
+    assert geo.cap_points(C) is geo.cap_points(C)
+    assert geo.dual_cone(C) is geo.dual_cone(C)
+    with pytest.raises(ValueError):
+        geo.cap_points(C)[0] = 7.0
+    with pytest.raises(ValueError):
+        C.mat[0, 0] = 7.0
+    R, P = C.faces[0]
+    with pytest.raises(ValueError):
+        P[0, 0] = 7.0
 
 
 # ---------------------------------------------------------------------------

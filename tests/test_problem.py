@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from vep import geometry as geo
 from vep import merit as mr
 from vep import problem as pb
 from vep import solver as sv
+from vep import subdiff as sd
+
+from _oracles import per_value_cone_dist
+
+GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
 
 FILE_TEXT = """
 # same instance as the builtin, written through the file format
@@ -146,6 +153,19 @@ def test_oracle_everything_solves_for_zero_f(zero_f):
     assert len(sols) == pb.OracleGrid().x_resolution
 
 
+def test_oracle_batched_cone_distance_keeps_the_per_value_rows(monkeypatch):
+    # gencone's generator-form cone goes through the face kernel; the
+    # reference is one scalar nnls distance per value
+    prob = pb.load(str(GENCONE))
+    for t in (0.0, 0.7, -1.5):
+        batched = pb.oracle_solutions(prob, [t])
+        with monkeypatch.context() as mp:
+            mp.setattr(geo, "dist_cone_batch", per_value_cone_dist)
+            reference = pb.oracle_solutions(prob, [t])
+        assert len(batched) > 0
+        assert np.array_equal(batched, reference)
+
+
 def test_oracle_distances(tent):
     assert pb.oracle_dist_to_solutions(tent, [0.0], [0.0]) == pytest.approx(1.0, abs=1e-2)
     assert pb.oracle_dist_to_solutions(tent, [0.0], [1.0]) == pytest.approx(0.0, abs=1e-2)
@@ -212,8 +232,21 @@ ENTRIES = {
     "verify_error_bound": lambda prob, xi, x: dg.verify_error_bound(prob, xi, 1.0, 0.5),
     "stability_probe": lambda prob, xi, x: dg.stability_probe(prob, xi, x, 0.5),
     "check_c_bounded": dg.check_c_bounded,
+    "eval_nu": mr.eval_nu,
+    "eval_mu": mr.eval_mu,
+    "nu_partial_subgradient_smooth": sd.nu_partial_subgradient_smooth,
+    "nu_subgradient_full": sd.nu_subgradient_full,
+    "nu_outer_estimate": lambda prob, xi, x: sd.nu_outer_estimate(prob, xi, x, [0.05], 1.0),
+    "graph_normal_branches": sd.graph_normal_branches,
+    "coderivative_K": lambda prob, xi, x: sd.coderivative_K(prob, xi, x, [1.0]),
+    "coderivative_K_ball_image": sd.coderivative_K_ball_image,
+    "mu_subgradient_estimate": sd.mu_subgradient_estimate,
+    "mu_subgradient_coupled": sd.mu_subgradient_coupled,
+    "graph_E_normals": sd.graph_E_normals,
+    "oracle_solutions": lambda prob, xi, x: pb.oracle_solutions(prob, xi),
+    "oracle_dist_to_solutions": pb.oracle_dist_to_solutions,
 }
-XI_ONLY = ("estimate_gamma", "verify_error_bound")
+XI_ONLY = ("estimate_gamma", "verify_error_bound", "oracle_solutions")
 # example:paper has p = n = 1
 POINT_CASES = ([(name, "xi-long", ([0.0, 5.0], [1.0])) for name in ENTRIES]
                + [(name, "x-long", ([0.0], [1.0, 1.0])) for name in ENTRIES

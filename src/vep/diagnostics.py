@@ -420,11 +420,12 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
     beta = 0.0
     lsc_ok = True
     lsc_witness = None
-    sols_by_t = {}
-    for t in ts:
-        sols = pb.oracle_solutions(prob, [t])
-        sols_by_t[t] = sols
-        me = mr.eval_merit(prob, [t], x_bar).merit
+    sols_by_t = {t: pb.oracle_solutions(prob, [t]) for t in ts}
+    # merit at (t, x_bar + dx) for every t and dx; column 1 is x_bar itself
+    table = np.array([[mr.eval_merit(prob, [t], x_bar + dx).merit for dx in (-0.25, 0.0, 0.25)]
+                      for t in ts])
+    for t, me in zip(ts, table[:, 1].tolist()):
+        sols = sols_by_t[t]
         slack = _solution_grid_step(prob, [t]) + 1e-9
         d = float(np.min(np.linalg.norm(sols - x_bar, axis=1))) if len(sols) else math.inf
         if d > me / gamma + slack:
@@ -434,12 +435,7 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
         if dt > 1e-12:
             beta = max(beta, me / dt)
     # local Lipschitz constant of merit in xi near the point
-    ell = 0.0
-    for i in range(len(ts) - 1):
-        for dx in (-0.25, 0.0, 0.25):
-            a = mr.eval_merit(prob, [ts[i]], x_bar + dx).merit
-            b = mr.eval_merit(prob, [ts[i + 1]], x_bar + dx).merit
-            ell = max(ell, abs(a - b) / abs(ts[i + 1] - ts[i]))
+    ell = float(np.max(np.abs(np.diff(table, axis=0)) / np.diff(ts)[:, None]))
     aubin_bound = ell / gamma
     worst_ratio = 0.0
     for i in range(len(ts) - 1):

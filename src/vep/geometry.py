@@ -845,37 +845,27 @@ def truncated_normal(x, S) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 def halfspace_vertices(H: Halfspaces) -> np.ndarray:
-    """Vertices of a bounded halfspace intersection (Chebyshev center + qhull)."""
-    from scipy.spatial import HalfspaceIntersection
-
-    A, b = H.A, H.b
-    if H.dim == 1:
-        lo, up = -np.inf, np.inf
-        for a, off in zip(A[:, 0], b):
-            if a > 1e-300:
-                up = min(up, off / a)
-            elif a < -1e-300:
-                lo = max(lo, off / a)
-            elif off < -1e-12:
-                raise GeometryError("halfspace set empty")
-        if not (np.isfinite(lo) and np.isfinite(up)):
-            raise GeometryError("halfspace set unbounded")
-        if lo > up + 1e-12:
-            raise GeometryError("halfspace set empty")
-        return np.array([[lo]]) if up - lo <= 0 else np.array([[lo], [up]])
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
-    res = linprog(
-        np.concatenate([np.zeros(H.dim), [-1.0]]),
-        A_ub=np.hstack([A, norms]),
-        b_ub=b,
-        bounds=[(None, None)] * H.dim + [(0, None)],
-        method="highs",
-    )
-    if not res.success or res.x[-1] <= 1e-12:
-        raise GeometryError("halfspace set empty or has no interior")
-    interior = res.x[:-1]
-    try:
-        hs = HalfspaceIntersection(np.hstack([A, -b.reshape(-1, 1)]), interior)
-    except QhullError as err:
-        raise GeometryError(f"halfspace vertex enumeration failed: {err}")
-    return _prune_hull(hs.intersections)
+    """Vertices of a bounded, nonempty {z : Az <= b} by basis enumeration: the
+    feasible solutions of its nonsingular n-row subsystems.  The set is
+    bounded iff A has rank n and no (n-1)-row subsystem has a null direction
+    d with Ad <= 0, an extreme ray of the recession cone."""
+    A, b, n = H.A, H.b, H.dim
+    norms = np.linalg.norm(A, axis=1)
+    if np.linalg.matrix_rank(A) < n:
+        raise GeometryError("halfspace set unbounded or empty: rows have rank < dim")
+    M = A[np.array(list(itertools.combinations(range(len(A)), n - 1)), dtype=int)]
+    # generalized cross product: the null direction of each (n-1)-row subsystem
+    d = np.stack([(-1) ** j * np.linalg.det(np.delete(M, j, axis=2)) for j in range(n)], axis=1)
+    d = d[np.linalg.norm(d, axis=1) > 1e-12 * np.prod(np.linalg.norm(M, axis=2), axis=1)]
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    if np.any(np.all(np.vstack([d, -d]) @ A.T <= 1e-9 * norms, axis=1)):
+        raise GeometryError("halfspace set unbounded")
+    S = np.array(list(itertools.combinations(range(len(A)), n)))
+    S = S[np.abs(np.linalg.det(A[S])) > 1e-12 * np.prod(norms[S], axis=1)]
+    Z = np.linalg.solve(A[S], b[S][..., None])[..., 0]
+    Z = Z[np.all(Z @ A.T <= b + 1e-9 * (1.0 + np.abs(b)), axis=1)]
+    if len(Z) == 0:
+        raise GeometryError("halfspace set empty")
+    # a degenerate vertex solves several subsystems: keep its first solution
+    gap = np.abs(Z[:, None, :] - Z[None, :, :]).max(axis=2)
+    return Z[~np.triu(gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=1)), 1).any(axis=0)]

@@ -52,12 +52,11 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
     plus multistart local ascent is used and the method is recorded.
     """
     xi, x = prob.point(xi, x)
-    return _nu(prob, xi, x, eps)
+    return _nu(prob, xi, x, eps, pb.slice_at(prob.K, xi))
 
 
-def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float) -> NuEval:
-    """eval_nu at a point already checked by ``prob.point``."""
-    S = pb.slice_at(prob.K, xi)
+def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> NuEval:
+    """eval_nu at a point already checked by ``prob.point``, on its slice S."""
     flags: list[str] = []
 
     verts = None
@@ -127,17 +126,14 @@ def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float) -> NuEva
 def eval_mu(prob: pb.VepProblem, xi, x) -> float:
     """Distance of x to the slice K(xi)."""
     xi, x = prob.point(xi, x)
-    return _mu(prob, xi, x)
-
-
-def _mu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray) -> float:
     return geo.dist(x, pb.slice_at(prob.K, xi))
 
 
 def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
     xi, x = prob.point(xi, x)
-    nu = _nu(prob, xi, x, eps)
-    mu = _mu(prob, xi, x)
+    S = pb.slice_at(prob.K, xi)
+    nu = _nu(prob, xi, x, eps, S)
+    mu = geo.dist(x, S)
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)
 
 

@@ -474,10 +474,11 @@ def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np
     """
     grid = grid or OracleGrid()
     xi, _ = prob.point(xi, None)
+    if prob.n > 2:
+        raise ProblemError(f"oracle grids support n <= 2: at n = {prob.n} each xi compares "
+                           f"{grid.x_resolution}^{2 * prob.n} (x, z) grid pairs")
     S = slice_at(prob.K, xi)
     axes, truncated = _axis_grids(prob, S, grid.x_resolution)
-    if prob.n > 3:
-        raise ProblemError("oracle grids support n <= 3")
     pts = _grid_points(axes)
     step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
     keep = _members(S, pts, 0.5 * step + 1e-12)

@@ -56,3 +56,26 @@ def per_value_cone_dist(F, C):
     cols = np.asarray(F, dtype=float).reshape(C.dim, -1)
     return np.array([geo.dist(cols[:, j], C)
                      for j in range(cols.shape[1])]).reshape(np.shape(F)[1:])
+
+
+def qhull_vertices(A, b):
+    """Vertices of a bounded {z : Az <= b} with an interior, by a Chebyshev
+    centre LP and qhull's halfspace intersection (a closed form for n = 1):
+    the reference for the basis enumeration in ``halfspace_vertices``."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    n = A.shape[1]
+    if n == 1:
+        lo = max((off / a for a, off in zip(A[:, 0], b) if a < 0), default=-np.inf)
+        up = min((off / a for a, off in zip(A[:, 0], b) if a > 0), default=np.inf)
+        assert np.isfinite(lo) and np.isfinite(up) and lo < up
+        return np.array([[lo], [up]])
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    res = linprog(np.concatenate([np.zeros(n), [-1.0]]), A_ub=np.hstack([A, norms]), b_ub=b,
+                  bounds=[(None, None)] * n + [(0, None)], method="highs")
+    assert res.success and res.x[-1] > 1e-12
+    pts = HalfspaceIntersection(np.hstack([A, -b.reshape(-1, 1)]), res.x[:-1]).intersections
+    return pts[ConvexHull(pts).vertices]

@@ -225,6 +225,71 @@ upper = inf
     assert code == 0
     assert "stationary-within-tol" in body
 
+def test_flat_polytope_slice_is_vertex_exact(capsys, tmp_path):
+    # K(xi) is the segment from (-1, 2) to (2, -1): bounded, with no interior
+    text = """
+[problem]
+p = 1
+n = 2
+m = 2
+window_xi = -2, 2
+window_x = -2, 3
+
+[cone]
+type = orthant
+
+[K]
+type = polytope
+A = 1, 1 ; -1, -1 ; 1, 0 ; 0, 1 ; -1, 0 ; 0, -1
+b = 1 ; -1 ; 2 ; 2 ; 1 ; 1
+
+[f]
+components = x1 - z1 ; abs(xi1)
+
+[objective]
+expr = xi1^2 + x1^2 + x2^2
+"""
+    path = tmp_path / "flat.vep"
+    path.write_text(text)
+    code, body = run_cli(capsys, "eval", str(path), "--xi", "0", "--x", "0.5,0.5")
+    assert code == 0
+    assert "nu: 1.5" in body and "method: vertex-exact" in body
+    assert "flags: []" in body
+
+
+def test_oracle_rejects_three_dimensional_x(capsys, tmp_path):
+    text = """
+[problem]
+p = 1
+n = 3
+m = 1
+window_xi = -2, 2
+window_x = -2, 2
+
+[cone]
+type = orthant
+
+[K]
+type = box
+lower = -1 ; -1 ; -1
+upper = 1 ; 1 ; 1
+
+[f]
+components = x1 - z1
+
+[objective]
+expr = xi1
+"""
+    path = tmp_path / "cube.vep"
+    path.write_text(text)
+    code = cli.main(["probe-stability", str(path), "--xi-bar", "0", "--x-bar", "0,0,0",
+                     "--gamma", "0.9"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "n <= 2" in err and "Traceback" not in err
+
+
 def test_check_erbo_witness_when_p_differs_from_n(capsys, tmp_path):
     # f = (z1 - 2, 1) leaves the cone for every z in K, and nu is constant
     # in x, so gamma is refuted; its witness (xi, x) has blocks of 1 and 2

@@ -5,7 +5,7 @@ import hypothesis.strategies as st
 
 from vep import geometry as geo
 
-from _oracles import grid_min_distance, per_value_cone_dist, sampled_min_norm
+from _oracles import grid_min_distance, per_value_cone_dist, qhull_vertices, sampled_min_norm
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -375,3 +375,60 @@ def test_halfspace_vertices_unit_square():
     V = geo.halfspace_vertices(H)
     expect = {(-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)}
     assert {tuple(np.round(v, 9)) for v in V} == expect
+
+
+def _same_vertex_set(V, W, tol=1e-9):
+    """Every row of V is within tol of exactly one row of W, and back."""
+    gap = np.abs(V[:, None, :] - W[None, :, :]).max(axis=2)
+    near = gap <= tol * (1.0 + np.abs(V).max(axis=1))[:, None]
+    return bool(np.all(near.sum(axis=1) == 1) and np.all(near.sum(axis=0) == 1))
+
+
+def _random_polytopes(rng):
+    """Bounded polytopes with an interior in 1, 2 and 3 dimensions: a box of
+    half-width 3 around a random centre, cut by up to 6 random rows that
+    keep the centre inside."""
+    for n in (1, 2, 3):
+        for _ in range(40):
+            c = rng.uniform(-2, 2, n)
+            k = int(rng.integers(1, 7))
+            rows = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(k, n))])
+            off = np.concatenate([np.full(2 * n, 3.0), rng.uniform(0.2, 2.0, k)])
+            yield rows, rows @ c + off
+
+
+def test_halfspace_vertices_match_qhull_on_random_polytopes():
+    rng = np.random.default_rng(20260)
+    for A, b in _random_polytopes(rng):
+        V = geo.halfspace_vertices(geo.Halfspaces(A, b))
+        assert _same_vertex_set(V, qhull_vertices(A, b)), (A, b)
+        assert _same_vertex_set(V, V)  # no duplicates
+
+
+def test_halfspace_vertices_degenerate_polytope_slice():
+    # perfbench/problems/polytope.vep at xi = 0: three rows meet at (2, -1)
+    A = [[1, 1], [1, 0], [0, 1], [-1, 0], [0, -1]]
+    b = [1, 2, 2, 1, 1]
+    V = geo.halfspace_vertices(geo.Halfspaces(A, b))
+    assert sorted(map(tuple, V.tolist())) == [(-1.0, -1.0), (-1.0, 2.0), (2.0, -1.0)]
+    assert _same_vertex_set(V, qhull_vertices(A, b))
+
+
+def test_halfspace_vertices_of_a_flat_slice():
+    # x1 + x2 = 1 inside the box [-1, 2]^2: the segment from (-1, 2) to (2, -1)
+    H = geo.Halfspaces([[1, 1], [-1, -1], [1, 0], [0, 1], [-1, 0], [0, -1]],
+                       [1, -1, 2, 2, 1, 1])
+    V = geo.halfspace_vertices(H)
+    assert sorted(map(tuple, V.tolist())) == [(-1.0, 2.0), (2.0, -1.0)]
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[-1, 0], [0, -1]], [0, 0]),                # wedge
+    ([[1]], [1]),                                # half-line
+    ([[1, 0], [-1, 0]], [1, 1]),                 # rank-deficient rows (a strip)
+    ([[1, 0, 0]], [1]),                          # fewer rows than dimensions
+    ([[1, 0], [0, 1], [-1, -1]], [0, 0, -1]),    # empty
+])
+def test_halfspace_vertices_rejects_unbounded_and_empty(A, b):
+    with pytest.raises(geo.GeometryError):
+        geo.halfspace_vertices(geo.Halfspaces(A, b))

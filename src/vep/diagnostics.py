@@ -74,9 +74,9 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     witness = None
     flags: set[str] = set()
     tested = 0
-    for xi, x in samples:
-        me = mr.eval_merit(prob, xi, x)
-        if me.merit <= 1e-8:
+    merits = mr.eval_merit_batch(prob, [xi for xi, _ in samples], [x for _, x in samples])
+    for (xi, x), merit in zip(samples, merits.tolist()):
+        if merit <= 1e-8:
             continue
         tested += 1
         est = sd.nu_partial_subgradient_smooth(prob, xi, x)
@@ -122,9 +122,10 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
             empty_slices.append(t)
             continue
         slack = _solution_grid_step(prob, [t]) + 1e-9
-        for xv in x_grid:
+        merits = mr.eval_merit_batch(prob, np.full((len(x_grid), 1), t), x_grid[:, None])
+        for xv, merit in zip(x_grid, merits.tolist()):
             d = float(np.min(np.abs(sols[:, 0] - xv)))
-            bound = mr.eval_merit(prob, [t], [xv]).merit / gamma + slack
+            bound = merit / gamma + slack
             gap = d - bound
             if gap > worst:
                 worst = gap
@@ -422,8 +423,9 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
     lsc_witness = None
     sols_by_t = {t: pb.oracle_solutions(prob, [t]) for t in ts}
     # merit at (t, x_bar + dx) for every t and dx; column 1 is x_bar itself
-    table = np.array([[mr.eval_merit(prob, [t], x_bar + dx).merit for dx in (-0.25, 0.0, 0.25)]
-                      for t in ts])
+    dxs = (-0.25, 0.0, 0.25)
+    table = mr.eval_merit_batch(prob, np.repeat(ts, len(dxs))[:, None],
+                                [x_bar + dx for _ in ts for dx in dxs]).reshape(len(ts), len(dxs))
     for t, me in zip(ts, table[:, 1].tolist()):
         sols = sols_by_t[t]
         slack = _solution_grid_step(prob, [t]) + 1e-9

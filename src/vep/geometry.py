@@ -7,6 +7,7 @@ favour robustness and exactness certificates over speed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,9 +64,15 @@ class Box:
             raise GeometryError("vertices of an unbounded box")
         if self.dim > 16:
             raise GeometryError("box vertex enumeration beyond 16 dims")
-        corners = np.array(np.meshgrid(*[(lo, up) for lo, up in zip(self.lower, self.upper)],
-                                       indexing="ij"))
-        return corners.reshape(self.dim, -1).T
+        return box_corners(self.lower, self.upper)
+
+
+def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """The 2^n corners of boxes with bounds of shape (..., n), as an array of
+    shape (..., 2^n, n); the first coordinate changes slowest."""
+    n = lower.shape[-1]
+    upper_bit = (np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1
+    return np.where(upper_bit == 1, upper[..., None, :], lower[..., None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,8 +303,12 @@ def project(x, S):
 
 
 def dist(x, S) -> float:
-    """Distance of a point to a set; +inf for an infeasible halfspace set."""
+    """Distance of a point to a set; +inf for an infeasible halfspace set.
+    A polyhedral cone other than the orthant takes ``dist_cone_batch``, so
+    a value's distance is one number whether it comes alone or in a batch."""
     x = np.asarray(x, dtype=float)
+    if isinstance(S, ConeRepr) and S.kind != "orthant":
+        return float(dist_cone_batch(x, S))
     try:
         return float(np.linalg.norm(x - project(x, S)))
     except GeometryError as err:
@@ -321,29 +332,38 @@ def dist_cone_batch(F: np.ndarray, C: ConeRepr) -> np.ndarray:
     and the apex, the one nearest to x.  The residual ‖x - Rᵀc‖ is formed
     explicitly: ‖x‖² - ‖Rᵀc‖² cancels to about 1e-8 near the cone.  For a
     halfspace-form cone the faces are those of the polar cone, and the
-    distance is the norm of the projection onto the polar.  Temporaries are
-    a few arrays of one value per column, reused across faces.
+    distance is the norm of the projection onto the polar.  Every product is
+    an elementwise multiply-add in a fixed order, so a column's distance
+    does not depend on the other columns.  Temporaries are a few arrays of
+    one value per column, reused across faces.
     """
     if C.kind == "orthant":
         return dist_orthant_batch(F)
     X = np.asarray(F, dtype=float).reshape(C.dim, -1)
     n = X.shape[1]
     polar = C.kind == "halfspaces"
-    best = np.einsum("ij,ij->j", X, X)      # squared residual, apex first
+    best = X[0] * X[0]                      # squared residual, apex first
+    for i in range(1, C.dim):
+        best += X[i] * X[i]
     out = np.zeros(n) if polar else best    # squared distance
     coef = np.empty((C.dim, n))
-    proj, res, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    sq, norm2 = (np.empty(n), np.empty(n)) if polar else (None, None)
+    proj, tmp, res, ok = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    norm2 = np.empty(n) if polar else None
     for R, P in C.faces:
-        c = np.dot(P.T, X, out=coef[:len(R)])
+        c = coef[:len(R)]                   # c = Pᵀx
+        np.multiply(P[0][:, None], X[0], out=c)
+        for i in range(1, C.dim):
+            c += P[i][:, None] * X[i]
         np.all(c >= 0.0, axis=0, out=ok)
         res.fill(0.0)
         if polar:
             norm2.fill(0.0)
         for i in range(C.dim):
-            np.dot(R[:, i], c, out=proj)    # coordinate i of Rᵀc
+            np.multiply(R[0, i], c[0], out=proj)    # coordinate i of Rᵀc
+            for r in range(1, len(R)):
+                proj += np.multiply(R[r, i], c[r], out=tmp)
             if polar:
-                norm2 += np.multiply(proj, proj, out=sq)
+                norm2 += np.multiply(proj, proj, out=tmp)
             np.subtract(X[i], proj, out=proj)
             res += np.multiply(proj, proj, out=proj)
         ok &= res < best
@@ -701,7 +721,22 @@ def _prune_hull(pts: np.ndarray) -> np.ndarray:
             return pts[hull.vertices]
         except QhullError:
             pass
-    return np.unique(np.round(pts, 12), axis=0)
+    # a flat set: its hull within its affine hull, in reduced coordinates
+    centred = pts - pts.mean(axis=0)
+    _, sing, Vt = np.linalg.svd(centred, full_matrices=False)
+    rank = int(np.sum(sing > 1e-10 * sing[0]))
+    Y = centred @ Vt[:rank].T
+    if rank == 0:
+        return pts[:1]
+    if rank == 1:
+        lo, hi = int(np.argmin(Y[:, 0])), int(np.argmax(Y[:, 0]))
+        return pts[[lo, hi]]
+    if rank <= 6:
+        try:
+            return pts[ConvexHull(Y).vertices]
+        except QhullError:
+            pass
+    return np.unique(pts, axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -844,28 +879,70 @@ def truncated_normal(x, S) -> ConvexBody:
 # halfspace-form polytopes
 # ---------------------------------------------------------------------------
 
+# why a slice has no vertex list, by the code ``basis_points`` returns
+NO_VERTICES = ("", "halfspace set unbounded or empty: rows have rank < dim",
+               "halfspace set unbounded", "halfspace set empty")
+
+
+def basis_points(A: np.ndarray, b: np.ndarray):
+    """Basis enumeration for a stack of polytopes {z : A[i] z <= b[i]}, A of
+    shape (N, k, n) and b of shape (N, k).
+
+    Returns (Z, feasible, code).  Z, of shape (N, S, n), holds the solution
+    of every nonsingular n-row subsystem of each slice (zeros for the
+    singular ones), in the order of the row subsets; ``feasible`` (N, S)
+    marks the solutions with A z <= b, which are the vertices, a degenerate
+    vertex once per subsystem it solves.  ``code`` (N,) is 0 for a bounded,
+    nonempty slice and otherwise indexes the reason in ``NO_VERTICES`` that
+    it has no vertex list: no nonsingular n-row subsystem (rank A < n), an
+    extreme ray of the recession cone (a null direction d of an (n-1)-row
+    subsystem with Ad <= 0 or Ad >= 0), or no feasible solution.
+    """
+    N, k, n = A.shape
+    norms = np.linalg.norm(A, axis=2)
+    At = A.transpose(0, 2, 1)
+    rows = _row_subsets(k, n)
+    AS = A[:, rows]
+    nonsingular = np.abs(np.linalg.det(AS)) > 1e-12 * np.prod(norms[:, rows], axis=2)
+    Z = np.zeros((N, len(rows), n))
+    Z[nonsingular] = np.linalg.solve(AS[nonsingular], b[:, rows][nonsingular][..., None])[..., 0]
+    feasible = nonsingular & np.all(Z @ At <= (b + 1e-9 * (1.0 + np.abs(b)))[:, None, :], axis=2)
+    # generalized cross product: the null direction of each (n-1)-row
+    # subsystem, from its n minors in one determinant call
+    M = A[:, _row_subsets(k, n - 1)]
+    cols, signs = _minors(n)
+    d = np.linalg.det(M[..., cols].swapaxes(-3, -2)) * signs
+    dn = np.linalg.norm(d, axis=2)
+    real = dn > 1e-12 * np.prod(np.linalg.norm(M, axis=3), axis=2)
+    Ad, tol = d @ At, 1e-9 * dn[..., None] * norms[:, None, :]
+    ray = real & (np.all(Ad <= tol, axis=2) | np.all(Ad >= -tol, axis=2))
+    code = np.zeros(N, dtype=int)    # the first reason that applies wins
+    code[~feasible.any(axis=1)] = 3
+    code[ray.any(axis=1)] = 2
+    code[~nonsingular.any(axis=1)] = 1
+    return Z, feasible, code
+
+
+@functools.lru_cache(maxsize=None)
+def _row_subsets(k: int, j: int) -> np.ndarray:
+    subsets = list(itertools.combinations(range(k), j))
+    return _read_only(np.array(subsets, dtype=int).reshape(len(subsets), j))
+
+
+@functools.lru_cache(maxsize=None)
+def _minors(n: int) -> tuple:
+    """Column indices of the n minors of an (n-1) x n matrix, and their signs."""
+    cols = np.array([[c for c in range(n) if c != j] for j in range(n)], dtype=int)
+    return _read_only(cols.reshape(n, n - 1)), _read_only((-1.0) ** np.arange(n))
+
+
 def halfspace_vertices(H: Halfspaces) -> np.ndarray:
-    """Vertices of a bounded, nonempty {z : Az <= b} by basis enumeration: the
-    feasible solutions of its nonsingular n-row subsystems.  The set is
-    bounded iff A has rank n and no (n-1)-row subsystem has a null direction
-    d with Ad <= 0, an extreme ray of the recession cone."""
-    A, b, n = H.A, H.b, H.dim
-    norms = np.linalg.norm(A, axis=1)
-    if np.linalg.matrix_rank(A) < n:
-        raise GeometryError("halfspace set unbounded or empty: rows have rank < dim")
-    M = A[np.array(list(itertools.combinations(range(len(A)), n - 1)), dtype=int)]
-    # generalized cross product: the null direction of each (n-1)-row subsystem
-    d = np.stack([(-1) ** j * np.linalg.det(np.delete(M, j, axis=2)) for j in range(n)], axis=1)
-    d = d[np.linalg.norm(d, axis=1) > 1e-12 * np.prod(np.linalg.norm(M, axis=2), axis=1)]
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    if np.any(np.all(np.vstack([d, -d]) @ A.T <= 1e-9 * norms, axis=1)):
-        raise GeometryError("halfspace set unbounded")
-    S = np.array(list(itertools.combinations(range(len(A)), n)))
-    S = S[np.abs(np.linalg.det(A[S])) > 1e-12 * np.prod(norms[S], axis=1)]
-    Z = np.linalg.solve(A[S], b[S][..., None])[..., 0]
-    Z = Z[np.all(Z @ A.T <= b + 1e-9 * (1.0 + np.abs(b)), axis=1)]
-    if len(Z) == 0:
-        raise GeometryError("halfspace set empty")
+    """Vertices of a bounded, nonempty {z : Az <= b}: ``basis_points`` for
+    one slice, a degenerate vertex kept once."""
+    Z, feasible, code = basis_points(H.A[None], H.b[None])
+    if code[0]:
+        raise GeometryError(NO_VERTICES[code[0]])
+    Z = Z[0][feasible[0]]
     # a degenerate vertex solves several subsystems: keep its first solution
     gap = np.abs(Z[:, None, :] - Z[None, :, :]).max(axis=2)
     return Z[~np.triu(gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=1)), 1).any(axis=0)]

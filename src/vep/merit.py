@@ -36,8 +36,80 @@ class MeritEval:
 
 
 def _dist_f_to_cone(prob: pb.VepProblem, xi, x, z) -> float:
-    F = prob.f.eval(xi=xi, x=x, z=z).reshape(prob.m)
-    return geo.dist(F, prob.cone)
+    return float(_f_dists(prob, xi[None], x[None], np.reshape(z, (1, 1, -1)))[0, 0])
+
+
+def _dist_rows(D: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of D (shape (..., d)), each computed as
+    np.linalg.norm computes a vector's: the square root of one dot product
+    (a stacked matmul; a sum of squares rounds differently)."""
+    return np.sqrt(np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0])
+
+
+def _f_dists(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """dist(f(XI[i], X[i], Z[i, j]), C) for N points and V slice points
+    each, Z of shape (N, V, n): one evaluation of f and one cone distance.
+    An entry does not depend on the others: the orthant distance is taken
+    as ``geo.dist`` takes it, any other cone's by ``geo.dist_cone_batch``."""
+    xi, x, z = [c[:, None] for c in XI.T], [c[:, None] for c in X.T], list(Z.transpose(2, 0, 1))
+    F = np.empty(Z.shape[:2] + (prob.m,))
+    for j, comp in enumerate(prob.f.components):
+        F[..., j] = ex.eval_expr(comp, xi, x, z)
+    if prob.cone.kind == "orthant":
+        return _dist_rows(F - np.maximum(F, 0.0))
+    return geo.dist_cone_batch(np.moveaxis(F, -1, 0), prob.cone)
+
+
+def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
+    """The vertex-exact part of N points' slices: (exact, Z, feasible, mu).
+
+    ``exact`` marks the points whose slice is a bounded, nonempty box or a
+    polytope with a vertex list; for those, Z (shape (N', V, n)) holds
+    their slice's basis points (box corners, or ``geo.basis_points``, with
+    ``feasible`` marking the vertices) and mu the distance of x to the
+    slice, all as the scalar path computes them.
+    """
+    if isinstance(prob.K, pb.ParamBox):
+        if prob.n > 16:     # Box.vertices refuses so many corners
+            return np.zeros(len(XI), dtype=bool), None, None, None
+        lo, up = pb.slice_arrays(prob.K, XI)
+        exact = np.all(np.isfinite(lo) & np.isfinite(up) & (lo <= up + 1e-12), axis=1)
+        lo, up, X = lo[exact], up[exact], X[exact]
+        Z = geo.box_corners(lo, up)
+        return exact, Z, np.ones(Z.shape[:2], dtype=bool), _dist_rows(X - np.clip(X, lo, up))
+    A, b = pb.slice_arrays(prob.K, XI)
+    Z, feasible, code = geo.basis_points(A, b)
+    exact = code == 0
+    A, b, X = A[exact], b[exact], X[exact]
+    inside = np.all(np.matmul(A, X[..., None])[..., 0] <= b + 1e-12 * (1.0 + np.abs(b)), axis=1)
+    mu = np.zeros(len(X))
+    for i in np.flatnonzero(~inside):
+        mu[i] = geo.dist(X[i], geo.Halfspaces(A[i], b[i]))
+    return exact, Z[exact], feasible[exact], mu
+
+
+def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:
+    """Merit of N points, the rows of XI (N, p) and X (N, n), at once.
+
+    Entry i equals ``eval_merit(prob, XI[i], X[i]).merit`` bit for bit.
+    Where f is affine in z and a slice is a bounded box or a polytope with
+    a vertex list, the sup of nu is a max over the slice's vertices: the
+    slices of all such points, f over all (point, vertex) pairs and the cone
+    distance of every value are each computed once (infeasible basis points
+    of a polytope count as -inf; a repeated vertex cannot change a max).
+    Every other point goes through ``eval_merit``.
+    """
+    XI, X = prob.points(XI, X)
+    out = np.empty(len(XI))
+    exact = np.zeros(len(XI), dtype=bool)
+    if prob.f.affine_in_z and len(XI):
+        exact, Z, feasible, mu = _slice_vertices(prob, XI, X)
+    if exact.any():
+        nu = np.where(feasible, _f_dists(prob, XI[exact], X[exact], Z), -np.inf).max(axis=1)
+        out[exact] = nu + mu
+    for i in np.flatnonzero(~exact):
+        out[i] = eval_merit(prob, XI[i], X[i]).merit
+    return out
 
 
 def _enlarged_box(S: geo.Box, eps: float) -> geo.Box:
@@ -72,7 +144,7 @@ def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> Nu
             except geo.GeometryError:
                 pass
     if verts is not None:
-        vals = np.array([_dist_f_to_cone(prob, xi, x, v) for v in verts])
+        vals = _f_dists(prob, xi[None], x[None], verts[None])[0]
         best = float(vals.max())
         arg = tuple(v for v, w in zip(verts, vals) if w >= best - ARGMAX_TOL)
         return NuEval(best, arg, "vertex-exact", tuple(flags))
@@ -91,7 +163,7 @@ def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> Nu
     pts = pts[member]
     if len(pts) == 0:
         raise pb.ProblemError("empty sampling set for the excess supremum")
-    vals = np.array([_dist_f_to_cone(prob, xi, x, z) for z in pts])
+    vals = _f_dists(prob, xi[None], x[None], pts[None])[0]
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
     method = "grid"

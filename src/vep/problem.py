@@ -56,22 +56,38 @@ class ParamPolytope:
 
 
 def slice_at(K, xi) -> geo.Box | geo.Halfspaces:
-    """The set K(xi) in exact box / halfspace form."""
+    """The set K(xi) in exact box / halfspace form: ``slice_arrays`` for
+    one parameter row."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if isinstance(K, ParamBox):
-        lo = np.array([
-            -np.inf if e is None else float(ex.eval_expr(e, xi=xi)) for e in K.lower
-        ])
-        up = np.array([
-            np.inf if e is None else float(ex.eval_expr(e, xi=xi)) for e in K.upper
-        ])
-        if np.any(lo > up + 1e-12):
-            raise ProblemError(f"empty slice at xi={xi.tolist()}: lower > upper")
-        return geo.Box(lo, up)
+    first, second = slice_arrays(K, xi[None])
     if isinstance(K, ParamPolytope):
-        A = np.array([[float(ex.eval_expr(e, xi=xi)) for e in row] for row in K.rows])
-        b = np.array([float(ex.eval_expr(e, xi=xi)) for e in K.rhs])
-        return geo.Halfspaces(A, b)
+        return geo.Halfspaces(first[0], second[0])
+    if np.any(first[0] > second[0] + 1e-12):
+        raise ProblemError(f"empty slice at xi={xi.tolist()}: lower > upper")
+    return geo.Box(first[0], second[0])
+
+
+def slice_arrays(K, XI: np.ndarray):
+    """The slices K(XI[i]) of N parameter rows at once, with the numbers of
+    ``slice_at``: (lower, upper) of shape (N, n) for a box map, (A, b) of
+    shapes (N, k, n) and (N, k) for a polytope map.  Each bound expression
+    is evaluated once, over the columns of XI."""
+    cols = list(XI.T)
+
+    def fill(out, exprs, missing):
+        for j, e in enumerate(exprs):
+            out[:, j] = missing if e is None else ex.eval_expr(e, xi=cols)
+        return out
+
+    N = len(XI)
+    if isinstance(K, ParamBox):
+        return (fill(np.empty((N, K.n)), K.lower, -np.inf),
+                fill(np.empty((N, K.n)), K.upper, np.inf))
+    if isinstance(K, ParamPolytope):
+        A = np.empty((N, len(K.rows), K.n))
+        for r, row in enumerate(K.rows):
+            fill(A[:, r], row, None)
+        return A, fill(np.empty((N, len(K.rhs))), K.rhs, None)
     raise TypeError(f"unknown constraint map {type(K).__name__}")
 
 
@@ -113,6 +129,17 @@ class VepProblem:
         return (_checked_vector("xi", xi, self.p),
                 None if x is None else _checked_vector("x", x, self.n))
 
+    def points(self, XI, X) -> tuple[np.ndarray, np.ndarray]:
+        """N points, one per row, as float arrays of shapes (N, p) and (N, n).
+
+        Raises ProblemError on a row of the wrong length, row counts that
+        differ or a non-finite entry: rows are never broadcast.
+        """
+        XI, X = _checked_rows("xi", XI, self.p), _checked_rows("x", X, self.n)
+        if len(XI) != len(X):
+            raise ProblemError(f"{len(XI)} xi rows but {len(X)} x rows")
+        return XI, X
+
 
 def _checked_vector(name: str, v, dim: int) -> np.ndarray:
     a = np.atleast_1d(np.asarray(v, dtype=float))
@@ -120,6 +147,15 @@ def _checked_vector(name: str, v, dim: int) -> np.ndarray:
         raise ProblemError(f"{name} has {a.size} entries, expected {dim}")
     if not np.all(np.isfinite(a)):
         raise ProblemError(f"{name} has a non-finite entry: {a.tolist()}")
+    return a
+
+
+def _checked_rows(name: str, v, dim: int) -> np.ndarray:
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 2 or a.shape[1] != dim:
+        raise ProblemError(f"{name} rows have shape {a.shape}, expected (N, {dim})")
+    if not np.all(np.isfinite(a)):
+        raise ProblemError(f"{name} rows have a non-finite entry")
     return a
 
 

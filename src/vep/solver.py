@@ -98,8 +98,13 @@ def penalized_value(prob: pb.VepProblem, xi, x, lam: float, gamma: float) -> flo
         raise ValueError("lam and gamma must be positive")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _penalized(prob, xi, x, mr.eval_merit(prob, xi, x).merit, lam, gamma)
+
+
+def _penalized(prob, xi, x, merit: float, lam: float, gamma: float) -> float:
+    """penalized_value at (xi, x) with its merit already computed."""
     phi = float(ex.eval_expr(prob.objective, xi=xi, x=x))
-    pen = geo.dist(xi, prob.omega) + mr.eval_merit(prob, xi, x).merit / gamma
+    pen = geo.dist(xi, prob.omega) + merit / gamma
     return phi + lam * pen
 
 
@@ -117,10 +122,11 @@ def _penalized_subgradient(prob, xi, x, lam, gamma) -> np.ndarray:
     if d_om > 1e-12:
         g_om[:p] = (xi - geo.project(xi, prob.omega)) / d_om
 
-    def merit_at(q):
-        return mr.eval_merit(prob, q[:p], q[p:]).merit
-
-    g_mf = sd._fd_gradient(merit_at, np.concatenate([xi, x]), 1e-7)
+    # central differences, merit at every q + h e_i and q - h e_i in one batch
+    q, h = np.concatenate([xi, x]), 1e-7
+    Q = np.concatenate([q + h * np.eye(len(q)), q - h * np.eye(len(q))])
+    m = mr.eval_merit_batch(prob, Q[:, :p], Q[:, p:])
+    g_mf = (m[:len(q)] - m[len(q):]) / (2 * h)
     return g_phi + lam * g_om + (lam / gamma) * g_mf
 
 
@@ -149,12 +155,13 @@ def _penalized_slope(prob, q, lam, gamma, p) -> float:
     """Sampled strong slope of the penalized objective at q."""
     base = penalized_value(prob, q[:p], q[p:], lam, gamma)
     dirs = _default_dirs(len(q))
+    radii = [r for r in (1e-3, 1e-4) for _ in dirs]
+    W = np.array([q + r * u for r, u in zip(radii, dirs * 2)])
+    merits = mr.eval_merit_batch(prob, W[:, :p], W[:, p:])
     best = 0.0
-    for r in (1e-3, 1e-4):
-        for u in dirs:
-            w = q + r * np.asarray(u)
-            v = penalized_value(prob, w[:p], w[p:], lam, gamma)
-            best = max(best, (base - v) / r)
+    for r, w, me in zip(radii, W, merits.tolist()):
+        v = _penalized(prob, w[:p], w[p:], me, lam, gamma)
+        best = max(best, (base - v) / r)
     return best
 
 

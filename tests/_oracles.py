@@ -49,12 +49,12 @@ def sampled_min_norm(points, ball=0.0, n=20000, seed=0):
 
 
 def per_value_cone_dist(F, C):
-    """dist(., C) of stacked values F (shape (m, ...)), one scalar ``dist``
+    """dist(., C) of stacked values F (shape (m, ...)), one scalar projection
     (an nnls solve) per value: the reference for the batched cone kernel."""
     from vep import geometry as geo
 
     cols = np.asarray(F, dtype=float).reshape(C.dim, -1)
-    return np.array([geo.dist(cols[:, j], C)
+    return np.array([np.linalg.norm(cols[:, j] - geo.project(cols[:, j], C))
                      for j in range(cols.shape[1])]).reshape(np.shape(F)[1:])
 
 

@@ -114,6 +114,16 @@ def test_dist_cone_batch_matches_nnls_row_by_row():
         assert np.all(np.abs(got - ref) <= tol), (C.kind, C.mat)
 
 
+def test_scalar_cone_dist_is_its_batch_column():
+    # a value's distance to a polyhedral cone is one number, alone or in a batch
+    rng = np.random.default_rng(19)
+    for C in _random_cones(rng):
+        X = _values_near(C, rng, 40)
+        batch = geo.dist_cone_batch(X, C)
+        assert [geo.dist(X[:, j], C) for j in range(X.shape[1])] == batch.tolist(), (C.kind, C.mat)
+        assert np.array_equal(geo.dist_cone_batch(X[:, 3:9], C), batch[3:9])
+
+
 def test_dist_cone_batch_empty_rows_and_shape():
     x = np.array([[3.0], [-4.0]])
     assert geo.dist_cone_batch(x, geo.generated_cone(np.zeros((0, 2))))[0] == 5.0
@@ -432,3 +442,49 @@ def test_halfspace_vertices_of_a_flat_slice():
 def test_halfspace_vertices_rejects_unbounded_and_empty(A, b):
     with pytest.raises(geo.GeometryError):
         geo.halfspace_vertices(geo.Halfspaces(A, b))
+
+
+def test_basis_points_of_a_stack_match_qhull():
+    rng = np.random.default_rng(20261)
+    for n in (1, 2, 3):
+        polys = [(A, b) for A, b in _random_polytopes(rng) if A.shape[1] == n]
+        k = max(len(A) for A, _ in polys)
+        # pad with copies of a row, so the stack has one row count
+        A = np.stack([np.vstack([A] + [A[:1]] * (k - len(A))) for A, _ in polys])
+        b = np.stack([np.concatenate([b] + [b[:1]] * (k - len(b))) for _, b in polys])
+        Z, feasible, code = geo.basis_points(A, b)
+        assert Z.shape[:2] == feasible.shape and Z.shape[2] == n
+        assert list(code) == [0] * len(polys)
+        for i, (Ai, bi) in enumerate(polys):
+            V = Z[i][feasible[i]]
+            ref = qhull_vertices(Ai, bi)
+            # every feasible basis point is a vertex, and every vertex is one
+            gap = np.abs(V[:, None, :] - ref[None, :, :]).max(axis=2)
+            near = gap <= 1e-9 * (1.0 + np.abs(V).max(axis=1))[:, None]
+            assert np.all(near.any(axis=1)) and np.all(near.any(axis=0)), (Ai, bi)
+
+
+def test_basis_points_report_each_slice_on_its_own():
+    # triangle, wedge, strip (rank 1), empty: one stack of 3-row slices
+    A = np.array([[[1, 0], [0, 1], [-1, -1]],
+                  [[-1, 0], [0, -1], [-1, -1]],
+                  [[1, 0], [-1, 0], [2, 0]],
+                  [[1, 0], [0, 1], [-1, -1]]], dtype=float)
+    b = np.array([[1, 1, 0], [0, 0, 0], [1, 1, 1], [0, 0, -1]], dtype=float)
+    Z, feasible, code = geo.basis_points(A, b)
+    error = [geo.NO_VERTICES[c] for c in code]
+    assert error[0] == ""
+    assert "unbounded" in error[1] and "rank" in error[2] and "empty" in error[3]
+    assert sorted(map(tuple, Z[0][feasible[0]].tolist())) == [(-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+    for i in (1, 2, 3):
+        with pytest.raises(geo.GeometryError, match=error[i]):
+            geo.halfspace_vertices(geo.Halfspaces(A[i], b[i]))
+
+
+def test_prune_hull_of_a_flat_set_is_exact():
+    pts = np.array([[0, 0], [1 / 3, 1 / 3], [2 / 3, 2 / 3], [1, 1]])
+    assert sorted(map(tuple, geo._prune_hull(pts).tolist())) == [(0.0, 0.0), (1.0, 1.0)]
+    # a flat square in 3-D: the four corners, the centre and an edge point dropped
+    sq = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0], [1 / 3, 0, 0]])
+    assert sorted(map(tuple, geo._prune_hull(sq).tolist())) == sorted(map(tuple, sq[:4].tolist()))
+    assert geo._prune_hull(np.full((5, 2), 0.1)).tolist() == [[0.1, 0.1]]

@@ -118,3 +118,85 @@ def test_mu_not_convex_on_tent_is_detected(tent):
     # the tent feasible map is concave, not convex, and mu shows it
     ok, worst = mr.probe_midpoint_convexity(tent, "mu", n_segments=500, seed=3)
     assert not ok and worst > 0.1
+
+
+# ---------------------------------------------------------------------------
+# batched merit kernel
+# ---------------------------------------------------------------------------
+
+GENCONE = "perfbench/problems/gencone.vep"
+POLYTOPE = "perfbench/problems/polytope.vep"
+
+
+def _seeded_rows(prob, seed, count=150):
+    """Random points in a wide window, a third of them on a coarse grid so
+    that some land exactly on slice boundaries and solution sets."""
+    rng = np.random.default_rng(seed)
+    XI = rng.uniform(-2, 2, (count, prob.p))
+    X = rng.uniform(-3, 3, (count, prob.n))
+    XI[: count // 3] = np.round(XI[: count // 3], 1)
+    X[: count // 3] = np.round(X[: count // 3], 1)
+    return XI, X
+
+
+def _assert_kernel_is_scalar(prob, XI, X):
+    got = mr.eval_merit_batch(prob, XI, X)
+    ref = np.array([mr.eval_merit(prob, a, b).merit for a, b in zip(XI, X)])
+    assert got.shape == (len(XI),)
+    assert np.array_equal(got, ref), np.flatnonzero(got != ref)
+
+
+@pytest.mark.parametrize("source, seed", [("example:paper", 1), (POLYTOPE, 2), (GENCONE, 3)])
+def test_merit_batch_equals_scalar_merit_bit_for_bit(source, seed):
+    prob = pb.load(source)
+    XI, X = _seeded_rows(prob, seed)
+    _assert_kernel_is_scalar(prob, XI, X)
+
+
+def _toy(text: str) -> pb.VepProblem:
+    return pb.parse_problem_text("[problem]\np = 1\nn = 1\nm = 1\nwindow_xi = -2, 2\n"
+                                 "window_x = -3, 3\n[cone]\ntype = orthant\n" + text
+                                 + "\n[objective]\nexpr = xi1^2 + x1^2\n", "toy")
+
+
+@pytest.mark.parametrize("text", [
+    # unbounded box with a window: grid path, flagged unbounded-window
+    "[K]\ntype = box\nlower = -inf\nupper = abs(xi1) + 1\n[f]\ncomponents = x1 - z1",
+    # f not affine in z: grid and multistart path
+    "[K]\ntype = box\nlower = -1\nupper = abs(xi1) + 1\n[f]\ncomponents = x1 - z1^2",
+    # a polytope slice with a ray of its recession cone: grid path with the window
+    "[K]\ntype = polytope\nA = -1\nb = 1 + abs(xi1)\n[f]\ncomponents = x1 - z1",
+])
+def test_merit_batch_falls_back_to_the_scalar_path(text):
+    prob = _toy(text)
+    XI, X = _seeded_rows(prob, 4, count=30)
+    _assert_kernel_is_scalar(prob, XI, X)
+
+
+def test_merit_batch_mixes_exact_and_fallback_points():
+    # z in [0, xi1] is a vertex-exact slice for xi1 > 0 and empty for xi1 < 0
+    prob = _toy("[K]\ntype = polytope\nA = 1 ; -1\nb = xi1 ; 0\n[f]\ncomponents = x1 - z1")
+    XI = np.array([[0.5], [1.5], [0.25]])
+    X = np.array([[0.1], [2.0], [-1.0]])
+    _assert_kernel_is_scalar(prob, XI, X)
+    with pytest.raises(pb.ProblemError):
+        mr.eval_merit(prob, [-0.5], [0.0])
+    with pytest.raises(pb.ProblemError):
+        mr.eval_merit_batch(prob, np.vstack([XI, [[-0.5]]]), np.vstack([X, [[0.0]]]))
+
+
+def test_merit_batch_of_no_points(tent):
+    assert mr.eval_merit_batch(tent, np.zeros((0, 1)), np.zeros((0, 1))).shape == (0,)
+
+
+@pytest.mark.parametrize("XI, X", [
+    ([0.0, 1.0], [0.0, 1.0]),             # 1-D arrays are not rows
+    ([[0.0, 1.0]], [[0.0]]),              # xi row of length 2, p = 1
+    ([[0.0]], [[0.0, 1.0]]),              # x row of length 2, n = 1
+    ([[0.0], [1.0]], [[0.0]]),            # two xi rows, one x row
+    ([[0.0]], [[np.nan]]),
+    ([[np.inf]], [[0.0]]),
+])
+def test_merit_batch_rejects_bad_rows(tent, XI, X):
+    with pytest.raises(pb.ProblemError):
+        mr.eval_merit_batch(tent, XI, X)

@@ -238,11 +238,11 @@ def cmd_solve(prob, args, report: Report) -> int:
     except sv.SolverError as err:
         report.results["solver_error"] = str(err)
         return EXIT_SOLVER
-    me = mr.eval_merit(prob, xi_best, x_best)
+    merit = float(mr.eval_merit_batch(prob, xi_best[None], x_best[None])[0])
     report.results.update({
         "incumbent_xi": xi_best.tolist(),
         "incumbent_x": x_best.tolist(),
-        "incumbent_merit": me.merit,
+        "incumbent_merit": merit,
         "incumbent_omega_dist": geo.dist(xi_best, prob.omega),
         "stages": sorted({t.lam for t in trace}),
         "trace_tail": [
@@ -251,7 +251,7 @@ def cmd_solve(prob, args, report: Report) -> int:
             for t in trace[-4:]
         ],
     })
-    if me.merit > sv.TOL_MERIT * 10 or \
+    if merit > sv.TOL_MERIT * 10 or \
             geo.dist(xi_best, prob.omega) > sv.TOL_MERIT * 10:
         report.flags.append("no-feasible-incumbent")
         return EXIT_SOLVER

@@ -88,28 +88,36 @@ def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
     return exact, Z[exact], feasible[exact], mu
 
 
-def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:
-    """Merit of N points, the rows of XI (N, p) and X (N, n), at once.
+def _merit_parts(prob: pb.VepProblem, XI, X) -> tuple[np.ndarray, np.ndarray]:
+    """nu and mu of N points, the rows of XI (N, p) and X (N, n), at once.
 
-    Entry i equals ``eval_merit(prob, XI[i], X[i]).merit`` bit for bit.
-    Where f is affine in z and a slice is a bounded box or a polytope with
-    a vertex list, the sup of nu is a max over the slice's vertices: the
-    slices of all such points, f over all (point, vertex) pairs and the cone
-    distance of every value are each computed once (infeasible basis points
-    of a polytope count as -inf; a repeated vertex cannot change a max).
-    Every other point goes through ``eval_merit``.
+    Entry i of each equals ``eval_merit(prob, XI[i], X[i]).nu`` and ``.mu``
+    bit for bit.  Where f is affine in z and a slice is a bounded box or a
+    polytope with a vertex list, the sup of nu is a max over the slice's
+    vertices: the slices of all such points, f over all (point, vertex)
+    pairs and the cone distance of every value are each computed once
+    (infeasible basis points of a polytope count as -inf; a repeated vertex
+    cannot change a max).  Every other point goes through ``eval_merit``.
     """
     XI, X = prob.points(XI, X)
-    out = np.empty(len(XI))
+    nu, mu = np.empty(len(XI)), np.empty(len(XI))
     exact = np.zeros(len(XI), dtype=bool)
     if prob.f.affine_in_z and len(XI):
-        exact, Z, feasible, mu = _slice_vertices(prob, XI, X)
+        exact, Z, feasible, mu_exact = _slice_vertices(prob, XI, X)
     if exact.any():
-        nu = np.where(feasible, _f_dists(prob, XI[exact], X[exact], Z), -np.inf).max(axis=1)
-        out[exact] = nu + mu
+        nu[exact] = np.where(feasible, _f_dists(prob, XI[exact], X[exact], Z), -np.inf).max(axis=1)
+        mu[exact] = mu_exact
     for i in np.flatnonzero(~exact):
-        out[i] = eval_merit(prob, XI[i], X[i]).merit
-    return out
+        me = eval_merit(prob, XI[i], X[i])
+        nu[i], mu[i] = me.nu, me.mu
+    return nu, mu
+
+
+def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:
+    """Merit of N points, the rows of XI (N, p) and X (N, n), at once:
+    entry i equals ``eval_merit(prob, XI[i], X[i]).merit`` bit for bit."""
+    nu, mu = _merit_parts(prob, XI, X)
+    return nu + mu
 
 
 def _enlarged_box(S: geo.Box, eps: float) -> geo.Box:
@@ -218,40 +226,42 @@ def probe_lower_semicontinuity(prob: pb.VepProblem, n_sequences: int,
     """liminf of merit along random convergent sequences vs the limit value.
 
     Returns (ok, worst gap); worst gap is max over sequences of
-    merit(limit) - liminf_k merit_k.
+    merit(limit) - liminf_k merit_k.  Every sequence is drawn first, then
+    its limit and its tail points at r = 1e-7, 1e-8 along a fixed direction
+    go through one kernel call.
     """
     rng = np.random.default_rng(seed)
     xlo, xup = prob.x_window()
     wlo, wup = prob.xi_window()
-    worst = -np.inf
+    XI, X = [], []
     for _ in range(n_sequences):
         xi0 = rng.uniform(wlo, wup)
         x0 = rng.uniform(xlo, xup)
-        base = eval_merit(prob, xi0, x0).merit
         d_xi = rng.uniform(-1, 1, prob.p)
         d_x = rng.uniform(-1, 1, prob.n)
-        # tail of a sequence converging along a fixed direction
-        lim = min(
-            eval_merit(prob, xi0 + r * d_xi, x0 + r * d_x).merit
-            for r in (1e-7, 1e-8)
-        )
-        worst = max(worst, base - lim)
-    return bool(worst <= 1e-6), float(worst)
+        XI += [xi0, xi0 + 1e-7 * d_xi, xi0 + 1e-8 * d_xi]
+        X += [x0, x0 + 1e-7 * d_x, x0 + 1e-8 * d_x]
+    merit = eval_merit_batch(prob, np.reshape(XI, (-1, prob.p)),
+                             np.reshape(X, (-1, prob.n))).reshape(-1, 3)
+    worst = float(np.max(merit[:, 0] - merit[:, 1:].min(axis=1), initial=-np.inf))
+    return bool(worst <= 1e-6), worst
 
 
 def probe_midpoint_convexity(prob: pb.VepProblem, which: str,
                              n_segments: int, seed: int) -> tuple[bool, float]:
-    """Midpoint convexity of nu or mu on random segments inside the window."""
+    """Midpoint convexity of nu or mu on random segments inside the window:
+    every segment is drawn first, then its midpoint and ends go through one
+    kernel call."""
     rng = np.random.default_rng(seed)
     xlo, xup = prob.x_window()
     wlo, wup = prob.xi_window()
-    fn = (lambda a, b: eval_nu(prob, a, b).value) if which == "nu" \
-        else (lambda a, b: eval_mu(prob, a, b))
-    worst = -np.inf
+    XI, X = [], []
     for _ in range(n_segments):
         xi1, xi2 = rng.uniform(wlo, wup), rng.uniform(wlo, wup)
         x1, x2 = rng.uniform(xlo, xup), rng.uniform(xlo, xup)
-        mid = fn(0.5 * (xi1 + xi2), 0.5 * (x1 + x2))
-        avg = 0.5 * (fn(xi1, x1) + fn(xi2, x2))
-        worst = max(worst, mid - avg)
-    return bool(worst <= 1e-8), float(worst)
+        XI += [0.5 * (xi1 + xi2), xi1, xi2]
+        X += [0.5 * (x1 + x2), x1, x2]
+    nu, mu = _merit_parts(prob, np.reshape(XI, (-1, prob.p)), np.reshape(X, (-1, prob.n)))
+    val = (nu if which == "nu" else mu).reshape(-1, 3)
+    worst = float(np.max(val[:, 0] - 0.5 * (val[:, 1] + val[:, 2]), initial=-np.inf))
+    return bool(worst <= 1e-8), worst

@@ -96,16 +96,18 @@ def penalized_value(prob: pb.VepProblem, xi, x, lam: float, gamma: float) -> flo
     """objective + lam * (dist(xi, Omega) + merit/gamma)."""
     if lam <= 0 or gamma <= 0:
         raise ValueError("lam and gamma must be positive")
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _penalized(prob, xi, x, mr.eval_merit(prob, xi, x).merit, lam, gamma)
+    xi, x = prob.point(xi, x)
+    return float(_penalized_rows(prob, xi[None], x[None], lam, gamma)[0][0])
 
 
-def _penalized(prob, xi, x, merit: float, lam: float, gamma: float) -> float:
-    """penalized_value at (xi, x) with its merit already computed."""
-    phi = float(ex.eval_expr(prob.objective, xi=xi, x=x))
-    pen = geo.dist(xi, prob.omega) + merit / gamma
-    return phi + lam * pen
+def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
+                    gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """penalized_value and merit at the rows of XI and X: the merits from
+    one kernel call, the objective evaluated once over columns."""
+    merit = mr.eval_merit_batch(prob, XI, X)
+    phi = ex.eval_expr(prob.objective, xi=list(XI.T), x=list(X.T))
+    omega = np.array([geo.dist(xi, prob.omega) for xi in XI])
+    return phi + lam * (omega + merit / gamma), merit
 
 
 def _penalized_subgradient(prob, xi, x, lam, gamma) -> np.ndarray:
@@ -153,16 +155,11 @@ def _compass_polish(fn, q0: np.ndarray, step: float, lo, up) -> tuple[np.ndarray
 
 def _penalized_slope(prob, q, lam, gamma, p) -> float:
     """Sampled strong slope of the penalized objective at q."""
-    base = penalized_value(prob, q[:p], q[p:], lam, gamma)
     dirs = _default_dirs(len(q))
     radii = [r for r in (1e-3, 1e-4) for _ in dirs]
-    W = np.array([q + r * u for r, u in zip(radii, dirs * 2)])
-    merits = mr.eval_merit_batch(prob, W[:, :p], W[:, p:])
-    best = 0.0
-    for r, w, me in zip(radii, W, merits.tolist()):
-        v = _penalized(prob, w[:p], w[p:], me, lam, gamma)
-        best = max(best, (base - v) / r)
-    return best
+    W = np.array([q] + [q + r * u for r, u in zip(radii, dirs * 2)])
+    vals, _ = _penalized_rows(prob, W[:, :p], W[:, p:], lam, gamma)
+    return max(0.0, float(np.max((vals[0] - vals[1:]) / radii)))
 
 
 def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
@@ -193,8 +190,8 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
         def fn(w, _lam=lam):
             return penalized_value(prob, w[: prob.p], w[prob.p:], _lam, config.gamma)
 
-        stage_incumbents = []
-        for si, q_start in enumerate(incumbents):
+        stage_incumbents, stage_runs = [], []
+        for q_start in incumbents:
             seeds = [q_start,
                      np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up)]
             best_local, best_local_val, accepted = None, math.inf, 0
@@ -221,13 +218,16 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
                 if cur_val < best_local_val:
                     best_local, best_local_val, accepted = cur_best, cur_val, steps
             stage_incumbents.append(best_local)
-            me = mr.eval_merit(prob, best_local[: prob.p], best_local[prob.p:]).merit
-            trace.append(StageRecord(lam, si, accepted, best_local_val,
-                                     tuple(best_local.tolist()), me))
+            stage_runs.append((accepted, best_local_val))
         incumbents = stage_incumbents
-        j = int(np.argmin([fn(q) for q in incumbents]))
+        Q = np.array(incumbents)
+        values, merits = _penalized_rows(prob, Q[:, : prob.p], Q[:, prob.p:], lam, config.gamma)
+        trace.extend(StageRecord(lam, si, accepted, best_val, tuple(q.tolist()), me)
+                     for si, (q, (accepted, best_val), me)
+                     in enumerate(zip(incumbents, stage_runs, merits.tolist())))
+        j = int(np.argmin(values))
         incumbent = incumbents[j]
-        inc_merit = mr.eval_merit(prob, incumbent[: prob.p], incumbent[prob.p:]).merit
+        inc_merit = merits[j]
         inc_omega = geo.dist(incumbent[: prob.p], prob.omega)
         slope = _penalized_slope(prob, incumbent, lam, config.gamma, prob.p)
         feasible = inc_merit <= TOL_MERIT and inc_omega <= TOL_MERIT
@@ -270,7 +270,7 @@ def _phi_body(prob, xi_bar, x_bar) -> geo.ConvexBody:
 def _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph):
     if gamma is None or gamma <= 0:
         raise PreconditionError("gamma must be positive")
-    me = mr.eval_merit(prob, xi_bar, x_bar).merit
+    me = float(mr.eval_merit_batch(prob, xi_bar[None], x_bar[None])[0])
     if me > tol_on_graph:
         raise PreconditionError(
             f"point is not on the solution graph (merit {me:.3g} > {tol_on_graph:g})"

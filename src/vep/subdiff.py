@@ -115,29 +115,9 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
 # full-block subgradient of nu by gradient-limit hulls
 # ---------------------------------------------------------------------------
 
-def _fd_gradient(fn, q: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty(len(q))
-    for i in range(len(q)):
-        e = np.zeros(len(q))
-        e[i] = h
-        g[i] = (fn(q + e) - fn(q - e)) / (2 * h)
-    return g
-
-
-def _fd_gradient_checked(fn, q: np.ndarray, h: float) -> np.ndarray | None:
-    """Central-difference gradient, rejected when one-sided slopes disagree
-    (the probe straddles a kink)."""
-    g = np.empty(len(q))
-    f0 = fn(q)
-    for i in range(len(q)):
-        e = np.zeros(len(q))
-        e[i] = h
-        fwd = (fn(q + e) - f0) / h
-        bwd = (f0 - fn(q - e)) / h
-        if abs(fwd - bwd) > 1e-5 * (1.0 + abs(fwd) + abs(bwd)):
-            return None
-        g[i] = 0.5 * (fwd + bwd)
-    return g
+def _nu_rows(prob: pb.VepProblem, Q: np.ndarray) -> np.ndarray:
+    """nu at the rows of Q = [xi, x], by one call of the merit kernel."""
+    return mr._merit_parts(prob, Q[:, : prob.p], Q[:, prob.p:])[0]
 
 
 def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
@@ -149,23 +129,29 @@ def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     the resulting gradients and returns their hull.  For a convex nu this
     hull equals the convex subdifferential whenever every smooth region
     adjacent to the point is hit by a sample; the sampling resolution is
-    recorded.
+    recorded.  The ring points and their 2d difference neighbours go
+    through one kernel call; where no ring point is smooth, the central
+    difference at the point itself takes a second.
     """
     xi, x = prob.point(xi, x)
     q0 = np.concatenate([xi, x])
-
-    def val(q):
-        return mr.eval_nu(prob, q[: prob.p], q[prob.p:]).value
-
+    h = 1e-5
+    steps = h * np.eye(len(q0))
+    ring = q0 + 1e-3 * geo._sphere_dirs(len(q0), 64)
+    # per ring point q: q, then q + h e_i and q - h e_i for every i
+    stencil = np.concatenate([ring[:, None], ring[:, None] + steps, ring[:, None] - steps], axis=1)
+    nu = _nu_rows(prob, stencil.reshape(-1, len(q0))).reshape(stencil.shape[:2])
+    f0, fp, fm = nu[:, :1], nu[:, 1:len(q0) + 1], nu[:, len(q0) + 1:]
+    fwd, bwd = (fp - f0) / h, (f0 - fm) / h
+    # a ring point whose one-sided slopes disagree straddles a kink
+    smooth = ~np.any(np.abs(fwd - bwd) > 1e-5 * (1.0 + np.abs(fwd) + np.abs(bwd)), axis=1)
     grads: list[np.ndarray] = []
-    for u in geo._sphere_dirs(len(q0), 64):
-        g = _fd_gradient_checked(val, q0 + 1e-3 * u, 1e-5)
-        if g is None:
-            continue  # sample straddles a kink
-        if not any(np.max(np.abs(g - h)) <= 1e-6 for h in grads):
+    for g in 0.5 * (fwd[smooth] + bwd[smooth]):
+        if not any(np.max(np.abs(g - c)) <= 1e-6 for c in grads):
             grads.append(g)
     if not grads:
-        grads = [_fd_gradient(val, q0, 1e-5)]
+        nu = _nu_rows(prob, np.concatenate([q0 + steps, q0 - steps]))
+        grads = [(nu[: len(q0)] - nu[len(q0):]) / (2 * h)]
     body = geo.body_from_points(np.asarray(grads), label="nu-subgradient")
     convex = "nu-convex" in prob.asserts or (
         "K-concave" in prob.asserts and "f-C-concave" in prob.asserts

@@ -52,6 +52,15 @@ def test_load_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_bound_that_fails_to_evaluate_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.vep"
+    path.write_text("[problem]\np = 1\nn = 1\nm = 1\n[cone]\ntype = orthant\n"
+                    "[K]\ntype = box\nlower = -1\nupper = 1/(xi1 - xi1)\n"
+                    "[f]\ncomponents = x1 - z1\n[objective]\nexpr = x1^2\n")
+    assert cli.main(["eval", str(path), "--xi", "0", "--x", "0"]) == 2
+    assert "error: standing assumption violated" in capsys.readouterr().err
+
+
 def test_precondition_exit_code(capsys):
     code = cli.main(["check-stationarity", "example:paper",
                      "--xi-bar", "0", "--x-bar", "2", "--gamma", "0.5"])

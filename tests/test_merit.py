@@ -141,9 +141,13 @@ def _seeded_rows(prob, seed, count=150):
 
 def _assert_kernel_is_scalar(prob, XI, X):
     got = mr.eval_merit_batch(prob, XI, X)
-    ref = np.array([mr.eval_merit(prob, a, b).merit for a, b in zip(XI, X)])
+    scalar = [mr.eval_merit(prob, a, b) for a, b in zip(XI, X)]
+    ref = np.array([me.merit for me in scalar])
     assert got.shape == (len(XI),)
     assert np.array_equal(got, ref), np.flatnonzero(got != ref)
+    nu, mu = mr._merit_parts(prob, XI, X)
+    for part, want in ((nu, [me.nu for me in scalar]), (mu, [me.mu for me in scalar])):
+        assert np.array_equal(part, want), np.flatnonzero(part != want)
 
 
 @pytest.mark.parametrize("source, seed", [("example:paper", 1), (POLYTOPE, 2), (GENCONE, 3)])

@@ -75,7 +75,18 @@ def test_load_rejects_crossed_bounds(tmp_path):
     bad = FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = -abs(xi1) - 2")
     path = tmp_path / "bad.vep"
     path.write_text(bad)
-    with pytest.raises(pb.ProblemError, match="standing assumption"):
+    # the message names the first of the 1000 sampled xi, the first bad one
+    first = np.random.default_rng(0).uniform(-2.0, 2.0, 1)
+    with pytest.raises(pb.ProblemError, match="standing assumption") as err:
+        pb.load(str(path))
+    assert str(err.value).endswith(f"empty slice at xi={first.tolist()}: lower > upper")
+
+
+def test_load_rejects_a_bound_that_fails_to_evaluate(tmp_path):
+    bad = FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = 1/(xi1 - xi1)")
+    path = tmp_path / "bad.vep"
+    path.write_text(bad)
+    with pytest.raises(pb.ProblemError, match="standing assumption violated: division"):
         pb.load(str(path))
 
 

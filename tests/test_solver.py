@@ -1,12 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from vep import geometry as geo
 from vep import merit as mr
+from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
+from _oracles import per_row_penalized
 from conftest import make_const_box
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+GENCONE, POLYTOPE = PROBLEMS / "gencone.vep", PROBLEMS / "polytope.vep"
 
 
 # ---------------------------------------------------------------------------
@@ -22,6 +29,19 @@ def test_penalized_value_goldens(tent):
 def test_penalized_value_rejects_bad_weights(tent):
     with pytest.raises(ValueError):
         sv.penalized_value(tent, [0.0], [1.0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed, source", enumerate(["example:paper", str(GENCONE), str(POLYTOPE)]))
+def test_penalized_rows_equal_the_per_row_formula(seed, source):
+    prob = pb.load(source)
+    rng = np.random.default_rng(seed)
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    XI, X = rng.uniform(wlo, wup, (40, prob.p)), rng.uniform(xlo, xup, (40, prob.n))
+    ref = per_row_penalized(prob, XI, X, 1.5, 0.5)
+    values, merits = sv._penalized_rows(prob, XI, X, 1.5, 0.5)
+    assert np.array_equal(values, ref)
+    assert np.array_equal(merits, mr.eval_merit_batch(prob, XI, X))
+    assert [sv.penalized_value(prob, a, b, 1.5, 0.5) for a, b in zip(XI, X)] == ref.tolist()
 
 
 # ---------------------------------------------------------------------------

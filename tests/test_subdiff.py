@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from vep import expr as ex
 from vep import geometry as geo
 from vep import merit as mr
 from vep import problem as pb
+from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import fd_gradient
+from _oracles import fd_gradient, per_point_nu_gradients
 
 
 def _vertex_set(body, digits=9):
@@ -78,6 +80,47 @@ def test_nu_full_on_smooth_graph_branch(tent):
 def test_nu_full_identically_zero_region(tent):
     est = sd.nu_subgradient_full(tent, [0.0], [3.0])
     assert _vertex_set(est.body, 8) == {(0.0, 0.0)}
+
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+# the stationarity points of the benchmark's check-stationarity jobs
+STENCIL_POINTS = {
+    "example:paper": [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])],
+    str(PROBLEMS / "gencone.vep"): [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])],
+    str(PROBLEMS / "polytope.vep"): [([0.0], [0.5, 0.5]), ([0.5], [0.75, 0.75])],
+}
+
+
+def _seeded_points(prob, seed, count=3):
+    rng = np.random.default_rng(seed)
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    return [(rng.uniform(wlo, wup), rng.uniform(xlo, xup)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed, source", enumerate(STENCIL_POINTS))
+def test_nu_full_stencil_equals_per_point_differences(seed, source):
+    prob = pb.load(source)
+    for xi, x in STENCIL_POINTS[source] + _seeded_points(prob, seed):
+        got = sd.nu_subgradient_full(prob, xi, x).body.points
+        ref = geo.body_from_points(per_point_nu_gradients(prob, xi, x)).points
+        assert np.array_equal(got, ref), (xi, x, got, ref)
+
+
+def test_nu_full_without_a_smooth_ring_point_takes_the_central_difference(tent, monkeypatch):
+    monkeypatch.setattr(geo, "_sphere_dirs", lambda dim, n: np.zeros((0, dim)))
+    for xi, x in (([0.5], [1.5]), ([0.25], [-1.5])):
+        got = sd.nu_subgradient_full(tent, xi, x).body.points
+        ref = per_point_nu_gradients(tent, xi, x)
+        assert len(ref) == 1 and np.array_equal(got, ref)
+
+
+def test_stationarity_check_makes_no_scalar_nu_call(monkeypatch):
+    calls = []
+    scalar = mr.eval_nu
+    monkeypatch.setattr(mr, "eval_nu", lambda *a, **k: calls.append(a) or scalar(*a, **k))
+    prob = pb.load(str(PROBLEMS / "gencone.vep"))
+    sv.check_stationarity_general(prob, [0.0], [1.0], None, 0.5)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -394,7 +394,8 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
 
 def _validate_standing(prob: VepProblem):
     """Standing-assumption surrogate: closed nonempty slices on 1000 sampled
-    xi, their bounds evaluated in one pass."""
+    xi, their bounds evaluated in one pass and, for a polytope map, the
+    emptiness of every slice read from one basis enumeration."""
     lo, up = prob.xi_window()
     XI = np.random.default_rng(0).uniform(lo, up, size=(1000, prob.p))
     try:
@@ -402,10 +403,12 @@ def _validate_standing(prob: VepProblem):
     except ex.EvalError as err:
         raise ProblemError(f"standing assumption violated: {err}")
     if isinstance(prob.K, ParamBox):
-        crossed = np.flatnonzero(np.any(first > second + 1e-12, axis=1))
-        if len(crossed):
-            raise ProblemError("standing assumption violated: empty slice at "
-                               f"xi={XI[crossed[0]].tolist()}: lower > upper")
+        empty, why = np.any(first > second + 1e-12, axis=1), "lower > upper"
+    else:
+        empty, why = geo.basis_points(first, second)[2] == 3, geo.NO_VERTICES[3]
+    if empty.any():
+        raise ProblemError("standing assumption violated: empty slice at "
+                           f"xi={XI[np.argmax(empty)].tolist()}: {why}")
 
 
 # ---------------------------------------------------------------------------

@@ -105,47 +105,111 @@ def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
     """penalized_value and merit at the rows of XI and X: the merits from
     one kernel call, the objective evaluated once over columns."""
     merit = mr.eval_merit_batch(prob, XI, X)
+    return _penalize(prob, XI, X, merit, lam, gamma), merit
+
+
+def _penalize(prob, XI, X, merit, lam, gamma) -> np.ndarray:
+    """objective + lam * (dist(xi, Omega) + merit/gamma) at the rows of XI
+    and X, given their merits.  A box Omega takes the distance of every row
+    in one pass, bit-equal to ``geo.dist``; any other set one row at a time."""
     phi = ex.eval_expr(prob.objective, xi=list(XI.T), x=list(X.T))
-    omega = np.array([geo.dist(xi, prob.omega) for xi in XI])
-    return phi + lam * (omega + merit / gamma), merit
+    om = prob.omega
+    if isinstance(om, geo.Box):
+        omega = mr._dist_rows(XI - np.clip(XI, om.lower, om.upper))
+    else:
+        omega = np.array([geo.dist(xi, om) for xi in XI])
+    return phi + lam * (omega + merit / gamma)
 
 
-def _penalized_subgradient(prob, xi, x, lam, gamma) -> np.ndarray:
-    """A subgradient of the penalized objective.
+def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
+                  grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The penalized objective at the rows of Q, and with ``grad`` a
+    subgradient at each row (None without), from one kernel call.
 
-    Objective and Omega-distance parts are structured; the merit part uses
-    central differences, which on piecewise-smooth data yields a convex
-    combination of branch gradients (a valid subgradient wherever merit is
-    convex along the probe)."""
-    p = prob.p
-    g_phi = ex.grad_hull(prob.objective, (xi, x, ()), "xix").generators[0]
-    d_om = geo.dist(xi, prob.omega)
-    g_om = np.zeros(p + len(x))
-    if d_om > 1e-12:
-        g_om[:p] = (xi - geo.project(xi, prob.omega)) / d_om
+    Objective and Omega-distance parts of a subgradient are structured; the
+    merit part uses central differences, which on piecewise-smooth data
+    yields a convex combination of branch gradients (a valid subgradient
+    wherever merit is convex along the probe).  The merits at every row and
+    at its 2(p+n) probes q +- 1e-7 e_i go into the same kernel call."""
+    N, d = Q.shape
+    p, h = prob.p, 1e-7
+    R = Q
+    if grad:
+        E = h * np.eye(d)
+        R = np.concatenate([Q, (Q[:, None] + E).reshape(-1, d), (Q[:, None] - E).reshape(-1, d)])
+    merit = mr.eval_merit_batch(prob, R[:, :p], R[:, p:])
+    values = _penalize(prob, Q[:, :p], Q[:, p:], merit[:N], lam, gamma)
+    if not grad:
+        return values, None
+    M = merit[N:].reshape(2, N, d)
+    g_mf = (M[0] - M[1]) / (2 * h)
+    G = np.empty((N, d))
+    for i, q in enumerate(Q):
+        g_phi = ex.grad_hull(prob.objective, (q[:p], q[p:], ()), "xix").generators[0]
+        d_om = geo.dist(q[:p], prob.omega)
+        g_om = np.zeros(d)
+        if d_om > 1e-12:
+            g_om[:p] = (q[:p] - geo.project(q[:p], prob.omega)) / d_om
+        G[i] = g_phi + lam * g_om + (lam / gamma) * g_mf[i]
+    return values, G
 
-    # central differences, merit at every q + h e_i and q - h e_i in one batch
-    q, h = np.concatenate([xi, x]), 1e-7
-    Q = np.concatenate([q + h * np.eye(len(q)), q - h * np.eye(len(q))])
-    m = mr.eval_merit_batch(prob, Q[:, :p], Q[:, p:])
-    g_mf = (m[:len(q)] - m[len(q):]) / (2 * h)
-    return g_phi + lam * g_om + (lam / gamma) * g_mf
+
+def _descend(prob, seeds: np.ndarray, lam: float, config: PenaltyConfig, a0: float, lo, up):
+    """Normalized subgradient descent with steps a0/sqrt(k) from every row
+    of ``seeds``, all descents advanced together: one ``_descent_rows``
+    call per step for the active ones, centres only at the last step.  A
+    descent whose subgradient norm falls to 1e-14 stops.  Returns, per
+    seed, the best point, its value and the number of accepted steps."""
+    Q = seeds.copy()
+    best_q = seeds.copy()
+    best_v = np.empty(len(Q))
+    steps = np.zeros(len(Q), dtype=int)
+    active = np.arange(len(Q))
+    for k in range(config.max_iter + 1):
+        values, G = _descent_rows(prob, Q[active], lam, config.gamma, k < config.max_iter)
+        if k == 0:
+            best_v[:] = values
+        else:
+            better = values < best_v[active] - 1e-15
+            moved = active[better]
+            best_v[moved], best_q[moved] = values[better], Q[moved]
+            steps[moved] += 1
+        if G is None:
+            break
+        ng = mr._dist_rows(G)
+        going = ~(ng <= 1e-14)
+        active, G, ng = active[going], G[going], ng[going]
+        if not len(active):
+            break
+        Q[active] = np.clip(Q[active] - (a0 / math.sqrt(k + 1)) * G / ng[:, None], lo, up)
+    return best_q, best_v.tolist(), steps.tolist()
 
 
-def _compass_polish(fn, q0: np.ndarray, step: float, lo, up) -> tuple[np.ndarray, float]:
-    q = q0.copy()
-    v = fn(q)
+def _compass_polish(prob, q: np.ndarray, v: float, step: float, lo, up, lam: float,
+                    gamma: float) -> tuple[np.ndarray, float]:
+    """Pattern search from q, whose value is v.  A sweep tries the probes
+    q +- step e_i in the order (i, +step, -step) and moves to each probe
+    that improves on the current point; a sweep without a move halves the
+    step, down to 1e-7.  The probes of a sweep still pending are evaluated
+    from the current point in one call, and after a move the ones after it
+    again from the new point: the moves of a one-probe-at-a-time sweep."""
     d = len(q)
+    axis = np.repeat(np.arange(d), 2)
+    sign = np.tile([1.0, -1.0], d)
+    p = prob.p
     for _ in range(400):
-        improved = False
-        for i in range(d):
-            for s in (step, -step):
-                cand = q.copy()
-                cand[i] += s
-                cand = np.clip(cand, lo, up)
-                cv = fn(cand)
-                if cv < v - 1e-15:
-                    q, v, improved = cand, cv, True
+        improved, r = False, 0
+        while r < 2 * d:
+            P = np.repeat(q[None], 2 * d - r, axis=0)
+            P[np.arange(2 * d - r), axis[r:]] += sign[r:] * step
+            P = np.clip(P, lo, up)
+            vals, _ = _penalized_rows(prob, P[:, :p], P[:, p:], lam, gamma)
+            better = np.flatnonzero(vals < v - 1e-15)
+            if not len(better):
+                break
+            j = int(better[0])
+            q, v, improved = P[j], float(vals[j]), True
+            r += j + 1
         if not improved:
             step *= 0.5
             if step < 1e-7:
@@ -165,11 +229,13 @@ def _penalized_slope(prob, q, lam, gamma, p) -> float:
 def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     """Multi-start subgradient descent over an increasing penalty schedule.
 
-    Returns (incumbent as (xi, x), trace of StageRecord).  A stage runs the
-    descent plus a pattern-search polish until the sampled strong slope of
-    the penalized objective at the incumbent drops under 1e-4; the
-    schedule advances while the incumbent's merit stays above TOL_MERIT and
-    stops as soon as the incumbent is feasible with a small slope.
+    Returns (incumbent as (xi, x), trace of StageRecord).  A stage runs,
+    from each start and from one random perturbation of it, the descent
+    (all of them in lockstep) and then, one descent at a time in start
+    order, a pattern-search polish; the schedule advances while the
+    incumbent's merit stays above TOL_MERIT and stops as soon as the
+    incumbent is feasible and the sampled strong slope of the penalized
+    objective there is under 1e-4.
     """
     starts = [prob.point(xi, x) for xi, x in starts]
     if not starts:
@@ -187,36 +253,22 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     lam = config.lambda_init
     incumbent = incumbents[0]
     while lam <= config.lambda_max:
-        def fn(w, _lam=lam):
-            return penalized_value(prob, w[: prob.p], w[prob.p:], _lam, config.gamma)
-
+        seeds = np.array([q for q_start in incumbents for q in (
+            q_start, np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up))])
+        best_q, best_v, steps = _descend(prob, seeds, lam, config, a0, lo, up)
         stage_incumbents, stage_runs = [], []
-        for q_start in incumbents:
-            seeds = [q_start,
-                     np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up)]
+        for si in range(len(incumbents)):
             best_local, best_local_val, accepted = None, math.inf, 0
-            for q in seeds:
-                q = q.copy()
-                cur_best, cur_val = q.copy(), fn(q)
-                steps = 0
-                for k in range(1, config.max_iter + 1):
-                    g = _penalized_subgradient(prob, q[: prob.p], q[prob.p:],
+            for j in (2 * si, 2 * si + 1):
+                cur_best, cur_val = best_q[j], best_v[j]
+                pol_q, pol_v = _compass_polish(prob, cur_best, cur_val, a0 / 10.0, lo, up,
                                                lam, config.gamma)
-                    ng = float(np.linalg.norm(g))
-                    if ng <= 1e-14:
-                        break
-                    q = np.clip(q - (a0 / math.sqrt(k)) * g / ng, lo, up)
-                    v = fn(q)
-                    if v < cur_val - 1e-15:
-                        cur_val, cur_best = v, q.copy()
-                        steps += 1
-                pol_q, pol_v = _compass_polish(fn, cur_best, a0 / 10.0, lo, up)
                 if pol_v < cur_val:
                     cur_best, cur_val = pol_q, pol_v
                 if cur_val < -1e12:
                     raise SolverError("penalized objective unbounded below")
                 if cur_val < best_local_val:
-                    best_local, best_local_val, accepted = cur_best, cur_val, steps
+                    best_local, best_local_val, accepted = cur_best, cur_val, steps[j]
             stage_incumbents.append(best_local)
             stage_runs.append((accepted, best_local_val))
         incumbents = stage_incumbents
@@ -227,11 +279,9 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
                      in enumerate(zip(incumbents, stage_runs, merits.tolist())))
         j = int(np.argmin(values))
         incumbent = incumbents[j]
-        inc_merit = merits[j]
-        inc_omega = geo.dist(incumbent[: prob.p], prob.omega)
-        slope = _penalized_slope(prob, incumbent, lam, config.gamma, prob.p)
-        feasible = inc_merit <= TOL_MERIT and inc_omega <= TOL_MERIT
-        if feasible and slope <= 1e-4:
+        feasible = (merits[j] <= TOL_MERIT
+                    and geo.dist(incumbent[: prob.p], prob.omega) <= TOL_MERIT)
+        if feasible and _penalized_slope(prob, incumbent, lam, config.gamma, prob.p) <= 1e-4:
             break
         lam *= config.growth
     return (incumbent[: prob.p].copy(), incumbent[prob.p:].copy()), tuple(trace)

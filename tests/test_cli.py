@@ -5,6 +5,8 @@ import pytest
 
 from vep import cli
 
+GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -154,6 +156,25 @@ upper = 6
     code, body = run_cli(capsys, "solve", str(path), "--starts", "1")
     assert code == 6
     assert "no-feasible-incumbent" in body
+
+
+def test_solve_unbounded_objective_exits_6(capsys, tmp_path):
+    text = GENCONE.read_text().replace("expr = xi1^2 + x1^2", "expr = -1e13 * x1^2")
+    path = tmp_path / "unbounded.vep"
+    path.write_text(text)
+    code, body = run_cli(capsys, "--seed", "3", "solve", str(path), "--starts", "2")
+    assert code == 6
+    assert "solver_error: penalized objective unbounded below" in body
+
+
+def test_empty_polytope_slice_exits_2_at_load(capsys, tmp_path):
+    # K(xi) = [0, xi], empty for xi < 0
+    path = tmp_path / "empty.vep"
+    path.write_text("[problem]\np = 1\nn = 1\nm = 1\n[cone]\ntype = orthant\n"
+                    "[K]\ntype = polytope\nA = 1 ; -1\nb = xi1 ; 0\n"
+                    "[f]\ncomponents = x1 - z1\n[objective]\nexpr = x1^2\n")
+    assert cli.main(["eval", str(path), "--xi", "-0.5", "--x", "0"]) == 2
+    assert "error: standing assumption violated: empty slice" in capsys.readouterr().err
 
 
 def test_check_subtransversality_command(capsys):

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from vep import expr as ex
 from vep import merit as mr
 from vep import problem as pb
 
@@ -178,8 +181,11 @@ def test_merit_batch_falls_back_to_the_scalar_path(text):
 
 
 def test_merit_batch_mixes_exact_and_fallback_points():
-    # z in [0, xi1] is a vertex-exact slice for xi1 > 0 and empty for xi1 < 0
-    prob = _toy("[K]\ntype = polytope\nA = 1 ; -1\nb = xi1 ; 0\n[f]\ncomponents = x1 - z1")
+    # z in [0, xi1] is a vertex-exact slice for xi1 > 0 and empty for xi1 < 0;
+    # the loader rejects such a map, so it replaces the one of a loaded problem
+    prob = _toy("[K]\ntype = polytope\nA = 1 ; -1\nb = abs(xi1) ; 0\n[f]\ncomponents = x1 - z1")
+    xi1 = ex.parse("xi1", (1, 0, 0))
+    prob = dataclasses.replace(prob, K=pb.ParamPolytope(prob.K.rows, (xi1, prob.K.rhs[1])))
     XI = np.array([[0.5], [1.5], [0.25]])
     X = np.array([[0.1], [2.0], [-1.0]])
     _assert_kernel_is_scalar(prob, XI, X)

@@ -82,6 +82,44 @@ def test_load_rejects_crossed_bounds(tmp_path):
     assert str(err.value).endswith(f"empty slice at xi={first.tolist()}: lower > upper")
 
 
+EMPTY_POLYTOPE_TEXT = """
+[problem]
+p = 1
+n = 1
+m = 1
+window_xi = -2, 2
+window_x = -2, 2
+
+[cone]
+type = orthant
+
+[K]
+type = polytope
+A = 1 ; -1
+b = xi1 ; 0
+
+[f]
+components = x1 - z1
+
+[objective]
+expr = x1^2
+"""
+
+
+def test_load_rejects_an_empty_polytope_slice(tmp_path):
+    # K(xi) = [0, xi] is empty for xi < 0; the message names the first such
+    # xi among the 1000 sampled
+    path = tmp_path / "empty.vep"
+    path.write_text(EMPTY_POLYTOPE_TEXT)
+    XI = np.random.default_rng(0).uniform(-2.0, 2.0, (1000, 1))
+    first = XI[np.argmax(XI[:, 0] < 0)]
+    with pytest.raises(pb.ProblemError, match="standing assumption") as err:
+        pb.load(str(path))
+    assert str(err.value).endswith(f"empty slice at xi={first.tolist()}: halfspace set empty")
+    path.write_text(EMPTY_POLYTOPE_TEXT.replace("b = xi1 ; 0", "b = abs(xi1) ; 0"))
+    assert isinstance(pb.load(str(path)).K, pb.ParamPolytope)
+
+
 def test_load_rejects_a_bound_that_fails_to_evaluate(tmp_path):
     bad = FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = 1/(xi1 - xi1)")
     path = tmp_path / "bad.vep"

@@ -9,7 +9,7 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import per_row_penalized
+from _oracles import per_row_penalized, sequential_solve_penalized
 from conftest import make_const_box
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -44,9 +44,69 @@ def test_penalized_rows_equal_the_per_row_formula(seed, source):
     assert [sv.penalized_value(prob, a, b, 1.5, 0.5) for a, b in zip(XI, X)] == ref.tolist()
 
 
+def test_penalized_rows_with_a_halfspace_omega():
+    prob = make_const_box(omega=geo.Halfspaces([[1.0], [-1.0]], [0.5, 1.0]))
+    rng = np.random.default_rng(5)
+    XI, X = rng.uniform(-2, 2, (40, 1)), rng.uniform(-2, 2, (40, 1))
+    values, _ = sv._penalized_rows(prob, XI, X, 1.5, 0.5)
+    assert np.array_equal(values, per_row_penalized(prob, XI, X, 1.5, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # descent
 # ---------------------------------------------------------------------------
+
+def _starts(prob, seed, count):
+    rng = np.random.default_rng(seed)
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    return [(rng.uniform(wlo, wup), rng.uniform(xlo, xup)) for _ in range(count)]
+
+
+def _assert_solves_like_the_reference(prob, config, starts):
+    (xi, x), trace = sv.solve_penalized(prob, config, starts)
+    (xi_ref, x_ref), trace_ref = sequential_solve_penalized(prob, config, starts)
+    assert np.array_equal(xi, xi_ref) and np.array_equal(x, x_ref)
+    assert [vars(t) for t in trace] == [vars(t) for t in trace_ref]
+
+
+@pytest.mark.parametrize("seed", [3, 20, 31])
+@pytest.mark.parametrize("source, count",
+                         [("example:paper", 2), ("gencone.vep", 2), ("polytope.vep", 1)])
+def test_lockstep_solve_equals_the_sequential_reference(source, count, seed):
+    prob = pb.load(source if source.startswith("example:") else str(PROBLEMS / source))
+    _assert_solves_like_the_reference(prob, sv.PenaltyConfig(seed=seed), _starts(prob, seed, count))
+
+
+def test_lockstep_solve_with_a_centres_only_last_step(tent):
+    _assert_solves_like_the_reference(tent, sv.PenaltyConfig(max_iter=3, seed=4),
+                                      _starts(tent, 4, 2))
+
+
+def test_lockstep_solve_when_descents_stop_at_a_zero_subgradient(zero_f):
+    # the descents from these starts reach the slice, where the penalized
+    # objective is flat, after different numbers of steps
+    starts = [(np.array([0.3]), np.array([1.8])), (np.array([0.0]), np.array([1.1]))]
+    _assert_solves_like_the_reference(zero_f, sv.PenaltyConfig(), starts)
+
+
+def test_lockstep_solve_with_a_halfspace_omega():
+    prob = make_const_box(omega=geo.Halfspaces([[1.0], [-1.0]], [0.5, 1.0]))
+    _assert_solves_like_the_reference(prob, sv.PenaltyConfig(seed=6), _starts(prob, 6, 2))
+
+
+def test_solver_kernel_calls(monkeypatch):
+    prob = pb.load(str(GENCONE))
+    kernel, calls = mr._merit_parts, []
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(mr, "_merit_parts", counted)
+    sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
+    # one descent at a time, with one-point polish probes, this took 7,278
+    assert len(calls) < 7278 / 3
+
 
 def test_solver_reaches_the_solution(tent):
     rng = np.random.default_rng(1)

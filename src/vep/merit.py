@@ -82,9 +82,9 @@ def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
     exact = code == 0
     A, b, X = A[exact], b[exact], X[exact]
     inside = np.all(np.matmul(A, X[..., None])[..., 0] <= b + 1e-12 * (1.0 + np.abs(b)), axis=1)
-    mu = np.zeros(len(X))
-    for i in np.flatnonzero(~inside):
-        mu[i] = geo.dist(X[i], geo.Halfspaces(A[i], b[i]))
+    mu, out = np.zeros(len(X)), ~inside
+    if out.any():
+        mu[out] = _dist_rows(X[out] - geo.project_polytopes(A[out], b[out], X[out]))
     return exact, Z[exact], feasible[exact], mu
 
 
@@ -165,7 +165,7 @@ def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> Nu
         axes = [np.linspace(a[0] - eps, a[-1] + eps, len(a)) for a in axes]
     pts = pb._grid_points(axes)
     if eps > 0.0:
-        member = np.array([geo.dist(z, S) <= eps + 1e-12 for z in pts])
+        member = _dist_rows(pts - geo.project_rows(pts, S)) <= eps + 1e-12
     else:
         member = pb._members(S, pts, 1e-12)
     pts = pts[member]

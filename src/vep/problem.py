@@ -376,9 +376,7 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
             except geo.GeometryError as err:
                 raise ProblemError(f"[Omega] {err}")
         elif okind == "halfspaces":
-            rows = [np.array(_parse_numbers(r)) for r in _split_top(osec["a"], ";")]
-            b = np.array(_parse_numbers(osec["b"]))
-            omega = geo.Halfspaces(np.vstack(rows), b)
+            omega = _halfspace_omega(osec, p)
         else:
             raise ProblemError(f"[Omega] unknown type {okind!r}")
     else:
@@ -390,6 +388,23 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
     )
     _validate_standing(problem)
     return problem
+
+
+def _halfspace_omega(osec: dict, p: int) -> geo.Halfspaces:
+    """[Omega] {xi : A xi <= b}: finite A rows (';'-separated) of width p,
+    one b entry (','-separated) per row, and a nonempty set."""
+    if "a" not in osec or "b" not in osec:
+        raise ProblemError("[Omega] halfspaces need A and b")
+    rows = [_parse_numbers(r) for r in _split_top(osec["a"], ";")]
+    b = np.array(_parse_numbers(osec["b"]))
+    if any(len(r) != p for r in rows) or len(b) != len(rows):
+        raise ProblemError(f"[Omega] needs A rows of width {p} and one b entry per row")
+    if not (np.all(np.isfinite(rows)) and np.all(np.isfinite(b))):
+        raise ProblemError("[Omega] A and b need finite entries")
+    omega = geo.Halfspaces(np.array(rows), b)
+    if geo.dist(np.zeros(p), omega) == np.inf:
+        raise ProblemError("[Omega] halfspace set is empty")
+    return omega
 
 
 def _validate_standing(prob: VepProblem):

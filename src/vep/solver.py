@@ -105,20 +105,16 @@ def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
     """penalized_value and merit at the rows of XI and X: the merits from
     one kernel call, the objective evaluated once over columns."""
     merit = mr.eval_merit_batch(prob, XI, X)
-    return _penalize(prob, XI, X, merit, lam, gamma), merit
+    offsets = XI - geo.project_rows(XI, prob.omega)
+    return _penalize(prob, XI, X, offsets, merit, lam, gamma), merit
 
 
-def _penalize(prob, XI, X, merit, lam, gamma) -> np.ndarray:
+def _penalize(prob, XI, X, offsets, merit, lam, gamma) -> np.ndarray:
     """objective + lam * (dist(xi, Omega) + merit/gamma) at the rows of XI
-    and X, given their merits.  A box Omega takes the distance of every row
-    in one pass, bit-equal to ``geo.dist``; any other set one row at a time."""
+    and X, given their merits and the offsets XI - proj_Omega(XI), whose
+    row norms are bit-equal to ``geo.dist`` (a box Omega is ``np.clip``)."""
     phi = ex.eval_expr(prob.objective, xi=list(XI.T), x=list(X.T))
-    om = prob.omega
-    if isinstance(om, geo.Box):
-        omega = mr._dist_rows(XI - np.clip(XI, om.lower, om.upper))
-    else:
-        omega = np.array([geo.dist(xi, om) for xi in XI])
-    return phi + lam * (omega + merit / gamma)
+    return phi + lam * (mr._dist_rows(offsets) + merit / gamma)
 
 
 def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
@@ -138,20 +134,18 @@ def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
         E = h * np.eye(d)
         R = np.concatenate([Q, (Q[:, None] + E).reshape(-1, d), (Q[:, None] - E).reshape(-1, d)])
     merit = mr.eval_merit_batch(prob, R[:, :p], R[:, p:])
-    values = _penalize(prob, Q[:, :p], Q[:, p:], merit[:N], lam, gamma)
+    offsets = Q[:, :p] - geo.project_rows(Q[:, :p], prob.omega)
+    values = _penalize(prob, Q[:, :p], Q[:, p:], offsets, merit[:N], lam, gamma)
     if not grad:
         return values, None
     M = merit[N:].reshape(2, N, d)
     g_mf = (M[0] - M[1]) / (2 * h)
-    G = np.empty((N, d))
-    for i, q in enumerate(Q):
-        g_phi = ex.grad_hull(prob.objective, (q[:p], q[p:], ()), "xix").generators[0]
-        d_om = geo.dist(q[:p], prob.omega)
-        g_om = np.zeros(d)
-        if d_om > 1e-12:
-            g_om[:p] = (q[:p] - geo.project(q[:p], prob.omega)) / d_om
-        G[i] = g_phi + lam * g_om + (lam / gamma) * g_mf[i]
-    return values, G
+    g_phi = np.array([ex.grad_hull(prob.objective, (q[:p], q[p:], ()), "xix").generators[0]
+                      for q in Q])
+    d_om = mr._dist_rows(offsets)[:, None]
+    g_om = np.zeros((N, d))
+    np.divide(offsets, d_om, out=g_om[:, :p], where=d_om > 1e-12)
+    return values, g_phi + lam * g_om + (lam / gamma) * g_mf
 
 
 def _descend(prob, seeds: np.ndarray, lam: float, config: PenaltyConfig, a0: float, lo, up):

@@ -48,14 +48,88 @@ def sampled_min_norm(points, ball=0.0, n=20000, seed=0):
     return max(best - ball, 0.0)
 
 
+def nnls_cone_projection(x, C):
+    """Projection of x onto a cone by one nnls solve on its rows: the cone
+    itself for generator form, the polar cone (subtracted from x, by Moreau)
+    for halfspace form."""
+    from scipy.optimize import nnls
+
+    x = np.asarray(x, dtype=float)
+    if C.kind == "orthant":
+        return np.maximum(x, 0.0)
+    polar = np.zeros_like(x)
+    if len(C.mat):
+        coef, _ = nnls(C.mat.T, x)
+        polar = C.mat.T @ coef
+    return polar if C.kind == "generators" else x - polar
+
+
+def nnls_cap_points(C):
+    """The cap of a 2-D cone built point by point: the apex, the unit
+    generators and every 2-degree direction whose nnls distance to the cone
+    is within 1e-9 max(1, |u|): the reference for the batched membership in
+    ``geometry.cap_points``."""
+    from vep import geometry as geo
+
+    pts = [np.zeros(2)]
+    if C.kind != "halfspaces":
+        pts += [g / np.linalg.norm(g) for g in (np.eye(2) if C.kind == "orthant" else C.mat)
+                if np.linalg.norm(g) > 1e-12]
+    for u in geo._sphere_dirs(2, int(round(360.0 / geo.CAP_RES_DEG))):
+        if np.linalg.norm(u - nnls_cone_projection(u, C)) <= 1e-9 * max(1.0, np.linalg.norm(u)):
+            pts.append(u)
+    return geo._prune_hull(np.asarray(pts))
+
+
 def per_value_cone_dist(F, C):
     """dist(., C) of stacked values F (shape (m, ...)), one scalar projection
     (an nnls solve) per value: the reference for the batched cone kernel."""
+    cols = np.asarray(F, dtype=float).reshape(C.dim, -1)
+    return np.array([np.linalg.norm(cols[:, j] - nnls_cone_projection(cols[:, j], C))
+                     for j in range(cols.shape[1])]).reshape(np.shape(F)[1:])
+
+
+def hildreth_projection(x, A, b):
+    """Projection onto {y : Ay <= b} by Hildreth's dual coordinate ascent,
+    with an LP to tell an empty set from slow convergence: the iterative
+    reference for the exact enumeration in ``geometry.project_polytopes``."""
+    import math
+
+    from scipy.optimize import linprog
+
     from vep import geometry as geo
 
-    cols = np.asarray(F, dtype=float).reshape(C.dim, -1)
-    return np.array([np.linalg.norm(cols[:, j] - geo.project(cols[:, j], C))
-                     for j in range(cols.shape[1])]).reshape(np.shape(F)[1:])
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    y = np.asarray(x, dtype=float).copy()
+    n2 = np.einsum("ij,ij->i", A, A)
+    if np.any(n2 < 1e-300):
+        keep = n2 >= 1e-300
+        if np.any(b[~keep] < -1e-12):
+            raise geo.GeometryError("infeasible halfspace representation")
+        A, b, n2 = A[keep], b[keep], n2[keep]
+    k = len(A)
+    lam = np.zeros(k)
+    scale = max(1.0, float(np.linalg.norm(x)), float(np.max(np.abs(b))) if k else 1.0)
+    for sweep in range(5000):
+        biggest = 0.0
+        for i in range(k):
+            w = (A[i] @ y - b[i]) / n2[i]
+            new = max(0.0, lam[i] + w)
+            d = new - lam[i]
+            if d != 0.0:
+                lam[i] = new
+                y = y - d * A[i]
+                biggest = max(biggest, abs(d) * math.sqrt(n2[i]))
+        if biggest <= 1e-12 * scale:
+            viol = float(np.max(A @ y - b)) if k else 0.0
+            if viol <= 1e-8 * scale:
+                return y
+    res = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b,
+                  bounds=[(None, None)] * A.shape[1], method="highs")
+    if not res.success:
+        raise geo.GeometryError("infeasible halfspace representation")
+    raise geo.GeometryError("halfspace projection failed to converge")
 
 
 def qhull_vertices(A, b):

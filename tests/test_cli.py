@@ -398,3 +398,50 @@ def test_bad_numeric_flag_exit_code(capsys, argv):
     err = capsys.readouterr().err
     assert exc.value.code == 2
     assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("omega", [
+    "A = 1, 0\nb = 0",              # row wider than p = 1
+    "A = -1 ; 1\nb = 0, 1, 2",      # three offsets for two rows
+    "A = -1\nb = nan",
+    "A = 1 ; -1\nb = -1, -1",       # xi <= -1 and xi >= 1: empty
+    "A = -1",
+])
+def test_bad_halfspace_omega_exits_2_at_load(capsys, tmp_path, omega):
+    text = GENCONE.read_text()
+    path = tmp_path / "omega.vep"
+    path.write_text(text[:text.index("[Omega]")] + "[Omega]\ntype = halfspaces\n" + omega + "\n")
+    code = cli.main(["check-stationarity", str(path), "--xi-bar", "0", "--x-bar", "1",
+                     "--gamma", "0.5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: [Omega]") and len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+POLYTOPE = GENCONE.with_name("polytope.vep")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-stationarity", str(GENCONE), "--xi-bar", "0", "--x-bar", "1", "--gamma", "0.5"),
+    ("eval", str(POLYTOPE), "--xi", "0", "--x", "2.5,-1.5"),
+    ("eval", str(POLYTOPE), "--xi", "0", "--x", "2.5,-1.5", "--epsilon", "0.1"),
+    ("solve", str(POLYTOPE), "--starts", "1"),
+])
+def test_projections_call_neither_nnls_nor_linprog(capsys, monkeypatch, argv):
+    # the scipy census behind taking scipy off the import path: geometry's
+    # projections and cone memberships are closed forms
+    from vep import geometry as geo
+
+    calls = []
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"geometry.{name} called")
+        return call
+
+    monkeypatch.setattr(geo, "nnls", refuse("nnls"))
+    monkeypatch.setattr(geo, "linprog", refuse("linprog"))
+    code = cli.main(list(argv))
+    capsys.readouterr()
+    assert calls == [] and code == 0

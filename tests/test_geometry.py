@@ -5,7 +5,10 @@ import hypothesis.strategies as st
 
 from vep import geometry as geo
 
-from _oracles import grid_min_distance, per_value_cone_dist, qhull_vertices, sampled_min_norm
+from scipy.optimize import nnls
+
+from _oracles import (grid_min_distance, hildreth_projection, nnls_cap_points,
+                      nnls_cone_projection, per_value_cone_dist, qhull_vertices, sampled_min_norm)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -49,6 +52,124 @@ def test_infeasible_halfspaces():
     assert geo.dist([0.0], H) == np.inf
 
 
+# the polytope.vep slice at xi = 0: three rows meet at the vertex (2, -1)
+SLICE_A = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+SLICE_B = np.array([1.0, 2.0, 2.0, 1.0, 1.0])
+
+
+def _assert_kkt(A, b, x, z):
+    """z is feasible and x - z is a nonnegative combination of the rows
+    active at z: the optimality conditions of the projection."""
+    tol = 1e-9 * (np.abs(b) + np.linalg.norm(A, axis=1) * (np.linalg.norm(x) + np.linalg.norm(z)))
+    slack = b - A @ z
+    assert np.all(slack >= -tol), (A, b, x, z)
+    active = A[slack <= tol]
+    resid = nnls(active.T, x - z)[1] if len(active) else np.linalg.norm(x - z)
+    assert resid <= 1e-9 * (1.0 + np.linalg.norm(x)), (A, b, x, z)
+
+
+def _random_polyhedra(rng):
+    """Nonempty {z : Az <= b} with n = 1, 2, 3: bounded and unbounded ones,
+    some with a zero row, and the degenerate polytope slice."""
+    for n in (1, 2, 3):
+        for k in range(1, 8):
+            for _ in range(6):
+                A = rng.normal(size=(k, n))
+                if rng.random() < 0.3:
+                    A[rng.integers(k)] = 0.0
+                yield A, A @ rng.normal(size=n) + rng.uniform(0.0, 1.0, k)
+    yield SLICE_A, SLICE_B
+
+
+def test_polytope_projection_is_exact():
+    rng = np.random.default_rng(23)
+    compared = 0
+    for A, b in _random_polyhedra(rng):
+        H = geo.Halfspaces(A, b)
+        points = rng.normal(size=(6, A.shape[1])) * 3
+        if A is SLICE_A:
+            points = np.array([[3.0, -2.0], [2.5, -1.5], [2.0, -1.0], [4.0, 0.5], [0.0, 0.0]])
+        for x in points:
+            z = geo.project(x, H)
+            _assert_kkt(A, b, x, z)
+            assert geo.dist(x, H) == np.linalg.norm(x - z)
+            try:
+                ref = hildreth_projection(x, A, b)
+            except geo.GeometryError:   # the iterative reference ran out of sweeps
+                continue
+            assert np.max(np.abs(z - ref)) <= 1e-8
+            compared += 1
+    assert compared >= 750
+
+
+def test_polytope_projection_of_a_far_point():
+    square = geo.Halfspaces([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], np.ones(4))
+    wedge = geo.Halfspaces([[1.0, 1.0], [-0.3, 1.0]], [1.0, 0.5])
+    for u in geo._sphere_dirs(2, 16):
+        x = 1e8 * u
+        assert np.allclose(geo.project(x, square), np.clip(x, -1.0, 1.0), rtol=0, atol=1e-7)
+        for H in (square, wedge):
+            _assert_kkt(H.A, H.b, x, geo.project(x, H))
+
+
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [-1.0, -1.0, 3.0]),
+    ([[0.0, 0.0], [1.0, 1.0]], [-1.0, 2.0]),
+    ([[1.0, 1.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]], [-1.0, 0.0, 0.0, 0.0]),
+])
+def test_empty_polytope_has_no_projection(A, b):
+    H = geo.Halfspaces(A, b)
+    x = np.ones(H.dim)
+    assert geo.dist(x, H) == np.inf
+    with pytest.raises(geo.GeometryError, match="infeasible"):
+        geo.project(x, H)
+
+
+def test_stacked_polytope_projection_is_its_scalar_calls():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3):
+        A = rng.normal(size=(40, 5, n))
+        A[::7, 0] = 0.0
+        b = rng.normal(size=(40, 5))        # some of these are empty
+        X = rng.normal(size=(40, n)) * 3
+        Z = geo.project_polytopes(A, b, X)
+        assert np.isinf(Z).any() and np.isfinite(Z).any()
+        for i in range(40):
+            H = geo.Halfspaces(A[i], b[i])
+            if np.isinf(Z[i]).all():
+                assert geo.dist(X[i], H) == np.inf
+            else:
+                assert np.array_equal(Z[i], geo.project(X[i], H))
+        H = geo.Halfspaces(A[1], np.abs(b[1]))
+        assert np.array_equal(geo.project_rows(X, H), [geo.project(x, H) for x in X])
+
+
+def test_truncated_normal_off_a_polytope_is_the_unit_projection_direction():
+    H = geo.Halfspaces(SLICE_A, SLICE_B)
+    for x in ([3.0, -2.0], [0.9, 0.9], [-3.0, 0.5]):
+        x = np.asarray(x)
+        u = (x - geo.project(x, H)) / geo.dist(x, H)
+        assert np.array_equal(geo.truncated_normal(x, H).points, u.reshape(1, -1))
+
+
+def test_cone_projection_matches_nnls():
+    rng = np.random.default_rng(31)
+    for C in _random_cones(rng):
+        X = _values_near(C, rng, 20)
+        for x in X.T:
+            got = geo.project(x, C)
+            tol = 1e-12 * (1.0 + np.linalg.norm(x))
+            assert np.max(np.abs(got - nnls_cone_projection(x, C))) <= tol, (C.kind, C.mat, x)
+
+
+def test_cap_points_match_the_nnls_membership_reference():
+    cones = [geo.generated_cone([[1.0, 0.0], [-1.0, 1.0]]),     # gencone.vep's cone
+             geo.dual_cone(geo.orthant(2)),
+             geo.ConeRepr(2, "halfspaces", [[1.0, -1.0], [-1.0, -3.0]])]
+    for C in cones:
+        assert np.array_equal(geo.cap_points(C), nnls_cap_points(C)), (C.kind, C.mat)
+
+
 def test_dist_examples():
     assert geo.dist([1.0, 0.0], geo.orthant(2)) == 0.0
     assert geo.dist([-2.0, 1.0], geo.orthant(2)) == pytest.approx(2.0, abs=1e-12)
@@ -70,7 +191,8 @@ def test_dist_matches_grid_oracle_on_random_sets():
         hi = lo + rng.uniform(0.5, 2, 2)
         S = geo.Box(lo, hi)
         x = rng.uniform(-3, 3, 2)
-        oracle = grid_min_distance(x, lambda p: S.contains(p), lo, hi, res=201)
+        oracle = grid_min_distance(x, lambda p: bool(np.all((p >= lo - 1e-9) & (p <= hi + 1e-9))),
+                                   lo, hi, res=201)
         step = float(np.max((hi - lo) / 200))
         assert abs(geo.dist(x, S) - oracle) <= 2 * step
 

@@ -1,9 +1,9 @@
 """Serial map over the items of a grid sweep.
 
-``pmap`` is a named function, imported by name in ``problem`` and
-``diagnostics``, so the benchmark tracer (``perfbench/spans.py``) can patch
-each of those names and count the items of every sweep.  Results keep the
-input order.
+``pmap`` is a named function so the benchmark tracer (``perfbench/spans.py``)
+can patch it and count the items of every sweep.  ``problem`` calls it once
+per stacked oracle call; ``diagnostics`` binds it only for the tracer.
+Results keep the input order.
 """
 
 

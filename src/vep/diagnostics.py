@@ -20,7 +20,8 @@ from . import geometry as geo
 from . import merit as mr
 from . import problem as pb
 from . import subdiff as sd
-from ._parallel import pmap
+# pmap is bound, not called: the benchmark tracer wraps it by this name
+from ._parallel import pmap  # noqa: F401
 
 CERTIFIED = "certified-on-samples"
 REFUTED = "refuted"
@@ -70,27 +71,26 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
             rng.uniform(xi_bar - rho, xi_bar + rho),
             rng.uniform(xlo, xup),
         ))
-    best = math.inf
-    witness = None
     flags: set[str] = set()
-    tested = 0
+    tested = []  # (d, xi, x) of every tested sample, in sample order
     merits = mr.eval_merit_batch(prob, [xi for xi, _ in samples], [x for _, x in samples])
     for (xi, x), merit in zip(samples, merits.tolist()):
         if merit <= 1e-8:
             continue
-        tested += 1
         est = sd.nu_partial_subgradient_smooth(prob, xi, x)
         flags.update(est.qc_flags)
         trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
         body = geo.minkowski(est.body, trunc)
         _, d = geo.min_norm_point(body)
-        if d < best:
-            best = d
-            witness = (np.asarray(xi, dtype=float), np.asarray(x, dtype=float))
+        tested.append((d, xi, x))
         if d <= GAMMA_MARGIN:
             break  # refuted: no need to scan further
-    if tested == 0:
+    if not tested:
         raise pb.ProblemError("every sample solves the inner problem; nothing to test")
+    # exact minimum; witness: the first sample within round-off of it
+    best = min(d for d, _, _ in tested)
+    _, xi, x = next(t for t in tested if t[0] - best <= 1e-12 * max(1.0, best))
+    witness = (np.asarray(xi, dtype=float), np.asarray(x, dtype=float))
     verdict = CERTIFIED if best > GAMMA_MARGIN else REFUTED
     return Certificate(
         "gamma", verdict, float(best), (witness,),
@@ -116,12 +116,12 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
     empty_slices = []
     worst = -math.inf
     witness = None
-    per_t = pmap(lambda t: pb.oracle_solutions(prob, [t]), xi_grid)
-    for t, sols in zip(xi_grid, per_t):
+    per_t, steps = pb._oracle_rows(prob, xi_grid[:, None], pb.OracleGrid())
+    for t, sols, step in zip(xi_grid, per_t, steps):
         if len(sols) == 0:
             empty_slices.append(t)
             continue
-        slack = _solution_grid_step(prob, [t]) + 1e-9
+        slack = step + 1e-9
         merits = mr.eval_merit_batch(prob, np.full((len(x_grid), 1), t), x_grid[:, None])
         for xv, merit in zip(x_grid, merits.tolist()):
             d = float(np.min(np.abs(sols[:, 0] - xv)))
@@ -146,13 +146,6 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
         "error-bound", CERTIFIED, gamma, (witness,),
         {"xi_points": len(xi_grid), "x_points": len(x_grid), "worst_gap": worst},
     )
-
-
-def _solution_grid_step(prob, xi) -> float:
-    """Grid step of the default oracle grid over K(xi)."""
-    S = pb.slice_at(prob.K, np.atleast_1d(np.asarray(xi, dtype=float)))
-    axes, _ = pb._axis_grids(prob, S, pb.OracleGrid().x_resolution)
-    return max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
 
 
 def strong_slope(prob: pb.VepProblem, xi, x) -> float:
@@ -416,19 +409,21 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
     """Quantitative lower-semicontinuity and Aubin-modulus cross-check on
     21 parameter samples in [xi_bar - 0.5, xi_bar + 0.5]."""
     xi_bar, x_bar = prob.point(xi_bar, x_bar)
+    if prob.p != 1:
+        raise pb.ProblemError("stability probe implemented for p = 1")
     window, n_xi = 0.5, 21
     ts = np.linspace(float(xi_bar[0] - window), float(xi_bar[0] + window), n_xi)
     beta = 0.0
     lsc_ok = True
     lsc_witness = None
-    sols_by_t = {t: pb.oracle_solutions(prob, [t]) for t in ts}
+    # the oracle at every t and, last, at xi_bar for its grid step
+    per_t, steps = pb._oracle_rows(prob, np.append(ts, xi_bar)[:, None], pb.OracleGrid())
     # merit at (t, x_bar + dx) for every t and dx; column 1 is x_bar itself
     dxs = (-0.25, 0.0, 0.25)
     table = mr.eval_merit_batch(prob, np.repeat(ts, len(dxs))[:, None],
                                 [x_bar + dx for _ in ts for dx in dxs]).reshape(len(ts), len(dxs))
-    for t, me in zip(ts, table[:, 1].tolist()):
-        sols = sols_by_t[t]
-        slack = _solution_grid_step(prob, [t]) + 1e-9
+    for t, sols, step, me in zip(ts, per_t, steps, table[:, 1].tolist()):
+        slack = step + 1e-9
         d = float(np.min(np.linalg.norm(sols - x_bar, axis=1))) if len(sols) else math.inf
         if d > me / gamma + slack:
             lsc_ok = False
@@ -440,8 +435,7 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
     ell = float(np.max(np.abs(np.diff(table, axis=0)) / np.diff(ts)[:, None]))
     aubin_bound = ell / gamma
     worst_ratio = 0.0
-    for i in range(len(ts) - 1):
-        s1, s2 = sols_by_t[ts[i]], sols_by_t[ts[i + 1]]
+    for i, (s1, s2) in enumerate(zip(per_t, per_t[1:n_xi])):
         if len(s1) == 0 or len(s2) == 0:
             continue
         near = s2[np.linalg.norm(s2 - x_bar, axis=1) <= 1.0]
@@ -449,7 +443,7 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
             continue
         exc = max(float(np.min(np.linalg.norm(s1 - q, axis=1))) for q in near)
         worst_ratio = max(worst_ratio, exc / abs(ts[i + 1] - ts[i]))
-    slack = _solution_grid_step(prob, xi_bar) / (ts[1] - ts[0]) + 1e-6
+    slack = steps[-1] / (ts[1] - ts[0]) + 1e-6
     ok = lsc_ok and worst_ratio <= aubin_bound + slack
     return Certificate(
         "stability", CERTIFIED if ok else REFUTED, aubin_bound,

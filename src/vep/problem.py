@@ -17,6 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from . import geometry as geo
+from . import merit as mr
 from ._parallel import pmap
 
 
@@ -524,42 +525,49 @@ def _members(S, pts: np.ndarray, tol: float) -> np.ndarray:
     return np.all(pts @ S.A.T <= S.b + tol, axis=1)
 
 
+def _oracle_rows(prob: VepProblem, XI, grid: OracleGrid) -> tuple[list, list]:
+    """The oracle at each parameter row of XI (N, p), mapped with ``pmap``:
+    the per-row solution arrays of ``oracle_solutions`` and grid steps.
+
+    The grid x kept in K(xi) (within half a step) form the member set M.
+    When f is affine in z, z -> dist(f(xi, x, z), C) is convex, so its max
+    over M is attained at an extreme point of conv M (Rockafellar, *Convex
+    Analysis*, 1970, Sec. 32) and z ranges over those points only;
+    otherwise z ranges over all of M, in chunks of at most 2,000,000 pairs.
+    """
+    XI = _checked_rows("xi", XI, prob.p)
+    if prob.n > 2:
+        raise ProblemError(f"oracle grids support n <= 2: at n = {prob.n} each xi compares "
+                           f"{grid.x_resolution}^{2 * prob.n} (x, z) grid pairs")
+
+    def at(xi):
+        S = slice_at(prob.K, xi)
+        axes, _ = _axis_grids(prob, S, grid.x_resolution)
+        pts = _grid_points(axes)
+        step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
+        X = pts[_members(S, pts, 0.5 * step + 1e-12)]
+        if len(X) == 0:
+            return np.zeros((0, prob.n)), step
+        Z = geo._prune_hull(X) if prob.f.affine_in_z else X
+        chunk = max(1, 2_000_000 // len(Z))
+        worst = np.concatenate([
+            mr._f_dists(prob, np.broadcast_to(xi, (len(xb), prob.p)), xb,
+                        np.broadcast_to(Z, (len(xb),) + Z.shape)).max(axis=1)
+            for xb in np.split(X, range(chunk, len(X), chunk))])
+        return X[worst <= grid.tol_c], step
+
+    per_xi = pmap(at, XI)
+    return [sols for sols, _ in per_xi], [step for _, step in per_xi]
+
+
 def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np.ndarray:
     """Grid approximation of the strong-solution set E(xi).
 
     A grid point x is kept iff it lies in K(xi) (within grid tolerance) and
     dist(f(xi, x, z), C) <= tol_c for every grid z in K(xi).
     """
-    grid = grid or OracleGrid()
     xi, _ = prob.point(xi, None)
-    if prob.n > 2:
-        raise ProblemError(f"oracle grids support n <= 2: at n = {prob.n} each xi compares "
-                           f"{grid.x_resolution}^{2 * prob.n} (x, z) grid pairs")
-    S = slice_at(prob.K, xi)
-    axes, truncated = _axis_grids(prob, S, grid.x_resolution)
-    pts = _grid_points(axes)
-    step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
-    keep = _members(S, pts, 0.5 * step + 1e-12)
-    X = pts[keep]
-    Z = X  # z ranges over the same slice grid
-    if len(X) == 0:
-        return np.zeros((0, prob.n))
-    sols = []
-    chunk = max(1, int(2_000_000 // max(len(Z), 1)))
-    for start in range(0, len(X), chunk):
-        xb = X[start:start + chunk]
-        env_x = [xb[:, j][:, None] for j in range(prob.n)]
-        env_z = [Z[:, j][None, :] for j in range(prob.n)]
-        vals = [
-            np.broadcast_to(
-                np.asarray(ex.eval_expr(c, xi=xi, x=env_x, z=env_z), dtype=float),
-                (len(xb), len(Z)),
-            )
-            for c in prob.f.components
-        ]
-        worst = geo.dist_cone_batch(np.stack(vals), prob.cone).max(axis=1)  # over z
-        sols.append(xb[worst <= grid.tol_c])
-    return np.vstack(sols) if sols else np.zeros((0, prob.n))
+    return _oracle_rows(prob, xi[None], grid or OracleGrid())[0][0]
 
 
 def oracle_dist_to_solutions(prob: VepProblem, xi, x) -> float:
@@ -575,8 +583,5 @@ def graph_samples(prob: VepProblem, xi_lo: float, xi_hi: float, n_xi: int) -> np
     if prob.p != 1:
         raise ProblemError("graph sampling implemented for p = 1")
     ts = np.linspace(xi_lo, xi_hi, n_xi)
-    per_t = pmap(lambda t: oracle_solutions(prob, [t]), ts)
-    rows = [np.concatenate([[t], s]) for t, sols in zip(ts, per_t) for s in sols]
-    if not rows:
-        return np.zeros((0, 1 + prob.n))
-    return np.asarray(rows)
+    per_t, _ = _oracle_rows(prob, ts[:, None], OracleGrid())
+    return np.vstack([np.column_stack([np.full(len(s), t), s]) for t, s in zip(ts, per_t)])

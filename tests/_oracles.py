@@ -155,6 +155,37 @@ def qhull_vertices(A, b):
     return pts[ConvexHull(pts).vertices]
 
 
+def pairwise_oracle_solutions(prob, xi, grid=None):
+    """The grid solution oracle comparing every grid x of the slice with
+    every grid z of it, chunked so that one f evaluation holds at most
+    2,000,000 pairs: the reference for ``problem.oracle_solutions``, which
+    takes z over the extreme points of the grid when f is affine in z."""
+    from vep import expr as ex
+    from vep import geometry as geo
+    from vep import problem as pb
+
+    grid = grid or pb.OracleGrid()
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    S = pb.slice_at(prob.K, xi)
+    axes, _ = pb._axis_grids(prob, S, grid.x_resolution)
+    pts = pb._grid_points(axes)
+    step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
+    X = pts[pb._members(S, pts, 0.5 * step + 1e-12)]
+    Z = X
+    sols = [np.zeros((0, prob.n))]
+    chunk = max(1, int(2_000_000 // max(len(Z), 1)))
+    for start in range(0, len(X), chunk):
+        xb = X[start:start + chunk]
+        env_x = [xb[:, j][:, None] for j in range(prob.n)]
+        env_z = [Z[:, j][None, :] for j in range(prob.n)]
+        vals = [np.broadcast_to(np.asarray(ex.eval_expr(c, xi=xi, x=env_x, z=env_z),
+                                           dtype=float), (len(xb), len(Z)))
+                for c in prob.f.components]
+        worst = geo.dist_cone_batch(np.stack(vals), prob.cone).max(axis=1)
+        sols.append(xb[worst <= grid.tol_c])
+    return np.vstack(sols)
+
+
 def per_point_nu_gradients(prob, xi, x):
     """The sampled gradient limits of ``subdiff.nu_subgradient_full`` with
     one scalar ``eval_nu`` per difference: at each of 64 ring points of

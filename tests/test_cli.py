@@ -6,6 +6,7 @@ import pytest
 from vep import cli
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
+POLYTOPE = GENCONE.with_name("polytope.vep")
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +190,42 @@ def test_probe_stability_command(capsys):
                          "--xi-bar", "0", "--x-bar", "1", "--gamma", "0.9")
     assert code == 0
     assert "stability" in body
+
+
+def test_probe_stability_on_the_polytope(capsys):
+    code, body = run_cli(capsys, "probe-stability", str(POLYTOPE), "--xi-bar", "0",
+                         "--x-bar", "0.5,0.5", "--gamma", "0.9")
+    assert code == 0
+    assert "certified-on-samples" in body
+
+
+def test_probe_stability_rejects_p_other_than_one(capsys, tmp_path):
+    text = """
+[problem]
+p = 2
+n = 1
+m = 1
+
+[cone]
+type = orthant
+
+[K]
+type = box
+lower = -1
+upper = 1
+
+[f]
+components = x1 - z1
+
+[objective]
+expr = xi1 + xi2
+"""
+    path = tmp_path / "two_params.vep"
+    path.write_text(text)
+    code = cli.main(["probe-stability", str(path), "--xi-bar", "0,0", "--x-bar", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "error: stability probe implemented for p = 1"
 
 
 def test_determinism_of_fast_commands(capsys):
@@ -416,9 +453,6 @@ def test_bad_halfspace_omega_exits_2_at_load(capsys, tmp_path, omega):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: [Omega]") and len(err.splitlines()) == 1 and "Traceback" not in err
-
-
-POLYTOPE = GENCONE.with_name("polytope.vep")
 
 
 @pytest.mark.parametrize("argv", [

@@ -50,6 +50,27 @@ def test_gamma_errors_when_everything_solves(zero_f):
         dg.estimate_gamma(zero_f, [0.0], 0.4, spec)
 
 
+def test_gamma_witness_is_the_first_sample_within_round_off(tent, monkeypatch):
+    # the second tested sample is smaller by one ulp: the constant is the
+    # exact minimum, the witness stays the first tested sample
+    tie = 0.75
+    script = iter([tie, np.nextafter(tie, 0.0)])
+    seen = []
+    partial = sd.nu_partial_subgradient_smooth
+
+    def record(prob, xi, x):
+        seen.append((np.asarray(xi, dtype=float), np.asarray(x, dtype=float)))
+        return partial(prob, xi, x)
+
+    monkeypatch.setattr(sd, "nu_partial_subgradient_smooth", record)
+    monkeypatch.setattr(geo, "min_norm_point", lambda body: (None, next(script, 1.0)))
+    cert = dg.estimate_gamma(tent, [0.0], 1.0, dg.SampleSpec(grid_shape=(3, 5), n_random=0))
+    assert len(seen) > 2
+    assert cert.constant == np.nextafter(tie, 0.0)
+    [(xi, x)] = cert.witnesses
+    assert np.array_equal(xi, seen[0][0]) and np.array_equal(x, seen[0][1])
+
+
 # ---------------------------------------------------------------------------
 # error bound
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import per_value_cone_dist
+from _oracles import pairwise_oracle_solutions, per_value_cone_dist
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
+POLYTOPE = GENCONE.with_name("polytope.vep")
 
 FILE_TEXT = """
 # same instance as the builtin, written through the file format
@@ -215,6 +216,67 @@ def test_oracle_batched_cone_distance_keeps_the_per_value_rows(monkeypatch):
         assert np.array_equal(batched, reference)
 
 
+def _non_affine():
+    """f = x1 - z1^2 over the paper's slices: not affine in z, so the
+    oracle compares every grid x with every grid z."""
+    dims = (1, 1, 1)
+    f = ex.VectorFunc((ex.parse("x1 - z1^2", dims),), dims)
+    K = pb.ParamBox((ex.parse("-abs(xi1) - 1", (1, 0, 0)),),
+                    (ex.parse("abs(xi1) + 1", (1, 0, 0)),))
+    return pb.VepProblem("toy:non-affine", 1, 1, 1, f, geo.orthant(1), K,
+                         ex.parse("0", (1, 1, 0)), geo.full_space(1))
+
+
+ORACLE_CASES = [
+    ("paper", lambda: pb.load("example:paper"), None, (0.0, 0.3, -0.7, 1.0)),
+    ("gencone", lambda: pb.load(str(GENCONE)), None, (0.0, 0.3, 0.7, -1.5)),
+    ("non-affine", _non_affine, None, (0.0, 0.4)),
+    # 2001 members: the 2,000,000-pair chunks of the full z grid take effect
+    ("non-affine-chunked", _non_affine, pb.OracleGrid(x_resolution=2001), (0.0,)),
+    ("polytope", lambda: pb.load(str(POLYTOPE)), pb.OracleGrid(x_resolution=41),
+     (0.0, 0.05, -0.35, 0.5)),
+]
+
+
+@pytest.mark.parametrize("make, grid, ts", [c[1:] for c in ORACLE_CASES],
+                         ids=[c[0] for c in ORACLE_CASES])
+def test_oracle_rows_equal_the_pairwise_grid_oracle(make, grid, ts):
+    prob = make()
+    for t in ts:
+        assert np.array_equal(pb.oracle_solutions(prob, [t], grid),
+                              pairwise_oracle_solutions(prob, [t], grid))
+
+
+def test_stacked_oracle_call_equals_the_per_xi_calls():
+    prob = pb.load(str(POLYTOPE))
+    grid = pb.OracleGrid(x_resolution=41)
+    ts = np.array([0.0, 0.05, -0.35, 0.5])
+    per_t, steps = pb._oracle_rows(prob, ts[:, None], grid)
+    assert len(per_t) == len(steps) == len(ts)
+    for t, sols, step in zip(ts, per_t, steps):
+        assert np.array_equal(sols, pb.oracle_solutions(prob, [t], grid))
+        # the slice's bounding box is [-1, 2]^2, padded by 1e-9
+        assert step == pytest.approx(3.0 / 40, abs=1e-9)
+
+
+@pytest.mark.parametrize("source, sizes_seen", [("example:paper", {2}),
+                                                (str(POLYTOPE), {3, 4, 5})],
+                         ids=["paper", "polytope"])
+def test_oracle_z_ranges_over_the_grid_hull(monkeypatch, source, sizes_seen):
+    prob = pb.load(source)
+    sizes = []
+    f_dists = mr._f_dists
+
+    def record(prob, XI, X, Z):
+        sizes.append(Z.shape[1])
+        return f_dists(prob, XI, X, Z)
+
+    monkeypatch.setattr(mr, "_f_dists", record)
+    for t in (0.0, 0.05, -0.35, 0.5):
+        assert len(pb.oracle_solutions(prob, [t])) > 0
+    assert sizes and set(sizes) <= sizes_seen
+
+
 def test_oracle_distances(tent):
     assert pb.oracle_dist_to_solutions(tent, [0.0], [0.0]) == pytest.approx(1.0, abs=1e-2)
     assert pb.oracle_dist_to_solutions(tent, [0.0], [1.0]) == pytest.approx(0.0, abs=1e-2)
@@ -262,6 +324,17 @@ def test_graph_samples_shape(tent):
     cloud = pb.graph_samples(tent, -0.5, 0.5, 41)
     assert cloud.shape[1] == 2
     assert np.allclose(cloud[:, 1], np.abs(cloud[:, 0]) + 1.0, atol=0.02)
+
+
+def test_polytope_graph_samples_lie_on_the_face():
+    # polytope.vep: E(xi) is the face x1 + x2 = 1 + |xi| of K(xi)
+    prob = pb.load(str(POLYTOPE))
+    cloud = pb.graph_samples(prob, -0.5, 0.5, 21)
+    ts = np.linspace(-0.5, 0.5, 21)
+    steps = dict(zip(ts, pb._oracle_rows(prob, ts[:, None], pb.OracleGrid())[1]))
+    assert set(cloud[:, 0]) == set(ts)
+    for t, x1, x2 in cloud:
+        assert abs(x1 + x2 - (1 + abs(t))) <= 2 * steps[t]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@ Each of the 45 commands below runs as
 subprocess, with ``src/`` of the current directory on the path.  For
 command k the script writes ``OUTDIR/NN.txt``: the command line, its stdout
 without the ``time:`` lines, its exit code and its stderr.  The progress
-line it prints for each command gives the exit code and the wall seconds;
-the files hold no times.  Run it on two checkouts and compare the
-directories with ``diff -r``: an empty diff means that every body and every
-exit code matches.
+line it prints for each command gives the exit code and the wall seconds,
+and a last line the wall seconds of the whole list; the files hold no
+times.  Run it on two checkouts and compare the directories with
+``diff -r``: an empty diff means that every body and every exit code
+matches.
 """
 
 import os
@@ -76,17 +77,20 @@ def main():
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(Path.cwd() / "src"))
+    total = 0.0
     for k, cmd in enumerate(commands(), start=1):
         argv = ("--seed", "3", "--format", "json-like") + cmd
         start = time.perf_counter()
         run = subprocess.run([sys.executable, "-m", "vep.cli", *argv],
                              capture_output=True, text=True, env=env)
         seconds = time.perf_counter() - start
+        total += seconds
         body = [line for line in run.stdout.splitlines() if not line.startswith("time:")]
         text = "\n".join([" ".join(argv), *body, f"exit: {run.returncode}",
                           "stderr:", run.stderr.rstrip()])
         (out / f"{k:02d}.txt").write_text(text + "\n")
         print(f"{k:02d} exit {run.returncode} {seconds:.1f} s: {' '.join(cmd)}", flush=True)
+    print(f"total {total:.1f} s for {k} commands")
 
 
 if __name__ == "__main__":

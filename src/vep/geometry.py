@@ -14,9 +14,25 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-# linprog is bound, not called: the benchmark tracer wraps it by this name
-from scipy.optimize import linprog, nnls  # noqa: F401
-from scipy.spatial import ConvexHull, QhullError
+
+# qhull (``_prune_hull``) and nnls (Wolfe's refinement) load on first use; a name
+# already bound (a tracer's wrapper) is kept.  linprog is bound for the tracer only.
+_SCIPY_NAMES = ("nnls", "linprog", "ConvexHull", "QhullError")
+
+
+def _bind_scipy() -> dict:
+    from scipy.optimize import linprog, nnls
+    from scipy.spatial import ConvexHull, QhullError
+    for name, obj in zip(_SCIPY_NAMES, (nnls, linprog, ConvexHull, QhullError)):
+        globals().setdefault(name, obj)
+    return globals()
+
+
+def __getattr__(name: str):  # PEP 562: ``geo.nnls`` resolves before first use
+    if name in _SCIPY_NAMES:
+        return _bind_scipy()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TOL_ON = 1e-7
 TOL_MNP = 1e-10
@@ -476,6 +492,7 @@ def wolfe_min_norm(points):
         # recover simplex weights for the refined point
         aug = np.vstack([P.T, np.ones(len(P))])
         target = np.concatenate([refined, [1.0]])
+        _bind_scipy()
         coef, _ = nnls(aug, target)
         support = np.nonzero(coef > 1e-12)[0]
         if len(support) and abs(coef.sum() - 1.0) < 1e-6:
@@ -701,6 +718,7 @@ def _prune_hull(pts: np.ndarray) -> np.ndarray:
         return np.array([[lo]]) if hi - lo <= 0.0 else np.array([[lo], [hi]])
     if len(pts) <= 3:
         return np.unique(pts, axis=0)
+    _bind_scipy()
     if d <= 6:
         try:
             hull = ConvexHull(pts)
@@ -885,26 +903,30 @@ def basis_points(A: np.ndarray, b: np.ndarray):
     subsystem with Ad <= 0 or Ad >= 0), or no feasible solution.
     """
     N, k, n = A.shape
-    norms = np.linalg.norm(A, axis=2)
+    # the rank and ray checks read A alone: a stack of one A does them on A[:1]
+    m = 1 if N > 1 and (A == A[:1]).all() else N
+    norms = np.linalg.norm(A[:m], axis=2)
     At = A.transpose(0, 2, 1)
     rows = _row_subsets(k, n)
     AS = A[:, rows]
-    nonsingular = np.abs(np.linalg.det(AS)) > 1e-12 * np.prod(norms[:, rows], axis=2)
+    nonsingular = np.abs(np.linalg.det(AS[:m])) > 1e-12 * np.prod(norms[:, rows], axis=2)
+    if m < N:
+        nonsingular = np.repeat(nonsingular, N, axis=0)
     Z = np.zeros((N, len(rows), n))
     Z[nonsingular] = np.linalg.solve(AS[nonsingular], b[:, rows][nonsingular][..., None])[..., 0]
     feasible = nonsingular & np.all(Z @ At <= (b + 1e-9 * (1.0 + np.abs(b)))[:, None, :], axis=2)
     # generalized cross product: the null direction of each (n-1)-row
     # subsystem, from its n minors in one determinant call
-    M = A[:, _row_subsets(k, n - 1)]
+    M = A[:m, _row_subsets(k, n - 1)]
     cols, signs = _minors(n)
     d = np.linalg.det(M[..., cols].swapaxes(-3, -2)) * signs
     dn = np.linalg.norm(d, axis=2)
     real = dn > 1e-12 * np.prod(np.linalg.norm(M, axis=3), axis=2)
-    Ad, tol = d @ At, 1e-9 * dn[..., None] * norms[:, None, :]
+    Ad, tol = d @ At[:m], 1e-9 * dn[..., None] * norms[:, None, :]
     ray = real & (np.all(Ad <= tol, axis=2) | np.all(Ad >= -tol, axis=2))
     code = np.zeros(N, dtype=int)    # the first reason that applies wins
     code[~feasible.any(axis=1)] = 3
-    code[ray.any(axis=1)] = 2
+    code[np.repeat(ray.any(axis=1), N // m)] = 2
     code[~nonsingular.any(axis=1)] = 1
     return Z, feasible, code
 

@@ -8,7 +8,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import expr as ex
 from . import geometry as geo
@@ -177,6 +176,7 @@ def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> Nu
     method = "grid"
     best_pts = [pts[order[0]]]
     if isinstance(S, geo.Box):
+        from scipy.optimize import minimize
         lo = np.where(np.isfinite(S.lower), S.lower - eps, -1e9)
         up = np.where(np.isfinite(S.upper), S.upper + eps, 1e9)
         seeds = [pts[j] for j in order[:5]]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -479,3 +482,27 @@ def test_projections_call_neither_nnls_nor_linprog(capsys, monkeypatch, argv):
     code = cli.main(list(argv))
     capsys.readouterr()
     assert calls == [] and code == 0
+
+
+STARTUP_SCRIPT = """
+import contextlib, io, sys
+import vep, vep.cli
+from vep import cli, problem
+for source, x in (("example:paper", "1"), (sys.argv[1], "1"), (sys.argv[2], "0.5,0.5")):
+    problem.load(source)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", source, "--xi", "0", "--x", x]) == 0
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["probe-stability", "example:paper", "--xi-bar", "0", "--x-bar", "1",
+                     "--gamma", "0.9"]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_startup_and_light_commands_load_no_scipy():
+    # scipy is imported on first use (qhull, nnls, Nelder-Mead), so a fresh
+    # interpreter that only imports vep, loads problems and evaluates pays nothing for it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(GENCONE), str(POLYTOPE)],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

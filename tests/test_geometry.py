@@ -610,3 +610,40 @@ def test_prune_hull_of_a_flat_set_is_exact():
     sq = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [0.5, 0.5, 0], [1 / 3, 0, 0]])
     assert sorted(map(tuple, geo._prune_hull(sq).tolist())) == sorted(map(tuple, sq[:4].tolist()))
     assert geo._prune_hull(np.full((5, 2), 0.1)).tolist() == [[0.1, 0.1]]
+
+
+def test_basis_points_of_a_shared_a_stack_equal_the_per_slice_calls():
+    # one A for every slice: the rank and ray checks run once and are repeated
+    tri = np.array([[1, 0], [0, 1], [-1, -1]], dtype=float)
+    strip = np.array([[1, 0], [-1, 0], [2, 0]], dtype=float)
+    wedge = np.array([[-1, 0], [0, -1], [-1, -1]], dtype=float)
+    b = np.array([[1, 1, 0], [2, 0.5, 1], [0, 0, -1], [1, 1, 5]], dtype=float)  # one empty
+    for A0 in (tri, strip, wedge):
+        A = np.repeat(A0[None], len(b), axis=0)
+        stacked = geo.basis_points(A, b)
+        single = [geo.basis_points(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
+        for got, ref in zip(stacked, zip(*single)):
+            assert np.array_equal(got, np.concatenate(ref)), A0
+
+
+def test_lazy_scipy_names_resolve_and_keep_a_wrapper(monkeypatch):
+    from scipy.spatial import ConvexHull
+
+    for name in geo._SCIPY_NAMES:    # the state before first use
+        monkeypatch.delitem(vars(geo), name, raising=False)
+    assert all(callable(getattr(geo, name)) for name in ("nnls", "linprog", "ConvexHull"))
+    with pytest.raises(AttributeError):
+        geo.no_such_name
+    for name in geo._SCIPY_NAMES:
+        monkeypatch.delitem(vars(geo), name, raising=False)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return ConvexHull(*args, **kwargs)
+
+    # a wrapper bound before first use: the binder in _prune_hull must keep it
+    monkeypatch.setitem(vars(geo), "ConvexHull", counting)
+    pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]], dtype=float)
+    assert sorted(map(tuple, geo._prune_hull(pts).tolist())) == sorted(map(tuple, pts[:4].tolist()))
+    assert calls == [5]

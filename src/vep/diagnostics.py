@@ -55,7 +55,13 @@ class SampleSpec:
 def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
                    spec: SampleSpec | None = None) -> Certificate:
     """Smallest sampled distance from the origin to the x-block subgradient
-    of nu plus the truncated normal map, over non-solution samples."""
+    of nu plus the truncated normal map, over non-solution samples.
+
+    The samples are tested in order, and the scan stops at the first
+    distance within ``GAMMA_MARGIN`` of zero.  A one-point row (see
+    ``_one_point_min_norms``) takes its distance from one numpy pass over
+    all samples; every other row takes ``_min_norm_body``, the min-norm
+    point of the two bodies."""
     spec = spec or SampleSpec()
     xi_bar, _ = prob.point(xi_bar, None)
     xlo, xup = spec.x_window if spec.x_window is not None else prob.x_window()
@@ -65,38 +71,130 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     x_axes = [np.linspace(xlo[i], xup[i], n_x) for i in range(prob.n)]
     xi_pts = pb._grid_points(xi_axes)
     x_pts = pb._grid_points(x_axes)
-    samples = [(xi, x) for xi in xi_pts for x in x_pts]
+    XI = [np.repeat(xi_pts, len(x_pts), axis=0)]
+    X = [np.tile(x_pts, (len(xi_pts), 1))]
     for _ in range(spec.n_random):
-        samples.append((
-            rng.uniform(xi_bar - rho, xi_bar + rho),
-            rng.uniform(xlo, xup),
-        ))
-    flags: set[str] = set()
-    tested = []  # (d, xi, x) of every tested sample, in sample order
-    merits = mr.eval_merit_batch(prob, [xi for xi, _ in samples], [x for _, x in samples])
-    for (xi, x), merit in zip(samples, merits.tolist()):
-        if merit <= 1e-8:
-            continue
-        est = sd.nu_partial_subgradient_smooth(prob, xi, x)
-        flags.update(est.qc_flags)
-        trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
-        body = geo.minkowski(est.body, trunc)
-        _, d = geo.min_norm_point(body)
-        tested.append((d, xi, x))
-        if d <= GAMMA_MARGIN:
-            break  # refuted: no need to scan further
-    if not tested:
+        XI.append(rng.uniform(xi_bar - rho, xi_bar + rho)[None])
+        X.append(rng.uniform(xlo, xup)[None])
+    XI, X = np.concatenate(XI), np.concatenate(X)
+    nu, mu, far = mr._merit_parts(prob, XI, X, farthest=True)
+    rows = np.flatnonzero(~(nu + mu <= 1e-8))
+    if not len(rows):
         raise pb.ProblemError("every sample solves the inner problem; nothing to test")
+    d = _one_point_min_norms(prob, XI, X, far, rows)
+    flags: set[str] = set()
+    # replay in sample order: the scan stops at the first d <= GAMMA_MARGIN
+    exits = np.flatnonzero(d <= GAMMA_MARGIN)
+    stop = int(exits[0]) + 1 if len(exits) else len(rows)
+    for j in np.flatnonzero(np.isnan(d[:stop])):
+        d[j], row_flags = _min_norm_body(prob, XI[rows[j]], X[rows[j]])
+        flags.update(row_flags)
+        if d[j] <= GAMMA_MARGIN:
+            stop = j + 1
+            break
+    d = d[:stop]
     # exact minimum; witness: the first sample within round-off of it
-    best = min(d for d, _, _ in tested)
-    _, xi, x = next(t for t in tested if t[0] - best <= 1e-12 * max(1.0, best))
-    witness = (np.asarray(xi, dtype=float), np.asarray(x, dtype=float))
+    best = float(d.min())
+    i = rows[np.flatnonzero(d - best <= 1e-12 * max(1.0, best))[0]]
+    witness = (XI[i].copy(), X[i].copy())
     verdict = CERTIFIED if best > GAMMA_MARGIN else REFUTED
     return Certificate(
-        "gamma", verdict, float(best), (witness,),
+        "gamma", verdict, best, (witness,),
         {"grid": spec.grid_shape, "random": spec.n_random, "rho": rho},
         tuple(sorted(flags)) + ("subgradient_model: branch-hull",),
     )
+
+
+def _min_norm_body(prob: pb.VepProblem, xi, x) -> tuple[float, tuple]:
+    """The distance of one sample and the flags of its subgradient estimate:
+    the min-norm point of ``nu_partial_subgradient_smooth``'s body plus the
+    truncated normal map."""
+    est = sd.nu_partial_subgradient_smooth(prob, xi, x)
+    trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
+    _, d = geo.min_norm_point(geo.minkowski(est.body, trunc))
+    return d, est.qc_flags
+
+
+def _one_point_min_norms(prob: pb.VepProblem, XI, X, far: mr.Farthest | None,
+                         rows: np.ndarray) -> np.ndarray:
+    """``_min_norm_body``'s distance at the samples ``rows`` whose bodies are
+    one point each, NaN at the others.
+
+    A row is one-point when
+    - it is vertex-exact;
+    - no switch of f is active at any of its farthest vertices;
+    - every u at every farthest vertex gives the same g = J_x(f)ᵀ u bit for
+      bit, u = (F - P_C F)/d off the cone (d > 1e-9 (1 + |F|)) and u
+      ranging over the cap points normal to F on it (the apex alone when
+      F is inside the cone);
+    - x is strictly inside its slice or off it.
+    Then the subgradient body is {g}, the truncated normal {t} (t = 0
+    inside, the unit outward direction off the slice), and the distance is
+    |g + t|.  Each number is computed with the arithmetic of the per-sample
+    body, so it equals that body's bit for bit.
+    """
+    d = np.full(len(rows), np.nan)
+    if far is None or not far.exact[rows].any():
+        return d
+    sel = np.flatnonzero(far.exact[rows])
+    XI, X = XI[rows[sel]], X[rows[sel]]
+    e = (np.cumsum(far.exact) - 1)[rows[sel]]      # the rows' entries in ``far``
+    r, v = np.nonzero(far.mask[e])                  # farthest vertices, row by row
+    pair = (XI[r], X[r], far.Z[e[r], v])
+    F, dist = far.F[e[r], v], far.dists[e[r], v]
+    J = np.empty((len(r), prob.m, prob.n))
+    kink = np.zeros(len(r), dtype=bool)
+    for k, comp in enumerate(prob.f.components):
+        _, J[:, k], active = ex.grad_rows(comp, *pair, "x")
+        kink |= active
+    # the u of every farthest vertex, as (vertex, u) entries
+    size = mr._dist_rows(F)
+    off = dist > 1e-9 * (1.0 + size)
+    owner, U = [np.flatnonzero(off)], [(F[off] - geo.project_cone_rows(F[off], prob.cone))
+                                       / dist[off, None]]
+    on = np.flatnonzero(~off)
+    if len(on):
+        cap = geo.cap_points(geo.dual_cone(prob.cone))
+        Fon, tol = F[on, None, :], 1e-7 * np.maximum(1.0, size[on])
+        # one cap point at a time keeps the temporaries at one number per vertex
+        normal = np.stack([np.abs(np.matmul(Fon, w[:, None])[:, 0, 0]) <= tol for w in cap], axis=1)
+        at, w = np.nonzero(normal)
+        owner += [on[at], on[~normal.any(axis=1)]]
+        U += [cap[w], np.zeros((len(owner[-1]), prob.m))]
+    owner, U = np.concatenate(owner), np.concatenate(U)
+    G = np.matmul(J[owner].swapaxes(1, 2), U[..., None])[..., 0]
+    row = r[owner]
+    first = np.argsort(row, kind="stable")[np.searchsorted(np.sort(row), np.arange(len(sel)))]
+    split = np.bincount(row, ~np.all(G == G[first[row]], axis=1), len(sel))
+    ok = (split == 0) & (np.bincount(r, kink, len(sel)) == 0)
+    plain, T = _truncated_normal_points(prob, XI, X)
+    ok &= plain
+    d[sel[ok]] = mr._dist_rows(G[first] + T)[ok]
+    return d
+
+
+def _truncated_normal_points(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
+    """``geo.truncated_normal`` of N points on their bounded, nonempty
+    slices where that body is one point: (plain, T), ``plain`` (N,) false
+    where x is on its slice's boundary (a normal cap), T (N, n) the unit
+    outward direction (x - q)/|x - q| off the slice and 0 inside."""
+    if isinstance(prob.K, pb.ParamBox):
+        lo, up = pb.slice_arrays(prob.K, XI)
+        Q = np.clip(X, lo, up)
+    else:
+        A, b = pb.slice_arrays(prob.K, XI)
+        Q = geo.project_polytopes(A, b, X)
+    gap = mr._dist_rows(X - Q)
+    off = ~(gap <= geo.TOL_ON * (1.0 + mr._dist_rows(X)))
+    # the active constraints at q, by ``geo.normal_cone``'s tests
+    if isinstance(prob.K, pb.ParamBox):
+        tol = geo.TOL_ON * (1.0 + np.minimum(np.abs(Q), np.abs(up)))
+        bound = (np.abs(Q - up) <= tol) | (np.abs(Q - lo) <= tol)
+    else:
+        bound = np.matmul(A, Q[..., None])[..., 0] - b >= -geo.TOL_ON * (1.0 + np.abs(b))
+    T = np.zeros_like(X)
+    T[off] = (X - Q)[off] / gap[off, None]
+    return off | ~bound.any(axis=1), T
 
 
 def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,

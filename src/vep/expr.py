@@ -461,6 +461,99 @@ def grad_hull(e: Expr, point, wrt: str) -> GradHull:
     return GradHull(tuple(grads))
 
 
+def _pow_rows(v: np.ndarray, k: int) -> np.ndarray:
+    """v ** k entry by entry with Python's float power, as ``grad_hull``
+    takes it (``np.power`` rounds some entries differently)."""
+    return np.array([t ** k for t in v.tolist()], dtype=float)
+
+
+def _differ(h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows where ``_dedup`` keeps g next to h: two generators, not one."""
+    return np.max(np.abs(g - h), axis=1, initial=0.0) > 1e-12 * np.maximum(
+        1.0, np.max(np.abs(g), axis=1, initial=0.0))
+
+
+def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
+              wrt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One forward-mode pass over N points, the rows of XI, X and Z.
+
+    Returns the values (N,), the gradients (N, dim) w.r.t. the block
+    ``wrt`` (as in ``grad_hull``) and a mask (N,) of the rows where some
+    switch is active: an ``abs`` argument or a ``min``/``max`` gap within
+    ``grad_hull``'s tolerance, whose two branch gradients ``grad_hull``
+    keeps apart (a kink of ``abs(xi1)`` is no kink in x).  Row i's
+    gradient equals ``grad_hull(e, (XI[i], X[i], Z[i]), wrt).generators[0]``
+    bit for bit, which is that hull's only generator on an unmasked row: a
+    tie takes the ``+`` sign of an ``abs`` and operand ``a`` of a
+    ``min``/``max``, and every value is computed with ``grad_hull``'s
+    arithmetic.
+    """
+    N, p = XI.shape
+    n = X.shape[1]
+    env = {"xi": XI, "x": X, "z": Z}
+    dim = {"xi": p, "x": n, "z": Z.shape[1], "xix": p + n}.get(wrt)
+    if dim is None:
+        raise ValueError(f"unknown block selector {wrt!r}")
+    offset = {"xi": 0, "x": p} if wrt == "xix" else {wrt: 0}  # block -> first column
+    active = np.zeros(N, dtype=bool)
+
+    def rec(node: Expr) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal active
+        if isinstance(node, Const):
+            return np.full(N, float(node.value)), np.zeros((N, dim))
+        if isinstance(node, Var):
+            block = env[node.block]
+            if node.index > block.shape[1]:
+                raise EvalError(f"point has no component {node.block}{node.index}")
+            g = np.zeros((N, dim))
+            if node.block in offset:
+                g[:, offset[node.block] + node.index - 1] = 1.0
+            return block[:, node.index - 1].astype(float), g
+        if isinstance(node, Neg):
+            v, g = rec(node.a)
+            return -v, -g
+        if isinstance(node, Abs):
+            v, g = rec(node.a)
+            tol = ACTIVE_TOL * np.maximum(1.0, np.abs(v))
+            neg = v < -tol
+            active = active | (~((v > tol) | neg) & _differ(g, -g))
+            return np.abs(v), np.where(neg[:, None], -g, g)
+        if isinstance(node, (Add, Sub)):
+            (va, ga), (vb, gb) = rec(node.a), rec(node.b)
+            if isinstance(node, Add):
+                return va + vb, ga + gb
+            return va - vb, ga - gb
+        if isinstance(node, Mul):
+            (va, ga), (vb, gb) = rec(node.a), rec(node.b)
+            return va * vb, vb[:, None] * ga + va[:, None] * gb
+        if isinstance(node, Div):
+            (va, ga), (vb, gb) = rec(node.a), rec(node.b)
+            if np.any(np.abs(vb) < EPS_DIV):
+                raise EvalError("division by near-zero value")
+            return va / vb, (ga * vb[:, None] - va[:, None] * gb) / _pow_rows(vb, 2)[:, None]
+        if isinstance(node, (Min2, Max2)):
+            (va, ga), (vb, gb) = rec(node.a), rec(node.b)
+            lo = isinstance(node, Min2)
+            # Python's min/max keep operand a unless b is strictly better
+            val = np.where((vb < va) if lo else (vb > va), vb, va)
+            tie = np.abs(va - vb) <= ACTIVE_TOL * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
+            active = active | (tie & _differ(ga, gb))
+            take_a = tie | ((va < vb) if lo else (va > vb))
+            return val, np.where(take_a[:, None], ga, gb)
+        if isinstance(node, Pow):
+            va, ga = rec(node.base)
+            k = node.power
+            if k == 0:
+                return np.ones(N), np.zeros((N, dim))
+            if k == 1:
+                return va, ga
+            return _pow_rows(va, k), (k * _pow_rows(va, k - 1))[:, None] * ga
+        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
+
+    values, grads = rec(e)
+    return values, grads, active
+
+
 # ---------------------------------------------------------------------------
 # tree utilities
 # ---------------------------------------------------------------------------

@@ -233,21 +233,26 @@ def dual_cone(C: ConeRepr) -> ConeRepr:
 # projections and distances
 # ---------------------------------------------------------------------------
 
-def _project_cone(x: np.ndarray, C: ConeRepr) -> np.ndarray:
-    """The rule of ``dist_cone_batch``: the nearest Rᵀc, c = Pᵀx >= 0, over
-    the apex and the faces (R, P); in halfspace form that projects onto the
-    polar cone, and x minus it onto the cone (Moreau)."""
+def project_cone_rows(X: np.ndarray, C: ConeRepr) -> np.ndarray:
+    """Projections of the rows of X (N, dim) onto the cone C, by the rule of
+    ``dist_cone_batch``: the nearest Rᵀc, c = Pᵀx >= 0, over the apex and
+    the faces (R, P); in halfspace form that projects onto the polar cone,
+    and x minus it onto the cone (Moreau).  Every product is one row's
+    vector-matrix product (a stacked matmul), so a row's projection does
+    not depend on the others."""
     if C.kind == "orthant":
-        return np.maximum(x, 0.0)
-    best, near = float(x @ x), np.zeros_like(x)
+        return np.maximum(X, 0.0)
+    rows = X[:, None, :]
+    best, near = np.matmul(rows, X[:, :, None])[:, 0, 0], np.zeros_like(X)
     for R, P in C.faces:
-        c = x @ P
-        if np.all(c >= 0.0):
-            cand = c @ R
-            res = float((x - cand) @ (x - cand))
-            if res < best:
-                best, near = res, cand
-    return near if C.kind == "generators" else x - near
+        c = np.matmul(rows, P)
+        cand = np.matmul(c, R)[:, 0]
+        r = X - cand
+        res = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+        take = np.all(c[:, 0] >= 0.0, axis=1) & (res < best)
+        best = np.where(take, res, best)
+        near[take] = cand[take]
+    return near if C.kind == "generators" else X - near
 
 
 def project_polytopes(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -319,7 +324,7 @@ def project(x, S):
     """Euclidean projection of ``x`` onto a convex set or cone."""
     x = np.asarray(x, dtype=float)
     if isinstance(S, ConeRepr):
-        return _project_cone(x, S)
+        return project_cone_rows(x[None], S)[0]
     z = project_rows(x[None], S)[0]
     if np.isinf(z).any():
         raise GeometryError("infeasible halfspace representation")
@@ -333,7 +338,7 @@ def dist(x, S) -> float:
     x = np.asarray(x, dtype=float)
     if isinstance(S, ConeRepr) and S.kind != "orthant":
         return float(dist_cone_batch(x, S))
-    near = _project_cone(x, S) if isinstance(S, ConeRepr) else project_rows(x[None], S)[0]
+    near = (project_cone_rows if isinstance(S, ConeRepr) else project_rows)(x[None], S)[0]
     return float(np.linalg.norm(x - near))
 
 

@@ -45,15 +45,26 @@ def _dist_rows(D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(D[..., None, :], D[..., :, None])[..., 0, 0])
 
 
-def _f_dists(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """dist(f(XI[i], X[i], Z[i, j]), C) for N points and V slice points
-    each, Z of shape (N, V, n): one evaluation of f and one cone distance.
-    An entry does not depend on the others: the orthant distance is taken
-    as ``geo.dist`` takes it, any other cone's by ``geo.dist_cone_batch``."""
+def _f_values(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """f(XI[i], X[i], Z[i, j]) for N points and V slice points each, Z of
+    shape (N, V, n), as an array of shape (N, V, m): one evaluation of f."""
     xi, x, z = [c[:, None] for c in XI.T], [c[:, None] for c in X.T], list(Z.transpose(2, 0, 1))
     F = np.empty(Z.shape[:2] + (prob.m,))
     for j, comp in enumerate(prob.f.components):
         F[..., j] = ex.eval_expr(comp, xi, x, z)
+    return F
+
+
+def _f_dists(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """dist(f(XI[i], X[i], Z[i, j]), C) for N points and V slice points
+    each, Z of shape (N, V, n): one evaluation of f and one cone distance."""
+    return _cone_dists(prob, _f_values(prob, XI, X, Z))
+
+
+def _cone_dists(prob: pb.VepProblem, F: np.ndarray) -> np.ndarray:
+    """dist(F[..., :], C) for values F of shape (..., m).  An entry does not
+    depend on the others: the orthant distance is taken as ``geo.dist``
+    takes it, any other cone's by ``geo.dist_cone_batch``."""
     if prob.cone.kind == "orthant":
         return _dist_rows(F - np.maximum(F, 0.0))
     return geo.dist_cone_batch(np.moveaxis(F, -1, 0), prob.cone)
@@ -87,8 +98,26 @@ def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
     return exact, Z[exact], feasible[exact], mu
 
 
-def _merit_parts(prob: pb.VepProblem, XI, X) -> tuple[np.ndarray, np.ndarray]:
-    """nu and mu of N points, the rows of XI (N, p) and X (N, n), at once.
+@dataclass(frozen=True, eq=False)
+class Farthest:
+    """The farthest slice vertices of the vertex-exact points of a kernel
+    call: ``exact`` (N,) marks those points; for the E of them, Z (E, V, n)
+    holds their slices' basis points, F (E, V, m) the values of f there,
+    ``dists`` (E, V) the cone distances of F and ``mask`` (E, V) the
+    vertices within ``ARGMAX_TOL`` of the max, as ``eval_nu`` picks its
+    argmax (infeasible basis points are never in it)."""
+
+    exact: np.ndarray
+    Z: np.ndarray
+    F: np.ndarray
+    dists: np.ndarray
+    mask: np.ndarray
+
+
+def _merit_parts(prob: pb.VepProblem, XI, X, farthest: bool = False):
+    """nu and mu of N points, the rows of XI (N, p) and X (N, n), at once,
+    and with ``farthest`` a ``Farthest`` record as well (None when no point
+    is vertex-exact).
 
     Entry i of each equals ``eval_merit(prob, XI[i], X[i]).nu`` and ``.mu``
     bit for bit.  Where f is affine in z and a slice is a bounded box or a
@@ -103,13 +132,18 @@ def _merit_parts(prob: pb.VepProblem, XI, X) -> tuple[np.ndarray, np.ndarray]:
     exact = np.zeros(len(XI), dtype=bool)
     if prob.f.affine_in_z and len(XI):
         exact, Z, feasible, mu_exact = _slice_vertices(prob, XI, X)
+    far = None
     if exact.any():
-        nu[exact] = np.where(feasible, _f_dists(prob, XI[exact], X[exact], Z), -np.inf).max(axis=1)
+        F = _f_values(prob, XI[exact], X[exact], Z)
+        dists = np.where(feasible, _cone_dists(prob, F), -np.inf)
+        nu[exact] = dists.max(axis=1)
         mu[exact] = mu_exact
+        if farthest:
+            far = Farthest(exact, Z, F, dists, dists >= nu[exact][:, None] - ARGMAX_TOL)
     for i in np.flatnonzero(~exact):
         me = eval_merit(prob, XI[i], X[i])
         nu[i], mu[i] = me.nu, me.mu
-    return nu, mu
+    return (nu, mu, far) if farthest else (nu, mu)
 
 
 def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:

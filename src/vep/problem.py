@@ -9,7 +9,6 @@ over (xi, x, z), an ordering cone C, a parametric feasible-set map K(xi)
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass, field
 
@@ -468,6 +467,8 @@ def load(source: str) -> VepProblem:
             text = fh.read()
     except OSError as err:
         raise ProblemError(f"cannot read problem file {source!r}: {err}")
+    import hashlib  # on first use: ``import vep`` and builtin problems do without it
+
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return parse_problem_text(text, name=f"{source}#{digest}")
 

@@ -126,7 +126,9 @@ def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
     merit part uses central differences, which on piecewise-smooth data
     yields a convex combination of branch gradients (a valid subgradient
     wherever merit is convex along the probe).  The merits at every row and
-    at its 2(p+n) probes q +- 1e-7 e_i go into the same kernel call."""
+    at its 2(p+n) probes q +- 1e-7 e_i go into the same kernel call, and
+    the objective gradients of all rows come from one ``expr.grad_rows``
+    pass (``grad_hull``'s first generator at each row)."""
     N, d = Q.shape
     p, h = prob.p, 1e-7
     R = Q
@@ -140,8 +142,7 @@ def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
         return values, None
     M = merit[N:].reshape(2, N, d)
     g_mf = (M[0] - M[1]) / (2 * h)
-    g_phi = np.array([ex.grad_hull(prob.objective, (q[:p], q[p:], ()), "xix").generators[0]
-                      for q in Q])
+    _, g_phi, _ = ex.grad_rows(prob.objective, Q[:, :p], Q[:, p:], Q[:, :0], "xix")
     d_om = mr._dist_rows(offsets)[:, None]
     g_om = np.zeros((N, d))
     np.divide(offsets, d_om, out=g_om[:, :p], where=d_om > 1e-12)

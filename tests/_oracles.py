@@ -9,14 +9,38 @@ import numpy as np
 
 
 def grid_min_distance(x, member, lo, hi, res=401):
-    """min ||x - s|| over grid points of [lo, hi]^d that satisfy ``member``."""
+    """min ||x - s|| over grid points of [lo, hi]^d that satisfy ``member``,
+    which maps the grid points (M, d) to a boolean mask (M,) in one call."""
     x = np.asarray(x, dtype=float)
     axes = [np.linspace(lo[i], hi[i], res) for i in range(len(x))]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.array([member(p) for p in pts])
-    pts = pts[keep]
+    pts = pts[np.asarray(member(pts), dtype=bool)]
     return float(np.min(np.linalg.norm(pts - x, axis=1)))
+
+
+def generator_cone_members(G, P, tol=1e-12):
+    """Rows of P (M, 2) in the plane cone generated by the rows of G.  By
+    Caratheodory's theorem p is in the cone iff p = a g_i (a >= 0) for one
+    generator or p = a g_i + b g_j (a, b >= 0) for a pair of independent
+    ones; every pair is solved for every point at once by Cramer's rule."""
+    G = np.asarray(G, dtype=float)
+    P = np.asarray(P, dtype=float)
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    scale = tol * np.linalg.norm(G, axis=1)[:, None] * np.maximum(1.0, np.linalg.norm(P, axis=1))
+    ray = (np.abs(cross(G[:, None], P[None])) <= scale) & (G @ P.T >= -scale)
+    member = ray.any(axis=0)
+    for i in range(len(G)):
+        for j in range(i + 1, len(G)):
+            det = cross(G[i], G[j])
+            if abs(det) <= tol:
+                continue
+            a, b = cross(P, G[j]) / det, cross(G[i], P) / det
+            member |= (a >= -tol) & (b >= -tol)
+    return member
 
 
 def fd_gradient(fn, q, h=1e-6):
@@ -338,3 +362,43 @@ def sequential_solve_penalized(prob, config, starts):
             break
         lam *= config.growth
     return (incumbent[:p].copy(), incumbent[p:].copy()), tuple(trace)
+
+
+def per_sample_gamma(prob, xi_bar, rho, spec):
+    """``diagnostics.estimate_gamma`` with the per-sample body at every
+    sample: for each non-solution sample in order, the min-norm point of
+    ``nu_partial_subgradient_smooth``'s body plus the truncated normal map,
+    up to the first distance within ``GAMMA_MARGIN`` of zero.  Returns
+    (constant, verdict, witness, flags): the reference for the one-point
+    rows of the batched sweep."""
+    from vep import diagnostics as dg
+    from vep import geometry as geo
+    from vep import merit as mr
+    from vep import problem as pb
+    from vep import subdiff as sd
+
+    xi_bar, _ = prob.point(xi_bar, None)
+    xlo, xup = spec.x_window if spec.x_window is not None else prob.x_window()
+    rng = np.random.default_rng(spec.seed)
+    n_xi, n_x = spec.grid_shape
+    xi_pts = pb._grid_points([np.linspace(c - rho, c + rho, n_xi) for c in xi_bar])
+    x_pts = pb._grid_points([np.linspace(xlo[i], xup[i], n_x) for i in range(prob.n)])
+    samples = [(xi, x) for xi in xi_pts for x in x_pts]
+    for _ in range(spec.n_random):
+        samples.append((rng.uniform(xi_bar - rho, xi_bar + rho), rng.uniform(xlo, xup)))
+    flags, tested = set(), []
+    merits = mr.eval_merit_batch(prob, [xi for xi, _ in samples], [x for _, x in samples])
+    for (xi, x), merit in zip(samples, merits.tolist()):
+        if merit <= 1e-8:
+            continue
+        est = sd.nu_partial_subgradient_smooth(prob, xi, x)
+        flags.update(est.qc_flags)
+        trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
+        _, d = geo.min_norm_point(geo.minkowski(est.body, trunc))
+        tested.append((d, xi, x))
+        if d <= dg.GAMMA_MARGIN:
+            break
+    best = min(d for d, _, _ in tested)
+    _, xi, x = next(t for t in tested if t[0] - best <= 1e-12 * max(1.0, best))
+    verdict = dg.CERTIFIED if best > dg.GAMMA_MARGIN else dg.REFUTED
+    return best, verdict, (np.asarray(xi, dtype=float), np.asarray(x, dtype=float)), flags

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import vep
 from vep import cli
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
@@ -506,3 +507,25 @@ def test_startup_and_light_commands_load_no_scipy():
     out = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(GENCONE), str(POLYTOPE)],
                          env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+LAZY_SCRIPT = """
+import sys
+import vep
+from vep import problem
+problem.load("example:paper")
+print(sorted(m for m in ("vep.cli", "vep.diagnostics", "vep.solver", "vep.subdiff")
+             if m in sys.modules))
+print(vep.solver.solve_penalized.__module__, "vep.solver" in sys.modules)
+"""
+
+
+def test_import_vep_and_problem_load_no_command_modules():
+    # vep binds its submodules on first use: the benchmark's setup (import vep,
+    # load the problems) does not import the command modules, and they still resolve
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", LAZY_SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "vep.solver True"], out.stdout
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        vep.nothing

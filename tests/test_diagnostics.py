@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from vep import merit as mr
 from vep import problem as pb
 from vep import subdiff as sd
 
+from _oracles import per_sample_gamma
 from conftest import make_const_box
 
 SMALL = dg.SampleSpec(grid_shape=(13, 13), n_random=40)
+PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
 
 
 # ---------------------------------------------------------------------------
@@ -52,23 +55,70 @@ def test_gamma_errors_when_everything_solves(zero_f):
 
 def test_gamma_witness_is_the_first_sample_within_round_off(tent, monkeypatch):
     # the second tested sample is smaller by one ulp: the constant is the
-    # exact minimum, the witness stays the first tested sample
+    # exact minimum, the witness stays the first tested sample.  The first
+    # sample's distance comes from the one-point pass and the second's from
+    # the per-sample body, so the tie spans both paths of the sweep
     tie = 0.75
-    script = iter([tie, np.nextafter(tie, 0.0)])
-    seen = []
-    partial = sd.nu_partial_subgradient_smooth
+    seen, body_calls = [], []
 
-    def record(prob, xi, x):
-        seen.append((np.asarray(xi, dtype=float), np.asarray(x, dtype=float)))
-        return partial(prob, xi, x)
+    def one_point(prob, XI, X, far, rows):
+        seen.extend((XI[i], X[i]) for i in rows)
+        d = np.ones(len(rows))
+        d[0], d[1] = tie, np.nan
+        return d
 
-    monkeypatch.setattr(sd, "nu_partial_subgradient_smooth", record)
-    monkeypatch.setattr(geo, "min_norm_point", lambda body: (None, next(script, 1.0)))
+    def body(prob, xi, x):
+        body_calls.append((xi, x))
+        return np.nextafter(tie, 0.0), ()
+
+    monkeypatch.setattr(dg, "_one_point_min_norms", one_point)
+    monkeypatch.setattr(dg, "_min_norm_body", body)
     cert = dg.estimate_gamma(tent, [0.0], 1.0, dg.SampleSpec(grid_shape=(3, 5), n_random=0))
     assert len(seen) > 2
+    assert len(body_calls) == 1 and np.array_equal(body_calls[0][1], seen[1][1])
     assert cert.constant == np.nextafter(tie, 0.0)
     [(xi, x)] = cert.witnesses
     assert np.array_equal(xi, seen[0][0]) and np.array_equal(x, seen[0][1])
+
+
+def _gamma_cases():
+    gencone = pb.load(str(PROBLEMS / "gencone.vep"))
+    polytope = pb.load(str(PROBLEMS / "polytope.vep"))
+    mid = dg.SampleSpec(grid_shape=(21, 21), n_random=40)
+    return {
+        "paper": (pb.load("example:paper"), mid),
+        "gencone": (gencone, mid),
+        "polytope": (polytope, dg.SampleSpec(grid_shape=(5, 9), n_random=20)),
+        # refuted: the scan stops at the slice's upper end, a normal-cap row
+        "refuted-at-cap": (make_const_box(f_comp="x1 - z1 - 1"), SMALL),
+        # refuted off the slice: the grid misses x = 1, so the scan stops at a
+        # one-point row, where g = -1 and the outward unit t = 1 cancel
+        "refuted-one-point": (make_const_box(f_comp="x1 - z1 - 1"),
+                              dg.SampleSpec(grid_shape=(13, 12), n_random=40)),
+        # a kink in x at the farthest vertex: branch-hull-at-argmax
+        "kinked": (make_const_box(f_comp="abs(x1) - z1"), SMALL),
+    }
+
+
+@pytest.mark.parametrize("case", ["paper", "gencone", "polytope", "refuted-at-cap",
+                                  "refuted-one-point", "kinked"])
+def test_gamma_sweep_matches_the_per_sample_loop(case, monkeypatch):
+    prob, spec = _gamma_cases()[case]
+    body, calls = dg._min_norm_body, []
+    monkeypatch.setattr(dg, "_min_norm_body", lambda *a: calls.append(a) or body(*a))
+    cert = dg.estimate_gamma(prob, [0.0], 1.0, spec)
+    constant, verdict, (xi, x), flags = per_sample_gamma(prob, [0.0], 1.0, spec)
+    assert cert.constant == constant and cert.verdict == verdict
+    [(w_xi, w_x)] = cert.witnesses
+    assert np.array_equal(w_xi, xi) and np.array_equal(w_x, x)
+    assert cert.flags == tuple(sorted(flags)) + ("subgradient_model: branch-hull",)
+    if case == "kinked":
+        assert "branch-hull-at-argmax" in cert.flags
+    if case == "refuted-one-point":
+        assert cert.verdict == dg.REFUTED and not calls
+    if case in ("paper", "polytope", "refuted-at-cap", "kinked"):
+        # normal-cap or kinked rows keep the per-sample body
+        assert calls
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,62 @@ def test_kink_generators_are_one_sided_limits():
     )
 
 
+@st.composite
+def trees_with_div(draw):
+    """``trees`` with division as well; small integer constants make kinks
+    (abs at 0, min/max ties) common at the integer points drawn below."""
+    base = st.one_of(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]).map(ex.Const),
+        st.sampled_from([ex.Var("xi", 1), ex.Var("xi", 2), ex.Var("x", 1),
+                         ex.Var("x", 2), ex.Var("z", 1), ex.Var("z", 2)]),
+    )
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            pairs.map(lambda ab: ex.Add(*ab)), pairs.map(lambda ab: ex.Sub(*ab)),
+            pairs.map(lambda ab: ex.Mul(*ab)), pairs.map(lambda ab: ex.Div(*ab)),
+            pairs.map(lambda ab: ex.Min2(*ab)), pairs.map(lambda ab: ex.Max2(*ab)),
+            children.map(ex.Neg), children.map(ex.Abs),
+            st.tuples(children, st.integers(0, 4)).map(lambda bk: ex.Pow(*bk)),
+        )
+
+    return draw(st.recursive(base, extend, max_leaves=10))
+
+
+_coords = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
+                    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+
+
+@given(trees_with_div(), st.lists(st.lists(_coords, min_size=6, max_size=6), min_size=1,
+                                  max_size=4), st.sampled_from(["xi", "x", "z", "xix"]))
+@settings(max_examples=120, deadline=None)
+def test_grad_rows_is_grad_hull_first_generator(tree, rows, wrt):
+    Q = np.array(rows)
+    XI, X, Z = Q[:, :2], Q[:, 2:4], Q[:, 4:]
+    try:
+        hulls = [ex.grad_hull(tree, (xi, x, z), wrt) for xi, x, z in zip(XI, X, Z)]
+    except ex.EvalError:
+        with pytest.raises(ex.EvalError):
+            ex.grad_rows(tree, XI, X, Z, wrt)
+        return
+    _, G, active = ex.grad_rows(tree, XI, X, Z, wrt)
+    for g, hull, act in zip(G, hulls, active):
+        # bit for bit, the sign of a zero included
+        assert g.tobytes() == np.asarray(hull.generators[0], dtype=float).tobytes()
+        assert act or hull.single
+
+
+def test_grad_rows_masks_kinks_and_takes_the_first_branch():
+    e = ex.parse("abs(x1) + max(x2, z1)", (0, 2, 1))
+    X = np.array([[0.0, 1.0], [-2.0, 1.0], [3.0, 1.0], [1.0, -1.0]])
+    Z = np.array([[5.0], [0.0], [1.0], [0.0]])
+    vals, G, active = ex.grad_rows(e, np.zeros((4, 0)), X, Z, "x")
+    assert vals.tolist() == [5.0, 3.0, 4.0, 1.0]
+    assert G.tolist() == [[1.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
+    assert active.tolist() == [True, False, True, False]
+
+
 def test_grad_hull_at_kink_of_scaled_f_scales():
     e = ex.parse("abs(xi1)", (1, 0, 0))
     e2 = ex.parse("2*abs(xi1)", (1, 0, 0))

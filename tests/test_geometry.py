@@ -7,8 +7,9 @@ from vep import geometry as geo
 
 from scipy.optimize import nnls
 
-from _oracles import (grid_min_distance, hildreth_projection, nnls_cap_points,
-                      nnls_cone_projection, per_value_cone_dist, qhull_vertices, sampled_min_norm)
+from _oracles import (generator_cone_members, grid_min_distance, hildreth_projection,
+                      nnls_cap_points, nnls_cone_projection, per_value_cone_dist, qhull_vertices,
+                      sampled_min_norm)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -31,7 +32,7 @@ def test_project_orthant_against_grid_oracle():
     assert np.allclose(q, [0.0, 0.4], atol=1e-12)
     assert geo.dist([-0.3, 0.4], geo.orthant(2)) == pytest.approx(0.3, abs=1e-12)
     oracle = grid_min_distance(
-        [-0.3, 0.4], lambda p: bool(np.all(p >= 0)), [-1, -1], [2, 2], res=301
+        [-0.3, 0.4], lambda P: np.all(P >= 0, axis=1), [-1, -1], [2, 2], res=301
     )
     assert abs(oracle - 0.3) <= 2 * (3.0 / 300)
 
@@ -191,7 +192,7 @@ def test_dist_matches_grid_oracle_on_random_sets():
         hi = lo + rng.uniform(0.5, 2, 2)
         S = geo.Box(lo, hi)
         x = rng.uniform(-3, 3, 2)
-        oracle = grid_min_distance(x, lambda p: bool(np.all((p >= lo - 1e-9) & (p <= hi + 1e-9))),
+        oracle = grid_min_distance(x, lambda P: np.all((P >= lo - 1e-9) & (P <= hi + 1e-9), axis=1),
                                    lo, hi, res=201)
         step = float(np.max((hi - lo) / 200))
         assert abs(geo.dist(x, S) - oracle) <= 2 * step
@@ -265,11 +266,11 @@ def test_cone_dist_matches_grid_oracle():
         (geo.generated_cone([[1.0, 0.0], [-1.0, 1.0]]), None),
         (geo.generated_cone([[1.0, 2.0], [2.0, 1.0], [1.0, 1.0]]), None),
         (geo.ConeRepr(2, "halfspaces", [[1.0, -1.0], [-1.0, -3.0]]),
-         lambda p: bool(np.all(np.array([[1.0, -1.0], [-1.0, -3.0]]) @ p <= 0.0))),
+         lambda P: np.all(P @ np.array([[1.0, -1.0], [-1.0, -3.0]]).T <= 0.0, axis=1)),
     ]
     rng = np.random.default_rng(12)
     for C, member in cases:
-        member = member or (lambda p, C=C: geo.cone_contains(C, p, 1e-12))
+        member = member or (lambda P, C=C: generator_cone_members(C.mat, P))
         for _ in range(2):
             x = rng.uniform(-2, 2, 2)
             r = float(np.linalg.norm(x)) + 0.1

@@ -200,7 +200,12 @@ def _truncated_normal_points(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray)
 def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
                        x_check: tuple | None = None) -> Certificate:
     """Check dist(x, E(xi)) <= merit(xi, x)/gamma + grid slack on a grid in
-    (xi, x); p = n = 1."""
+    (xi, x); p = n = 1.
+
+    The oracle takes one stacked call and the merit one kernel call over
+    the rows with solutions; rows without are skipped and reported.  In
+    (t, x) order, the first positive gap refutes and the first maximal gap
+    is the witness."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     xi_bar, _ = prob.point(xi_bar, None)
@@ -211,39 +216,27 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
         x_check = (float(xlo[0]), float(xup[0]), 161)
     x_grid = np.linspace(*x_check)
     xi_grid = np.linspace(float(xi_bar[0] - rho), float(xi_bar[0] + rho), 41)
-    empty_slices = []
-    worst = -math.inf
-    witness = None
+    res = {"xi_points": len(xi_grid), "x_points": len(x_grid)}
     per_t, steps = pb._oracle_rows(prob, xi_grid[:, None], pb.OracleGrid())
-    for t, sols, step in zip(xi_grid, per_t, steps):
-        if len(sols) == 0:
-            empty_slices.append(t)
-            continue
-        slack = step + 1e-9
-        merits = mr.eval_merit_batch(prob, np.full((len(x_grid), 1), t), x_grid[:, None])
-        for xv, merit in zip(x_grid, merits.tolist()):
-            d = float(np.min(np.abs(sols[:, 0] - xv)))
-            bound = merit / gamma + slack
-            gap = d - bound
-            if gap > worst:
-                worst = gap
-                witness = (t, xv)
-            if gap > 0:
-                return Certificate(
-                    "error-bound", REFUTED, gamma, ((t, xv),),
-                    {"xi_points": len(xi_grid), "x_points": len(x_grid)},
-                    ("witness-violates-bound",),
-                )
-    if empty_slices:
-        return Certificate(
-            "error-bound", INCONCLUSIVE, gamma, tuple((t,) for t in empty_slices[:4]),
-            {"xi_points": len(xi_grid), "x_points": len(x_grid)},
-            ("empty-solution-set",),
-        )
-    return Certificate(
-        "error-bound", CERTIFIED, gamma, (witness,),
-        {"xi_points": len(xi_grid), "x_points": len(x_grid), "worst_gap": worst},
-    )
+    # the (t, x) gap table of the rows with solutions, from one kernel call
+    rows = [i for i, sols in enumerate(per_t) if len(sols)]
+    merits = mr.eval_merit_batch(prob, np.repeat(xi_grid[rows], len(x_grid))[:, None],
+                                 np.tile(x_grid, len(rows))[:, None]).reshape(len(rows), len(x_grid))
+    d = np.array([np.abs(per_t[i][:, 0] - x_grid[:, None]).min(axis=1) for i in rows])
+    gaps = d.reshape(merits.shape) - (merits / gamma + (np.array(steps)[rows] + 1e-9)[:, None])
+    # the first positive gap refutes; the first maximal one is the witness
+    ahead = np.flatnonzero(gaps.ravel() > 0)
+    if len(ahead):
+        k, j = divmod(int(ahead[0]), len(x_grid))
+        return Certificate("error-bound", REFUTED, gamma, ((xi_grid[rows[k]], x_grid[j]),),
+                           res, ("witness-violates-bound",))
+    if len(rows) < len(xi_grid):
+        empty = [t for t, s in zip(xi_grid, per_t) if len(s) == 0]
+        return Certificate("error-bound", INCONCLUSIVE, gamma, tuple((t,) for t in empty[:4]),
+                           res, ("empty-solution-set",))
+    k, j = divmod(int(np.argmax(gaps)), len(x_grid))
+    return Certificate("error-bound", CERTIFIED, gamma, ((xi_grid[rows[k]], x_grid[j]),),
+                       {**res, "worst_gap": float(gaps[k, j])})
 
 
 def strong_slope(prob: pb.VepProblem, xi, x) -> float:
@@ -374,8 +367,10 @@ def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
 # ---------------------------------------------------------------------------
 
 def check_c_bounded(prob: pb.VepProblem, xi, x0) -> Certificate:
-    """Sample f(xi, x0, .) on growing z-grids; certified when the supremum
-    norm of values outside the cone stabilizes."""
+    """Sample f(xi, x0, .) on growing z-grids of the slice; certified when
+    the supremum norm of values outside the cone stabilizes.  A level's
+    grid points in K(xi) take one evaluation of f, one cone distance and
+    one norm pass."""
     levels, resolution = 4, 101
     xi, x0 = prob.point(xi, x0)
     S = pb.slice_at(prob.K, xi)
@@ -383,13 +378,10 @@ def check_c_bounded(prob: pb.VepProblem, xi, x0) -> Certificate:
 
     def sup_outside(axes):
         pts = pb._grid_points(axes)
-        pts = pts[pb._members(S, pts, 1e-9)] if not truncated else pts
-        sup = 0.0
-        for z in pts:
-            F = prob.f.eval(xi=xi, x=x0, z=z).reshape(prob.m)
-            if geo.dist(F, prob.cone) > 1e-12:
-                sup = max(sup, float(np.linalg.norm(F)))
-        return sup
+        pts = pts[pb._members(S, pts, 1e-9)]
+        F = mr._f_values(prob, xi[None], x0[None], pts[None])[0]
+        outside = mr._cone_dists(prob, F) > 1e-12
+        return float(np.max(mr._dist_rows(F[outside]), initial=0.0))
 
     if not truncated:
         # compact slice: the supremum is attained on the full grid
@@ -414,33 +406,43 @@ def check_c_bounded(prob: pb.VepProblem, xi, x0) -> Certificate:
 def estimate_lipschitz_f(prob: pb.VepProblem, seed: int = 0) -> float:
     """Largest sampled difference quotient of (xi, x) -> f at fixed z, over
     about 2000 pairs in the problem window and z on a 9-point grid per axis of
-    the slice at the window's centre."""
+    the slice at the window's centre.
+
+    The pairs are drawn one by one, in stream order: the first end (a
+    uniform draw low + (high - low) u per entry) and a coin; then either a
+    step 10^U(-6, -1) and a normal direction (a near pair) or the second
+    end.  The raw doubles are mapped to the pairs afterwards with the
+    arithmetic of the Generator's own uniform and normal draws, f at both
+    ends takes one evaluation per end, and the norms are taken as
+    np.linalg.norm takes a vector's."""
     rng = np.random.default_rng(seed)
     wlo, wup = prob.xi_window()
     xlo, xup = prob.x_window()
     S = pb.slice_at(prob.K, 0.5 * (wlo + wup))
     axes, _ = pb._axis_grids(prob, S, 9)
     z_set = pb._grid_points(axes)
-    best = 0.0
-    for z in z_set:
-        for _ in range(max(1, 2000 // len(z_set))):
-            a = (rng.uniform(wlo, wup), rng.uniform(xlo, xup))
-            if rng.uniform() < 0.5:
-                step = 10.0 ** rng.uniform(-6, -1)
-                d = rng.normal(size=prob.p + prob.n)
-                d = step * d / np.linalg.norm(d)
-                b = (a[0] + d[: prob.p], a[1] + d[prob.p:])
-            else:
-                b = (rng.uniform(wlo, wup), rng.uniform(xlo, xup))
-            num = np.linalg.norm(
-                prob.f.eval(xi=a[0], x=a[1], z=z).reshape(prob.m)
-                - prob.f.eval(xi=b[0], x=b[1], z=z).reshape(prob.m)
-            )
-            den = math.hypot(float(np.linalg.norm(np.asarray(a[0]) - np.asarray(b[0]))),
-                             float(np.linalg.norm(np.asarray(a[1]) - np.asarray(b[1]))))
-            if den > 1e-12:
-                best = max(best, float(num / den))
-    return best
+    lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
+    q, per_z = len(lo), max(1, 2000 // len(z_set))
+    U, V, steps = np.empty((per_z * len(z_set), q + 1)), np.empty((per_z * len(z_set), q)), []
+    for k in range(len(U)):
+        rng.random(out=U[k])                # the first end, then the coin
+        if U[k, q] < 0.5:
+            steps.append(10.0 ** (-6.0 + 5.0 * rng.random()))
+            rng.standard_normal(out=V[k])
+        else:
+            rng.random(out=V[k])
+    near = U[:, q] < 0.5
+    A, B = lo + (up - lo) * U[:, :q], lo + (up - lo) * V
+    d = V[near]
+    B[near] = A[near] + np.array(steps)[:, None] * d / mr._dist_rows(d)[:, None]
+    Z = np.repeat(z_set, per_z, axis=0)[:, None, :]
+    p = prob.p
+    F = [mr._f_values(prob, E[:, :p], E[:, p:], Z)[:, 0] for E in (A, B)]
+    num = mr._dist_rows(F[0] - F[1])
+    den = np.array(list(map(math.hypot, mr._dist_rows(A[:, :p] - B[:, :p]).tolist(),
+                            mr._dist_rows(A[:, p:] - B[:, p:]).tolist())))
+    keep = den > 1e-12
+    return float(np.fmax.reduce(num[keep] / den[keep], initial=0.0))
 
 
 def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
@@ -487,10 +489,10 @@ def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
             lo_a, hi_a = 0.0, float(spread.max()) / r + 1e-9
             for _ in range(30):
                 mid = 0.5 * (lo_a + hi_a)
-                targets = f0 + (mid * r) * dirs
-                dmin = np.array([
-                    float(np.min(np.linalg.norm(img - t, axis=1))) for t in targets
-                ])
+                # every target's nearest image point in one pass; a norm as
+                # np.linalg.norm(..., axis=1) takes it
+                D = img - (f0 + (mid * r) * dirs)[:, None, :]
+                dmin = np.sqrt(np.add.reduce(D * D, axis=-1)).min(axis=1)
                 if np.all(dmin <= cover_tol):
                     lo_a = mid
                 else:

@@ -568,20 +568,38 @@ def normal_cone(S, point) -> RayUnion:
 # ---------------------------------------------------------------------------
 
 def polyline_project(w: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest point on the polyline through the ordered branch samples."""
+    """Nearest point on the polyline through the ordered branch samples:
+    ``polyline_project_rows`` of one point."""
+    Q, d = polyline_project_rows(np.asarray(w, dtype=float)[None], branch)
+    return Q[0], float(d[0])
+
+
+def polyline_project_rows(W: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest points Q (P, dim) on the polyline through the ordered branch
+    samples for the rows of W (P, dim), and their distances (P,): for each
+    row, the first segment at the least distance.  The dot products are
+    ``np.einsum`` over each (row, segment) pair's coordinates and the
+    distances are taken as ``np.linalg.norm(..., axis=1)`` takes them, so
+    a row's numbers do not depend on the others.  Rows go in blocks of at
+    most 20,000 (row, segment, coordinate) entries."""
     if len(branch) == 1:
-        q = branch[0]
-        return q, float(np.linalg.norm(w - q))
+        D = W - branch[0]
+        return np.repeat(branch[:1], len(W), axis=0), np.sqrt(np.matmul(D[:, None], D[..., None])[:, 0, 0])
     a = branch[:-1]
-    b = branch[1:]
-    d = b - a
+    d = branch[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd[dd == 0.0] = 1.0
-    t = np.clip(np.einsum("ij,ij->i", w - a, d) / dd, 0.0, 1.0)
-    cand = a + t[:, None] * d
-    dists = np.linalg.norm(cand - w, axis=1)
-    j = int(np.argmin(dists))
-    return cand[j], float(dists[j])
+    Q, dist = np.empty_like(W), np.empty(len(W))
+    block = max(1, 20_000 // d.size)
+    for s in range(0, len(W), block):
+        w = W[s:s + block, None, :]
+        t = np.clip(np.einsum("pij,ij->pi", w - a, d) / dd, 0.0, 1.0)
+        cand = a + t[..., None] * d
+        D = cand - w
+        dists = np.sqrt(np.add.reduce(D * D, axis=2))
+        j, rows = np.argmin(dists, axis=1), np.arange(len(w))
+        Q[s:s + block], dist[s:s + block] = cand[rows, j], dists[rows, j]
+    return Q, dist
 
 
 def _sphere_dirs(dim: int, n: int) -> np.ndarray:
@@ -664,20 +682,17 @@ def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
     radii = sorted(radii, reverse=True)
     per_radius = []
     for r in radii:
-        dirs = []
-        for u in _sphere_dirs(dim, 240):
-            w = point + r * u
-            best_q, best_d = None, np.inf
-            for b in branches:
-                q, dq = polyline_project(w, b)
-                if dq < best_d:
-                    best_q, best_d = q, dq
-            if best_d <= 1e-12 * scale or best_d == np.inf:
-                continue
-            if np.linalg.norm(best_q - point) > 4.0 * r:
-                continue
-            dirs.append((w - best_q) / best_d)
-        per_radius.append(np.asarray(dirs) if dirs else np.zeros((0, dim)))
+        # every probe of the circle onto every branch; the first branch wins ties
+        W = point + r * _sphere_dirs(dim, 240)
+        best_q, best_d = np.zeros_like(W), np.full(len(W), np.inf)
+        for b in branches:
+            q, dq = polyline_project_rows(W, b)
+            closer = dq < best_d
+            best_q[closer], best_d[closer] = q[closer], dq[closer]
+        D = best_q - point
+        keep = ~((best_d <= 1e-12 * scale) | (best_d == np.inf))
+        keep &= ~(np.sqrt(np.matmul(D[:, None], D[..., None])[:, 0, 0]) > 4.0 * r)
+        per_radius.append((W - best_q)[keep] / best_d[keep, None])
     if _angular_hausdorff(per_radius[-1], per_radius[-2]) > 0.08:
         raise GeometryError("ray directions failed to stabilize across radii")
     finest = per_radius[-1]
@@ -880,8 +895,16 @@ def truncated_normal(x, S) -> ConvexBody:
         if len(gens) == 0:
             return ConvexBody(dim, np.zeros((1, dim)), label="normal-cap")
         return ConvexBody(dim, np.zeros((1, dim)),
-                          caps=(generated_cone(gens),), label="normal-cap")
+                          caps=(_normal_cone(gens.tobytes(), dim),), label="normal-cap")
     return ConvexBody(dim, ((x - q) / d).reshape(1, -1), label="unit-outward")
+
+
+@functools.lru_cache(maxsize=64)
+def _normal_cone(gens: bytes, dim: int) -> ConeRepr:
+    """The cone generated by the rows whose float64 bytes are ``gens``.  A
+    sweep meets a few active sets many times, and each cone builds its cap
+    (a qhull call) once: the 64 most recent cones are kept."""
+    return generated_cone(np.frombuffer(gens).reshape(-1, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -949,13 +972,21 @@ def _minors(n: int) -> tuple:
     return _read_only(cols.reshape(n, n - 1)), _read_only((-1.0) ** np.arange(n))
 
 
+def basis_vertices(A: np.ndarray, b: np.ndarray):
+    """``basis_points`` with each vertex marked once: (Z, vertex, code),
+    ``vertex`` (N, S) marking the feasible solutions not within
+    1e-9 (1 + |z|) of an earlier feasible one.  A degenerate vertex solves
+    several subsystems: its first solution is kept."""
+    Z, feasible, code = basis_points(A, b)
+    gap = np.abs(Z[:, :, None, :] - Z[:, None, :, :]).max(axis=3)
+    again = (gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=2))[:, None, :]) & feasible[:, :, None]
+    return Z, feasible & ~np.triu(again, 1).any(axis=1), code
+
+
 def halfspace_vertices(H: Halfspaces) -> np.ndarray:
-    """Vertices of a bounded, nonempty {z : Az <= b}: ``basis_points`` for
-    one slice, a degenerate vertex kept once."""
-    Z, feasible, code = basis_points(H.A[None], H.b[None])
+    """Vertices of a bounded, nonempty {z : Az <= b}: ``basis_vertices`` of
+    one slice."""
+    Z, vertex, code = basis_vertices(H.A[None], H.b[None])
     if code[0]:
         raise GeometryError(NO_VERTICES[code[0]])
-    Z = Z[0][feasible[0]]
-    # a degenerate vertex solves several subsystems: keep its first solution
-    gap = np.abs(Z[:, None, :] - Z[None, :, :]).max(axis=2)
-    return Z[~np.triu(gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=1)), 1).any(axis=0)]
+    return Z[0][vertex[0]]

@@ -477,88 +477,187 @@ def load(source: str) -> VepProblem:
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _axis_grids(prob: VepProblem, S, resolution: int):
-    """Per-axis grids covering the slice.
+# why a slice has no grid, by the code ``_grid_bounds`` returns
+_NO_GRID = ("", "empty slice at xi={}: lower > upper",
+            "unbounded slice requires an explicit window in the problem",
+            "unbounded slice without an explicit window")
 
-    Unbounded slices are never silently truncated: they require an explicit
-    window on the problem, and the truncation is flagged to the caller.
+
+def _grid_bounds(prob: VepProblem, first: np.ndarray, second: np.ndarray):
+    """Grid bounds of N slices, given as ``slice_arrays`` returns them:
+    (lo, up, truncated, code), lo and up of shape (N, n).
+
+    A bounded box slice is its own bounds.  A polytope slice with a vertex
+    list is the box of its vertices (``geo.basis_vertices``) padded by
+    1e-9.  Unbounded slices are never silently truncated: they take the
+    problem's x window and are flagged ``truncated``.  ``code`` (N,) is 0
+    for a slice with finite bounds and otherwise indexes the reason in
+    ``_NO_GRID``.
     """
-    if isinstance(S, geo.Box):
-        if S.bounded:
-            lo, up, truncated = S.lower, S.upper, False
-        else:
-            if "x" not in prob.window:
-                raise ProblemError(
-                    "unbounded slice requires an explicit window in the problem"
-                )
-            wlo, wup = prob.window["x"]
-            lo = np.where(np.isfinite(S.lower), S.lower, wlo)
-            up = np.where(np.isfinite(S.upper), S.upper, wup)
-            truncated = True
-    else:
-        try:
-            verts = geo.halfspace_vertices(S)
-            pad = 1e-9 + 0.0 * verts[0]
-            lo, up, truncated = verts.min(axis=0) - pad, verts.max(axis=0) + pad, False
-        except geo.GeometryError:
-            if "x" not in prob.window:
-                raise ProblemError(
-                    "unbounded slice requires an explicit window in the problem"
-                )
-            lo, up = prob.window["x"]
-            truncated = True
-    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(up)):
-        raise ProblemError("unbounded slice without an explicit window")
-    axes = [np.linspace(lo[i], up[i], resolution) for i in range(len(lo))]
-    return axes, truncated
+    window = prob.window.get("x")
+    if first.ndim == 2:         # box: (lower, upper)
+        empty = np.any(first > second + 1e-12, axis=1)
+        unbounded = ~np.all(np.isfinite(first) & np.isfinite(second), axis=1)
+        lo, up = first, second
+        if window is not None:
+            lo = np.where(np.isfinite(first), first, window[0])
+            up = np.where(np.isfinite(second), second, window[1])
+    else:                       # polytope: (A, b)
+        Z, vertex, code = geo.basis_vertices(first, second)
+        lo = np.where(vertex[..., None], Z, np.inf).min(axis=1) - 1e-9
+        up = np.where(vertex[..., None], Z, -np.inf).max(axis=1) + 1e-9
+        empty, unbounded = np.zeros(len(Z), dtype=bool), code != 0
+        if window is not None:
+            lo[unbounded], up[unbounded] = window
+    infinite = ~np.all(np.isfinite(lo) & np.isfinite(up), axis=1)
+    code = np.select([empty, unbounded & (window is None), infinite], [1, 2, 3], 0)
+    return lo, up, unbounded, code
+
+
+def _linspaces(lo: np.ndarray, up: np.ndarray, num: int) -> np.ndarray:
+    """``np.linspace(lo[..., i], up[..., i], num)`` of every entry, on a new
+    last axis, bit for bit.  One call serves all entries, except that a
+    zero step in one entry switches numpy to its denormal formula for every
+    entry: then each entry takes its own call."""
+    if num > 1 and np.any((up - lo) / (num - 1) == 0):
+        return np.array([np.linspace(a, b, num) for a, b in zip(lo.ravel(), up.ravel())]
+                        ).reshape(lo.shape + (num,))
+    return np.linspace(lo, up, num, axis=-1)
+
+
+def _one_row(S) -> tuple[np.ndarray, np.ndarray]:
+    """A box or halfspace slice as the arrays ``slice_arrays`` gives one row."""
+    pair = (S.lower, S.upper) if isinstance(S, geo.Box) else (S.A, S.b)
+    return pair[0][None], pair[1][None]
+
+
+def _axis_grids(prob: VepProblem, S, resolution: int):
+    """Per-axis grids covering the slice S, and whether the window truncated
+    it: ``_grid_bounds`` of one slice."""
+    lo, up, truncated, code = _grid_bounds(prob, *_one_row(S))
+    if code[0]:
+        raise ProblemError(_NO_GRID[code[0]])
+    return list(_linspaces(lo[0], up[0], resolution)), bool(truncated[0])
 
 
 def _grid_points(axes) -> np.ndarray:
-    if len(axes) == 1:
-        return axes[0].reshape(-1, 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    """The grid of n axes of one length R, as points (R^n, n), the first
+    axis slowest: ``_grid_rows`` of one row."""
+    return _grid_rows(np.stack(axes)[None])[0]
+
+
+def _grid_rows(axes: np.ndarray) -> np.ndarray:
+    """``_grid_points`` of N rows of axes (N, n, R) at once: (N, R^n, n)."""
+    N, n, R = axes.shape
+    cols = [axes[:, i].reshape((N,) + (1,) * i + (R,) + (1,) * (n - 1 - i)) for i in range(n)]
+    return np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(N, R ** n, n)
 
 
 def _members(S, pts: np.ndarray, tol: float) -> np.ndarray:
-    if isinstance(S, geo.Box):
-        return np.all((pts >= S.lower - tol) & (pts <= S.upper + tol), axis=1)
-    return np.all(pts @ S.A.T <= S.b + tol, axis=1)
+    """The points of pts (M, n) in the slice S within tol: ``_member_rows``
+    of one slice."""
+    return _member_rows(*_one_row(S), pts[None], np.array([tol]))[0]
+
+
+def _member_rows(first: np.ndarray, second: np.ndarray, P: np.ndarray, tol: np.ndarray):
+    """The points of P (B, M, n) in their rows' slices, given as
+    ``slice_arrays`` gives them, within tol (B,): a mask (B, M)."""
+    tol = tol[:, None, None]
+    if first.ndim == 2:
+        return _all_last((P >= first[:, None] - tol) & (P <= second[:, None] + tol))
+    return _all_last(np.matmul(P, first.transpose(0, 2, 1)) <= second[:, None] + tol)
+
+
+def _all_last(B: np.ndarray) -> np.ndarray:
+    """``B.all(axis=-1)`` by one pass per column: numpy reduces a short last
+    axis row by row."""
+    out = B[..., 0].copy()
+    for j in range(1, B.shape[-1]):
+        out &= B[..., j]
+    return out
+
+
+def _max_last(D: np.ndarray) -> np.ndarray:
+    """``D.max(axis=-1)`` by one pass per column (a max is exact)."""
+    out = D[..., 0].copy()
+    for j in range(1, D.shape[-1]):
+        np.maximum(out, D[..., j], out=out)
+    return out
 
 
 def _oracle_rows(prob: VepProblem, XI, grid: OracleGrid) -> tuple[list, list]:
-    """The oracle at each parameter row of XI (N, p), mapped with ``pmap``:
+    """The oracle at each parameter row of XI (N, p) in one stacked pass:
     the per-row solution arrays of ``oracle_solutions`` and grid steps.
 
     The grid x kept in K(xi) (within half a step) form the member set M.
     When f is affine in z, z -> dist(f(xi, x, z), C) is convex, so its max
     over M is attained at an extreme point of conv M (Rockafellar, *Convex
     Analysis*, 1970, Sec. 32) and z ranges over those points only;
-    otherwise z ranges over all of M, in chunks of at most 2,000,000 pairs.
+    otherwise z ranges over all of M.  The slices of all rows are computed
+    at once, then the rows go through ``_oracle_block`` in blocks of at
+    most 5,000 grid points, which bounds the temporaries.  The first row
+    whose slice has no grid raises its ``ProblemError`` once the rows
+    before it are done.
     """
     XI = _checked_rows("xi", XI, prob.p)
-    if prob.n > 2:
-        raise ProblemError(f"oracle grids support n <= 2: at n = {prob.n} each xi compares "
-                           f"{grid.x_resolution}^{2 * prob.n} (x, z) grid pairs")
+    n, R = prob.n, grid.x_resolution
+    if n > 2:
+        raise ProblemError(f"oracle grids support n <= 2: at n = {n} each xi compares "
+                           f"{R}^{2 * n} (x, z) grid pairs")
+    first, second = slice_arrays(prob.K, XI)
+    lo, up, _, code = _grid_bounds(prob, first, second)
+    N = int(np.argmax(code != 0)) if code.any() else len(XI)
+    sols, steps = [], []
+    block = max(1, 5_000 // R ** n)
+    for s in range(0, N, block):
+        r = slice(s, min(s + block, N))
+        got, step = _oracle_block(prob, XI[r], first[r], second[r], lo[r], up[r], grid)
+        sols += got
+        steps += step
+    if N < len(XI):
+        raise ProblemError(_NO_GRID[code[N]].format(XI[N].tolist()))
+    return sols, steps
 
-    def at(xi):
-        S = slice_at(prob.K, xi)
-        axes, _ = _axis_grids(prob, S, grid.x_resolution)
-        pts = _grid_points(axes)
-        step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
-        X = pts[_members(S, pts, 0.5 * step + 1e-12)]
-        if len(X) == 0:
-            return np.zeros((0, prob.n)), step
-        Z = geo._prune_hull(X) if prob.f.affine_in_z else X
-        chunk = max(1, 2_000_000 // len(Z))
-        worst = np.concatenate([
-            mr._f_dists(prob, np.broadcast_to(xi, (len(xb), prob.p)), xb,
-                        np.broadcast_to(Z, (len(xb),) + Z.shape)).max(axis=1)
-            for xb in np.split(X, range(chunk, len(X), chunk))])
-        return X[worst <= grid.tol_c], step
 
-    per_xi = pmap(at, XI)
-    return [sols for sols, _ in per_xi], [step for _, step in per_xi]
+def _oracle_block(prob: VepProblem, XI, first, second, lo, up, grid: OracleGrid):
+    """``_oracle_rows`` of B rows whose slices, ``slice_arrays`` (first,
+    second), have the grid bounds (lo, up): the grids and member sets of
+    all rows at once, then the (x, z) pairs of all rows, with z from
+    ``_padded_z`` (a repeated point cannot change a max), through
+    ``_f_dists`` in chunks of at most 5,000 pairs."""
+    axes = _linspaces(lo, up, grid.x_resolution)
+    steps = (axes[..., 1] - axes[..., 0]).max(axis=1) if grid.x_resolution > 1 else np.zeros(len(XI))
+    P = _grid_rows(axes)
+    owner, points = np.nonzero(_member_rows(first, second, P, 0.5 * steps + 1e-12))
+    X = P[owner, points]            # member grid points, row by row in order
+    keep = np.zeros(len(X), dtype=bool)
+    if len(X):
+        Z = _padded_z(prob, X, np.bincount(owner, minlength=len(XI)))
+        chunk = max(1, 5_000 // Z.shape[1])
+        keep = np.concatenate([
+            _max_last(mr._f_dists(prob, XI[o], X[c], Z[o])) <= grid.tol_c
+            for c in (slice(i, i + chunk) for i in range(0, len(X), chunk)) for o in [owner[c]]])
+    return np.split(X[keep], np.cumsum(np.bincount(owner[keep], minlength=len(XI)))[:-1]), steps.tolist()
+
+
+def _padded_z(prob: VepProblem, X: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The z points of B rows, shape (B, V, n), from their member points X,
+    ``counts[i]`` of them for row i in order: the extreme points of each
+    member set when f is affine in z (min and max for n = 1, qhull for
+    n = 2, mapped with ``pmap``), all of them otherwise, each row padded
+    to V with its own first point."""
+    ends, full = np.cumsum(counts), np.flatnonzero(counts)
+    if prob.f.affine_in_z and prob.n == 1:
+        Z, starts = np.zeros((len(counts), 2, 1)), ends[full] - counts[full]
+        Z[full] = np.stack([np.minimum.reduceat(X, starts), np.maximum.reduceat(X, starts)], 1)
+        return Z
+    parts = [m for m in np.split(X, ends[:-1]) if len(m)]
+    if prob.f.affine_in_z:
+        parts = pmap(geo._prune_hull, parts)
+    Z = np.zeros((len(counts), max(map(len, parts)), prob.n))
+    for i, m in zip(full, parts):
+        Z[i] = np.concatenate([m, np.repeat(m[:1], Z.shape[1] - len(m), 0)])
+    return Z
 
 
 def oracle_solutions(prob: VepProblem, xi, grid: OracleGrid | None = None) -> np.ndarray:

@@ -402,3 +402,271 @@ def per_sample_gamma(prob, xi_bar, rho, spec):
     _, xi, x = next(t for t in tested if t[0] - best <= 1e-12 * max(1.0, best))
     verdict = dg.CERTIFIED if best > dg.GAMMA_MARGIN else dg.REFUTED
     return best, verdict, (np.asarray(xi, dtype=float), np.asarray(x, dtype=float)), flags
+
+
+def per_slice_axis_grids(prob, S, resolution):
+    """The axis grids of one slice, and whether the window truncated it, as
+    they were taken slice by slice: a bounded box's bounds; the bounding box,
+    padded by 1e-9, of a polytope's vertices, a degenerate vertex kept once
+    among the feasible basis points; otherwise the problem's x window; one
+    ``np.linspace`` per axis."""
+    from vep import geometry as geo
+    from vep import problem as pb
+
+    def window():
+        if "x" not in prob.window:
+            raise pb.ProblemError("unbounded slice requires an explicit window in the problem")
+        return prob.window["x"]
+
+    if isinstance(S, geo.Box):
+        lo, up, truncated = S.lower, S.upper, not S.bounded
+        if truncated:
+            wlo, wup = window()
+            lo = np.where(np.isfinite(S.lower), S.lower, wlo)
+            up = np.where(np.isfinite(S.upper), S.upper, wup)
+    else:
+        Z, feasible, code = geo.basis_points(S.A[None], S.b[None])
+        truncated = bool(code[0])
+        if truncated:
+            lo, up = window()
+        else:
+            Z = Z[0][feasible[0]]
+            gap = np.abs(Z[:, None, :] - Z[None, :, :]).max(axis=2)
+            verts = Z[~np.triu(gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=1)), 1).any(axis=0)]
+            lo, up = verts.min(axis=0) - 1e-9, verts.max(axis=0) + 1e-9
+    if np.any(~np.isfinite(lo)) or np.any(~np.isfinite(up)):
+        raise pb.ProblemError("unbounded slice without an explicit window")
+    return [np.linspace(lo[i], up[i], resolution) for i in range(len(lo))], truncated
+
+
+def per_xi_oracle_rows(prob, XI, grid):
+    """``problem._oracle_rows`` one parameter row at a time: the slice, its
+    axis grids (``per_slice_axis_grids``), member mask, extreme points and
+    ``_f_dists`` of each row on their own, in chunks of at most 2,000,000
+    pairs.  The reference for the stacked pass."""
+    from vep import geometry as geo
+    from vep import merit as mr
+    from vep import problem as pb
+
+    def at(xi):
+        S = pb.slice_at(prob.K, xi)
+        axes, _ = per_slice_axis_grids(prob, S, grid.x_resolution)
+        pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        step = max(float(a[1] - a[0]) if len(a) > 1 else 0.0 for a in axes)
+        tol = 0.5 * step + 1e-12
+        if isinstance(S, geo.Box):
+            X = pts[np.all((pts >= S.lower - tol) & (pts <= S.upper + tol), axis=1)]
+        else:
+            X = pts[np.all(pts @ S.A.T <= S.b + tol, axis=1)]
+        if len(X) == 0:
+            return np.zeros((0, prob.n)), step
+        Z = geo._prune_hull(X) if prob.f.affine_in_z else X
+        chunk = max(1, 2_000_000 // len(Z))
+        worst = np.concatenate([
+            mr._f_dists(prob, np.broadcast_to(xi, (len(xb), prob.p)), xb,
+                        np.broadcast_to(Z, (len(xb),) + Z.shape)).max(axis=1)
+            for xb in np.split(X, range(chunk, len(X), chunk))])
+        return X[worst <= grid.tol_c], step
+
+    per_xi = [at(xi) for xi in np.asarray(XI, dtype=float)]
+    return [sols for sols, _ in per_xi], [step for _, step in per_xi]
+
+
+def per_point_error_bound(prob, xi_bar, rho, gamma, x_check=None):
+    """``diagnostics.verify_error_bound`` as a double loop over the (t, x)
+    sweep: one merit batch per t, one scalar gap per (t, x), stopping at
+    the first positive gap.  Returns (verdict, witnesses, flags, worst
+    gap or None): the reference for the gap table."""
+    import math
+
+    from vep import diagnostics as dg
+    from vep import merit as mr
+    from vep import problem as pb
+
+    xi_bar, _ = prob.point(xi_bar, None)
+    xlo, xup = prob.x_window()
+    if x_check is None:
+        x_check = (float(xlo[0]), float(xup[0]), 161)
+    x_grid = np.linspace(*x_check)
+    xi_grid = np.linspace(float(xi_bar[0] - rho), float(xi_bar[0] + rho), 41)
+    empty_slices, worst, witness = [], -math.inf, None
+    per_t, steps = pb._oracle_rows(prob, xi_grid[:, None], pb.OracleGrid())
+    for t, sols, step in zip(xi_grid, per_t, steps):
+        if len(sols) == 0:
+            empty_slices.append(t)
+            continue
+        slack = step + 1e-9
+        merits = mr.eval_merit_batch(prob, np.full((len(x_grid), 1), t), x_grid[:, None])
+        for xv, merit in zip(x_grid, merits.tolist()):
+            d = float(np.min(np.abs(sols[:, 0] - xv)))
+            gap = d - (merit / gamma + slack)
+            if gap > worst:
+                worst, witness = gap, (t, xv)
+            if gap > 0:
+                return dg.REFUTED, ((t, xv),), ("witness-violates-bound",), None
+    if empty_slices:
+        return (dg.INCONCLUSIVE, tuple((t,) for t in empty_slices[:4]),
+                ("empty-solution-set",), None)
+    return dg.CERTIFIED, (witness,), (), worst
+
+
+def per_target_openness_rate(prob, seed=0):
+    """``diagnostics.estimate_openness_rate`` with one distance pass per
+    bisection target: each of the 32 targets takes its own
+    ``np.linalg.norm(img - t, axis=1)``.  The reference for the (targets,
+    image points) pass."""
+    import math
+
+    from vep import expr as ex
+    from vep import geometry as geo
+    from vep import problem as pb
+
+    z_resolution = 61
+    rng = np.random.default_rng(seed)
+    wlo, wup = prob.xi_window()
+    xlo, xup = prob.x_window()
+    alpha = math.inf
+    dirs = geo._sphere_dirs(prob.m, 32)
+    for _ in range(5):
+        xi = rng.uniform(wlo, wup)
+        x = rng.uniform(xlo, xup)
+        S = pb.slice_at(prob.K, xi)
+        z0 = geo.project(rng.uniform(xlo, xup), S)
+        for r in (0.5, 0.25):
+            axes = [np.linspace(z0[i] - r, z0[i] + r, z_resolution) for i in range(prob.n)]
+            pts = pb._grid_points(axes)
+            pts = pts[np.linalg.norm(pts - z0, axis=1) <= r]
+            img = np.stack([np.broadcast_to(np.asarray(
+                ex.eval_expr(c, xi=xi, x=x, z=[pts[:, j] for j in range(prob.n)]), dtype=float),
+                (len(pts),)) for c in prob.f.components]).T
+            f0 = prob.f.eval(xi=xi, x=x, z=z0).reshape(prob.m)
+            spread = np.linalg.norm(img - f0, axis=1)
+            step = 2.0 * r / (z_resolution - 1)
+            lip = float(spread.max()) / max(r, 1e-12)
+            cover_tol = 1.5 * step * max(1.0, lip)
+            lo_a, hi_a = 0.0, float(spread.max()) / r + 1e-9
+            for _ in range(30):
+                mid = 0.5 * (lo_a + hi_a)
+                targets = f0 + (mid * r) * dirs
+                dmin = np.array([float(np.min(np.linalg.norm(img - t, axis=1)))
+                                 for t in targets])
+                if np.all(dmin <= cover_tol):
+                    lo_a = mid
+                else:
+                    hi_a = mid
+            alpha = min(alpha, max(0.0, lo_a - cover_tol / r))
+    return float(alpha if math.isfinite(alpha) else 0.0)
+
+
+def per_pair_lipschitz_f(prob, seed=0):
+    """``diagnostics.estimate_lipschitz_f`` one pair at a time: separate
+    draws for xi, x, the coin and the second end, and two ``VectorFunc.eval``
+    calls and scalar norms per pair.  Returns the constant and the pairs'
+    ends, rows (xi, x) of two arrays: the reference for the batched pass."""
+    import math
+
+    from vep import problem as pb
+
+    rng = np.random.default_rng(seed)
+    wlo, wup = prob.xi_window()
+    xlo, xup = prob.x_window()
+    S = pb.slice_at(prob.K, 0.5 * (wlo + wup))
+    axes, _ = pb._axis_grids(prob, S, 9)
+    z_set = pb._grid_points(axes)
+    best, ends = 0.0, []
+    for z in z_set:
+        for _ in range(max(1, 2000 // len(z_set))):
+            a = (rng.uniform(wlo, wup), rng.uniform(xlo, xup))
+            if rng.uniform() < 0.5:
+                step = 10.0 ** rng.uniform(-6, -1)
+                d = rng.normal(size=prob.p + prob.n)
+                d = step * d / np.linalg.norm(d)
+                b = (a[0] + d[: prob.p], a[1] + d[prob.p:])
+            else:
+                b = (rng.uniform(wlo, wup), rng.uniform(xlo, xup))
+            num = np.linalg.norm(prob.f.eval(xi=a[0], x=a[1], z=z).reshape(prob.m)
+                                 - prob.f.eval(xi=b[0], x=b[1], z=z).reshape(prob.m))
+            den = math.hypot(float(np.linalg.norm(np.asarray(a[0]) - np.asarray(b[0]))),
+                             float(np.linalg.norm(np.asarray(a[1]) - np.asarray(b[1]))))
+            if den > 1e-12:
+                best = max(best, float(num / den))
+            ends.append([np.concatenate(a), np.concatenate(b)])
+    return best, np.array(ends)[:, 0], np.array(ends)[:, 1]
+
+
+def einsum_polyline_project(w, branch):
+    """Nearest point on a polyline for one point, with one einsum over the
+    segments: the reference for ``geometry.polyline_project_rows``."""
+    if len(branch) == 1:
+        q = branch[0]
+        return q, float(np.linalg.norm(w - q))
+    a, b = branch[:-1], branch[1:]
+    d = b - a
+    dd = np.einsum("ij,ij->i", d, d)
+    dd[dd == 0.0] = 1.0
+    t = np.clip(np.einsum("ij,ij->i", w - a, d) / dd, 0.0, 1.0)
+    cand = a + t[:, None] * d
+    dists = np.linalg.norm(cand - w, axis=1)
+    j = int(np.argmin(dists))
+    return cand[j], float(dists[j])
+
+
+def per_probe_limiting_normal_graph(boundary_branches, point, *, radii):
+    """``geometry.limiting_normal_graph`` with one polyline projection per
+    probe and branch: the reference for the stacked probes."""
+    from vep import geometry as geo
+
+    point = np.asarray(point, dtype=float)
+    branches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in boundary_branches]
+    dim = len(point)
+    scale = max(1.0, float(np.linalg.norm(point)))
+    near = min(einsum_polyline_project(point, b)[1] for b in branches)
+    if near > 1e-6 * scale:
+        raise geo.GeometryError(f"point is not on the sampled set (dist {near:.3g})")
+    per_radius = []
+    for r in sorted(radii, reverse=True):
+        dirs = []
+        for u in geo._sphere_dirs(dim, 240):
+            w = point + r * u
+            best_q, best_d = None, np.inf
+            for b in branches:
+                q, dq = einsum_polyline_project(w, b)
+                if dq < best_d:
+                    best_q, best_d = q, dq
+            if best_d <= 1e-12 * scale or best_d == np.inf:
+                continue
+            if np.linalg.norm(best_q - point) > 4.0 * r:
+                continue
+            dirs.append((w - best_q) / best_d)
+        per_radius.append(np.asarray(dirs) if dirs else np.zeros((0, dim)))
+    if geo._angular_hausdorff(per_radius[-1], per_radius[-2]) > 0.08:
+        raise geo.GeometryError("ray directions failed to stabilize across radii")
+    finest = per_radius[-1]
+    if len(finest) == 0:
+        return geo.RayUnion((np.zeros((0, dim)),), exact=False, note="sampled")
+    return geo.RayUnion(tuple(geo._cluster_dirs_2d(finest)), exact=False, note="sampled")
+
+
+def per_point_c_bounded_sups(prob, xi, x0):
+    """The per-level suprema of ``diagnostics.check_c_bounded``, one
+    ``VectorFunc.eval`` and one ``geometry.dist`` per grid point of K(xi):
+    the reference for the one-pass levels."""
+    from vep import geometry as geo
+    from vep import problem as pb
+
+    xi, x0 = prob.point(xi, x0)
+    S = pb.slice_at(prob.K, xi)
+    axes_full, truncated = pb._axis_grids(prob, S, 101)
+    levels = [axes_full] if not truncated else [
+        [c + (lev / 4) * (a - c) for a in axes_full for c in [0.5 * (a[0] + a[-1])]]
+        for lev in range(1, 5)]
+    sups = []
+    for axes in levels:
+        pts = pb._grid_points(axes)
+        sup = 0.0
+        for z in pts[pb._members(S, pts, 1e-9)]:
+            F = prob.f.eval(xi=xi, x=x0, z=z).reshape(prob.m)
+            if geo.dist(F, prob.cone) > 1e-12:
+                sup = max(sup, float(np.linalg.norm(F)))
+        sups.append(sup)
+    return sups

@@ -11,7 +11,8 @@ from vep import merit as mr
 from vep import problem as pb
 from vep import subdiff as sd
 
-from _oracles import per_sample_gamma
+from _oracles import (per_pair_lipschitz_f, per_point_c_bounded_sups, per_point_error_bound,
+                      per_sample_gamma, per_target_openness_rate)
 from conftest import make_const_box
 
 SMALL = dg.SampleSpec(grid_shape=(13, 13), n_random=40)
@@ -152,6 +153,33 @@ def test_gamma_implies_error_bound(tent):
     assert eb.verdict == dg.CERTIFIED
 
 
+@pytest.mark.parametrize("source, gamma", [
+    ("example:paper", 0.9),
+    ("example:paper", 1.0),
+    # refuted: the first positive gaps are not the sweep's first points
+    ("example:paper", 1.1),
+    ("gencone.vep", 1.05),
+    ("example:paper", 5.0),
+    ("gencone.vep", 0.3),
+    ("gencone.vep", 1.3),
+    ("const-box", 0.9),
+    ("empty-solutions", 0.9),
+])
+def test_error_bound_table_equals_the_double_loop(source, gamma):
+    prob = {"const-box": lambda: make_const_box(),
+            "empty-solutions": lambda: make_const_box(f_comp="x1 - z1 - 1")}.get(
+        source, lambda: pb.load(source if source.startswith("example") else str(PROBLEMS / source)))()
+    cert = dg.verify_error_bound(prob, [0.0], 1.0, gamma)
+    verdict, witnesses, flags, worst = per_point_error_bound(prob, [0.0], 1.0, gamma)
+    assert (cert.verdict, cert.flags) == (verdict, flags)
+    assert len(cert.witnesses) == len(witnesses)
+    for got, want in zip(cert.witnesses, witnesses):
+        assert all(type(a) is type(b) and a == b for a, b in zip(got, want))
+    assert cert.resolution.get("worst_gap") == worst
+    if gamma in (1.1, 1.05):
+        assert verdict == dg.REFUTED and witnesses[0][1] > -4.0
+
+
 # ---------------------------------------------------------------------------
 # strong slope
 # ---------------------------------------------------------------------------
@@ -278,6 +306,67 @@ def test_openness_rate_fails_on_thin_image(tent):
     assert not dg.estimate_lipschitz_f(tent) < alpha
 
 
+def _affine_toy():
+    """f = 2 z1 on K = [-2, 2]: the z-slices open at rate 2."""
+    dims = (1, 1, 1)
+    f = ex.VectorFunc((ex.parse("2*z1", dims),), dims)
+    K = pb.ParamBox((ex.parse("0 - 2", (1, 0, 0)),), (ex.parse("2", (1, 0, 0)),))
+    return pb.VepProblem("toy:affine", 1, 1, 1, f, geo.orthant(1), K,
+                         ex.parse("0", (1, 1, 0)), geo.full_space(1))
+
+
+SAMPLER_PROBLEMS = {
+    "paper": lambda: pb.load("example:paper"),
+    "gencone": lambda: pb.load(str(PROBLEMS / "gencone.vep")),
+    "polytope": lambda: pb.load(str(PROBLEMS / "polytope.vep")),
+    "affine-toy": _affine_toy,
+}
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("name", list(SAMPLER_PROBLEMS))
+def test_lipschitz_pass_equals_the_pair_loop(name, seed, monkeypatch):
+    prob = SAMPLER_PROBLEMS[name]()
+    f_values, ends = mr._f_values, []
+    monkeypatch.setattr(mr, "_f_values", lambda prob, XI, X, Z: ends.append(np.hstack([XI, X]))
+                        or f_values(prob, XI, X, Z))
+    lf = dg.estimate_lipschitz_f(prob, seed)
+    best, A, B = per_pair_lipschitz_f(prob, seed)
+    assert lf == best
+    # the merged draws give the same pairs, bit for bit
+    assert len(ends) == 2 and np.array_equal(ends[0], A) and np.array_equal(ends[1], B)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("name", list(SAMPLER_PROBLEMS))
+def test_openness_pass_equals_the_per_target_bisection(name, seed):
+    prob = SAMPLER_PROBLEMS[name]()
+    alpha = dg.estimate_openness_rate(prob, seed)
+    assert alpha == per_target_openness_rate(prob, seed)
+    if name == "affine-toy":     # a bisection that moves: alpha is near 2
+        assert alpha == pytest.approx(2.0, abs=0.15)
+
+
+def test_c_bounded_filters_a_truncated_slice_to_its_members():
+    # K(0) is the quadrant z >= 0, cut by the window to [0, 3]^2; f >= 0 on it
+    prob = pb.parse_problem_text(
+        "[problem]\np = 1\nn = 2\nm = 1\nwindow_x = -2, 3\n[cone]\ntype = orthant\n"
+        "[K]\ntype = polytope\nA = -1, 0 ; 0, -1\nb = 0 ; 0\n"
+        "[f]\ncomponents = z1 + z2 + x1 - x1\n[objective]\nexpr = x1\n", "toy:quadrant")
+    cert = dg.check_c_bounded(prob, [0.0], [0.0, 0.0])
+    assert cert.verdict == dg.CERTIFIED and cert.constant == 0.0
+    assert cert.flags == ("window-truncated",)
+    assert per_point_c_bounded_sups(prob, [0.0], [0.0, 0.0]) == [0.0] * 4
+
+
+@pytest.mark.parametrize("name, xi, x0", [("paper", [0.0], [0.0]), ("gencone", [0.3], [1.0]),
+                                          ("polytope", [0.0], [0.5, 0.5])])
+def test_c_bounded_pass_equals_the_per_point_loop(name, xi, x0):
+    prob = SAMPLER_PROBLEMS[name]()
+    cert = dg.check_c_bounded(prob, xi, x0)
+    assert [cert.constant] == per_point_c_bounded_sups(prob, xi, x0)
+
+
 # ---------------------------------------------------------------------------
 # stability probe
 # ---------------------------------------------------------------------------
@@ -293,3 +382,4 @@ def test_stability_probe_constant_map(const_box):
     cert = dg.stability_probe(const_box, [0.0], [1.0], 0.9)
     assert cert.verdict == dg.CERTIFIED
     assert cert.resolution["aubin_ratio"] == pytest.approx(0.0, abs=1e-9)
+

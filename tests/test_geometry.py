@@ -7,8 +7,9 @@ from vep import geometry as geo
 
 from scipy.optimize import nnls
 
-from _oracles import (generator_cone_members, grid_min_distance, hildreth_projection,
-                      nnls_cap_points, nnls_cone_projection, per_value_cone_dist, qhull_vertices,
+from _oracles import (einsum_polyline_project, generator_cone_members, grid_min_distance,
+                      hildreth_projection, nnls_cap_points, nnls_cone_projection,
+                      per_probe_limiting_normal_graph, per_value_cone_dist, qhull_vertices,
                       sampled_min_norm)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
@@ -476,6 +477,73 @@ def test_limiting_normals_thin_curve_has_fan_below():
     assert fans[0][0] == pytest.approx(225.0, abs=3.0)
     assert fans[0][1] == pytest.approx(315.0, abs=3.0)
     assert rays == pytest.approx([45.0, 135.0], abs=2.0)
+
+
+def _thick_graph():
+    """gencone's sampled solution graph over [-0.5, 0.5]: about 9,700
+    points, several per parameter sample."""
+    from pathlib import Path
+
+    from vep import problem as pb
+
+    prob = pb.load(str(Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"))
+    return pb.graph_samples(prob, -0.5, 0.5, 501)
+
+
+def test_polyline_rows_equal_the_per_point_projection():
+    cloud = _thick_graph()
+    assert len(cloud) > 9000
+    rng = np.random.default_rng(0)
+    # probes near the graph, on it, and one far off; blocks of 2,000,000 entries split them
+    W = np.vstack([cloud[rng.integers(len(cloud), size=200)] + rng.normal(scale=0.05, size=(200, 2)),
+                   cloud[:40], [[3.0, -7.0]]])
+    for branch in (cloud, cloud[:1], cloud[::50]):
+        Q, d = geo.polyline_project_rows(W, branch)
+        ref = [einsum_polyline_project(w, branch) for w in W]
+        assert np.array_equal(Q, [q for q, _ in ref]) and np.array_equal(d, [e for _, e in ref])
+        q, e = geo.polyline_project(W[0], branch)
+        assert np.array_equal(q, ref[0][0]) and e == ref[0][1]
+
+
+@pytest.mark.parametrize("t0, window", [(0.0, 0.5), (0.0, 0.25), (-0.2, 0.25), (0.3, 0.25)])
+def test_stacked_probes_equal_the_per_probe_normals(t0, window):
+    cloud = _thick_graph()
+    cloud = cloud[np.abs(cloud[:, 0] - t0) <= window + 1e-12]
+    left, right = cloud[cloud[:, 0] <= t0 + 1e-12], cloud[cloud[:, 0] >= t0 - 1e-12]
+    point = cloud[np.argmin(np.abs(cloud[:, 0] - t0))]
+    radii = (0.04 * window, 0.02 * window, 0.01 * window)
+
+    def run(fn):
+        try:
+            return [b.tolist() for b in fn([left, right], point, radii=radii).branches]
+        except geo.GeometryError as err:     # the ray directions may not stabilize
+            return str(err)
+
+    assert run(geo.limiting_normal_graph) == run(per_probe_limiting_normal_graph)
+
+
+def test_stacked_probes_equal_the_per_probe_normals_on_one_branch():
+    upper, _ = _tent_branches()
+    got = geo.limiting_normal_graph([upper], [0.0, 1.0], radii=(0.02, 0.01, 0.005))
+    want = per_probe_limiting_normal_graph([upper], [0.0, 1.0], radii=(0.02, 0.01, 0.005))
+    assert [b.tolist() for b in got.branches] == [b.tolist() for b in want.branches]
+
+
+def test_truncated_normal_reuses_one_cone_per_active_set(monkeypatch):
+    # a polytope corner and its edges: three active sets, each cap built once
+    H = geo.Halfspaces([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 0.5])
+    geo._normal_cone.cache_clear()
+    caps, built = geo._cap_points, []
+    monkeypatch.setattr(geo, "_cap_points", lambda C: built.append(C) or caps(C))
+    points = [[1.0, 1.0], [1.0, 0.2], [0.3, 1.0]] * 4
+    bodies = [geo.truncated_normal(x, H) for x in points]
+    assert len(built) == 0      # caps are built when a body is used
+    effective = [b.effective_points() for b in bodies]
+    assert len(built) == 3
+    for x, pts in zip(points, effective):
+        fresh = geo.ConvexBody(2, np.zeros((1, 2)),
+                               caps=(geo.generated_cone(geo.normal_cone(H, x).branches[0]),))
+        assert np.array_equal(pts, fresh.effective_points())
 
 
 # ---------------------------------------------------------------------------

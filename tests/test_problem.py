@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import pairwise_oracle_solutions, per_value_cone_dist
+from _oracles import (pairwise_oracle_solutions, per_slice_axis_grids, per_value_cone_dist,
+                      per_xi_oracle_rows)
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
 POLYTOPE = GENCONE.with_name("polytope.vep")
@@ -257,6 +259,113 @@ def test_stacked_oracle_call_equals_the_per_xi_calls():
         assert np.array_equal(sols, pb.oracle_solutions(prob, [t], grid))
         # the slice's bounding box is [-1, 2]^2, padded by 1e-9
         assert step == pytest.approx(3.0 / 40, abs=1e-9)
+
+
+def _degenerate_square():
+    """[0, 1 + |xi|]^2 cut by x1 + x2 <= 2 + 2|xi|: three rows meet at the
+    corner, so basis points repeat a vertex."""
+    return pb.parse_problem_text(
+        "[problem]\np = 1\nn = 2\nm = 1\n[cone]\ntype = orthant\n[K]\ntype = polytope\n"
+        "A = 1, 0 ; 0, 1 ; 1, 1 ; -1, 0 ; 0, -1\nb = 1 + abs(xi1) ; 1 + abs(xi1) ; 2 + 2*abs(xi1) ; 0 ; 0\n"
+        "[f]\ncomponents = x1 + x2 - z1 - z2\n[objective]\nexpr = x1\n", "toy:degenerate")
+
+
+STACKED_CASES = [
+    # the parameter rows of check-erbo, graph_samples and probe-stability
+    ("paper", lambda: pb.load("example:paper"), None, np.linspace(-1.0, 1.0, 41)),
+    ("paper-graph", lambda: pb.load("example:paper"), None, np.linspace(-0.5, 0.5, 501)),
+    ("gencone-graph", lambda: pb.load(str(GENCONE)), None, np.linspace(-0.5, 0.5, 501)),
+    # probe-stability's 21 parameter samples and xi_bar
+    ("polytope-stability", lambda: pb.load(str(POLYTOPE)), None,
+     np.append(np.linspace(-0.5, 0.5, 21), 0.0)),
+    ("non-affine", _non_affine, None, np.linspace(-1.0, 1.0, 9)),
+    ("non-affine-chunked", _non_affine, pb.OracleGrid(x_resolution=2001), np.array([0.0, 0.3])),
+    ("one-point-grid", lambda: pb.load("example:paper"), pb.OracleGrid(x_resolution=1),
+     np.array([0.0, 0.5])),
+    # point slices at xi >= 0 among intervals: numpy's linspace changes formula
+    ("point-slices", lambda: _box_map("xi1", "abs(xi1)"), None, np.array([-0.5, 0.3, 0.0, -0.2])),
+    ("degenerate-vertex", _degenerate_square, pb.OracleGrid(x_resolution=41),
+     np.array([0.0, 0.3, -0.6])),
+]
+
+
+@pytest.mark.parametrize("make, grid, ts", [c[1:] for c in STACKED_CASES],
+                         ids=[c[0] for c in STACKED_CASES])
+def test_stacked_oracle_equals_the_per_xi_reference(make, grid, ts):
+    prob, grid = make(), grid or pb.OracleGrid()
+    per_t, steps = pb._oracle_rows(prob, ts[:, None], grid)
+    ref_t, ref_steps = per_xi_oracle_rows(prob, ts[:, None], grid)
+    assert len(per_t) == len(ref_t) == len(ts)
+    assert all(np.array_equal(a, b) for a, b in zip(per_t, ref_t))
+    assert steps == ref_steps and all(type(s) is float for s in steps)
+
+
+def _box_map(lower, upper, window=None):
+    dims = (1, 1, 1)
+    f = ex.VectorFunc((ex.parse("x1 - z1", dims),), dims)
+    K = pb.ParamBox((None if lower is None else ex.parse(lower, (1, 0, 0)),),
+                    (ex.parse(upper, (1, 0, 0)),))
+    return pb.VepProblem("toy:box-map", 1, 1, 1, f, geo.orthant(1), K,
+                         ex.parse("0", (1, 1, 0)), geo.full_space(1), window=window or {})
+
+
+def _ray_map(window=None):
+    """{x : xi1 x <= 1, -x <= 1}: a segment for xi1 > 0, a half-line for xi1 < 0."""
+    dims = (1, 1, 1)
+    f = ex.VectorFunc((ex.parse("x1 - z1", dims),), dims)
+    K = pb.ParamPolytope(((ex.parse("xi1", (1, 0, 0)),), (ex.parse("0 - 1", (1, 0, 0)),)),
+                         (ex.parse("1", (1, 0, 0)), ex.parse("1", (1, 0, 0))))
+    return pb.VepProblem("toy:ray-map", 1, 1, 1, f, geo.orthant(1), K,
+                         ex.parse("0", (1, 1, 0)), geo.full_space(1), window=window or {})
+
+
+def test_linspaces_equal_one_linspace_per_entry():
+    rng = np.random.default_rng(0)
+    lo = rng.normal(size=(50, 2))
+    up = lo + rng.uniform(0.0, 3.0, size=(50, 2))
+    for flat in ((), (7, 1)):      # with a zero step, numpy scales every entry its other way
+        if flat:
+            up[flat] = lo[flat]
+        got = pb._linspaces(lo, up, 201)
+        want = [[np.linspace(a, b, 201) for a, b in zip(l, u)] for l, u in zip(lo, up)]
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("make, xi", [
+    (lambda: pb.load("example:paper"), 0.3),
+    (lambda: pb.load(str(POLYTOPE)), 0.5),
+    (_degenerate_square, 0.25),
+    (lambda: _box_map("xi1", "abs(xi1)"), 0.4),
+    (lambda: _box_map(None, "1", {"x": (np.array([-2.0]), np.array([2.0]))}), 0.0),
+    (lambda: _ray_map({"x": (np.array([-2.0]), np.array([3.0]))}), -0.5),
+], ids=["box", "polytope", "degenerate-vertex", "point", "window-box", "window-polytope"])
+def test_axis_grids_equal_the_per_slice_grids(make, xi):
+    prob = make()
+    S = pb.slice_at(prob.K, [xi])
+    axes, truncated = pb._axis_grids(prob, S, 201)
+    ref_axes, ref_truncated = per_slice_axis_grids(prob, S, 201)
+    assert truncated == ref_truncated
+    assert len(axes) == len(ref_axes) and all(np.array_equal(a, b) for a, b in zip(axes, ref_axes))
+
+
+@pytest.mark.parametrize("make, ts, bad, message", [
+    # an empty box slice at the second row, before an unbounded one
+    (lambda: _box_map("2*xi1", "xi1"), (-0.5, 0.25, 0.5), 1,
+     "empty slice at xi=[0.25]: lower > upper"),
+    (lambda: _box_map(None, "1"), (0.0, 0.5), 0, "requires an explicit window"),
+    (lambda: _ray_map(), (0.5, 1.0, -0.5, 0.7, -1.0), 2, "requires an explicit window"),
+    (lambda: _ray_map({"x": (np.array([-np.inf]), np.array([2.0]))}), (0.5, -0.5), 1,
+     "without an explicit window"),
+], ids=["empty-box", "unbounded-box", "unbounded-polytope", "infinite-window"])
+def test_stacked_oracle_raises_at_the_first_bad_row(make, ts, bad, message):
+    prob, XI = make(), np.array(ts)[:, None]
+    with pytest.raises(pb.ProblemError, match=re.escape(message)) as stacked:
+        pb._oracle_rows(prob, XI, pb.OracleGrid())
+    with pytest.raises(pb.ProblemError) as reference:
+        per_xi_oracle_rows(prob, XI, pb.OracleGrid())
+    assert str(stacked.value) == str(reference.value)
+    # the rows before the bad one have grids
+    assert len(pb._oracle_rows(prob, XI[:bad], pb.OracleGrid())[0]) == bad
 
 
 @pytest.mark.parametrize("source, sizes_seen", [("example:paper", {2}),

@@ -256,32 +256,30 @@ def strong_slope(prob: pb.VepProblem, xi, x) -> float:
 # ---------------------------------------------------------------------------
 
 def subtransversality_kappa(dist1, dist2, dist12, s_bar, r: float) -> Certificate:
-    """Metric subtransversality constant from distance oracles on a grid."""
+    """Metric subtransversality constant from row distance oracles on a grid.
+
+    Each oracle maps the grid rows (P, d) to their distances (P,).  The
+    rules run in grid order: a row with max(d1, d2) <= 1e-9 is skipped, a
+    strictly larger ratio d12 / max(d1, d2) replaces the witness, and a
+    non-finite d12 on any other row makes the result inconclusive."""
     resolution = 21
     s_bar = np.atleast_1d(np.asarray(s_bar, dtype=float))
     axes = [np.linspace(c - r, c + r, resolution) for c in s_bar]
     pts = pb._grid_points(axes)
-    kappa = 0.0
-    witness = None
-    unreachable = False
-    for w in pts:
-        d1, d2 = dist1(w), dist2(w)
-        denom = max(d1, d2)
-        if denom <= 1e-9:
-            continue
-        d12 = dist12(w)
-        if not math.isfinite(d12):
-            unreachable = True
-            continue
-        ratio = d12 / denom
-        if ratio > kappa:
-            kappa = ratio
-            witness = w
-    if unreachable:
+    d1, d2 = dist1(pts), dist2(pts)
+    denom = np.where(d2 > d1, d2, d1)      # Python's max(d1, d2)
+    tested = np.flatnonzero(~(denom <= 1e-9))
+    d12 = dist12(pts[tested])
+    if not np.isfinite(d12).all():
         return Certificate("kappa", INCONCLUSIVE, float("nan"), (),
                            {"resolution": resolution, "r": r},
                            ("intersection-unreachable",))
-    return Certificate("kappa", CERTIFIED, float(kappa),
+    ratio = d12 / denom[tested]
+    kappa, witness = 0.0, None
+    if (ratio > 0.0).any():
+        kappa = float(np.max(ratio[ratio > 0.0]))
+        witness = pts[tested[np.flatnonzero(ratio == kappa)[0]]]
+    return Certificate("kappa", CERTIFIED, kappa,
                        (witness,) if witness is not None else (),
                        {"resolution": resolution, "r": r}, ())
 
@@ -339,7 +337,9 @@ def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion) -> Certificate:
 
 
 def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
-    """Distance oracles (to Omega x R^n, to graph E, to their intersection)."""
+    """Row distance oracles (to Omega x R^n, to graph E, to their
+    intersection): each maps points W (P, p + n) to distances (P,), a
+    row's distance not depending on the others."""
     cloud = pb.graph_samples(prob, xi_lo, xi_hi, 401)
     if len(cloud) == 0:
         raise pb.ProblemError("no solution-graph samples in the window")
@@ -347,17 +347,21 @@ def graph_e_distance_oracles(prob: pb.VepProblem, xi_lo: float, xi_hi: float):
     inside = mr._dist_rows(xi - geo.project_rows(xi, prob.omega)) <= 1e-9
     both = cloud[inside]
 
-    def d_omega(w):
-        return geo.dist(w[: prob.p], prob.omega)
+    def d_omega(W):
+        XI = W[:, : prob.p]
+        return mr._dist_rows(XI - geo.project_rows(XI, prob.omega))
 
-    def d_graph(w):
-        _, d = geo.polyline_project(np.asarray(w, dtype=float), cloud)
-        return d
+    def d_graph(W):
+        return geo.polyline_project_rows(W, cloud)[1]
 
-    def d_both(w):
+    def d_both(W):
         if len(both) == 0:
-            return float("inf")
-        return float(np.min(np.linalg.norm(both - w, axis=1)))
+            return np.full(len(W), np.inf)
+        out = np.empty(len(W))
+        block = max(1, 20_000 // both.size)     # as ``polyline_project_rows``
+        for s in range(0, len(W), block):
+            out[s:s + block] = np.min(np.linalg.norm(both - W[s:s + block, None], axis=-1), axis=1)
+        return out
 
     return d_omega, d_graph, d_both
 

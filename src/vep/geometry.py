@@ -585,21 +585,43 @@ def polyline_project_rows(W: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray
     if len(branch) == 1:
         D = W - branch[0]
         return np.repeat(branch[:1], len(W), axis=0), np.sqrt(np.matmul(D[:, None], D[..., None])[:, 0, 0])
+    segments = _segments(branch)
+    Q, dist = np.empty_like(W), np.empty(len(W))
+    block = max(1, 20_000 // segments[1].size)
+    for s in range(0, len(W), block):
+        cand, dists = _on_segments(W[s:s + block], *segments)
+        j, rows = np.argmin(dists, axis=1), np.arange(len(cand))
+        Q[s:s + block], dist[s:s + block] = cand[rows, j], dists[rows, j]
+    return Q, dist
+
+
+def _segments(branch: np.ndarray):
+    """The segments of the polyline through two or more branch samples:
+    starts a, directions d and squared lengths dd (1 for a zero length)."""
     a = branch[:-1]
     d = branch[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd[dd == 0.0] = 1.0
-    Q, dist = np.empty_like(W), np.empty(len(W))
-    block = max(1, 20_000 // d.size)
-    for s in range(0, len(W), block):
-        w = W[s:s + block, None, :]
-        t = np.clip(np.einsum("pij,ij->pi", w - a, d) / dd, 0.0, 1.0)
-        cand = a + t[..., None] * d
-        D = cand - w
-        dists = np.sqrt(np.add.reduce(D * D, axis=2))
-        j, rows = np.argmin(dists, axis=1), np.arange(len(w))
-        Q[s:s + block], dist[s:s + block] = cand[rows, j], dists[rows, j]
-    return Q, dist
+    return a, d, dd
+
+
+def _on_segments(W: np.ndarray, a, d, dd) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest point of each segment (P, S, dim) to each row of W
+    (P, dim), and its distance (P, S)."""
+    w = W[:, None, :]
+    t = np.clip(np.einsum("pij,ij->pi", w - a, d) / dd, 0.0, 1.0)
+    cand = a + t[..., None] * d
+    D = cand - w
+    return cand, np.sqrt(np.add.reduce(D * D, axis=2))
+
+
+def _segment_dists(w: np.ndarray, branch: np.ndarray) -> np.ndarray:
+    """Distances of the point w to each segment of the polyline through the
+    branch samples, as ``polyline_project_rows`` takes them (to the one
+    sample when there is one)."""
+    if len(branch) == 1:
+        return polyline_project_rows(w[None], branch)[1]
+    return _on_segments(w[None], *_segments(branch))[1][0]
 
 
 def _sphere_dirs(dim: int, n: int) -> np.ndarray:
@@ -679,13 +701,21 @@ def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
     near = min(polyline_project(point, b)[1] for b in branches)
     if near > 1e-6 * scale:
         raise GeometryError(f"point is not on the sampled set (dist {near:.3g})")
+    seg_dists = [_segment_dists(point, b) for b in branches]
     radii = sorted(radii, reverse=True)
     per_radius = []
     for r in radii:
         # every probe of the circle onto every branch; the first branch wins ties
         W = point + r * _sphere_dirs(dim, 240)
         best_q, best_d = np.zeros_like(W), np.full(len(W), np.inf)
-        for b in branches:
+        for b, dists in zip(branches, seg_dists):
+            # a probe is within r + near of the set, so a segment farther
+            # than 2r + near from the point is never its nearest
+            close = np.flatnonzero(dists <= 2.0 * r + near + 1e-9 * scale)
+            if not len(close):
+                continue
+            if close[-1] - close[0] + 1 == len(close):
+                b = b[close[0]:close[-1] + 2]
             q, dq = polyline_project_rows(W, b)
             closer = dq < best_d
             best_q[closer], best_d[closer] = q[closer], dq[closer]
@@ -804,7 +834,20 @@ class ConvexBody:
             return pts
         dirs = _sphere_dirs(self.dim, int(round(360.0 / CAP_RES_DEG)) if self.dim == 2 else 64)
         shift = self.ball * dirs
-        return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
+        diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+        if self.dim != 2 or self.ball < 1e-2 * diam:
+            return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
+        # p_i + r s_j is a vertex only if a direction u within CAP_RES_DEG/2
+        # of s_j maximizes <u, .> at p_i, so <s_j, p_i> >= h(s_j) -
+        # tan(CAP_RES_DEG/2) diam: the sums below a 4x wider margin are
+        # interior, and qhull decides the near-ties that stay.  A ball much
+        # smaller than the points' spread is left unfiltered, because there
+        # qhull's first vertex can depend on the interior points.
+        H = pts @ dirs.T
+        margin = (math.tan(math.radians(2 * CAP_RES_DEG)) * diam
+                  + 1e-9 * max(1.0, float(np.abs(pts).max())))
+        i, j = np.nonzero(H >= H.max(axis=0) - margin)
+        return _prune_hull(pts[i] + shift[j])
 
 
 def body_from_points(points, label: str = "", ball: float = 0.0) -> ConvexBody:
@@ -931,32 +974,54 @@ def basis_points(A: np.ndarray, b: np.ndarray):
     subsystem with Ad <= 0 or Ad >= 0), or no feasible solution.
     """
     N, k, n = A.shape
-    # the rank and ray checks read A alone: a stack of one A does them on A[:1]
-    m = 1 if N > 1 and (A == A[:1]).all() else N
-    norms = np.linalg.norm(A[:m], axis=2)
-    At = A.transpose(0, 2, 1)
-    rows = _row_subsets(k, n)
-    AS = A[:, rows]
-    nonsingular = np.abs(np.linalg.det(AS[:m])) > 1e-12 * np.prod(norms[:, rows], axis=2)
-    if m < N:
+    # the rank and ray checks read A alone: a stack of one A takes them
+    # from the cache of ``_a_checks``
+    if N and (A == A[:1]).all():
+        nonsingular, ray = _a_checks(np.asarray(A[0], dtype=float).tobytes(), k, n)
         nonsingular = np.repeat(nonsingular, N, axis=0)
+        ray = np.repeat(ray, N)
+    else:
+        nonsingular, ray = _a_checks_rows(A)
+    rows = _row_subsets(k, n)
     Z = np.zeros((N, len(rows), n))
-    Z[nonsingular] = np.linalg.solve(AS[nonsingular], b[:, rows][nonsingular][..., None])[..., 0]
-    feasible = nonsingular & np.all(Z @ At <= (b + 1e-9 * (1.0 + np.abs(b)))[:, None, :], axis=2)
+    Z[nonsingular] = np.linalg.solve(A[:, rows][nonsingular],
+                                     b[:, rows][nonsingular][..., None])[..., 0]
+    slack = b + 1e-9 * (1.0 + np.abs(b))
+    feasible = nonsingular & np.all(Z @ A.transpose(0, 2, 1) <= slack[:, None, :], axis=2)
+    code = np.zeros(N, dtype=int)    # the first reason that applies wins
+    code[~feasible.any(axis=1)] = 3
+    code[ray] = 2
+    code[~nonsingular.any(axis=1)] = 1
+    return Z, feasible, code
+
+
+@functools.lru_cache(maxsize=64)
+def _a_checks(A: bytes, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_a_checks_rows`` of the one (k, n) matrix whose float64 bytes are
+    ``A``, read-only: a descent meets one A at every kernel call."""
+    nonsingular, ray = _a_checks_rows(np.frombuffer(A).reshape(1, k, n))
+    return _read_only(nonsingular), _read_only(ray)
+
+
+def _a_checks_rows(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of the stack A (N, k, n): which n-row subsystems are
+    nonsingular (N, S), in the order of the row subsets, and whether the
+    recession cone of {z : A z <= b} has an extreme ray (N,), a null
+    direction d of an (n-1)-row subsystem with Ad <= 0 or Ad >= 0."""
+    k, n = A.shape[1:]
+    norms = np.linalg.norm(A, axis=2)
+    rows = _row_subsets(k, n)
+    nonsingular = np.abs(np.linalg.det(A[:, rows])) > 1e-12 * np.prod(norms[:, rows], axis=2)
     # generalized cross product: the null direction of each (n-1)-row
     # subsystem, from its n minors in one determinant call
-    M = A[:m, _row_subsets(k, n - 1)]
+    M = A[:, _row_subsets(k, n - 1)]
     cols, signs = _minors(n)
     d = np.linalg.det(M[..., cols].swapaxes(-3, -2)) * signs
     dn = np.linalg.norm(d, axis=2)
     real = dn > 1e-12 * np.prod(np.linalg.norm(M, axis=3), axis=2)
-    Ad, tol = d @ At[:m], 1e-9 * dn[..., None] * norms[:, None, :]
+    Ad, tol = d @ A.transpose(0, 2, 1), 1e-9 * dn[..., None] * norms[:, None, :]
     ray = real & (np.all(Ad <= tol, axis=2) | np.all(Ad >= -tol, axis=2))
-    code = np.zeros(N, dtype=int)    # the first reason that applies wins
-    code[~feasible.any(axis=1)] = 3
-    code[np.repeat(ray.any(axis=1), N // m)] = 2
-    code[~nonsingular.any(axis=1)] = 1
-    return Z, feasible, code
+    return nonsingular, ray.any(axis=1)
 
 
 @functools.lru_cache(maxsize=None)

@@ -180,36 +180,57 @@ def _descend(prob, seeds: np.ndarray, lam: float, config: PenaltyConfig, a0: flo
     return best_q, best_v.tolist(), steps.tolist()
 
 
-def _compass_polish(prob, q: np.ndarray, v: float, step: float, lo, up, lam: float,
-                    gamma: float) -> tuple[np.ndarray, float]:
-    """Pattern search from q, whose value is v.  A sweep tries the probes
-    q +- step e_i in the order (i, +step, -step) and moves to each probe
-    that improves on the current point; a sweep without a move halves the
-    step, down to 1e-7.  The probes of a sweep still pending are evaluated
-    from the current point in one call, and after a move the ones after it
-    again from the new point: the moves of a one-probe-at-a-time sweep."""
-    d = len(q)
+def _polish(prob, Q: np.ndarray, values: list, step: float, lo, up, lam: float,
+            gamma: float) -> tuple[np.ndarray, list]:
+    """Pattern search from every row of Q, whose values are ``values``, all
+    polishes advanced together.  A sweep tries the probes q +- step e_i in
+    the order (i, +step, -step) and moves to each probe that improves on
+    the current point; a sweep without a move halves the step, and a
+    polish stops below 1e-7 or after 400 sweeps.  Each round evaluates the
+    pending probes of every running polish in one call: from a polish's
+    current point, the probes of its sweep after its last move, which are
+    the moves of a one-probe-at-a-time sweep.  Each polish keeps its own
+    point, value, step, sweep count and probe position."""
+    N, d = Q.shape
     axis = np.repeat(np.arange(d), 2)
     sign = np.tile([1.0, -1.0], d)
     p = prob.p
-    for _ in range(400):
-        improved, r = False, 0
-        while r < 2 * d:
-            P = np.repeat(q[None], 2 * d - r, axis=0)
-            P[np.arange(2 * d - r), axis[r:]] += sign[r:] * step
-            P = np.clip(P, lo, up)
-            vals, _ = _penalized_rows(prob, P[:, :p], P[:, p:], lam, gamma)
-            better = np.flatnonzero(vals < v - 1e-15)
-            if not len(better):
-                break
-            j = int(better[0])
-            q, v, improved = P[j], float(vals[j]), True
-            r += j + 1
-        if not improved:
-            step *= 0.5
-            if step < 1e-7:
-                break
-    return q, v
+    Q, values = Q.copy(), list(values)
+    steps, sweeps = [step] * N, [0] * N
+    pos, improved = [0] * N, [False] * N
+    running = list(range(N))
+    while running:
+        blocks = []
+        for i in running:
+            r = pos[i]
+            P = np.repeat(Q[i][None], 2 * d - r, axis=0)
+            P[np.arange(2 * d - r), axis[r:]] += sign[r:] * steps[i]
+            blocks.append(P)
+        P = np.clip(np.concatenate(blocks), lo, up)
+        vals, _ = _penalized_rows(prob, P[:, :p], P[:, p:], lam, gamma)
+        still, start = [], 0
+        for i, block in zip(running, blocks):
+            end = start + len(block)
+            better = np.flatnonzero(vals[start:end] < values[i] - 1e-15)
+            if len(better):
+                j = int(better[0])
+                Q[i], values[i], improved[i] = P[start + j], float(vals[start + j]), True
+                pos[i] += j + 1
+            start = end
+            if len(better) and pos[i] < 2 * d:
+                still.append(i)
+                continue
+            # the sweep is over
+            if not improved[i]:
+                steps[i] *= 0.5
+                if steps[i] < 1e-7:
+                    continue
+            sweeps[i] += 1
+            if sweeps[i] < 400:
+                pos[i], improved[i] = 0, False
+                still.append(i)
+        running = still
+    return Q, values
 
 
 def _penalized_slope(prob, q, lam, gamma, p) -> float:
@@ -226,8 +247,9 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
 
     Returns (incumbent as (xi, x), trace of StageRecord).  A stage runs,
     from each start and from one random perturbation of it, the descent
-    (all of them in lockstep) and then, one descent at a time in start
-    order, a pattern-search polish; the schedule advances while the
+    and then a pattern-search polish, each of them for all runs in
+    lockstep; the stage's best points are then taken in start order, and
+    an unbounded-below value raises there.  The schedule advances while the
     incumbent's merit stays above TOL_MERIT and stops as soon as the
     incumbent is feasible and the sampled strong slope of the penalized
     objective there is under 1e-4.
@@ -251,15 +273,14 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
         seeds = np.array([q for q_start in incumbents for q in (
             q_start, np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up))])
         best_q, best_v, steps = _descend(prob, seeds, lam, config, a0, lo, up)
+        pol_q, pol_v = _polish(prob, best_q, best_v, a0 / 10.0, lo, up, lam, config.gamma)
         stage_incumbents, stage_runs = [], []
         for si in range(len(incumbents)):
             best_local, best_local_val, accepted = None, math.inf, 0
             for j in (2 * si, 2 * si + 1):
                 cur_best, cur_val = best_q[j], best_v[j]
-                pol_q, pol_v = _compass_polish(prob, cur_best, cur_val, a0 / 10.0, lo, up,
-                                               lam, config.gamma)
-                if pol_v < cur_val:
-                    cur_best, cur_val = pol_q, pol_v
+                if pol_v[j] < cur_val:
+                    cur_best, cur_val = pol_q[j], pol_v[j]
                 if cur_val < -1e12:
                     raise SolverError("penalized objective unbounded below")
                 if cur_val < best_local_val:
@@ -328,13 +349,14 @@ def _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph):
 
 
 def _sum_with_provenance(factors: list[np.ndarray]):
-    """Pairwise-sum point sets keeping, per summed point, one point per factor."""
-    pts = factors[0]
-    prov = [(i,) for i in range(len(pts))]
-    total = pts
+    """Pairwise-sum point sets keeping, per summed point, its flat index in
+    the product of the factors' point lists (mixed radix, last factor
+    fastest): the row-major index of the full sum."""
+    total = factors[0]
+    prov = np.arange(len(total))
     for F in factors[1:]:
         new_total = (total[:, None, :] + F[None, :, :]).reshape(-1, total.shape[1])
-        new_prov = [p + (j,) for p in prov for j in range(len(F))]
+        new_prov = (prov[:, None] * len(F) + np.arange(len(F))).ravel()
         if len(new_total) > 20000:
             hull = geo._prune_hull(new_total)
             keep = []
@@ -342,7 +364,7 @@ def _sum_with_provenance(factors: list[np.ndarray]):
                 j = int(np.argmin(np.linalg.norm(new_total - h, axis=1)))
                 keep.append(j)
             total = new_total[keep]
-            prov = [new_prov[j] for j in keep]
+            prov = new_prov[keep]
         else:
             total, prov = new_total, new_prov
     return total, prov
@@ -353,11 +375,13 @@ def _residual_and_witness(factor_pts: list[np.ndarray], ball: float):
     q, idx, w = geo.wolfe_min_norm(total)
     nq = float(np.linalg.norm(q))
     residual = max(nq - ball, 0.0)
+    # one point per factor for each of Wolfe's support points
+    rows = np.unravel_index(prov[np.asarray(idx, dtype=int)], [len(F) for F in factor_pts])
     parts = []
-    for fi, F in enumerate(factor_pts):
+    for F, r in zip(factor_pts, rows):
         part = np.zeros(F.shape[1])
-        for j, weight in zip(idx, w):
-            part = part + weight * F[prov[j][fi]]
+        for j, weight in zip(r, w):
+            part = part + weight * F[j]
         parts.append(part)
     if ball > 0 and nq > 1e-12:
         # absorb the ball along -q so the reported summands add up to ~residual
@@ -406,6 +430,13 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
         refute_bodies, mu_model = coupled.bodies, "graph-normal-cap"
     else:
         refute_bodies, mu_model = mu_est.bodies, "coderivative-ball-product"
+    # each factor is discretized once per scale: phi once, Omega once per
+    # lambda, a nu body once per (nu, lambda), a mu branch once per
+    # (lambda, branch)
+    phi_pts = phi_body.ball_discretized()
+    omega_pts = [geo.scale_body(omega_body, lam).ball_discretized() for lam in lambda_grid]
+    mu_pts = [[geo.scale_body(kb, lam / gamma).ball_discretized() for kb in mu_est.bodies]
+              for lam in lambda_grid]
     refuting = None
     table = []
     worst_residual = -math.inf
@@ -415,15 +446,11 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
             refuting = _refutation_scan(phi_body, omega_body, nu_body,
                                         refute_bodies, gamma, dirs)
         best_key = (math.inf, None, None, ())
-        for lam in lambda_grid:
-            for bi, kb in enumerate(mu_est.bodies):
-                factors = [
-                    phi_body.ball_discretized(),
-                    geo.scale_body(omega_body, lam).ball_discretized(),
-                    geo.scale_body(nu_body, lam / gamma).ball_discretized(),
-                    geo.scale_body(kb, lam / gamma).ball_discretized(),
-                ]
-                residual, parts = _residual_and_witness(factors, 0.0)
+        for li, lam in enumerate(lambda_grid):
+            nu_pts = geo.scale_body(nu_body, lam / gamma).ball_discretized()
+            for bi, kb_pts in enumerate(mu_pts[li]):
+                residual, parts = _residual_and_witness(
+                    [phi_pts, omega_pts[li], nu_pts, kb_pts], 0.0)
                 table.append(key + (lam, bi, residual))
                 if residual < best_key[0]:
                     best_key = (residual, lam, bi, parts)

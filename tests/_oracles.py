@@ -262,6 +262,32 @@ def per_row_penalized(prob, XI, X, lam, gamma):
                      for xi, x in zip(XI, X)])
 
 
+def sequential_polish(fn, q0, step, lo, up):
+    """Pattern search from q0 with one probe per ``fn`` call: a sweep tries
+    q +- step e_i in the order (i, +step, -step) and moves to every probe
+    that improves; a sweep without a move halves the step, down to 1e-7,
+    for at most 400 sweeps.  Returns the point, its value and the number of
+    sweeps.  The reference for the solver's lockstep polish."""
+    q = q0.copy()
+    v = fn(q)
+    sweeps = 0
+    for sweeps in range(1, 401):
+        improved = False
+        for i in range(len(q)):
+            for s in (step, -step):
+                cand = q.copy()
+                cand[i] += s
+                cand = np.clip(cand, lo, up)
+                cv = fn(cand)
+                if cv < v - 1e-15:
+                    q, v, improved = cand, cv, True
+        if not improved:
+            step *= 0.5
+            if step < 1e-7:
+                break
+    return q, v, sweeps
+
+
 def sequential_solve_penalized(prob, config, starts):
     """``solver.solve_penalized`` with one descent at a time: every step
     takes a one-row objective value and a one-point subgradient, and the
@@ -287,25 +313,6 @@ def sequential_solve_penalized(prob, config, starts):
         m = mr.eval_merit_batch(prob, Q[:, :p], Q[:, p:])
         g_mf = (m[:len(q)] - m[len(q):]) / (2 * h)
         return g_phi + lam * g_om + (lam / config.gamma) * g_mf
-
-    def polish(fn, q0, step, lo, up):
-        q = q0.copy()
-        v = fn(q)
-        for _ in range(400):
-            improved = False
-            for i in range(len(q)):
-                for s in (step, -step):
-                    cand = q.copy()
-                    cand[i] += s
-                    cand = np.clip(cand, lo, up)
-                    cv = fn(cand)
-                    if cv < v - 1e-15:
-                        q, v, improved = cand, cv, True
-            if not improved:
-                step *= 0.5
-                if step < 1e-7:
-                    break
-        return q, v
 
     starts = [prob.point(xi, x) for xi, x in starts]
     rng = np.random.default_rng(config.seed)
@@ -340,7 +347,7 @@ def sequential_solve_penalized(prob, config, starts):
                     if v < cur_val - 1e-15:
                         cur_val, cur_best = v, q.copy()
                         steps += 1
-                pol_q, pol_v = polish(fn, cur_best, a0 / 10.0, lo, up)
+                pol_q, pol_v, _ = sequential_polish(fn, cur_best, a0 / 10.0, lo, up)
                 if pol_v < cur_val:
                     cur_best, cur_val = pol_q, pol_v
                 if cur_val < -1e12:
@@ -670,3 +677,73 @@ def per_point_c_bounded_sups(prob, xi, x0):
                 sup = max(sup, float(np.linalg.norm(F)))
         sups.append(sup)
     return sups
+
+
+def unfiltered_ball_discretized(body):
+    """``ConvexBody.ball_discretized`` with every sum p_i + r s_j of the
+    points and the sphere directions handed to ``_prune_hull``: the
+    reference for the filtered 2-D ring sum."""
+    from vep import geometry as geo
+
+    pts = body.effective_points()
+    if body.ball <= 0.0 or len(pts) == 0:
+        return pts
+    dirs = geo._sphere_dirs(body.dim, int(round(360.0 / geo.CAP_RES_DEG)) if body.dim == 2 else 64)
+    shift = body.ball * dirs
+    return geo._prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, body.dim))
+
+
+def per_point_distance_oracles(prob, xi_lo, xi_hi):
+    """The three distances of ``diagnostics.graph_e_distance_oracles`` (to
+    Omega x R^n, to graph E, to their intersection) for one point w each,
+    by ``geometry.dist``, ``geometry.polyline_project`` and a norm per
+    sample: the reference for the row oracles."""
+    from vep import geometry as geo
+    from vep import merit as mr
+    from vep import problem as pb
+
+    cloud = pb.graph_samples(prob, xi_lo, xi_hi, 401)
+    xi = cloud[:, : prob.p]
+    both = cloud[mr._dist_rows(xi - geo.project_rows(xi, prob.omega)) <= 1e-9]
+
+    def d_omega(w):
+        return geo.dist(w[: prob.p], prob.omega)
+
+    def d_graph(w):
+        return geo.polyline_project(np.asarray(w, dtype=float), cloud)[1]
+
+    def d_both(w):
+        if len(both) == 0:
+            return float("inf")
+        return float(np.min(np.linalg.norm(both - w, axis=1)))
+
+    return d_omega, d_graph, d_both
+
+
+def per_point_kappa(dist1, dist2, dist12, s_bar, r):
+    """``diagnostics.subtransversality_kappa`` with one call of each
+    one-point oracle per grid point, in grid order.  Returns (verdict,
+    kappa, witnesses, flags): the reference for the row pass."""
+    import math
+
+    from vep import diagnostics as dg
+    from vep import problem as pb
+
+    s_bar = np.atleast_1d(np.asarray(s_bar, dtype=float))
+    pts = pb._grid_points([np.linspace(c - r, c + r, 21) for c in s_bar])
+    kappa, witness, unreachable = 0.0, None, False
+    for w in pts:
+        d1, d2 = dist1(w), dist2(w)
+        denom = max(d1, d2)
+        if denom <= 1e-9:
+            continue
+        d12 = dist12(w)
+        if not math.isfinite(d12):
+            unreachable = True
+            continue
+        ratio = d12 / denom
+        if ratio > kappa:
+            kappa, witness = ratio, w
+    if unreachable:
+        return dg.INCONCLUSIVE, math.nan, (), ("intersection-unreachable",)
+    return dg.CERTIFIED, kappa, (witness,) if witness is not None else (), ()

@@ -11,8 +11,9 @@ from vep import merit as mr
 from vep import problem as pb
 from vep import subdiff as sd
 
-from _oracles import (per_pair_lipschitz_f, per_point_c_bounded_sups, per_point_error_bound,
-                      per_sample_gamma, per_target_openness_rate)
+from _oracles import (per_pair_lipschitz_f, per_point_c_bounded_sups, per_point_distance_oracles,
+                      per_point_error_bound, per_point_kappa, per_sample_gamma,
+                      per_target_openness_rate)
 from conftest import make_const_box
 
 SMALL = dg.SampleSpec(grid_shape=(13, 13), n_random=40)
@@ -211,10 +212,40 @@ def test_kappa_on_worked_instance(tent):
     assert math.isfinite(cert.constant) and cert.constant <= 3.0
 
 
+@pytest.mark.parametrize("source, center", [
+    ("example:paper", (0.0, 1.0)), ("example:paper", (0.1, 1.3)), ("gencone.vep", (0.0, 1.0)),
+    ("const-box", (0.0, 1.0)), ("far-omega", (0.0, 1.0))])
+def test_kappa_rows_equal_the_per_point_loop(source, center):
+    if source == "const-box":       # Omega = R: every row with d2 = 0 has max(d1, d2) = 0
+        prob = make_const_box()
+    elif source == "far-omega":     # Omega misses the graph: the intersection is empty
+        prob = make_const_box(omega=geo.Box([5.0], [6.0]))
+    else:
+        prob = pb.load(source if source.startswith("example:") else str(PROBLEMS / source))
+    lo, hi = center[0] - 0.5, center[0] + 0.5
+    rows = dg.graph_e_distance_oracles(prob, lo, hi)
+    points = per_point_distance_oracles(prob, lo, hi)
+    W = pb._grid_points([np.linspace(c - 0.5, c + 0.5, 21) for c in center])
+    for row, point in zip(rows, points):
+        assert row(W).tolist() == [point(w) for w in W]
+    cert = dg.subtransversality_kappa(*rows, center, 0.5)
+    verdict, kappa, witnesses, flags = per_point_kappa(*points, center, 0.5)
+    assert (cert.verdict, cert.flags) == (verdict, flags)
+    assert cert.constant == kappa or (math.isnan(kappa) and math.isnan(cert.constant))
+    assert [w.tolist() for w in cert.witnesses] == [w.tolist() for w in witnesses]
+    skipped = np.maximum(rows[0](W), rows[1](W)) <= 1e-9
+    if source == "far-omega":
+        assert verdict == dg.INCONCLUSIVE
+    elif source == "const-box":
+        assert skipped.sum() > 1
+    else:
+        assert verdict == dg.CERTIFIED and skipped.any()
+
+
 def test_kappa_against_ambient_space():
     # base point on the boundary so the sampling ball leaves the set
-    d = lambda w: float(np.linalg.norm(np.maximum(np.abs(w) - 1.0, 0.0)))
-    zero = lambda w: 0.0
+    d = lambda W: np.linalg.norm(np.maximum(np.abs(W) - 1.0, 0.0), axis=1)
+    zero = lambda W: np.zeros(len(W))
     cert = dg.subtransversality_kappa(d, zero, d, [1.0, 0.0], 0.5)
     assert cert.constant == pytest.approx(1.0, abs=1e-9)
     cert = dg.subtransversality_kappa(d, d, d, [1.0, 0.0], 0.5)

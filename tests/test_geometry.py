@@ -10,7 +10,7 @@ from scipy.optimize import nnls
 from _oracles import (einsum_polyline_project, generator_cone_members, grid_min_distance,
                       hildreth_projection, nnls_cap_points, nnls_cone_projection,
                       per_probe_limiting_normal_graph, per_value_cone_dist, qhull_vertices,
-                      sampled_min_norm)
+                      sampled_min_norm, unfiltered_ball_discretized)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -529,6 +529,29 @@ def test_stacked_probes_equal_the_per_probe_normals_on_one_branch():
     assert [b.tolist() for b in got.branches] == [b.tolist() for b in want.branches]
 
 
+def test_stacked_probes_skip_a_far_branch_and_cut_a_near_run():
+    # a far branch, never nearest, and a branch whose near segments are one
+    # run in the middle; and a branch that comes back near the point, whose
+    # near segments are not contiguous
+    upper, _ = _tent_branches()
+    far = upper + np.array([0.0, 3.0])
+    hook = np.vstack([upper[300:], [[0.6, 1.03], [0.02, 1.03]]])
+    point = np.array([0.0, 1.0])
+
+    def near(branch):       # the segments within 2r + near of the point at r = 0.02
+        return np.flatnonzero(geo._segment_dists(point, branch) <= 0.04 + 1e-9)
+
+    assert len(near(far)) == 0
+    run = near(upper)
+    assert 0 < run[0] and run[-1] < len(upper) - 2 and len(run) == run[-1] - run[0] + 1
+    run = near(hook)
+    assert len(run) < run[-1] - run[0] + 1
+    for branches in ([far, upper], [upper, far], [hook]):
+        got = geo.limiting_normal_graph(branches, point, radii=(0.02, 0.01, 0.005))
+        want = per_probe_limiting_normal_graph(branches, point, radii=(0.02, 0.01, 0.005))
+        assert [b.tolist() for b in got.branches] == [b.tolist() for b in want.branches]
+
+
 def test_truncated_normal_reuses_one_cone_per_active_set(monkeypatch):
     # a polytope corner and its edges: three active sets, each cap built once
     H = geo.Halfspaces([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [1.0, 1.0, 0.5])
@@ -693,6 +716,47 @@ def test_basis_points_of_a_shared_a_stack_equal_the_per_slice_calls():
         single = [geo.basis_points(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
         for got, ref in zip(stacked, zip(*single)):
             assert np.array_equal(got, np.concatenate(ref)), A0
+
+
+def test_basis_points_cache_the_checks_of_each_a():
+    tri = np.array([[1, 0], [0, 1], [-1, -1]], dtype=float)
+    strip = np.array([[1, 0], [-1, 0], [2, 0]], dtype=float)
+    wedge = np.array([[-1, 0], [0, -1], [-1, -1]], dtype=float)
+    A = np.stack([tri, strip, wedge, tri])
+    b = np.array([[1, 1, 0], [2, 0.5, 1], [0, 0, 0], [0, 0, -1]], dtype=float)
+    # distinct A: the checks of every slice in one pass, uncached
+    stacked = geo.basis_points(A, b)
+    geo._a_checks.cache_clear()
+    single = [geo.basis_points(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
+    for got, ref in zip(stacked, zip(*single)):
+        assert np.array_equal(got, np.concatenate(ref))
+    info = geo._a_checks.cache_info()
+    assert (info.misses, info.hits) == (3, 1)
+    nonsingular, ray = geo._a_checks(tri.tobytes(), 3, 2)
+    assert not nonsingular.flags.writeable and not ray.flags.writeable
+
+
+def test_filtered_ball_sum_equals_the_unfiltered_one():
+    rng = np.random.default_rng(181)
+    filtered = 0
+    for case in range(400):
+        m = int(rng.integers(1, 101))
+        kind = case % 5
+        if kind == 0:       # a scattered set
+            P = rng.normal(size=(m, 2)) * rng.uniform(1e-3, 3.0)
+        elif kind == 1:     # collinear points
+            P = rng.normal(size=(m, 1)) * rng.normal(size=2) + rng.normal(size=2)
+        elif kind == 2:     # duplicate points
+            P = rng.normal(size=(max(1, m // 3), 2))[rng.integers(0, max(1, m // 3), m)]
+        elif kind == 3:     # a convex polygon in qhull's order, as bodies hold them
+            P = geo._prune_hull(rng.normal(size=(m, 2)))
+        else:               # a single point
+            P = rng.normal(size=(1, 2))
+        r = float(10 ** rng.uniform(-9, np.log10(2.0)))
+        body = geo.ConvexBody(2, P, ball=r)
+        filtered += r >= 1e-2 * np.linalg.norm(np.ptp(P, axis=0))
+        assert np.array_equal(body.ball_discretized(), unfiltered_ball_discretized(body)), case
+    assert filtered > 100       # the filter ran, not only its small-ball bypass
 
 
 def test_lazy_scipy_names_resolve_and_keep_a_wrapper(monkeypatch):

@@ -9,7 +9,7 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import per_row_penalized, sequential_solve_penalized
+from _oracles import per_row_penalized, sequential_polish, sequential_solve_penalized
 from conftest import make_const_box
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -106,6 +106,45 @@ def test_solver_kernel_calls(monkeypatch):
     sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
     # one descent at a time, with one-point polish probes, this took 7,278
     assert len(calls) < 7278 / 3
+
+
+def test_solver_penalized_rows_calls(monkeypatch):
+    # a work count: one polish at a time, each round one call, took 388
+    prob = pb.load(str(GENCONE))
+    rows, calls = sv._penalized_rows, []
+    monkeypatch.setattr(sv, "_penalized_rows", lambda *a: calls.append(None) or rows(*a))
+    sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
+    assert len(calls) == 121
+
+
+@pytest.mark.parametrize("source, lam", [("polytope.vep", 1.0), ("example:paper", 4.0)])
+def test_lockstep_polish_equals_the_sequential_polish(source, lam):
+    prob = pb.load(source if source.startswith("example:") else str(PROBLEMS / source))
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
+    Q = np.random.default_rng(7).uniform(lo, up, (5, len(lo)))
+    values, _ = sv._penalized_rows(prob, Q[:, :prob.p], Q[:, prob.p:], lam, 0.5)
+    got_q, got_v = sv._polish(prob, Q, values.tolist(), 0.3, lo, up, lam, 0.5)
+
+    def fn(w):
+        return sv.penalized_value(prob, w[:prob.p], w[prob.p:], lam, 0.5)
+
+    want = [sequential_polish(fn, q, 0.3, lo, up) for q in Q]
+    assert np.array_equal(got_q, [q for q, _, _ in want])
+    assert got_v == [v for _, v, _ in want]
+    # the polishes stop after different numbers of sweeps, so some of them
+    # keep running after others have stopped
+    assert len({sweeps for _, _, sweeps in want}) > 1
+
+
+def test_unbounded_objective_raises_like_the_sequential_reference(tmp_path):
+    path = tmp_path / "unbounded.vep"
+    path.write_text(GENCONE.read_text().replace("expr = xi1^2 + x1^2", "expr = -1e13 * x1^2"))
+    prob = pb.load(str(path))
+    starts = _starts(prob, 3, 2)
+    for solve in (sv.solve_penalized, sequential_solve_penalized):
+        with pytest.raises(sv.SolverError, match="penalized objective unbounded below"):
+            solve(prob, sv.PenaltyConfig(seed=3), starts)
 
 
 def test_solver_reaches_the_solution(tent):
@@ -248,6 +287,18 @@ def test_smooth_concave_monotone_wrt_general(tent):
         tent, [0.0], [1.0], [0.5], gamma=0.5, eps_list=(0.05, 0.1), l_f=1.0)
     assert gen.verdict == sv.STATIONARY
     assert smc.verdict == sv.STATIONARY
+
+
+def test_smooth_concave_prune_hull_calls(monkeypatch):
+    # a work count: with every factor discretized per (nu body, lambda,
+    # mu branch) triple, this check made 33 calls
+    geo._normal_cone.cache_clear()
+    prob = pb.load("example:paper")
+    hull, calls = geo._prune_hull, []
+    monkeypatch.setattr(geo, "_prune_hull", lambda pts: calls.append(None) or hull(pts))
+    sv.check_stationarity_smooth_concave(prob, [0.0], [1.0], None, 0.5,
+                                         eps_list=[0.05, 0.1], l_f=1.0)
+    assert len(calls) == 21
 
 
 def test_smooth_concave_residual_table_per_eps(tent):

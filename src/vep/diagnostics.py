@@ -52,6 +52,16 @@ class SampleSpec:
 # gamma and the error bound
 # ---------------------------------------------------------------------------
 
+def _check_xi_range(xi_bar: np.ndarray, rho: float) -> None:
+    """ProblemError unless xi_bar - rho, xi_bar + rho and the width of that
+    range are finite: the samples between them could not be drawn."""
+    with np.errstate(over="ignore"):
+        lo, up = xi_bar - rho, xi_bar + rho
+        finite = np.isfinite(lo).all() and np.isfinite(up).all() and np.isfinite(up - lo).all()
+    if not finite:
+        raise pb.ProblemError(f"xi_bar +- rho is not a finite range (rho = {rho:g})")
+
+
 def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
                    spec: SampleSpec | None = None) -> Certificate:
     """Smallest sampled distance from the origin to the x-block subgradient
@@ -64,6 +74,7 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     point of the two bodies."""
     spec = spec or SampleSpec()
     xi_bar, _ = prob.point(xi_bar, None)
+    _check_xi_range(xi_bar, rho)
     xlo, xup = spec.x_window if spec.x_window is not None else prob.x_window()
     rng = np.random.default_rng(spec.seed)
     n_xi, n_x = spec.grid_shape
@@ -211,6 +222,7 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
     xi_bar, _ = prob.point(xi_bar, None)
     if prob.p != 1 or prob.n != 1:
         raise pb.ProblemError("error-bound sweep implemented for p = n = 1")
+    _check_xi_range(xi_bar, rho)
     xlo, xup = prob.x_window()
     if x_check is None:
         x_check = (float(xlo[0]), float(xup[0]), 161)

@@ -83,9 +83,13 @@ class Box:
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The 2^n corners of boxes with bounds of shape (..., n), as an array of
     shape (..., 2^n, n); the first coordinate changes slowest."""
-    n = lower.shape[-1]
-    upper_bit = (np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1
-    return np.where(upper_bit == 1, upper[..., None, :], lower[..., None, :])
+    return np.where(_upper_bits(lower.shape[-1]), upper[..., None, :], lower[..., None, :])
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_bits(n: int) -> np.ndarray:
+    """(2^n, n) mask of the coordinates each box corner takes from ``upper``."""
+    return _read_only((np.arange(2 ** n)[:, None] >> np.arange(n)[::-1]) & 1 == 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +171,17 @@ class ConeRepr:
                 if np.linalg.matrix_rank(R) == j:
                     faces.append((_read_only(R), _read_only(np.linalg.pinv(R))))
         return tuple(faces)
+
+    @cached_property
+    def face_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """``faces`` as one read-only stack, zero-padded to the largest face:
+        R of shape (F, k, dim) and P of shape (F, dim, k)."""
+        k = max((len(R) for R, _ in self.faces), default=0)
+        R = np.zeros((len(self.faces), k, self.dim))
+        P = np.zeros((len(self.faces), self.dim, k))
+        for f, (Rf, Pf) in enumerate(self.faces):
+            R[f, :len(Rf)], P[f, :, :len(Rf)] = Rf, Pf
+        return _read_only(R), _read_only(P)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -357,45 +372,56 @@ def dist_cone_batch(F: np.ndarray, C: ConeRepr) -> np.ndarray:
     and the apex, the one nearest to x.  The residual ‖x - Rᵀc‖ is formed
     explicitly: ‖x‖² - ‖Rᵀc‖² cancels to about 1e-8 near the cone.  For a
     halfspace-form cone the faces are those of the polar cone, and the
-    distance is the norm of the projection onto the polar.  Every product is
-    an elementwise multiply-add in a fixed order, so a column's distance
-    does not depend on the other columns.  Temporaries are a few arrays of
-    one value per column, reused across faces.
+    distance is the norm of the projection onto the polar.
+
+    All faces go through one pass over ``C.face_stack``: c = Pᵀx, Rᵀc and
+    the squared residual are elementwise multiply-adds over (faces, rows,
+    columns) in a fixed order, so a column's distance does not depend on
+    the other columns.  A padded row adds only ±0 terms and has c = ±0, so
+    every face gives the numbers of its own unpadded products.  The nearest
+    candidate is the first minimum over the apex and the faces with c >= 0;
+    an inf or NaN residual never wins, as under a strict ``<`` scan.
+    Columns go in blocks, which bound the (faces, rows, columns) temporaries.
     """
     if C.kind == "orthant":
         return dist_orthant_batch(F)
     X = np.asarray(F, dtype=float).reshape(C.dim, -1)
-    n = X.shape[1]
+    out = np.empty(X.shape[1])
+    for i in range(0, X.shape[1], 4096):
+        out[i:i + 4096] = _dist_cone_block(X[:, i:i + 4096], C)
+    return np.sqrt(out).reshape(np.shape(F)[1:])
+
+
+def _dist_cone_block(X: np.ndarray, C: ConeRepr) -> np.ndarray:
+    """The squared distances of ``dist_cone_batch`` for the columns of X (dim, n)."""
     polar = C.kind == "halfspaces"
+    R, P = C.face_stack
     best = X[0] * X[0]                      # squared residual, apex first
     for i in range(1, C.dim):
         best += X[i] * X[i]
-    out = np.zeros(n) if polar else best    # squared distance
-    coef = np.empty((C.dim, n))
-    proj, tmp, res, ok = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
-    norm2 = np.empty(n) if polar else None
-    for R, P in C.faces:
-        c = coef[:len(R)]                   # c = Pᵀx
-        np.multiply(P[0][:, None], X[0], out=c)
-        for i in range(1, C.dim):
-            c += P[i][:, None] * X[i]
-        np.all(c >= 0.0, axis=0, out=ok)
-        res.fill(0.0)
-        if polar:
-            norm2.fill(0.0)
-        for i in range(C.dim):
-            np.multiply(R[0, i], c[0], out=proj)    # coordinate i of Rᵀc
-            for r in range(1, len(R)):
-                proj += np.multiply(R[r, i], c[r], out=tmp)
-            if polar:
-                norm2 += np.multiply(proj, proj, out=tmp)
-            np.subtract(X[i], proj, out=proj)
-            res += np.multiply(proj, proj, out=proj)
-        ok &= res < best
-        np.copyto(best, res, where=ok)
-        if polar:
-            np.copyto(out, norm2, where=ok)
-    return np.sqrt(out).reshape(np.shape(F)[1:])
+    if not len(R):
+        return np.zeros(X.shape[1]) if polar else best
+    c = P[:, 0, :, None] * X[0]             # c = Pᵀx, (F, k, n)
+    for i in range(1, C.dim):
+        c += P[:, i, :, None] * X[i]
+    proj = R[:, 0, :, None] * c[:, 0, None]     # Rᵀc, (F, dim, n)
+    for r in range(1, R.shape[1]):
+        proj += R[:, r, :, None] * c[:, r, None]
+    D = X - proj
+    D *= D
+    res = D[:, 0]
+    for i in range(1, C.dim):
+        res += D[:, i]
+    res[~((c >= 0.0).all(axis=1) & (res < np.inf))] = np.inf
+    if not polar:
+        return np.minimum(best, res.min(axis=0))
+    first = res.argmin(axis=0)[None]
+    proj *= proj
+    norm2 = proj[:, 0]
+    for i in range(1, C.dim):
+        norm2 += proj[:, i]
+    near = np.take_along_axis(res, first, axis=0)[0] < best
+    return np.where(near, np.take_along_axis(norm2, first, axis=0)[0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -607,12 +633,18 @@ def _segments(branch: np.ndarray):
 
 def _on_segments(W: np.ndarray, a, d, dd) -> tuple[np.ndarray, np.ndarray]:
     """The nearest point of each segment (P, S, dim) to each row of W
-    (P, dim), and its distance (P, S)."""
+    (P, dim), and its distance (P, S).  The squares are summed in
+    coordinate order, the order of ``np.add.reduce`` over a contiguous
+    axis this short."""
     w = W[:, None, :]
     t = np.clip(np.einsum("pij,ij->pi", w - a, d) / dd, 0.0, 1.0)
     cand = a + t[..., None] * d
     D = cand - w
-    return cand, np.sqrt(np.add.reduce(D * D, axis=2))
+    D *= D
+    sq = D[..., 0]
+    for i in range(1, D.shape[2]):
+        sq += D[..., i]
+    return cand, np.sqrt(sq)
 
 
 def _segment_dists(w: np.ndarray, branch: np.ndarray) -> np.ndarray:
@@ -974,18 +1006,22 @@ def basis_points(A: np.ndarray, b: np.ndarray):
     subsystem with Ad <= 0 or Ad >= 0), or no feasible solution.
     """
     N, k, n = A.shape
+    rows = _row_subsets(k, n)
+    Z = np.zeros((N, len(rows), n))
     # the rank and ray checks read A alone: a stack of one A takes them
-    # from the cache of ``_a_checks``
+    # from the cache of ``_a_checks`` and solves A[0]'s nonsingular
+    # subsystems against every b by broadcasting, one solve per (slice,
+    # subsystem) as for a gathered stack
     if N and (A == A[:1]).all():
         nonsingular, ray = _a_checks(np.asarray(A[0], dtype=float).tobytes(), k, n)
+        solved = rows[nonsingular[0]]
+        Z[:, nonsingular[0]] = np.linalg.solve(A[0][solved], b[:, solved][..., None])[..., 0]
         nonsingular = np.repeat(nonsingular, N, axis=0)
         ray = np.repeat(ray, N)
     else:
         nonsingular, ray = _a_checks_rows(A)
-    rows = _row_subsets(k, n)
-    Z = np.zeros((N, len(rows), n))
-    Z[nonsingular] = np.linalg.solve(A[:, rows][nonsingular],
-                                     b[:, rows][nonsingular][..., None])[..., 0]
+        Z[nonsingular] = np.linalg.solve(A[:, rows][nonsingular],
+                                         b[:, rows][nonsingular][..., None])[..., 0]
     slack = b + 1e-9 * (1.0 + np.abs(b))
     feasible = nonsingular & np.all(Z @ A.transpose(0, 2, 1) <= slack[:, None, :], axis=2)
     code = np.zeros(N, dtype=int)    # the first reason that applies wins

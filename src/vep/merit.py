@@ -67,7 +67,13 @@ def _cone_dists(prob: pb.VepProblem, F: np.ndarray) -> np.ndarray:
     takes it, any other cone's by ``geo.dist_cone_batch``."""
     if prob.cone.kind == "orthant":
         return _dist_rows(F - np.maximum(F, 0.0))
-    return geo.dist_cone_batch(np.moveaxis(F, -1, 0), prob.cone)
+    return geo.dist_cone_batch(F.transpose((F.ndim - 1,) + tuple(range(F.ndim - 1))), prob.cone)
+
+
+def _selector(mask: np.ndarray):
+    """An index for the rows that ``mask`` marks: the full slice when it
+    marks every row, so that gathers are views and scatters plain writes."""
+    return slice(None) if mask.all() else mask
 
 
 def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
@@ -76,26 +82,28 @@ def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
     ``exact`` marks the points whose slice is a bounded, nonempty box or a
     polytope with a vertex list; for those, Z (shape (N', V, n)) holds
     their slice's basis points (box corners, or ``geo.basis_points``, with
-    ``feasible`` marking the vertices) and mu the distance of x to the
-    slice, all as the scalar path computes them.
+    ``feasible`` marking the vertices; None for box corners, which all are)
+    and mu the distance of x to the slice, all as the scalar path computes
+    them.
     """
     if isinstance(prob.K, pb.ParamBox):
         if prob.n > 16:     # Box.vertices refuses so many corners
             return np.zeros(len(XI), dtype=bool), None, None, None
         lo, up = pb.slice_arrays(prob.K, XI)
-        exact = np.all(np.isfinite(lo) & np.isfinite(up) & (lo <= up + 1e-12), axis=1)
-        lo, up, X = lo[exact], up[exact], X[exact]
-        Z = geo.box_corners(lo, up)
-        return exact, Z, np.ones(Z.shape[:2], dtype=bool), _dist_rows(X - np.clip(X, lo, up))
+        exact = (np.isfinite(lo) & np.isfinite(up) & (lo <= up + 1e-12)).all(axis=1)
+        sel = _selector(exact)
+        lo, up, X = lo[sel], up[sel], X[sel]
+        return exact, geo.box_corners(lo, up), None, _dist_rows(X - X.clip(lo, up))
     A, b = pb.slice_arrays(prob.K, XI)
     Z, feasible, code = geo.basis_points(A, b)
     exact = code == 0
-    A, b, X = A[exact], b[exact], X[exact]
-    inside = np.all(np.matmul(A, X[..., None])[..., 0] <= b + 1e-12 * (1.0 + np.abs(b)), axis=1)
+    sel = _selector(exact)
+    A, b, X = A[sel], b[sel], X[sel]
+    inside = (np.matmul(A, X[..., None])[..., 0] <= b + 1e-12 * (1.0 + np.abs(b))).all(axis=1)
     mu, out = np.zeros(len(X)), ~inside
     if out.any():
         mu[out] = _dist_rows(X[out] - geo.project_polytopes(A[out], b[out], X[out]))
-    return exact, Z[exact], feasible[exact], mu
+    return exact, Z[sel], feasible[sel], mu
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +141,20 @@ def _merit_parts(prob: pb.VepProblem, XI, X, farthest: bool = False):
     if prob.f.affine_in_z and len(XI):
         exact, Z, feasible, mu_exact = _slice_vertices(prob, XI, X)
     far = None
+    sel = _selector(exact)
     if exact.any():
-        F = _f_values(prob, XI[exact], X[exact], Z)
-        dists = np.where(feasible, _cone_dists(prob, F), -np.inf)
-        nu[exact] = dists.max(axis=1)
-        mu[exact] = mu_exact
+        F = _f_values(prob, XI[sel], X[sel], Z)
+        dists = _cone_dists(prob, F)
+        if feasible is not None:
+            dists = np.where(feasible, dists, -np.inf)
+        nu[sel] = dists.max(axis=1)
+        mu[sel] = mu_exact
         if farthest:
-            far = Farthest(exact, Z, F, dists, dists >= nu[exact][:, None] - ARGMAX_TOL)
-    for i in np.flatnonzero(~exact):
-        me = eval_merit(prob, XI[i], X[i])
-        nu[i], mu[i] = me.nu, me.mu
+            far = Farthest(exact, Z, F, dists, dists >= nu[sel][:, None] - ARGMAX_TOL)
+    if sel is exact:
+        for i in np.flatnonzero(~exact):
+            me = eval_merit(prob, XI[i], X[i])
+            nu[i], mu[i] = me.nu, me.mu
     return (nu, mu, far) if farthest else (nu, mu)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,12 @@ class ParamBox:
     def n(self) -> int:
         return len(self.lower)
 
+    @cached_property
+    def entries(self) -> tuple:
+        """``_entry_table`` of the lower and of the upper bounds."""
+        return (_entry_table(self.lower, (self.n,), -np.inf),
+                _entry_table(self.upper, (self.n,), np.inf))
+
 
 @dataclass(frozen=True, eq=False)
 class ParamPolytope:
@@ -53,6 +60,29 @@ class ParamPolytope:
     @property
     def n(self) -> int:
         return len(self.rows[0])
+
+    @cached_property
+    def entries(self) -> tuple:
+        """``_entry_table`` of A and of b."""
+        return (_entry_table(sum(self.rows, ()), (len(self.rows), self.n), None),
+                _entry_table(self.rhs, (len(self.rhs),), None))
+
+
+def _entry_table(exprs, shape: tuple, missing) -> tuple[np.ndarray, tuple]:
+    """(table, variable) for the entry expressions ``exprs`` of a map, in
+    row-major order over ``shape``: ``table`` holds each entry without a
+    variable, evaluated once, and ``missing`` for a None entry; ``variable``
+    lists (index, expression) for the others, whose table entries are NaN,
+    the index being that of the entry's column in a stack of slices."""
+    table, variable = np.full(len(exprs), np.nan), []
+    for i, e in enumerate(exprs):
+        if e is None:
+            table[i] = missing
+        elif ex.vars_of(e):
+            variable.append(((slice(None), *np.unravel_index(i, shape)), e))
+        else:
+            table[i] = ex.eval_expr(e)
+    return geo._read_only(table.reshape(shape)), tuple(variable)
 
 
 def slice_at(K, xi) -> geo.Box | geo.Halfspaces:
@@ -70,25 +100,21 @@ def slice_at(K, xi) -> geo.Box | geo.Halfspaces:
 def slice_arrays(K, XI: np.ndarray):
     """The slices K(XI[i]) of N parameter rows at once, with the numbers of
     ``slice_at``: (lower, upper) of shape (N, n) for a box map, (A, b) of
-    shapes (N, k, n) and (N, k) for a polytope map.  Each bound expression
-    is evaluated once, over the columns of XI."""
+    shapes (N, k, n) and (N, k) for a polytope map.  Entries without a
+    variable are copied from the map's ``entries`` table, and each other
+    entry expression is evaluated once, over the columns of XI."""
+    if not isinstance(K, (ParamBox, ParamPolytope)):
+        raise TypeError(f"unknown constraint map {type(K).__name__}")
     cols = list(XI.T)
-
-    def fill(out, exprs, missing):
-        for j, e in enumerate(exprs):
-            out[:, j] = missing if e is None else ex.eval_expr(e, xi=cols)
-        return out
-
-    N = len(XI)
-    if isinstance(K, ParamBox):
-        return (fill(np.empty((N, K.n)), K.lower, -np.inf),
-                fill(np.empty((N, K.n)), K.upper, np.inf))
-    if isinstance(K, ParamPolytope):
-        A = np.empty((N, len(K.rows), K.n))
-        for r, row in enumerate(K.rows):
-            fill(A[:, r], row, None)
-        return A, fill(np.empty((N, len(K.rhs))), K.rhs, None)
-    raise TypeError(f"unknown constraint map {type(K).__name__}")
+    out = []
+    for table, variable in K.entries:
+        arr = np.empty((len(XI),) + table.shape)
+        if len(variable) < table.size:
+            arr[:] = table
+        for idx, e in variable:
+            arr[idx] = ex.eval_expr(e, xi=cols)
+        out.append(arr)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +180,7 @@ def _checked_rows(name: str, v, dim: int) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 2 or a.shape[1] != dim:
         raise ProblemError(f"{name} rows have shape {a.shape}, expected (N, {dim})")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ProblemError(f"{name} rows have a non-finite entry")
     return a
 

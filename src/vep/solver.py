@@ -20,6 +20,7 @@ estimate gives a sound refutation, and the tighter one refutes more.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -105,16 +106,23 @@ def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
     """penalized_value and merit at the rows of XI and X: the merits from
     one kernel call, the objective evaluated once over columns."""
     merit = mr.eval_merit_batch(prob, XI, X)
-    offsets = XI - geo.project_rows(XI, prob.omega)
-    return _penalize(prob, XI, X, offsets, merit, lam, gamma), merit
+    d_om = mr._dist_rows(XI - geo.project_rows(XI, prob.omega))
+    return _penalize(prob, XI, X, d_om, merit, lam, gamma), merit
 
 
-def _penalize(prob, XI, X, offsets, merit, lam, gamma) -> np.ndarray:
+def _penalize(prob, XI, X, d_om, merit, lam, gamma) -> np.ndarray:
     """objective + lam * (dist(xi, Omega) + merit/gamma) at the rows of XI
-    and X, given their merits and the offsets XI - proj_Omega(XI), whose
-    row norms are bit-equal to ``geo.dist`` (a box Omega is ``np.clip``)."""
+    and X, given their merits and Omega distances d_om, the row norms of
+    the offsets XI - proj_Omega(XI), which are bit-equal to ``geo.dist``
+    (a box Omega is ``np.clip``)."""
     phi = ex.eval_expr(prob.objective, xi=list(XI.T), x=list(X.T))
-    return phi + lam * (mr._dist_rows(offsets) + merit / gamma)
+    return phi + lam * (d_om + merit / gamma)
+
+
+@functools.lru_cache(maxsize=None)
+def _probe_steps(h: float, d: int) -> np.ndarray:
+    """The probe offsets h e_i of a descent step in dimension d, as rows."""
+    return geo._read_only(h * np.eye(d))
 
 
 def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
@@ -133,17 +141,18 @@ def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
     p, h = prob.p, 1e-7
     R = Q
     if grad:
-        E = h * np.eye(d)
+        E = _probe_steps(h, d)
         R = np.concatenate([Q, (Q[:, None] + E).reshape(-1, d), (Q[:, None] - E).reshape(-1, d)])
     merit = mr.eval_merit_batch(prob, R[:, :p], R[:, p:])
     offsets = Q[:, :p] - geo.project_rows(Q[:, :p], prob.omega)
-    values = _penalize(prob, Q[:, :p], Q[:, p:], offsets, merit[:N], lam, gamma)
+    d_om = mr._dist_rows(offsets)
+    values = _penalize(prob, Q[:, :p], Q[:, p:], d_om, merit[:N], lam, gamma)
     if not grad:
         return values, None
     M = merit[N:].reshape(2, N, d)
     g_mf = (M[0] - M[1]) / (2 * h)
     _, g_phi, _ = ex.grad_rows(prob.objective, Q[:, :p], Q[:, p:], Q[:, :0], "xix")
-    d_om = mr._dist_rows(offsets)[:, None]
+    d_om = d_om[:, None]
     g_om = np.zeros((N, d))
     np.divide(offsets, d_om, out=g_om[:, :p], where=d_om > 1e-12)
     return values, g_phi + lam * g_om + (lam / gamma) * g_mf

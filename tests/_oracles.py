@@ -747,3 +747,103 @@ def per_point_kappa(dist1, dist2, dist12, s_bar, r):
     if unreachable:
         return dg.INCONCLUSIVE, math.nan, (), ("intersection-unreachable",)
     return dg.CERTIFIED, kappa, (witness,) if witness is not None else (), ()
+
+
+def per_face_dist_cone_batch(F, C):
+    """``geometry.dist_cone_batch`` with one pass per face of ``C.faces``:
+    the strict ``<`` scan over the apex and the faces that the stacked pass
+    over ``C.face_stack`` replaces."""
+    from vep import geometry as geo
+
+    if C.kind == "orthant":
+        return geo.dist_orthant_batch(F)
+    X = np.asarray(F, dtype=float).reshape(C.dim, -1)
+    n = X.shape[1]
+    polar = C.kind == "halfspaces"
+    best = X[0] * X[0]
+    for i in range(1, C.dim):
+        best += X[i] * X[i]
+    out = np.zeros(n) if polar else best
+    coef = np.empty((C.dim, n))
+    proj, tmp, res, ok = np.empty(n), np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    norm2 = np.empty(n) if polar else None
+    for R, P in C.faces:
+        c = coef[:len(R)]
+        np.multiply(P[0][:, None], X[0], out=c)
+        for i in range(1, C.dim):
+            c += P[i][:, None] * X[i]
+        np.all(c >= 0.0, axis=0, out=ok)
+        res.fill(0.0)
+        if polar:
+            norm2.fill(0.0)
+        for i in range(C.dim):
+            np.multiply(R[0, i], c[0], out=proj)
+            for r in range(1, len(R)):
+                proj += np.multiply(R[r, i], c[r], out=tmp)
+            if polar:
+                norm2 += np.multiply(proj, proj, out=tmp)
+            np.subtract(X[i], proj, out=proj)
+            res += np.multiply(proj, proj, out=proj)
+        ok &= res < best
+        np.copyto(best, res, where=ok)
+        if polar:
+            np.copyto(out, norm2, where=ok)
+    return np.sqrt(out).reshape(np.shape(F)[1:])
+
+
+def gathered_basis_points(A, b):
+    """``geometry.basis_points`` with every nonsingular subsystem gathered
+    from the full stack before the solve, also when all slices share one A:
+    the reference for the broadcast solve against A[0]."""
+    from vep import geometry as geo
+
+    N, k, n = A.shape
+    if N and (A == A[:1]).all():
+        nonsingular, ray = geo._a_checks(np.asarray(A[0], dtype=float).tobytes(), k, n)
+        nonsingular = np.repeat(nonsingular, N, axis=0)
+        ray = np.repeat(ray, N)
+    else:
+        nonsingular, ray = geo._a_checks_rows(A)
+    rows = geo._row_subsets(k, n)
+    Z = np.zeros((N, len(rows), n))
+    Z[nonsingular] = np.linalg.solve(A[:, rows][nonsingular],
+                                     b[:, rows][nonsingular][..., None])[..., 0]
+    slack = b + 1e-9 * (1.0 + np.abs(b))
+    feasible = nonsingular & np.all(Z @ A.transpose(0, 2, 1) <= slack[:, None, :], axis=2)
+    code = np.zeros(N, dtype=int)
+    code[~feasible.any(axis=1)] = 3
+    code[ray] = 2
+    code[~nonsingular.any(axis=1)] = 1
+    return Z, feasible, code
+
+
+def reduce_on_segments(W, a, d, dd):
+    """``geometry._on_segments`` with the squares summed by ``np.add.reduce``."""
+    w = W[:, None, :]
+    t = np.clip(np.einsum("pij,ij->pi", w - a, d) / dd, 0.0, 1.0)
+    cand = a + t[..., None] * d
+    D = cand - w
+    return cand, np.sqrt(np.add.reduce(D * D, axis=2))
+
+
+def per_entry_slice_arrays(K, XI):
+    """``problem.slice_arrays`` with every entry expression, constant or
+    not, evaluated over the columns of XI at each call."""
+    from vep import expr as ex
+    from vep import problem as pb
+
+    cols = list(XI.T)
+
+    def fill(out, exprs, missing):
+        for j, e in enumerate(exprs):
+            out[:, j] = missing if e is None else ex.eval_expr(e, xi=cols)
+        return out
+
+    N = len(XI)
+    if isinstance(K, pb.ParamBox):
+        return (fill(np.empty((N, K.n)), K.lower, -np.inf),
+                fill(np.empty((N, K.n)), K.upper, np.inf))
+    A = np.empty((N, len(K.rows), K.n))
+    for r, row in enumerate(K.rows):
+        fill(A[:, r], row, None)
+    return A, fill(np.empty((N, len(K.rhs))), K.rhs, None)

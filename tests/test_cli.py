@@ -409,6 +409,20 @@ def test_wrong_length_point_exit_code(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("estimate-constants", "example:paper", "--rho", "1e308"),
+    ("check-erbo", "example:paper", "--xi-bar", "0", "--rho", "1e308"),
+])
+def test_rho_beyond_the_float_range_exits_2(capsys, argv):
+    # xi_bar +- rho spans more than the largest float: no sample can be drawn
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "rho" in err
+
+
+@pytest.mark.parametrize("argv", [
     ("solve", "example:paper", "--starts", "0"),
     ("solve", "example:paper", "--gamma", "0"),
     ("solve", "example:paper", "--iters", "-3"),

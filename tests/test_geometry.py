@@ -7,10 +7,11 @@ from vep import geometry as geo
 
 from scipy.optimize import nnls
 
-from _oracles import (einsum_polyline_project, generator_cone_members, grid_min_distance,
-                      hildreth_projection, nnls_cap_points, nnls_cone_projection,
+from _oracles import (einsum_polyline_project, gathered_basis_points, generator_cone_members,
+                      grid_min_distance, hildreth_projection, nnls_cap_points,
+                      nnls_cone_projection, per_face_dist_cone_batch,
                       per_probe_limiting_normal_graph, per_value_cone_dist, qhull_vertices,
-                      sampled_min_norm, unfiltered_ball_discretized)
+                      reduce_on_segments, sampled_min_norm, unfiltered_ball_discretized)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -246,6 +247,72 @@ def test_scalar_cone_dist_is_its_batch_column():
         batch = geo.dist_cone_batch(X, C)
         assert [geo.dist(X[:, j], C) for j in range(X.shape[1])] == batch.tolist(), (C.kind, C.mat)
         assert np.array_equal(geo.dist_cone_batch(X[:, 3:9], C), batch[3:9])
+
+
+def _edge_cones(rng):
+    """Generator- and halfspace-form cones in 2-D and 3-D with 0 to 6 rows,
+    some of them rank-deficient: a zero row, a row parallel to another, or
+    every row in one plane."""
+    for dim in (2, 3):
+        for k in range(7):
+            for kind in ("generators", "halfspaces"):
+                for defect in ("none", "zero", "parallel", "flat"):
+                    G = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+                    if defect == "zero" and k:
+                        G[-1] = 0.0
+                    elif defect == "parallel" and k >= 2:
+                        G[-1] = rng.choice([-2.0, 0.5, 3.0]) * G[0]
+                    elif defect == "flat" and dim == 3:
+                        G[:, 2] = 0.0
+                    yield geo.ConeRepr(dim, kind, G)
+
+
+def _edge_values(C, rng, count=48):
+    """Columns at magnitudes from 1e-10 to 1e307: zero columns (the apex),
+    points on the rays and faces of the rows, signed zeros, and columns large
+    enough that squares overflow to inf and residuals to inf or NaN."""
+    X = rng.normal(size=(C.dim, count)) * 10.0 ** rng.integers(-10, 308, count)
+    X[:, :3] = 0.0
+    X[0, 1] = -0.0
+    k = len(C.mat)
+    if k:
+        X[:, 3:9] = C.mat.T @ (rng.uniform(0, 2, (k, 6)) * (rng.random((k, 6)) < 0.5))
+        X[:, 9:12] = C.mat[rng.integers(0, k, 3)].T * 10.0 ** rng.integers(-10, 300, 3)
+    X[:, 12:16] = rng.choice([-1e307, 1e307, 0.0, -0.0], (C.dim, 4))
+    return X
+
+
+def test_dist_cone_batch_equals_the_per_face_loop():
+    # the stacked pass gives the per-face scan's numbers bit for bit,
+    # inf and NaN included
+    rng = np.random.default_rng(2020)
+    cones = 0
+    with np.errstate(all="ignore"):
+        for C in _edge_cones(rng):
+            X = _edge_values(C, rng)
+            got, ref = geo.dist_cone_batch(X, C), per_face_dist_cone_batch(X, C)
+            assert np.array_equal(got, ref, equal_nan=True), (C.kind, C.mat)
+            assert np.array_equal(np.signbit(got), np.signbit(ref)), (C.kind, C.mat)
+            cones += 1
+    assert cones == 2 * 7 * 2 * 4
+    # the padded stack: one R and P per face, zero past the face's own rows
+    C = geo.generated_cone([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+    R, P = C.face_stack
+    assert R.shape == (len(C.faces), 3, 3) and P.shape == (len(C.faces), 3, 3)
+    assert not R.flags.writeable and not P.flags.writeable
+    for f, (Rf, Pf) in enumerate(C.faces):
+        assert np.array_equal(R[f, :len(Rf)], Rf) and not R[f, len(Rf):].any()
+        assert np.array_equal(P[f, :, :len(Rf)], Pf) and not P[f, :, len(Rf):].any()
+
+
+def test_dist_cone_batch_blocks_do_not_change_a_column():
+    # more columns than one block: the same numbers as the columns alone
+    rng = np.random.default_rng(21)
+    C = geo.generated_cone([[1.0, 0.0], [-1.0, 1.0]])
+    X = rng.normal(size=(2, 9000))
+    batch = geo.dist_cone_batch(X, C)
+    assert np.array_equal(batch, per_face_dist_cone_batch(X, C))
+    assert np.array_equal(batch[4090:4100], geo.dist_cone_batch(X[:, 4090:4100], C))
 
 
 def test_dist_cone_batch_empty_rows_and_shape():
@@ -716,6 +783,50 @@ def test_basis_points_of_a_shared_a_stack_equal_the_per_slice_calls():
         single = [geo.basis_points(A[i:i + 1], b[i:i + 1]) for i in range(len(b))]
         for got, ref in zip(stacked, zip(*single)):
             assert np.array_equal(got, np.concatenate(ref)), A0
+
+
+def test_basis_points_equal_the_gathered_solve():
+    # a shared A solves its nonsingular subsystems by broadcasting; stacks of
+    # different As gather them: both give the gathered solve's numbers
+    rng = np.random.default_rng(34)
+    tri = np.array([[1, 0], [0, 1], [-1, -1]], dtype=float)
+    strip = np.array([[1, 0], [-1, 0], [2, 0]], dtype=float)       # rank 1
+    wedge = np.array([[-1, 0], [0, -1], [-1, -1]], dtype=float)    # unbounded
+    box3 = np.vstack([np.eye(3), -np.eye(3)])
+    b2 = np.array([[1, 1, 0], [2, 0.5, 1], [0, 0, -1], [1, 1, 5]], dtype=float)  # one empty
+    cases = [(np.repeat(A0[None], len(b2), axis=0), b2) for A0 in (tri, strip, wedge)]
+    cases.append((np.stack([tri, strip, wedge, tri]), b2))
+    b3 = rng.uniform(-1, 2, size=(5, 6))                # some slices empty
+    cases.append((np.repeat(box3[None], 5, axis=0), b3))
+    A3 = np.repeat(box3[None], 5, axis=0) + rng.normal(scale=0.1, size=(5, 6, 3))
+    cases.append((A3, b3))
+    cases.append((np.zeros((0, 3, 2)), np.zeros((0, 3))))
+    for A, b in cases:
+        got, ref = geo.basis_points(A, b), gathered_basis_points(A, b)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and np.array_equal(g, r), A[:1]
+    assert set(geo.basis_points(*cases[3])[2].tolist()) == {0, 1, 2}
+
+
+def test_on_segments_sums_squares_as_the_reduce():
+    rng = np.random.default_rng(35)
+    for dim in (2, 3):
+        for _ in range(5):
+            branch = np.cumsum(rng.normal(size=(rng.integers(2, 30), dim)), axis=0)
+            branch[rng.integers(1, len(branch))] = branch[0]
+            W = rng.normal(scale=3.0, size=(50, dim))
+            segments = geo._segments(branch)
+            got, ref = geo._on_segments(W, *segments), reduce_on_segments(W, *segments)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref)), dim
+
+
+def test_box_corners_cache_one_table_per_dimension():
+    lo, up = np.array([[0.0, -1.0, 2.0]]), np.array([[1.0, 3.0, 4.0]])
+    corners = geo.box_corners(lo, up)
+    assert corners[0].tolist() == [[a, b, c] for a in (0.0, 1.0) for b in (-1.0, 3.0)
+                                   for c in (2.0, 4.0)]
+    assert geo._upper_bits(3) is geo._upper_bits(3)
+    assert not geo._upper_bits(3).flags.writeable
 
 
 def test_basis_points_cache_the_checks_of_each_a():

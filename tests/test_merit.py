@@ -195,6 +195,30 @@ def test_merit_batch_mixes_exact_and_fallback_points():
         mr.eval_merit_batch(prob, np.vstack([XI, [[-0.5]]]), np.vstack([X, [[0.0]]]))
 
 
+def test_merit_parts_with_and_without_fallback_rows(monkeypatch):
+    # A(xi) = (xi1; -1): the slice [-1, 1/xi1] is vertex-exact for xi1 > 0
+    # and unbounded, so on the scalar grid path, for xi1 <= 0
+    prob = _toy("[K]\ntype = polytope\nA = xi1 ; -1\nb = 1 ; 1\n[f]\ncomponents = x1 - z1")
+    XI = np.array([[0.5], [-0.5], [1.5], [0.0], [0.25], [-1.0]])
+    X = np.array([[0.1], [2.0], [-1.0], [0.5], [4.0], [-2.0]])
+    _assert_kernel_is_scalar(prob, XI, X)
+    _, _, far = mr._merit_parts(prob, XI, X, farthest=True)
+    assert far.exact.tolist() == [True, False, True, False, True, False]
+    _assert_kernel_is_scalar(prob, XI[far.exact], X[far.exact])
+    # every row vertex-exact: the full-slice selector, and no scalar fallback
+    for source, seed in (("example:paper", 6), (GENCONE, 7), (POLYTOPE, 8)):
+        prob = pb.load(source)
+        XI, X = _seeded_rows(prob, seed, count=60)
+        scalar = [mr.eval_merit(prob, a, b) for a, b in zip(XI, X)]
+        with monkeypatch.context() as mp:
+            mp.setattr(mr, "eval_merit", None)
+            nu, mu, far = mr._merit_parts(prob, XI, X, farthest=True)
+        assert far.exact.all() and len(far.Z) == len(XI)
+        assert np.array_equal(nu, [me.nu for me in scalar])
+        assert np.array_equal(mu, [me.mu for me in scalar])
+        assert np.array_equal(far.mask.any(axis=1), np.ones(len(XI), dtype=bool))
+
+
 def test_merit_batch_of_no_points(tent):
     assert mr.eval_merit_batch(tent, np.zeros((0, 1)), np.zeros((0, 1))).shape == (0,)
 

@@ -12,8 +12,8 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import (pairwise_oracle_solutions, per_slice_axis_grids, per_value_cone_dist,
-                      per_xi_oracle_rows)
+from _oracles import (pairwise_oracle_solutions, per_entry_slice_arrays, per_slice_axis_grids,
+                      per_value_cone_dist, per_xi_oracle_rows)
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
 POLYTOPE = GENCONE.with_name("polytope.vep")
@@ -176,6 +176,39 @@ def test_constant_map_slices_identical(const_box):
     for t in (-1.0, 0.0, 2.0):
         s = pb.slice_at(const_box.K, [t])
         assert np.allclose([s.lower[0], s.upper[0]], [-1.0, 1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pb.load("example:paper"),
+    lambda: pb.load(str(GENCONE)),
+    lambda: pb.load(str(POLYTOPE)),
+    lambda: pb.parse_problem_text(FILE_TEXT.replace("lower = -abs(xi1) - 1", "lower = -(2 - 1)"),
+                                  "constant-lower"),
+    lambda: pb.parse_problem_text(FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = inf"),
+                                  "no-upper"),
+])
+def test_slice_arrays_equal_the_per_entry_evaluation(make):
+    prob = make()
+    XI = np.random.default_rng(5).uniform(-2, 2, (9, prob.p))
+    for _ in range(2):      # the first call fills the constant table, the second reads it
+        got, ref = pb.slice_arrays(prob.K, XI), per_entry_slice_arrays(prob.K, XI)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and np.array_equal(g, r)
+
+
+def test_slice_arrays_evaluate_only_the_variable_entries(monkeypatch):
+    # polytope.vep's map has 15 entries; 1 + abs(xi1) is the one with a variable
+    prob = pb.load(str(POLYTOPE))
+    XI = np.linspace(-2, 2, 7)[:, None]
+    pb.slice_arrays(prob.K, XI)
+    calls = []
+    real = ex.eval_expr
+    monkeypatch.setattr(ex, "eval_expr", lambda e, *a, **k: calls.append(e) or real(e, *a, **k))
+    per_entry_slice_arrays(prob.K, XI)
+    assert len(calls) == 15
+    calls.clear()
+    pb.slice_arrays(prob.K, XI)
+    assert len(calls) == 1
 
 
 def test_slice_projection_idempotent(tent):

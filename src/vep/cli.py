@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--growth", type=_growth_factor, default=2.0)
     p.add_argument("--lambda-max", dest="lambda_max", type=_positive_float, default=64.0)
     p.add_argument("--gamma", type=_positive_float, default=0.5)
-    p.add_argument("--iters", type=_positive_int, default=250)
+    p.add_argument("--iters", type=_positive_int, default=100)
     p.add_argument("--starts", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_solve)
 
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate-constants",
                        help="Lipschitz constant, openness rate, gamma, boundedness")
     common(p)
-    p.add_argument("--xi-bar", dest="xi_bar", type=_floats, default=[0.0])
+    # the default, the origin of R^p, is set once the problem gives p
+    p.add_argument("--xi-bar", dest="xi_bar", type=_floats, default=None)
     p.add_argument("--rho", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_estimate_constants)
     return ap
@@ -425,12 +426,14 @@ def main(argv=None) -> int:
         # the schedule would run no penalty stage
         ap.error("--lambda-max must be at least --lambda0")
     t0 = time.perf_counter()
-    if args.command == "eval":
-        xi, x = args.xi, args.x
-    else:
-        xi, x = getattr(args, "xi_bar", None), getattr(args, "x_bar", None)
     try:
         prob = pb.load(args.problem)
+        if args.command == "estimate-constants" and args.xi_bar is None:
+            args.xi_bar = [0.0] * prob.p
+        if args.command == "eval":
+            xi, x = args.xi, args.x
+        else:
+            xi, x = getattr(args, "xi_bar", None), getattr(args, "x_bar", None)
         if xi is not None:
             prob.point(xi, x)
     except (pb.ProblemError, ex.ParseError) as err:

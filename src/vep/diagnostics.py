@@ -88,21 +88,27 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
         XI.append(rng.uniform(xi_bar - rho, xi_bar + rho)[None])
         X.append(rng.uniform(xlo, xup)[None])
     XI, X = np.concatenate(XI), np.concatenate(X)
-    nu, mu, far = mr._merit_parts(prob, XI, X, farthest=True)
-    rows = np.flatnonzero(~(nu + mu <= 1e-8))
-    if not len(rows):
-        raise pb.ProblemError("every sample solves the inner problem; nothing to test")
-    d = _one_point_min_norms(prob, XI, X, far, rows)
     flags: set[str] = set()
-    # replay in sample order: the scan stops at the first d <= GAMMA_MARGIN
-    exits = np.flatnonzero(d <= GAMMA_MARGIN)
-    stop = int(exits[0]) + 1 if len(exits) else len(rows)
-    for j in np.flatnonzero(np.isnan(d[:stop])):
-        d[j], row_flags = _min_norm_body(prob, XI[rows[j]], X[rows[j]])
-        flags.update(row_flags)
-        if d[j] <= GAMMA_MARGIN:
-            stop = j + 1
-            break
+    # a range whose samples overflow f or a distance gives no gamma: it
+    # ends as a load error, not as a verdict on inf and NaN values
+    try:
+        with np.errstate(over="raise"):
+            nu, mu, far = mr._merit_parts(prob, XI, X, farthest=True)
+            rows = np.flatnonzero(~(nu + mu <= 1e-8))
+            if not len(rows):
+                raise pb.ProblemError("every sample solves the inner problem; nothing to test")
+            d = _one_point_min_norms(prob, XI, X, far, rows)
+            # replay in sample order: the scan stops at the first d <= GAMMA_MARGIN
+            exits = np.flatnonzero(d <= GAMMA_MARGIN)
+            stop = int(exits[0]) + 1 if len(exits) else len(rows)
+            for j in np.flatnonzero(np.isnan(d[:stop])):
+                d[j], row_flags = _min_norm_body(prob, XI[rows[j]], X[rows[j]])
+                flags.update(row_flags)
+                if d[j] <= GAMMA_MARGIN:
+                    stop = j + 1
+                    break
+    except FloatingPointError as err:
+        raise pb.ProblemError(f"the samples of xi_bar +- rho overflow (rho = {rho:g}): {err}") from None
     d = d[:stop]
     # exact minimum; witness: the first sample within round-off of it
     best = float(d.min())

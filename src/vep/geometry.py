@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-# qhull (``_prune_hull``) and nnls (Wolfe's refinement) load on first use; a name
+# qhull (``_hull_indices``) and nnls (Wolfe's refinement) load on first use; a name
 # already bound (a tracer's wrapper) is kept.  linprog is bound for the tracer only.
 _SCIPY_NAMES = ("nnls", "linprog", "ConvexHull", "QhullError")
 
@@ -792,19 +792,26 @@ def _cap_points(C: ConeRepr) -> np.ndarray:
 
 def _prune_hull(pts: np.ndarray) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    return pts[_hull_indices(pts)]
+
+
+def _hull_indices(pts: np.ndarray) -> np.ndarray:
+    """Indices of the extreme points of the rows of pts (N, d): qhull's
+    vertices where it can take them, or else the hull within the affine
+    hull, in reduced coordinates.  Of exact copies of a row, the lowest
+    index is returned."""
     if len(pts) <= 1:
-        return pts
+        return np.arange(len(pts))
     d = pts.shape[1]
     if d == 1:
-        lo, hi = float(pts.min()), float(pts.max())
-        return np.array([[lo]]) if hi - lo <= 0.0 else np.array([[lo], [hi]])
+        lo, hi = int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))
+        return np.array([lo] if pts[hi, 0] - pts[lo, 0] <= 0.0 else [lo, hi])
     if len(pts) <= 3:
-        return np.unique(pts, axis=0)
+        return np.unique(pts, axis=0, return_index=True)[1]
     _bind_scipy()
     if d <= 6:
         try:
-            hull = ConvexHull(pts)
-            return pts[hull.vertices]
+            return _first_copies(pts, ConvexHull(pts).vertices)
         except QhullError:
             pass
     # a flat set: its hull within its affine hull, in reduced coordinates
@@ -813,16 +820,34 @@ def _prune_hull(pts: np.ndarray) -> np.ndarray:
     rank = int(np.sum(sing > 1e-10 * sing[0]))
     Y = centred @ Vt[:rank].T
     if rank == 0:
-        return pts[:1]
+        return np.array([0])
     if rank == 1:
-        lo, hi = int(np.argmin(Y[:, 0])), int(np.argmax(Y[:, 0]))
-        return pts[[lo, hi]]
+        return np.array([int(np.argmin(Y[:, 0])), int(np.argmax(Y[:, 0]))])
     if rank <= 6:
         try:
-            return pts[ConvexHull(Y).vertices]
+            return _first_copies(pts, ConvexHull(Y).vertices)
         except QhullError:
             pass
-    return np.unique(pts, axis=0)
+    return np.unique(pts, axis=0, return_index=True)[1]
+
+
+def _first_copies(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """idx with each entry replaced by the lowest index of a row of pts
+    equal to its own: qhull keeps an arbitrary one of exact copies.  Only
+    the rows that share a hash bucket with one of idx's rows are compared;
+    the bucket hashes a fixed weighted sum of a row's entries, so exact
+    copies share it."""
+    keys = pts[:, 0].copy()
+    for j in range(1, pts.shape[1]):
+        keys += (1.0 + 0.6180339887 * j) * pts[:, j]
+    keys += 0.0     # -0.0 becomes 0.0
+    bits = max(16, len(idx).bit_length() + 6)     # about 1 in 64 buckets taken
+    bucket = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)
+    table = np.zeros(1 << bits, dtype=bool)
+    table[bucket[idx]] = True
+    cand = np.flatnonzero(table[bucket])
+    _, first, inverse = np.unique(pts[cand], axis=0, return_index=True, return_inverse=True)
+    return cand[first[inverse.ravel()[np.searchsorted(cand, idx)]]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -136,6 +136,14 @@ def _merit_parts(prob: pb.VepProblem, XI, X, farthest: bool = False):
     cannot change a max).  Every other point goes through ``eval_merit``.
     """
     XI, X = prob.points(XI, X)
+    return _kernel_parts(prob, XI, X, farthest)
+
+
+def _kernel_parts(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, farthest: bool):
+    """``_merit_parts`` of rows that are already float arrays of shapes
+    (N, p) and (N, n) with finite entries, such as the rows the solver
+    builds from checked points by clipped steps: the same values, without
+    ``prob.points``' re-validation."""
     nu, mu = np.empty(len(XI)), np.empty(len(XI))
     exact = np.zeros(len(XI), dtype=bool)
     if prob.f.affine_in_z and len(XI):

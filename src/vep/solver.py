@@ -1,14 +1,16 @@
 """Penalization pipeline and stationarity checkers.
 
 The solver minimizes objective + lambda * (distance to the geometric set +
-merit/gamma) by subgradient descent with an increasing penalty schedule and
-a pattern-search polish.  One assembler builds the stationarity inclusion
-right-hand side from structured subgradient bodies over a list of nu bodies
-and either certifies a near-zero residual with a decomposition witness or
-refutes the inclusion for every penalty weight by a sign analysis that is
-affine in lambda.  The two public checkers differ only in the nu model they
-feed it: the gradient-limit hull (general) or the per-enlargement outer
-estimate (smooth-concave).
+merit/gamma) over an increasing penalty schedule in two phases: a
+normalized subgradient descent in the first stage only, whose steps shrink
+to the polish's first step, and a pattern-search polish in every stage.
+One assembler builds the stationarity inclusion right-hand side from
+structured subgradient bodies over a list of nu bodies and either certifies
+a near-zero residual with a decomposition witness or refutes the inclusion
+for every penalty weight by a sign analysis that is affine in lambda.  The
+two public checkers differ only in the nu model they feed it: the
+gradient-limit hull (general) or the per-enlargement outer estimate
+(smooth-concave).
 
 The two verdicts rest on different mu models.  The residual uses the
 coderivative-ball product (coderivative image of B) x B, so a stationary
@@ -53,7 +55,9 @@ class PenaltyConfig:
     growth: float = 2.0
     lambda_max: float = 64.0
     gamma: float = 0.5
-    max_iter: int = 250
+    # the first-stage descent stops where its step a0/sqrt(k) reaches the
+    # polish's first step a0/10, so from there on the polish takes over
+    max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -103,9 +107,11 @@ def penalized_value(prob: pb.VepProblem, xi, x, lam: float, gamma: float) -> flo
 
 def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
                     gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """penalized_value and merit at the rows of XI and X: the merits from
-    one kernel call, the objective evaluated once over columns."""
-    merit = mr.eval_merit_batch(prob, XI, X)
+    """penalized_value and merit at the rows of XI and X, float arrays with
+    finite entries: the merits from one kernel call, the objective
+    evaluated once over columns."""
+    nu, mu = mr._kernel_parts(prob, XI, X, False)
+    merit = nu + mu
     d_om = mr._dist_rows(XI - geo.project_rows(XI, prob.omega))
     return _penalize(prob, XI, X, d_om, merit, lam, gamma), merit
 
@@ -143,7 +149,8 @@ def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
     if grad:
         E = _probe_steps(h, d)
         R = np.concatenate([Q, (Q[:, None] + E).reshape(-1, d), (Q[:, None] - E).reshape(-1, d)])
-    merit = mr.eval_merit_batch(prob, R[:, :p], R[:, p:])
+    nu, mu = mr._kernel_parts(prob, R[:, :p], R[:, p:], False)
+    merit = nu + mu
     offsets = Q[:, :p] - geo.project_rows(Q[:, :p], prob.omega)
     d_om = mr._dist_rows(offsets)
     values = _penalize(prob, Q[:, :p], Q[:, p:], d_om, merit[:N], lam, gamma)
@@ -254,11 +261,14 @@ def _penalized_slope(prob, q, lam, gamma, p) -> float:
 def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     """Multi-start subgradient descent over an increasing penalty schedule.
 
-    Returns (incumbent as (xi, x), trace of StageRecord).  A stage runs,
-    from each start and from one random perturbation of it, the descent
-    and then a pattern-search polish, each of them for all runs in
-    lockstep; the stage's best points are then taken in start order, and
-    an unbounded-below value raises there.  The schedule advances while the
+    Returns (incumbent as (xi, x), trace of StageRecord).  A stage seeds a
+    run at each start and at one random perturbation of it.  The first
+    stage runs the descent from every seed and then a pattern-search polish
+    from the descent's best points; every later stage only polishes the
+    seeds, whose values come from one kernel call, and records 0 accepted
+    steps.  Descents and polishes each advance all runs in lockstep.  The
+    stage's best points are then taken in start order, and an
+    unbounded-below value raises there.  The schedule advances while the
     incumbent's merit stays above TOL_MERIT and stops as soon as the
     incumbent is feasible and the sampled strong slope of the penalized
     objective there is under 1e-4.
@@ -281,7 +291,12 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     while lam <= config.lambda_max:
         seeds = np.array([q for q_start in incumbents for q in (
             q_start, np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up))])
-        best_q, best_v, steps = _descend(prob, seeds, lam, config, a0, lo, up)
+        if not trace:   # the first stage
+            best_q, best_v, steps = _descend(prob, seeds, lam, config, a0, lo, up)
+        else:
+            values, _ = _penalized_rows(prob, seeds[:, :prob.p], seeds[:, prob.p:], lam,
+                                        config.gamma)
+            best_q, best_v, steps = seeds, values.tolist(), [0] * len(seeds)
         pol_q, pol_v = _polish(prob, best_q, best_v, a0 / 10.0, lo, up, lam, config.gamma)
         stage_incumbents, stage_runs = [], []
         for si in range(len(incumbents)):
@@ -367,13 +382,8 @@ def _sum_with_provenance(factors: list[np.ndarray]):
         new_total = (total[:, None, :] + F[None, :, :]).reshape(-1, total.shape[1])
         new_prov = (prov[:, None] * len(F) + np.arange(len(F))).ravel()
         if len(new_total) > 20000:
-            hull = geo._prune_hull(new_total)
-            keep = []
-            for h in hull:
-                j = int(np.argmin(np.linalg.norm(new_total - h, axis=1)))
-                keep.append(j)
-            total = new_total[keep]
-            prov = new_prov[keep]
+            keep = geo._hull_indices(new_total)
+            total, prov = new_total[keep], new_prov[keep]
         else:
             total, prov = new_total, new_prov
     return total, prov

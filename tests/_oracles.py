@@ -289,10 +289,11 @@ def sequential_polish(fn, q0, step, lo, up):
 
 
 def sequential_solve_penalized(prob, config, starts):
-    """``solver.solve_penalized`` with one descent at a time: every step
-    takes a one-row objective value and a one-point subgradient, and the
-    polish probes one point per call and moves greedily.  The reference
-    for the lockstep descents and the batched polish sweep."""
+    """``solver.solve_penalized`` with one run at a time: in the first
+    stage every descent step takes a one-row objective value and a
+    one-point subgradient, later stages polish the seeds without a descent,
+    and the polish probes one point per call and moves greedily.  The
+    reference for the lockstep descents and the batched polish sweep."""
     import math
 
     from vep import expr as ex
@@ -337,7 +338,7 @@ def sequential_solve_penalized(prob, config, starts):
                 q = q.copy()
                 cur_best, cur_val = q.copy(), fn(q)
                 steps = 0
-                for k in range(1, config.max_iter + 1):
+                for k in range(1, (config.max_iter if not trace else 0) + 1):
                     g = subgradient(q[:p], q[p:], lam)
                     ng = float(np.linalg.norm(g))
                     if ng <= 1e-14:

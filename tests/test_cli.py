@@ -203,8 +203,7 @@ def test_probe_stability_on_the_polytope(capsys):
     assert "certified-on-samples" in body
 
 
-def test_probe_stability_rejects_p_other_than_one(capsys, tmp_path):
-    text = """
+TWO_PARAMS = """
 [problem]
 p = 2
 n = 1
@@ -224,8 +223,11 @@ components = x1 - z1
 [objective]
 expr = xi1 + xi2
 """
+
+
+def test_probe_stability_rejects_p_other_than_one(capsys, tmp_path):
     path = tmp_path / "two_params.vep"
-    path.write_text(text)
+    path.write_text(TWO_PARAMS)
     code = cli.main(["probe-stability", str(path), "--xi-bar", "0,0", "--x-bar", "1"])
     err = capsys.readouterr().err
     assert code == 2
@@ -420,6 +422,34 @@ def test_rho_beyond_the_float_range_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "rho" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate-constants", "example:paper", "--rho", "1e200"),
+    ("check-erbo", "example:paper", "--xi-bar", "0", "--rho", "1e200"),
+])
+def test_rho_whose_samples_overflow_exits_2(argv):
+    # the range is finite, but squares of its samples overflow: a fresh
+    # interpreter shows every warning numpy would print on the way
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "vep.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.strip().splitlines()) == 1
+    assert "rho" in out.stderr
+
+
+def test_estimate_constants_default_xi_bar_has_p_entries(capsys, tmp_path):
+    path = tmp_path / "two_params.vep"
+    path.write_text(TWO_PARAMS)
+    code = cli.main(["estimate-constants", str(path)])
+    out, err = capsys.readouterr()
+    assert "xi has 1 entries" not in err
+    assert code in (cli.EXIT_OK, cli.EXIT_LOAD, cli.EXIT_EVAL, cli.EXIT_REFUTED,
+                    cli.EXIT_INCONCLUSIVE, cli.EXIT_SOLVER)
+    assert code != cli.EXIT_OK or "xi_bar: [0, 0]" in out
 
 
 @pytest.mark.parametrize("argv", [

@@ -771,6 +771,43 @@ def test_prune_hull_of_a_flat_set_is_exact():
     assert geo._prune_hull(np.full((5, 2), 0.1)).tolist() == [[0.1, 0.1]]
 
 
+def _with_copies(pts, seed):
+    """pts and a copy of every row, shuffled, so that exact copies of hull
+    points sit at both lower and higher indices."""
+    both = np.vstack([pts, pts])
+    return both[np.random.default_rng(seed).permutation(len(both))]
+
+
+def _hull_cases():
+    rng = np.random.default_rng(11)
+    flat = np.hstack([rng.normal(size=(40, 2)), np.zeros((40, 1))])
+    return {
+        "d=1": np.array([[2.0], [0.0], [2.0], [0.0], [1.0]]),
+        "three points": np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]]),
+        "rank 0": np.full((5, 3), 0.25),
+        "rank 1": _with_copies(np.outer(np.linspace(0, 1, 7), [1.0, 2.0, 3.0]), 1),
+        "qhull 2-D": _with_copies(rng.normal(size=(60, 2)), 2),
+        "qhull 3-D": _with_copies(rng.normal(size=(200, 3)), 3),
+        "flat in 3-D": _with_copies(flat @ np.linalg.qr(rng.normal(size=(3, 3)))[0], 4),
+        # a signed-zero copy before the +0.0 row is an exact copy too
+        "signed zero": np.vstack([[-0.0, -0.0, 10.0], rng.normal(size=(30, 3)),
+                                  [0.0, 0.0, 10.0], [0.0, 0.0, -5.0], [1e-3, 0.0, -5.0]]),
+    }
+
+
+@pytest.mark.parametrize("case", list(_hull_cases()))
+def test_hull_indices_pick_the_lowest_exact_copy(case):
+    pts = _hull_cases()[case]
+    idx = geo._hull_indices(pts)
+    assert np.array_equal(geo._prune_hull(pts), pts[idx])
+    # the nearest-point search the indices replace: the first row at
+    # distance 0 from each hull point
+    nearest = [int(np.argmin(np.linalg.norm(pts - h, axis=1))) for h in pts[idx]]
+    assert idx.tolist() == nearest
+    for i in idx:
+        assert not (pts[:i] == pts[i]).all(axis=1).any()
+
+
 def test_basis_points_of_a_shared_a_stack_equal_the_per_slice_calls():
     # one A for every slice: the rank and ray checks run once and are repeated
     tri = np.array([[1, 0], [0, 1], [-1, -1]], dtype=float)
@@ -886,7 +923,7 @@ def test_lazy_scipy_names_resolve_and_keep_a_wrapper(monkeypatch):
         calls.append(len(args[0]))
         return ConvexHull(*args, **kwargs)
 
-    # a wrapper bound before first use: the binder in _prune_hull must keep it
+    # a wrapper bound before first use: the binder in _hull_indices must keep it
     monkeypatch.setitem(vars(geo), "ConvexHull", counting)
     pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]], dtype=float)
     assert sorted(map(tuple, geo._prune_hull(pts).tolist())) == sorted(map(tuple, pts[:4].tolist()))

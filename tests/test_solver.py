@@ -96,25 +96,76 @@ def test_lockstep_solve_with_a_halfspace_omega():
 
 def test_solver_kernel_calls(monkeypatch):
     prob = pb.load(str(GENCONE))
-    kernel, calls = mr._merit_parts, []
+    kernel, calls = mr._kernel_parts, []
 
     def counted(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(mr, "_merit_parts", counted)
+    monkeypatch.setattr(mr, "_kernel_parts", counted)
     sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
     # one descent at a time, with one-point polish probes, this took 7,278
     assert len(calls) < 7278 / 3
 
 
 def test_solver_penalized_rows_calls(monkeypatch):
-    # a work count: one polish at a time, each round one call, took 388
+    # a work count: one polish at a time, each round one call, took 579
     prob = pb.load(str(GENCONE))
     rows, calls = sv._penalized_rows, []
     monkeypatch.setattr(sv, "_penalized_rows", lambda *a: calls.append(None) or rows(*a))
     sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
-    assert len(calls) == 121
+    assert len(calls) == 206
+
+
+def test_solver_steps_accepted_of_a_seeded_solve():
+    # the descent runs in the first stage only; later stages only polish
+    prob = pb.load(str(GENCONE))
+    _, trace = sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
+    assert [(t.lam, t.steps_accepted) for t in trace] == [
+        (0.5, 20), (0.5, 20), (1.0, 0), (1.0, 0), (2.0, 0), (2.0, 0)]
+
+
+def test_descend_runs_once_per_solve(monkeypatch):
+    prob = pb.load(str(GENCONE))
+    descend, calls = sv._descend, []
+    monkeypatch.setattr(sv, "_descend", lambda *a: calls.append(a[2]) or descend(*a))
+    _, trace = sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
+    assert calls == [0.5] and len({t.lam for t in trace}) > 1
+
+
+def test_solver_rows_skip_the_revalidation(monkeypatch):
+    prob = pb.load(str(GENCONE))
+    rng = np.random.default_rng(2)
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    Q = np.hstack([rng.uniform(wlo, wup, (30, prob.p)), rng.uniform(xlo, xup, (30, prob.n))])
+    nu, mu = mr._merit_parts(prob, Q[:, :prob.p], Q[:, prob.p:])
+    values, G = sv._descent_rows(prob, Q, 1.5, 0.5, True)
+    points, calls = pb.VepProblem.points, []
+    monkeypatch.setattr(pb.VepProblem, "points", lambda *a: calls.append(None) or points(*a))
+    kernel = mr._kernel_parts(prob, Q[:, :prob.p], Q[:, prob.p:], False)
+    assert np.array_equal(kernel[0], nu) and np.array_equal(kernel[1], mu)
+    rows, merits = sv._penalized_rows(prob, Q[:, :prob.p], Q[:, prob.p:], 1.5, 0.5)
+    assert np.array_equal(merits, nu + mu) and np.array_equal(rows, values)
+    again, G_again = sv._descent_rows(prob, Q, 1.5, 0.5, True)
+    assert np.array_equal(again, values) and np.array_equal(G_again, G)
+    sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
+    assert not calls
+    # a public entry still checks its rows
+    with pytest.raises(pb.ProblemError, match="non-finite"):
+        mr.eval_merit_batch(prob, [[np.nan]], [[1.0]])
+    assert calls
+
+
+@pytest.mark.parametrize("source, count, solution", [
+    ("example:paper", 2, (0.0, 1.0)),
+    (str(GENCONE), 2, (0.0, 1.0)),
+    (str(POLYTOPE), 1, (0.0, 0.5, 0.5)),
+])
+@pytest.mark.parametrize("seed", [100, 117, 129])
+def test_seeded_solves_reach_the_closed_form(source, count, solution, seed):
+    prob = pb.load(source)
+    (xi, x), _ = sv.solve_penalized(prob, sv.PenaltyConfig(seed=seed), _starts(prob, seed, count))
+    assert np.linalg.norm(np.concatenate([xi, x]) - solution) <= 1e-3
 
 
 @pytest.mark.parametrize("source, lam", [("polytope.vep", 1.0), ("example:paper", 4.0)])

@@ -6,7 +6,8 @@ given --seed; timings are printed in a separate trailing section so report
 bodies can be diffed byte-for-byte.
 
 Exit codes: 0 ok, 2 load/precondition error, 3 evaluation error,
-4 refuted, 5 inconclusive, 6 solver divergence or iteration cap.
+4 refuted, 5 inconclusive, 6 penalized objective unbounded below or no
+feasible incumbent.
 """
 
 from __future__ import annotations
@@ -166,6 +167,7 @@ def cmd_eval(prob, args, report: Report) -> int:
 
 
 def cmd_check_erbo(prob, args, report: Report) -> int:
+    dg.check_error_bound_scope(prob)
     spec = dg.SampleSpec(seed=args.seed)
     cert_gamma = dg.estimate_gamma(prob, args.xi_bar, args.rho, spec)
     gamma = args.gamma if args.gamma is not None else 0.9 * cert_gamma.constant
@@ -225,8 +227,7 @@ def cmd_check_stationarity(prob, args, report: Report) -> int:
 def cmd_solve(prob, args, report: Report) -> int:
     config = sv.PenaltyConfig(
         lambda_init=args.lambda0, growth=args.growth,
-        lambda_max=args.lambda_max, gamma=args.gamma,
-        max_iter=args.iters, seed=args.seed,
+        lambda_max=args.lambda_max, gamma=args.gamma, seed=args.seed,
     )
     rng = np.random.default_rng(args.seed)
     wlo, wup = prob.xi_window()
@@ -246,8 +247,8 @@ def cmd_solve(prob, args, report: Report) -> int:
         "incumbent_omega_dist": geo.dist(xi_best, prob.omega),
         "stages": sorted({t.lam for t in trace}),
         "trace_tail": [
-            {"lambda": t.lam, "start": t.start_index, "steps": t.steps_accepted,
-             "value": t.best_value, "merit": t.merit}
+            {"lambda": t.lam, "start": t.start_index, "value": t.best_value,
+             "merit": t.merit}
             for t in trace[-4:]
         ],
     })
@@ -392,13 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lf", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_check_stationarity)
 
-    p = sub.add_parser("solve", help="penalty-schedule subgradient descent")
+    p = sub.add_parser("solve", help="penalty-schedule pattern search")
     common(p)
     p.add_argument("--lambda0", type=_positive_float, default=0.5)
     p.add_argument("--growth", type=_growth_factor, default=2.0)
     p.add_argument("--lambda-max", dest="lambda_max", type=_positive_float, default=64.0)
     p.add_argument("--gamma", type=_positive_float, default=0.5)
-    p.add_argument("--iters", type=_positive_int, default=100)
     p.add_argument("--starts", type=_positive_int, default=5)
     p.set_defaults(fn=cmd_solve)
 

@@ -214,6 +214,12 @@ def _truncated_normal_points(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray)
     return off | ~bound.any(axis=1), T
 
 
+def check_error_bound_scope(prob: pb.VepProblem) -> None:
+    """Raise ProblemError unless the error-bound sweep covers prob (p = n = 1)."""
+    if prob.p != 1 or prob.n != 1:
+        raise pb.ProblemError("error-bound sweep implemented for p = n = 1")
+
+
 def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
                        x_check: tuple | None = None) -> Certificate:
     """Check dist(x, E(xi)) <= merit(xi, x)/gamma + grid slack on a grid in
@@ -226,8 +232,7 @@ def verify_error_bound(prob: pb.VepProblem, xi_bar, rho: float, gamma: float,
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     xi_bar, _ = prob.point(xi_bar, None)
-    if prob.p != 1 or prob.n != 1:
-        raise pb.ProblemError("error-bound sweep implemented for p = n = 1")
+    check_error_bound_scope(prob)
     _check_xi_range(xi_bar, rho)
     xlo, xup = prob.x_window()
     if x_check is None:

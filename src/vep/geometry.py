@@ -1059,7 +1059,7 @@ def basis_points(A: np.ndarray, b: np.ndarray):
 @functools.lru_cache(maxsize=64)
 def _a_checks(A: bytes, k: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``_a_checks_rows`` of the one (k, n) matrix whose float64 bytes are
-    ``A``, read-only: a descent meets one A at every kernel call."""
+    ``A``, read-only: a solve meets one A at every kernel call."""
     nonsingular, ray = _a_checks_rows(np.frombuffer(A).reshape(1, k, n))
     return _read_only(nonsingular), _read_only(ray)
 

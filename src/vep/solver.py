@@ -1,9 +1,8 @@
 """Penalization pipeline and stationarity checkers.
 
 The solver minimizes objective + lambda * (distance to the geometric set +
-merit/gamma) over an increasing penalty schedule in two phases: a
-normalized subgradient descent in the first stage only, whose steps shrink
-to the polish's first step, and a pattern-search polish in every stage.
+merit/gamma) over an increasing penalty schedule, with a pattern-search
+polish from every seed in every stage.
 One assembler builds the stationarity inclusion right-hand side from
 structured subgradient bodies over a list of nu bodies and either certifies
 a near-zero residual with a decomposition witness or refutes the inclusion
@@ -22,7 +21,6 @@ estimate gives a sound refutation, and the tighter one refutes more.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -55,9 +53,6 @@ class PenaltyConfig:
     growth: float = 2.0
     lambda_max: float = 64.0
     gamma: float = 0.5
-    # the first-stage descent stops where its step a0/sqrt(k) reaches the
-    # polish's first step a0/10, so from there on the polish takes over
-    max_iter: int = 100
     seed: int = 0
 
     def __post_init__(self):
@@ -73,7 +68,6 @@ class PenaltyConfig:
 class StageRecord:
     lam: float
     start_index: int
-    steps_accepted: int
     best_value: float
     best_point: tuple
     merit: float
@@ -123,77 +117,6 @@ def _penalize(prob, XI, X, d_om, merit, lam, gamma) -> np.ndarray:
     (a box Omega is ``np.clip``)."""
     phi = ex.eval_expr(prob.objective, xi=list(XI.T), x=list(X.T))
     return phi + lam * (d_om + merit / gamma)
-
-
-@functools.lru_cache(maxsize=None)
-def _probe_steps(h: float, d: int) -> np.ndarray:
-    """The probe offsets h e_i of a descent step in dimension d, as rows."""
-    return geo._read_only(h * np.eye(d))
-
-
-def _descent_rows(prob, Q: np.ndarray, lam: float, gamma: float,
-                  grad: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """The penalized objective at the rows of Q, and with ``grad`` a
-    subgradient at each row (None without), from one kernel call.
-
-    Objective and Omega-distance parts of a subgradient are structured; the
-    merit part uses central differences, which on piecewise-smooth data
-    yields a convex combination of branch gradients (a valid subgradient
-    wherever merit is convex along the probe).  The merits at every row and
-    at its 2(p+n) probes q +- 1e-7 e_i go into the same kernel call, and
-    the objective gradients of all rows come from one ``expr.grad_rows``
-    pass (``grad_hull``'s first generator at each row)."""
-    N, d = Q.shape
-    p, h = prob.p, 1e-7
-    R = Q
-    if grad:
-        E = _probe_steps(h, d)
-        R = np.concatenate([Q, (Q[:, None] + E).reshape(-1, d), (Q[:, None] - E).reshape(-1, d)])
-    nu, mu = mr._kernel_parts(prob, R[:, :p], R[:, p:], False)
-    merit = nu + mu
-    offsets = Q[:, :p] - geo.project_rows(Q[:, :p], prob.omega)
-    d_om = mr._dist_rows(offsets)
-    values = _penalize(prob, Q[:, :p], Q[:, p:], d_om, merit[:N], lam, gamma)
-    if not grad:
-        return values, None
-    M = merit[N:].reshape(2, N, d)
-    g_mf = (M[0] - M[1]) / (2 * h)
-    _, g_phi, _ = ex.grad_rows(prob.objective, Q[:, :p], Q[:, p:], Q[:, :0], "xix")
-    d_om = d_om[:, None]
-    g_om = np.zeros((N, d))
-    np.divide(offsets, d_om, out=g_om[:, :p], where=d_om > 1e-12)
-    return values, g_phi + lam * g_om + (lam / gamma) * g_mf
-
-
-def _descend(prob, seeds: np.ndarray, lam: float, config: PenaltyConfig, a0: float, lo, up):
-    """Normalized subgradient descent with steps a0/sqrt(k) from every row
-    of ``seeds``, all descents advanced together: one ``_descent_rows``
-    call per step for the active ones, centres only at the last step.  A
-    descent whose subgradient norm falls to 1e-14 stops.  Returns, per
-    seed, the best point, its value and the number of accepted steps."""
-    Q = seeds.copy()
-    best_q = seeds.copy()
-    best_v = np.empty(len(Q))
-    steps = np.zeros(len(Q), dtype=int)
-    active = np.arange(len(Q))
-    for k in range(config.max_iter + 1):
-        values, G = _descent_rows(prob, Q[active], lam, config.gamma, k < config.max_iter)
-        if k == 0:
-            best_v[:] = values
-        else:
-            better = values < best_v[active] - 1e-15
-            moved = active[better]
-            best_v[moved], best_q[moved] = values[better], Q[moved]
-            steps[moved] += 1
-        if G is None:
-            break
-        ng = mr._dist_rows(G)
-        going = ~(ng <= 1e-14)
-        active, G, ng = active[going], G[going], ng[going]
-        if not len(active):
-            break
-        Q[active] = np.clip(Q[active] - (a0 / math.sqrt(k + 1)) * G / ng[:, None], lo, up)
-    return best_q, best_v.tolist(), steps.tolist()
 
 
 def _polish(prob, Q: np.ndarray, values: list, step: float, lo, up, lam: float,
@@ -259,15 +182,13 @@ def _penalized_slope(prob, q, lam, gamma, p) -> float:
 
 
 def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
-    """Multi-start subgradient descent over an increasing penalty schedule.
+    """Multi-start pattern search over an increasing penalty schedule.
 
     Returns (incumbent as (xi, x), trace of StageRecord).  A stage seeds a
-    run at each start and at one random perturbation of it.  The first
-    stage runs the descent from every seed and then a pattern-search polish
-    from the descent's best points; every later stage only polishes the
-    seeds, whose values come from one kernel call, and records 0 accepted
-    steps.  Descents and polishes each advance all runs in lockstep.  The
-    stage's best points are then taken in start order, and an
+    run at each start and at one random perturbation of it, evaluates the
+    seeds in one kernel call and polishes them all in lockstep from the
+    step diam/10 of the variable window.  Per start, the better of its two
+    polished seeds (the first on a tie) becomes the stage's point, and an
     unbounded-below value raises there.  The schedule advances while the
     incumbent's merit stays above TOL_MERIT and stops as soon as the
     incumbent is feasible and the sampled strong slope of the penalized
@@ -282,7 +203,7 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     lo = np.concatenate([wlo, xlo])
     up = np.concatenate([wup, xup])
     diam = float(np.linalg.norm(up - lo))
-    a0 = diam / 10.0
+    p = prob.p
 
     trace: list[StageRecord] = []
     incumbents = [np.concatenate(s) for s in starts]
@@ -291,40 +212,26 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     while lam <= config.lambda_max:
         seeds = np.array([q for q_start in incumbents for q in (
             q_start, np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up))])
-        if not trace:   # the first stage
-            best_q, best_v, steps = _descend(prob, seeds, lam, config, a0, lo, up)
-        else:
-            values, _ = _penalized_rows(prob, seeds[:, :prob.p], seeds[:, prob.p:], lam,
-                                        config.gamma)
-            best_q, best_v, steps = seeds, values.tolist(), [0] * len(seeds)
-        pol_q, pol_v = _polish(prob, best_q, best_v, a0 / 10.0, lo, up, lam, config.gamma)
-        stage_incumbents, stage_runs = [], []
-        for si in range(len(incumbents)):
-            best_local, best_local_val, accepted = None, math.inf, 0
-            for j in (2 * si, 2 * si + 1):
-                cur_best, cur_val = best_q[j], best_v[j]
-                if pol_v[j] < cur_val:
-                    cur_best, cur_val = pol_q[j], pol_v[j]
-                if cur_val < -1e12:
-                    raise SolverError("penalized objective unbounded below")
-                if cur_val < best_local_val:
-                    best_local, best_local_val, accepted = cur_best, cur_val, steps[j]
-            stage_incumbents.append(best_local)
-            stage_runs.append((accepted, best_local_val))
-        incumbents = stage_incumbents
-        Q = np.array(incumbents)
-        values, merits = _penalized_rows(prob, Q[:, : prob.p], Q[:, prob.p:], lam, config.gamma)
-        trace.extend(StageRecord(lam, si, accepted, best_val, tuple(q.tolist()), me)
-                     for si, (q, (accepted, best_val), me)
-                     in enumerate(zip(incumbents, stage_runs, merits.tolist())))
+        values, _ = _penalized_rows(prob, seeds[:, :p], seeds[:, p:], lam, config.gamma)
+        pol_q, pol_v = _polish(prob, seeds, values.tolist(), diam / 10.0, lo, up, lam,
+                               config.gamma)
+        if min(pol_v) < -1e12:
+            raise SolverError("penalized objective unbounded below")
+        # the better of each start's two runs, the unperturbed one on a tie
+        picks = [j + (pol_v[j + 1] < pol_v[j]) for j in range(0, len(pol_v), 2)]
+        Q = pol_q[picks]
+        incumbents = list(Q)
+        values, merits = _penalized_rows(prob, Q[:, :p], Q[:, p:], lam, config.gamma)
+        trace.extend(StageRecord(lam, si, pol_v[j], tuple(q.tolist()), me)
+                     for si, (j, q, me) in enumerate(zip(picks, incumbents, merits.tolist())))
         j = int(np.argmin(values))
         incumbent = incumbents[j]
         feasible = (merits[j] <= TOL_MERIT
-                    and geo.dist(incumbent[: prob.p], prob.omega) <= TOL_MERIT)
-        if feasible and _penalized_slope(prob, incumbent, lam, config.gamma, prob.p) <= 1e-4:
+                    and geo.dist(incumbent[:p], prob.omega) <= TOL_MERIT)
+        if feasible and _penalized_slope(prob, incumbent, lam, config.gamma, p) <= 1e-4:
             break
         lam *= config.growth
-    return (incumbent[: prob.p].copy(), incumbent[prob.p:].copy()), tuple(trace)
+    return (incumbent[:p].copy(), incumbent[p:].copy()), tuple(trace)
 
 
 # ---------------------------------------------------------------------------

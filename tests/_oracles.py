@@ -289,38 +289,21 @@ def sequential_polish(fn, q0, step, lo, up):
 
 
 def sequential_solve_penalized(prob, config, starts):
-    """``solver.solve_penalized`` with one run at a time: in the first
-    stage every descent step takes a one-row objective value and a
-    one-point subgradient, later stages polish the seeds without a descent,
-    and the polish probes one point per call and moves greedily.  The
-    reference for the lockstep descents and the batched polish sweep."""
+    """``solver.solve_penalized`` with one run at a time: each seed's value
+    is a one-row objective value, and its polish probes one point per call
+    and moves greedily.  The reference for the batched seed values and the
+    lockstep polish sweep."""
     import math
 
-    from vep import expr as ex
     from vep import geometry as geo
-    from vep import merit as mr
     from vep import solver as sv
 
     p = prob.p
-
-    def subgradient(xi, x, lam):
-        g_phi = ex.grad_hull(prob.objective, (xi, x, ()), "xix").generators[0]
-        d_om = geo.dist(xi, prob.omega)
-        g_om = np.zeros(p + len(x))
-        if d_om > 1e-12:
-            g_om[:p] = (xi - geo.project(xi, prob.omega)) / d_om
-        q, h = np.concatenate([xi, x]), 1e-7
-        Q = np.concatenate([q + h * np.eye(len(q)), q - h * np.eye(len(q))])
-        m = mr.eval_merit_batch(prob, Q[:, :p], Q[:, p:])
-        g_mf = (m[:len(q)] - m[len(q):]) / (2 * h)
-        return g_phi + lam * g_om + (lam / config.gamma) * g_mf
-
     starts = [prob.point(xi, x) for xi, x in starts]
     rng = np.random.default_rng(config.seed)
     (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
     lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
     diam = float(np.linalg.norm(up - lo))
-    a0 = diam / 10.0
     trace = []
     incumbents = [np.concatenate(s) for s in starts]
     lam = config.lambda_init
@@ -329,40 +312,25 @@ def sequential_solve_penalized(prob, config, starts):
         def fn(w, _lam=lam):
             return sv.penalized_value(prob, w[:p], w[p:], _lam, config.gamma)
 
-        stage_incumbents, stage_runs = [], []
+        stage_incumbents, stage_values = [], []
         for q_start in incumbents:
             seeds = [q_start,
                      np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up)]
-            best_local, best_local_val, accepted = None, math.inf, 0
+            best_local, best_local_val = None, math.inf
             for q in seeds:
-                q = q.copy()
-                cur_best, cur_val = q.copy(), fn(q)
-                steps = 0
-                for k in range(1, (config.max_iter if not trace else 0) + 1):
-                    g = subgradient(q[:p], q[p:], lam)
-                    ng = float(np.linalg.norm(g))
-                    if ng <= 1e-14:
-                        break
-                    q = np.clip(q - (a0 / math.sqrt(k)) * g / ng, lo, up)
-                    v = fn(q)
-                    if v < cur_val - 1e-15:
-                        cur_val, cur_best = v, q.copy()
-                        steps += 1
-                pol_q, pol_v, _ = sequential_polish(fn, cur_best, a0 / 10.0, lo, up)
-                if pol_v < cur_val:
-                    cur_best, cur_val = pol_q, pol_v
+                cur_best, cur_val, _ = sequential_polish(fn, q.copy(), diam / 10.0, lo, up)
                 if cur_val < -1e12:
                     raise sv.SolverError("penalized objective unbounded below")
                 if cur_val < best_local_val:
-                    best_local, best_local_val, accepted = cur_best, cur_val, steps
+                    best_local, best_local_val = cur_best, cur_val
             stage_incumbents.append(best_local)
-            stage_runs.append((accepted, best_local_val))
+            stage_values.append(best_local_val)
         incumbents = stage_incumbents
         Q = np.array(incumbents)
         values, merits = sv._penalized_rows(prob, Q[:, :p], Q[:, p:], lam, config.gamma)
-        trace.extend(sv.StageRecord(lam, si, accepted, best_val, tuple(q.tolist()), me)
-                     for si, (q, (accepted, best_val), me)
-                     in enumerate(zip(incumbents, stage_runs, merits.tolist())))
+        trace.extend(sv.StageRecord(lam, si, best_val, tuple(q.tolist()), me)
+                     for si, (q, best_val, me)
+                     in enumerate(zip(incumbents, stage_values, merits.tolist())))
         j = int(np.argmin(values))
         incumbent = incumbents[j]
         feasible = merits[j] <= sv.TOL_MERIT and geo.dist(incumbent[:p], prob.omega) <= sv.TOL_MERIT

@@ -363,7 +363,7 @@ expr = xi1
     assert "n <= 2" in err and "Traceback" not in err
 
 
-def test_check_erbo_witness_when_p_differs_from_n(capsys, tmp_path):
+def test_check_erbo_witness_when_p_differs_from_n(capsys, monkeypatch, tmp_path):
     # f = (z1 - 2, 1) leaves the cone for every z in K, and nu is constant
     # in x, so gamma is refuted; its witness (xi, x) has blocks of 1 and 2
     text = """
@@ -390,11 +390,17 @@ expr = xi1^2 + x1^2 + x2^2
 """
     path = tmp_path / "wide.vep"
     path.write_text(text)
-    code, body = run_cli(capsys, "--format", "json-like", "check-erbo", str(path),
-                         "--xi-bar", "0")
-    assert code == 4
-    [witness] = json.loads(body)["results"]["gamma_estimate"]["witnesses"]
+    code, body = run_cli(capsys, "--format", "json-like", "estimate-constants", str(path))
+    assert code == 0
+    [witness] = json.loads(body)["results"]["gamma"]["witnesses"]
     assert [len(block) for block in witness] == [1, 2]
+    # check-erbo's error-bound sweep needs p = n = 1: it refuses before sampling
+    from vep import diagnostics as dg
+
+    monkeypatch.setattr(dg, "estimate_gamma", lambda *a, **k: pytest.fail("gamma sampled"))
+    assert cli.main(["check-erbo", str(path), "--xi-bar", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: error-bound sweep implemented for p = n = 1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -455,7 +461,7 @@ def test_estimate_constants_default_xi_bar_has_p_entries(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("solve", "example:paper", "--starts", "0"),
     ("solve", "example:paper", "--gamma", "0"),
-    ("solve", "example:paper", "--iters", "-3"),
+    ("solve", "example:paper", "--starts", "2.5"),
     ("solve", "example:paper", "--lambda0", "0"),
     ("probe-stability", "example:paper", "--xi-bar", "0", "--x-bar", "1",
      "--gamma", "0"),

@@ -478,7 +478,7 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
     """One forward-mode pass over N points, the rows of XI, X and Z.
 
     Returns the values (N,), the gradients (N, dim) w.r.t. the block
-    ``wrt`` (as in ``grad_hull``) and a mask (N,) of the rows where some
+    ``wrt``, one of 'xi', 'x' or 'z', and a mask (N,) of the rows where some
     switch is active: an ``abs`` argument or a ``min``/``max`` gap within
     ``grad_hull``'s tolerance, whose two branch gradients ``grad_hull``
     keeps apart (a kink of ``abs(xi1)`` is no kink in x).  Row i's
@@ -491,10 +491,9 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
     N, p = XI.shape
     n = X.shape[1]
     env = {"xi": XI, "x": X, "z": Z}
-    dim = {"xi": p, "x": n, "z": Z.shape[1], "xix": p + n}.get(wrt)
+    dim = {"xi": p, "x": n, "z": Z.shape[1]}.get(wrt)
     if dim is None:
         raise ValueError(f"unknown block selector {wrt!r}")
-    offset = {"xi": 0, "x": p} if wrt == "xix" else {wrt: 0}  # block -> first column
     active = np.zeros(N, dtype=bool)
 
     def rec(node: Expr) -> tuple[np.ndarray, np.ndarray]:
@@ -506,8 +505,8 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
             if node.index > block.shape[1]:
                 raise EvalError(f"point has no component {node.block}{node.index}")
             g = np.zeros((N, dim))
-            if node.block in offset:
-                g[:, offset[node.block] + node.index - 1] = 1.0
+            if node.block == wrt:
+                g[:, node.index - 1] = 1.0
             return block[:, node.index - 1].astype(float), g
         if isinstance(node, Neg):
             v, g = rec(node.a)

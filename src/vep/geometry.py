@@ -891,20 +891,7 @@ class ConvexBody:
             return pts
         dirs = _sphere_dirs(self.dim, int(round(360.0 / CAP_RES_DEG)) if self.dim == 2 else 64)
         shift = self.ball * dirs
-        diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-        if self.dim != 2 or self.ball < 1e-2 * diam:
-            return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
-        # p_i + r s_j is a vertex only if a direction u within CAP_RES_DEG/2
-        # of s_j maximizes <u, .> at p_i, so <s_j, p_i> >= h(s_j) -
-        # tan(CAP_RES_DEG/2) diam: the sums below a 4x wider margin are
-        # interior, and qhull decides the near-ties that stay.  A ball much
-        # smaller than the points' spread is left unfiltered, because there
-        # qhull's first vertex can depend on the interior points.
-        H = pts @ dirs.T
-        margin = (math.tan(math.radians(2 * CAP_RES_DEG)) * diam
-                  + 1e-9 * max(1.0, float(np.abs(pts).max())))
-        i, j = np.nonzero(H >= H.max(axis=0) - margin)
-        return _prune_hull(pts[i] + shift[j])
+        return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
 
 
 def body_from_points(points, label: str = "", ball: float = 0.0) -> ConvexBody:

@@ -296,24 +296,34 @@ def _sum_with_provenance(factors: list[np.ndarray]):
     return total, prov
 
 
-def _residual_and_witness(factor_pts: list[np.ndarray], ball: float):
+def _residual_and_witness(factor_pts: list[np.ndarray], radii: list[float]):
+    """Distance from 0 to the sum of the factors conv(P_i) + r_i*B, and one
+    summand per factor whose sum is the nearest point.  The balls are
+    taken exactly: with q the min-norm point of the points' sum and
+    R = sum r_i, the distance is max(0, |q| - R), and factor i's summand
+    is its share of q minus (r_i/R)*min(R, |q|)*q/|q|."""
     total, prov = _sum_with_provenance(factor_pts)
     q, idx, w = geo.wolfe_min_norm(total)
     nq = float(np.linalg.norm(q))
+    ball = sum(radii)
     residual = max(nq - ball, 0.0)
     # one point per factor for each of Wolfe's support points
     rows = np.unravel_index(prov[np.asarray(idx, dtype=int)], [len(F) for F in factor_pts])
     parts = []
-    for F, r in zip(factor_pts, rows):
+    for F, r, rad in zip(factor_pts, rows, radii):
         part = np.zeros(F.shape[1])
         for j, weight in zip(r, w):
             part = part + weight * F[j]
+        if rad > 0 and nq > 0:
+            # the factor's share of the ball, taken along -q
+            part = part - (rad / ball) * min(ball, nq) * (q / nq)
         parts.append(part)
-    if ball > 0 and nq > 1e-12:
-        # absorb the ball along -q so the reported summands add up to ~residual
-        direction = q / nq
-        parts.append(-min(ball, nq) * direction)
     return residual, tuple(parts)
+
+
+def _factor(body: geo.ConvexBody, t: float) -> tuple[np.ndarray, float]:
+    """t * body as a residual factor: its hull points and its ball radius."""
+    return geo.scale_body(body, t).effective_points(), t * body.ball
 
 
 def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs):
@@ -337,14 +347,17 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
     + lam*(Omega normal cap x {0}) + (lam/gamma)*(nu body + coderivative-ball
     branch).
 
-    Residuals are minimized over the lambda grid and the branches of the
-    coderivative-ball product per nu body; stationary requires a small
-    residual for EVERY nu body, refutation a separating direction for a
-    single one.  The refutation test is affine in lambda so a single sign
-    analysis covers every positive penalty weight; it scans the coupled
-    graph-normal cap bodies of mu where those exist and the product bodies
-    otherwise, and a refuted report flags which.  Residual-table rows are
-    key + (lambda, branch, residual).
+    Each factor enters a residual as its scaled hull points and its scaled
+    ball radius, and the balls (the smooth-concave nu body's Lipschitz
+    ball) are subtracted exactly, as the refutation's support function
+    takes them.  Residuals are minimized over the lambda grid and the
+    branches of the coderivative-ball product per nu body; stationary
+    requires a small residual for EVERY nu body, refutation a separating
+    direction for a single one.  The refutation test is affine in lambda
+    so a single sign analysis covers every positive penalty weight; it
+    scans the coupled graph-normal cap bodies of mu where those exist and
+    the product bodies otherwise, and a refuted report flags which.
+    Residual-table rows are key + (lambda, branch, residual).
     """
     lambda_grid = tuple(lambda_grid) if lambda_grid is not None else (
         0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -356,13 +369,11 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
         refute_bodies, mu_model = coupled.bodies, "graph-normal-cap"
     else:
         refute_bodies, mu_model = mu_est.bodies, "coderivative-ball-product"
-    # each factor is discretized once per scale: phi once, Omega once per
-    # lambda, a nu body once per (nu, lambda), a mu branch once per
-    # (lambda, branch)
-    phi_pts = phi_body.ball_discretized()
-    omega_pts = [geo.scale_body(omega_body, lam).ball_discretized() for lam in lambda_grid]
-    mu_pts = [[geo.scale_body(kb, lam / gamma).ball_discretized() for kb in mu_est.bodies]
-              for lam in lambda_grid]
+    # each factor is scaled once: phi once, Omega once per lambda, a nu
+    # body once per (nu, lambda), a mu branch once per (lambda, branch)
+    phi_f = _factor(phi_body, 1.0)
+    omega_f = [_factor(omega_body, lam) for lam in lambda_grid]
+    mu_f = [[_factor(kb, lam / gamma) for kb in mu_est.bodies] for lam in lambda_grid]
     refuting = None
     table = []
     worst_residual = -math.inf
@@ -373,10 +384,11 @@ def _assemble(prob, xi_bar, x_bar, nu_bodies, mu_est, lambda_grid, gamma,
                                         refute_bodies, gamma, dirs)
         best_key = (math.inf, None, None, ())
         for li, lam in enumerate(lambda_grid):
-            nu_pts = geo.scale_body(nu_body, lam / gamma).ball_discretized()
-            for bi, kb_pts in enumerate(mu_pts[li]):
+            nu_f = _factor(nu_body, lam / gamma)
+            for bi, kb_f in enumerate(mu_f[li]):
+                factors = (phi_f, omega_f[li], nu_f, kb_f)
                 residual, parts = _residual_and_witness(
-                    [phi_pts, omega_pts[li], nu_pts, kb_pts], 0.0)
+                    [pts for pts, _ in factors], [r for _, r in factors])
                 table.append(key + (lam, bi, residual))
                 if residual < best_key[0]:
                     best_key = (residual, lam, bi, parts)

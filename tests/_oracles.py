@@ -648,20 +648,6 @@ def per_point_c_bounded_sups(prob, xi, x0):
     return sups
 
 
-def unfiltered_ball_discretized(body):
-    """``ConvexBody.ball_discretized`` with every sum p_i + r s_j of the
-    points and the sphere directions handed to ``_prune_hull``: the
-    reference for the filtered 2-D ring sum."""
-    from vep import geometry as geo
-
-    pts = body.effective_points()
-    if body.ball <= 0.0 or len(pts) == 0:
-        return pts
-    dirs = geo._sphere_dirs(body.dim, int(round(360.0 / geo.CAP_RES_DEG)) if body.dim == 2 else 64)
-    shift = body.ball * dirs
-    return geo._prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, body.dim))
-
-
 def per_point_distance_oracles(prob, xi_lo, xi_hi):
     """The three distances of ``diagnostics.graph_e_distance_oracles`` (to
     Omega x R^n, to graph E, to their intersection) for one point w each,

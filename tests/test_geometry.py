@@ -11,7 +11,7 @@ from _oracles import (einsum_polyline_project, gathered_basis_points, generator_
                       grid_min_distance, hildreth_projection, nnls_cap_points,
                       nnls_cone_projection, per_face_dist_cone_batch,
                       per_probe_limiting_normal_graph, per_value_cone_dist, qhull_vertices,
-                      reduce_on_segments, sampled_min_norm, unfiltered_ball_discretized)
+                      reduce_on_segments, sampled_min_norm)
 
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
@@ -882,29 +882,6 @@ def test_basis_points_cache_the_checks_of_each_a():
     assert (info.misses, info.hits) == (3, 1)
     nonsingular, ray = geo._a_checks(tri.tobytes(), 3, 2)
     assert not nonsingular.flags.writeable and not ray.flags.writeable
-
-
-def test_filtered_ball_sum_equals_the_unfiltered_one():
-    rng = np.random.default_rng(181)
-    filtered = 0
-    for case in range(400):
-        m = int(rng.integers(1, 101))
-        kind = case % 5
-        if kind == 0:       # a scattered set
-            P = rng.normal(size=(m, 2)) * rng.uniform(1e-3, 3.0)
-        elif kind == 1:     # collinear points
-            P = rng.normal(size=(m, 1)) * rng.normal(size=2) + rng.normal(size=2)
-        elif kind == 2:     # duplicate points
-            P = rng.normal(size=(max(1, m // 3), 2))[rng.integers(0, max(1, m // 3), m)]
-        elif kind == 3:     # a convex polygon in qhull's order, as bodies hold them
-            P = geo._prune_hull(rng.normal(size=(m, 2)))
-        else:               # a single point
-            P = rng.normal(size=(1, 2))
-        r = float(10 ** rng.uniform(-9, np.log10(2.0)))
-        body = geo.ConvexBody(2, P, ball=r)
-        filtered += r >= 1e-2 * np.linalg.norm(np.ptp(P, axis=0))
-        assert np.array_equal(body.ball_discretized(), unfiltered_ball_discretized(body)), case
-    assert filtered > 100       # the filter ran, not only its small-ball bypass
 
 
 def test_lazy_scipy_names_resolve_and_keep_a_wrapper(monkeypatch):

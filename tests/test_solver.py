@@ -290,17 +290,46 @@ def test_residual_monotone_under_summand_enlargement(tent):
         best = np.inf
         for kb in mu.bodies:
             kb2 = geo.ConvexBody(kb.dim, kb.points, ball=kb.ball + extra)
-            factors = [
-                phi.ball_discretized(),
-                geo.scale_body(omega, lam).ball_discretized(),
-                geo.scale_body(nu.body, lam / 0.5).ball_discretized(),
-                geo.scale_body(kb2, lam / 0.5).ball_discretized(),
-            ]
-            r, _ = sv._residual_and_witness(factors, 0.0)
+            factors = [sv._factor(phi, 1.0), sv._factor(omega, lam),
+                       sv._factor(nu.body, lam / 0.5), sv._factor(kb2, lam / 0.5)]
+            r, _ = sv._residual_and_witness([pts for pts, _ in factors],
+                                            [rad for _, rad in factors])
             best = min(best, r)
         residuals.append(best)
     assert residuals[1] <= residuals[0] + 1e-9
     assert rep.residual == pytest.approx(residuals[0], abs=1e-6)
+
+
+def test_residual_takes_the_balls_exactly():
+    # conv P_i + r_i B summed: the distance from 0 is the points' min-norm
+    # distance less R = sum r_i, within the inscribed 180-gon's shortfall
+    # R (1 - cos(pi/180)) below the ring discretization, and each summand
+    # lies in its own factor
+    rng = np.random.default_rng(23)
+    gap = 1.0 - np.cos(np.pi / 180.0)
+    swallowed = 0
+    for case in range(60):
+        k = int(rng.integers(2, 4))
+        pts = [rng.normal(size=(int(rng.integers(1, 7)), 2)) + 3.0 * rng.normal(size=2)
+               for _ in range(k)]
+        radii = [0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 1.5))
+                 for _ in range(k)]
+        R = sum(radii)
+        residual, parts = sv._residual_and_witness(pts, radii)
+        total = pts[0]
+        for P in pts[1:]:
+            total = (total[:, None, :] + P[None, :, :]).reshape(-1, 2)
+        q, _, _ = geo.wolfe_min_norm(total)
+        assert residual == pytest.approx(max(0.0, np.linalg.norm(q) - R), abs=1e-12), case
+        rings = [geo.ConvexBody(2, P, ball=r).ball_discretized() for P, r in zip(pts, radii)]
+        ring, _ = sv._residual_and_witness(rings, [0.0] * k)
+        assert ring - R * gap - 1e-12 <= residual <= ring + 1e-12, case
+        assert len(parts) == k
+        assert np.linalg.norm(np.sum(parts, axis=0)) == pytest.approx(residual, abs=1e-12)
+        for part, P, r in zip(parts, pts, radii):
+            assert geo.dist_to_body(part, geo.ConvexBody(2, P, ball=r)) <= 1e-12, case
+        swallowed += residual == 0.0
+    assert 0 < swallowed < 60       # both sides of the ball are reached
 
 
 def test_solver_and_checker_agree(tent):
@@ -335,14 +364,16 @@ def test_smooth_concave_monotone_wrt_general(tent):
 
 def test_smooth_concave_prune_hull_calls(monkeypatch):
     # a work count: with every factor discretized per (nu body, lambda,
-    # mu branch) triple, this check made 33 calls
+    # mu branch) triple, this check made 33 calls, and 21 with the nu
+    # bodies' Lipschitz ball summed as a 180-point ring per (nu body,
+    # lambda); the ball taken exactly needs no hull
     geo._normal_cone.cache_clear()
     prob = pb.load("example:paper")
     hull, calls = geo._prune_hull, []
     monkeypatch.setattr(geo, "_prune_hull", lambda pts: calls.append(None) or hull(pts))
     sv.check_stationarity_smooth_concave(prob, [0.0], [1.0], None, 0.5,
                                          eps_list=[0.05, 0.1], l_f=1.0)
-    assert len(calls) == 21
+    assert len(calls) == 9
 
 
 def test_smooth_concave_residual_table_per_eps(tent):

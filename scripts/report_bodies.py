@@ -5,7 +5,7 @@ Usage, from the root of a checkout (the one whose ``src/`` is run):
 
     python3 path/to/scripts/report_bodies.py OUTDIR
 
-Each of the 47 commands below runs as
+Each of the 48 commands below runs as
 ``python -m vep.cli --seed 3 --format json-like ...`` in its own
 subprocess, with ``src/`` of the current directory on the path.  For
 command k the script writes ``OUTDIR/NN.txt``: the command line, its stdout
@@ -70,6 +70,7 @@ def commands() -> list[tuple[str, ...]]:
         ("estimate-constants", POLYTOPE),
         ("check-stationarity", POLYTOPE, "--xi-bar", "0", "--x-bar", "0.5,0.5",
          "--gamma", "0.5", "--smooth-concave"),
+        ("check-subtransversality", POLYTOPE, "--xi-bar", "0", "--x-bar", "0.5,0.5"),
     ]
     return cmds
 

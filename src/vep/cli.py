@@ -186,6 +186,7 @@ def cmd_check_erbo(prob, args, report: Report) -> int:
 
 
 def cmd_check_subtransversality(prob, args, report: Report) -> int:
+    sd.check_graph_normals_scope(prob)
     xi_bar = np.atleast_1d(np.asarray(args.xi_bar, dtype=float))
     x_bar = np.atleast_1d(np.asarray(args.x_bar, dtype=float))
     point = np.concatenate([xi_bar, x_bar])

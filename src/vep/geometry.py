@@ -284,7 +284,10 @@ def project_polytopes(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray
     its active rows yields (the KKT conditions; Nocedal & Wright,
     *Numerical Optimization*, 2006, ch. 16).  Without one the polytope is
     empty and the row is +inf.  Every product and inverse acts on one row's
-    arrays, so a row's result does not depend on the others.
+    arrays, so a row's result does not depend on the others.  A stack that
+    shares one A takes A's unit rows, Gram inverses and nonsingular subsets
+    from the per-A cache of ``_projection_table`` and broadcasts them over
+    the rows, with the same products in the same order.
     """
     norms = np.sqrt(np.sum(A * A, axis=2))
     size = np.sqrt(np.sum(X * X, axis=1))[:, None]
@@ -300,17 +303,19 @@ def project_polytopes(A: np.ndarray, b: np.ndarray, X: np.ndarray) -> np.ndarray
 
 def _nearest_feasible(A, b, norms, X, size) -> np.ndarray:
     """The enumeration of ``project_polytopes`` for rows X outside their
-    polytopes, given the row norms of A and the norms ``size`` of X."""
+    polytopes, given the row norms of A and the norms ``size`` of X.  A
+    stack of one A takes the parts that read A alone from the cache of
+    ``_projection_table``, broadcast over the rows."""
     k, n = A.shape[1:]
-    unit = A / np.where(norms > 0.0, norms, 1.0)[..., None]
-    r = (unit @ X[..., None])[..., 0] - b / np.where(norms > 0.0, norms, 1.0)
+    if (A == A[:1]).all():
+        A, norms = A[:1], norms[:1]
+        scale, unit, grams = _projection_table(np.asarray(A[0], dtype=float).tobytes(), k, n)
+    else:
+        scale, unit, grams = _projection_parts(A, norms)
+    r = (unit @ X[..., None])[..., 0] - b / scale
     cands, ok = [], []
-    for j in range(1, min(k, n) + 1):
-        rows = _row_subsets(k, j)
-        US = unit[:, rows]
-        G = US @ US.swapaxes(2, 3)      # Gram matrices; det G is the squared volume
-        ok.append(np.linalg.det(G) > 1e-24)
-        Ginv = np.linalg.inv(np.where(ok[-1][..., None, None], G, np.eye(j)))
+    for rows, US, nonsingular, Ginv in grams:
+        ok.append(nonsingular)
         cands.append(X[:, None, :] - (r[:, rows][..., None, :] @ Ginv @ US)[..., 0, :])
     Z = np.concatenate(cands, axis=1)                                   # (N, candidates, n)
     slack = b[:, None, :] - Z @ A.transpose(0, 2, 1)
@@ -322,6 +327,35 @@ def _nearest_feasible(A, b, norms, X, size) -> np.ndarray:
     Z = Z[np.arange(len(X)), nearest]
     Z[~feasible.any(axis=1)] = np.inf
     return Z
+
+
+def _projection_parts(A, norms) -> tuple:
+    """The parts of ``_nearest_feasible`` that read the stack A (N, k, n)
+    alone: the row scales (norms, 1 for a zero row), the unit rows and, per
+    subset size j, (row subsets, their unit rows US, whether their Gram
+    matrices are nonsingular, the inverses, identity where singular)."""
+    k, n = A.shape[1:]
+    scale = np.where(norms > 0.0, norms, 1.0)
+    unit = A / scale[..., None]
+    grams = []
+    for j in range(1, min(k, n) + 1):
+        rows = _row_subsets(k, j)
+        US = unit[:, rows]
+        G = US @ US.swapaxes(2, 3)      # Gram matrices; det G is the squared volume
+        ok = np.linalg.det(G) > 1e-24
+        grams.append((rows, US, ok, np.linalg.inv(np.where(ok[..., None, None], G, np.eye(j)))))
+    return scale, unit, tuple(grams)
+
+
+@functools.lru_cache(maxsize=64)
+def _projection_table(A: bytes, k: int, n: int) -> tuple:
+    """``_projection_parts`` of the one (k, n) matrix whose float64 bytes
+    are ``A``, read-only: a solve on a polytope K projects onto slices of
+    one A at every kernel call."""
+    A = np.frombuffer(A).reshape(1, k, n)
+    scale, unit, grams = _projection_parts(A, np.sqrt(np.sum(A * A, axis=2)))
+    return (_read_only(scale), _read_only(unit),
+            tuple(tuple(_read_only(a) for a in g) for g in grams))
 
 
 def project_rows(X: np.ndarray, S) -> np.ndarray:

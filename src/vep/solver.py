@@ -119,57 +119,85 @@ def _penalize(prob, XI, X, d_om, merit, lam, gamma) -> np.ndarray:
     return phi + lam * (d_om + merit / gamma)
 
 
-def _polish(prob, Q: np.ndarray, values: list, step: float, lo, up, lam: float,
-            gamma: float) -> tuple[np.ndarray, list]:
-    """Pattern search from every row of Q, whose values are ``values``, all
-    polishes advanced together.  A sweep tries the probes q +- step e_i in
-    the order (i, +step, -step) and moves to each probe that improves on
-    the current point; a sweep without a move halves the step, and a
-    polish stops below 1e-7 or after 400 sweeps.  Each round evaluates the
-    pending probes of every running polish in one call: from a polish's
-    current point, the probes of its sweep after its last move, which are
-    the moves of a one-probe-at-a-time sweep.  Each polish keeps its own
-    point, value, step, sweep count and probe position."""
+# How many sweeps a round of ``_polish`` evaluates from each polish's
+# current point: its pending probes and, since a sweep without a move
+# leaves the point where it is, the next LADDER_DEPTH - 1 whole sweeps at
+# the steps they would take.  A kernel call is mostly fixed cost when f is
+# affine in z, where its rows are one array pass, so the extra rows are
+# cheap and the rounds fewer.  Otherwise every row runs grid + Nelder-Mead
+# and costs the same wherever it lands, so a ladder only adds rows that a
+# move discards: there the depth is 1, the pending probes alone.
+LADDER_DEPTH = 3
+
+
+def _polish(prob, Q: np.ndarray, step: float, lo, up, lam: float,
+            gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern search from every row of Q, all polishes advanced together;
+    returns the polished points, their values and their merits.  A sweep
+    tries the probes q +- step e_i in the order (i, +step, -step) and moves
+    to each probe that improves on the current point; a sweep without a
+    move halves the step, and a polish stops below 1e-7 or after 400
+    sweeps.  One kernel call evaluates the rows of Q, and then each round
+    one call evaluates, for every running polish, a ladder of sweeps from
+    its current point: the pending probes of its sweep after its last move,
+    then up to ``LADDER_DEPTH`` - 1 whole sweeps at the steps that sweeps
+    without a move would take (depth 1 unless f is affine in z), none past
+    the 1e-7 stop or the sweep cap.  The round takes each polish's first
+    improving probe, the move of a one-probe-at-a-time search, and drops
+    the rungs after it; every value it uses is one that search computes.
+    Each polish keeps its own point, value, step, sweep count and probe
+    position."""
     N, d = Q.shape
+    width = 2 * d                                   # probes per sweep
     axis = np.repeat(np.arange(d), 2)
     sign = np.tile([1.0, -1.0], d)
     p = prob.p
-    Q, values = Q.copy(), list(values)
-    steps, sweeps = [step] * N, [0] * N
-    pos, improved = [0] * N, [False] * N
-    running = list(range(N))
-    while running:
-        blocks = []
-        for i in running:
-            r = pos[i]
-            P = np.repeat(Q[i][None], 2 * d - r, axis=0)
-            P[np.arange(2 * d - r), axis[r:]] += sign[r:] * steps[i]
-            blocks.append(P)
-        P = np.clip(np.concatenate(blocks), lo, up)
-        vals, _ = _penalized_rows(prob, P[:, :p], P[:, p:], lam, gamma)
-        still, start = [], 0
-        for i, block in zip(running, blocks):
-            end = start + len(block)
-            better = np.flatnonzero(vals[start:end] < values[i] - 1e-15)
-            if len(better):
-                j = int(better[0])
-                Q[i], values[i], improved[i] = P[start + j], float(vals[start + j]), True
-                pos[i] += j + 1
-            start = end
-            if len(better) and pos[i] < 2 * d:
-                still.append(i)
-                continue
-            # the sweep is over
-            if not improved[i]:
-                steps[i] *= 0.5
-                if steps[i] < 1e-7:
-                    continue
-            sweeps[i] += 1
-            if sweeps[i] < 400:
-                pos[i], improved[i] = 0, False
-                still.append(i)
-        running = still
-    return Q, values
+    depth = LADDER_DEPTH if prob.f.affine_in_z else 1
+    values, merits = _penalized_rows(prob, Q[:, :p], Q[:, p:], lam, gamma)
+    Q = Q.copy()
+    steps, sweeps = np.full(N, float(step)), np.zeros(N, dtype=int)
+    pos, improved = np.zeros(N, dtype=int), np.zeros(N, dtype=bool)
+    run = np.arange(N)
+    while len(run):
+        s, swept, at, was = steps[run], sweeps[run], pos[run], improved[run]
+        # the ladder's steps, and how many of its rungs run before a stop
+        ladder = np.empty((len(run), depth))
+        ladder[:, 0] = s
+        rungs, more, moved = np.ones(len(run), dtype=int), np.ones(len(run), dtype=bool), was
+        for h in range(1, depth):
+            half = s * 0.5
+            more &= (moved | (half >= 1e-7)) & (swept + h < 400)
+            ladder[:, h] = s = np.where(moved, s, half)
+            rungs += more
+            moved = False
+        # the round's probes, rung after rung: one gather and one scatter-add
+        count = width * rungs - at
+        start = np.cumsum(count) - count
+        owner = np.repeat(np.arange(len(run)), count)
+        rung, c = np.divmod(np.arange(len(owner)) - (start - at)[owner], width)
+        P = Q[run[owner]]
+        P[np.arange(len(P)), axis[c]] += sign[c] * ladder[owner, rung]
+        P = np.clip(P, lo, up)
+        vals, mers = _penalized_rows(prob, P[:, :p], P[:, p:], lam, gamma)
+        # each polish's first improving probe, if it has one
+        hits = np.flatnonzero(vals < (values[run] - 1e-15)[owner])
+        first = np.append(hits, len(P))[np.searchsorted(hits, start)]
+        moves = first < start + count
+        hit = np.minimum(first, len(P) - 1)
+        i, j = run[moves], first[moves]
+        Q[i], values[i], merits[i] = P[j], vals[j], mers[j]
+        # the rungs before a polish's move, or all of them, are sweeps without one
+        h = np.where(moves, rung[hit], rungs - 1)
+        s, swept = ladder[np.arange(len(run)), h], swept + h
+        was, at = moves | (was & (h == 0)), np.where(moves, c[hit] + 1, width)
+        # the end of a sweep
+        end = at == width
+        s = np.where(end & ~was, s * 0.5, s)
+        swept = swept + end
+        stop = end & ((~was & (s < 1e-7)) | (swept >= 400))
+        steps[run], sweeps[run], pos[run], improved[run] = s, swept, at % width, was & ~end
+        run = run[~stop]
+    return Q, values, merits
 
 
 def _penalized_slope(prob, q, lam, gamma, p) -> float:
@@ -185,14 +213,14 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     """Multi-start pattern search over an increasing penalty schedule.
 
     Returns (incumbent as (xi, x), trace of StageRecord).  A stage seeds a
-    run at each start and at one random perturbation of it, evaluates the
-    seeds in one kernel call and polishes them all in lockstep from the
-    step diam/10 of the variable window.  Per start, the better of its two
-    polished seeds (the first on a tie) becomes the stage's point, and an
-    unbounded-below value raises there.  The schedule advances while the
-    incumbent's merit stays above TOL_MERIT and stops as soon as the
-    incumbent is feasible and the sampled strong slope of the penalized
-    objective there is under 1e-4.
+    run at each start and at one random perturbation of it and polishes
+    them all in lockstep from the step diam/10 of the variable window.  Per
+    start, the better of its two polished seeds (the first on a tie)
+    becomes the stage's point, with the value and merit the polish
+    returns, and an unbounded-below value raises there.  The schedule
+    advances while the incumbent's merit stays above TOL_MERIT and stops as
+    soon as the incumbent is feasible and the sampled strong slope of the
+    penalized objective there is under 1e-4.
     """
     starts = [prob.point(xi, x) for xi, x in starts]
     if not starts:
@@ -212,18 +240,15 @@ def solve_penalized(prob: pb.VepProblem, config: PenaltyConfig, starts):
     while lam <= config.lambda_max:
         seeds = np.array([q for q_start in incumbents for q in (
             q_start, np.clip(q_start + 0.05 * diam * rng.normal(size=len(q_start)), lo, up))])
-        values, _ = _penalized_rows(prob, seeds[:, :p], seeds[:, p:], lam, config.gamma)
-        pol_q, pol_v = _polish(prob, seeds, values.tolist(), diam / 10.0, lo, up, lam,
-                               config.gamma)
-        if min(pol_v) < -1e12:
+        pol_q, pol_v, pol_m = _polish(prob, seeds, diam / 10.0, lo, up, lam, config.gamma)
+        if pol_v.min() < -1e12:
             raise SolverError("penalized objective unbounded below")
         # the better of each start's two runs, the unperturbed one on a tie
         picks = [j + (pol_v[j + 1] < pol_v[j]) for j in range(0, len(pol_v), 2)]
-        Q = pol_q[picks]
-        incumbents = list(Q)
-        values, merits = _penalized_rows(prob, Q[:, :p], Q[:, p:], lam, config.gamma)
-        trace.extend(StageRecord(lam, si, pol_v[j], tuple(q.tolist()), me)
-                     for si, (j, q, me) in enumerate(zip(picks, incumbents, merits.tolist())))
+        incumbents = list(pol_q[picks])
+        values, merits = pol_v[picks], pol_m[picks]
+        trace.extend(StageRecord(lam, si, v, tuple(q.tolist()), me) for si, (q, v, me)
+                     in enumerate(zip(incumbents, values.tolist(), merits.tolist())))
         j = int(np.argmin(values))
         incumbent = incumbents[j]
         feasible = (merits[j] <= TOL_MERIT

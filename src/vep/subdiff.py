@@ -474,12 +474,18 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     return SubgradEstimate(bodies, OUTER)
 
 
+def check_graph_normals_scope(prob: pb.VepProblem) -> None:
+    """Raise ProblemError unless the sampled solution-graph normals cover
+    prob (p = n = 1)."""
+    if prob.p != 1 or prob.n != 1:
+        raise pb.ProblemError("sampled solution-graph normals need p = n = 1")
+
+
 def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayUnion:
     """Sampled basic normal cone to the solution-map graph at (xi, x); the
     graph is a planar curve, so p = n = 1."""
     xi, x = prob.point(xi, x)
-    if prob.p != 1 or prob.n != 1:
-        raise SubdiffError("sampled solution-graph normals need p = n = 1")
+    check_graph_normals_scope(prob)
     t0 = float(xi[0])
     cloud = pb.graph_samples(prob, t0 - window, t0 + window, 501)
     if len(cloud) == 0:

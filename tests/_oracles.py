@@ -802,3 +802,44 @@ def per_entry_slice_arrays(K, XI):
     for r, row in enumerate(K.rows):
         fill(A[:, r], row, None)
     return A, fill(np.empty((N, len(K.rhs))), K.rhs, None)
+
+
+def per_row_project_polytopes(A, b, X):
+    """``geometry.project_polytopes`` one row at a time, each row outside
+    its polytope through the enumeration that builds the Gram matrices,
+    determinants and inverses of its own A: the reference for the per-A
+    tables of ``geometry._projection_table``."""
+    from vep import geometry as geo
+
+    def nearest_feasible(A, b, norms, X, size):
+        k, n = A.shape[1:]
+        unit = A / np.where(norms > 0.0, norms, 1.0)[..., None]
+        r = (unit @ X[..., None])[..., 0] - b / np.where(norms > 0.0, norms, 1.0)
+        cands, ok = [], []
+        for j in range(1, min(k, n) + 1):
+            rows = geo._row_subsets(k, j)
+            US = unit[:, rows]
+            G = US @ US.swapaxes(2, 3)
+            ok.append(np.linalg.det(G) > 1e-24)
+            Ginv = np.linalg.inv(np.where(ok[-1][..., None, None], G, np.eye(j)))
+            cands.append(X[:, None, :] - (r[:, rows][..., None, :] @ Ginv @ US)[..., 0, :])
+        Z = np.concatenate(cands, axis=1)
+        slack = b[:, None, :] - Z @ A.transpose(0, 2, 1)
+        size = (size + np.sqrt(np.sum(Z * Z, axis=2)))[..., None]
+        feasible = np.concatenate(ok, axis=1) & np.all(
+            slack >= -1e-9 * (np.abs(b)[:, None, :] + norms[:, None, :] * size), axis=2)
+        gap = np.sum((X[:, None, :] - Z) ** 2, axis=2)
+        nearest = np.argmin(np.where(feasible, gap, np.inf), axis=1)
+        Z = Z[np.arange(len(X)), nearest]
+        Z[~feasible.any(axis=1)] = np.inf
+        return Z
+
+    out = np.array(X, dtype=float)
+    for i in range(len(X)):
+        Ai, bi, x = A[i if len(A) > 1 else 0][None], b[i if len(A) > 1 else 0][None], out[i:i + 1]
+        norms = np.sqrt(np.sum(Ai * Ai, axis=2))
+        size = np.sqrt(np.sum(x * x, axis=1))[:, None]
+        slack = bi - (Ai @ x[..., None])[..., 0]
+        if np.any(slack < -1e-9 * (np.abs(bi) + norms * 2.0 * size)):
+            out[i] = nearest_feasible(Ai, bi, norms, x, size)[0]
+    return out

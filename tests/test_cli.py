@@ -234,6 +234,25 @@ def test_probe_stability_rejects_p_other_than_one(capsys, tmp_path):
     assert err.strip() == "error: stability probe implemented for p = 1"
 
 
+@pytest.mark.parametrize("argv", [
+    (str(POLYTOPE), "--xi-bar", "0", "--x-bar", "0.5,0.5"),
+    ("TWO_PARAMS", "--xi-bar", "0,0", "--x-bar", "1"),
+])
+def test_check_subtransversality_rejects_p_or_n_other_than_one(capsys, tmp_path, monkeypatch,
+                                                               argv):
+    from vep import problem as pb
+
+    if argv[0] == "TWO_PARAMS":
+        path = tmp_path / "two_params.vep"
+        path.write_text(TWO_PARAMS)
+        argv = (str(path),) + argv[1:]
+    monkeypatch.setattr(pb, "graph_samples", lambda *a, **k: pytest.fail("graph sampled"))
+    code = cli.main(["check-subtransversality", *argv])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_LOAD
+    assert out == "" and err == "error: sampled solution-graph normals need p = n = 1\n"
+
+
 def test_determinism_of_fast_commands(capsys):
     for argv in (
         ["--seed", "7", "eval", "example:paper", "--xi", "0.25", "--x", "-1.5"],

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,10 @@ from scipy.optimize import nnls
 from _oracles import (einsum_polyline_project, gathered_basis_points, generator_cone_members,
                       grid_min_distance, hildreth_projection, nnls_cap_points,
                       nnls_cone_projection, per_face_dist_cone_batch,
-                      per_probe_limiting_normal_graph, per_value_cone_dist, qhull_vertices,
-                      reduce_on_segments, sampled_min_norm)
+                      per_probe_limiting_normal_graph, per_row_project_polytopes,
+                      per_value_cone_dist, qhull_vertices, reduce_on_segments, sampled_min_norm)
 
+POLYTOPE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "polytope.vep"
 ORTHANT2 = geo.Box([0.0, 0.0], [np.inf, np.inf])
 
 
@@ -145,6 +148,73 @@ def test_stacked_polytope_projection_is_its_scalar_calls():
                 assert np.array_equal(Z[i], geo.project(X[i], H))
         H = geo.Halfspaces(A[1], np.abs(b[1]))
         assert np.array_equal(geo.project_rows(X, H), [geo.project(x, H) for x in X])
+
+
+def _projection_calls(A, b, X):
+    """project_polytopes on the stack and on one row at a time."""
+    return [geo.project_polytopes(A, b, X),
+            np.concatenate([geo.project_polytopes(A[i:i + 1], b[i:i + 1], X[i:i + 1])
+                            for i in range(len(X))])]
+
+
+def test_polytope_projection_of_shared_a_stacks_is_the_per_row_enumeration():
+    from vep import problem as pb
+
+    prob = pb.load(str(POLYTOPE))
+    rng = np.random.default_rng(31)
+    XI, X = rng.uniform(-2, 2, (60, 1)), rng.uniform(-2, 3, (60, 2))
+    A, b = pb.slice_arrays(prob.K, XI)
+    out = ((A @ X[..., None])[..., 0] > b).any(axis=1)    # the merit's gather: rows outside
+    A, b, X = A[out], b[out], X[out]
+    assert len(X) > 20
+    ref = per_row_project_polytopes(A, b, X)
+    for got in _projection_calls(A, b, X):
+        assert np.array_equal(got, ref)
+    # one polytope for every row
+    ref = per_row_project_polytopes(A[:1], b[:1], X)
+    assert np.array_equal(geo.project_polytopes(A[:1], b[:1], X), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_polytope_projection_of_mixed_stacks_is_the_per_row_enumeration(n):
+    rng = np.random.default_rng(40 + n)
+    A0 = rng.normal(size=(5, n))
+    A0[2] = 0.0                                 # a zero row
+    A = np.repeat(A0[None], 30, axis=0)
+    A[::4] = rng.normal(size=(8, 5, n))         # every fourth slice its own A
+    b = rng.normal(size=(30, 5))                # some slices are empty
+    X = rng.normal(size=(30, n)) * 3
+    ref = per_row_project_polytopes(A, b, X)
+    assert np.isinf(ref).any() and np.isfinite(ref).any()
+    for got in _projection_calls(A, b, X):
+        assert np.array_equal(got, ref)
+    # the rows of shared A alone take its table: zero rows and empty slices
+    shared = np.ones(30, dtype=bool)
+    shared[::4] = False
+    ref = per_row_project_polytopes(A[shared], b[shared], X[shared])
+    assert np.isinf(ref).any() and np.isfinite(ref).any()
+    for got in _projection_calls(A[shared], b[shared], X[shared]):
+        assert np.array_equal(got, ref)
+
+
+def test_polytope_projection_of_no_rows():
+    A, b = np.ones((1, 3, 2)), np.ones((1, 3))
+    assert geo.project_polytopes(A, b, np.zeros((0, 2))).shape == (0, 2)
+    assert geo.project_polytopes(A[:0], b[:0], np.zeros((0, 2))).shape == (0, 2)
+
+
+def test_polytope_solve_builds_the_projection_table_of_a_once():
+    from vep import problem as pb
+    from vep import solver as sv
+
+    prob = pb.load(str(POLYTOPE))
+    geo._projection_table.cache_clear()
+    sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), [([1.0], [2.0, -0.5])])
+    info = geo._projection_table.cache_info()
+    assert info.misses == 1 and info.hits > 10
+    A = pb.slice_arrays(prob.K, np.zeros((1, 1)))[0][0]
+    scale, unit, grams = geo._projection_table(A.tobytes(), 5, 2)
+    assert not unit.flags.writeable and all(not a.flags.writeable for g in grams for a in g)
 
 
 def test_truncated_normal_off_a_polytope_is_the_unit_projection_direction():

@@ -1,4 +1,5 @@
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,12 +105,14 @@ def test_solver_kernel_calls(monkeypatch):
 
 
 def test_solver_penalized_rows_calls(monkeypatch):
-    # a work count: one polish at a time, each round one call, took 579
+    # a work count: one polish at a time, each round one call, took 579;
+    # rounds of the pending probes only, with a re-evaluation of each
+    # stage's points, took 201
     prob = pb.load(str(GENCONE))
     rows, calls = sv._penalized_rows, []
     monkeypatch.setattr(sv, "_penalized_rows", lambda *a: calls.append(None) or rows(*a))
     sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), _starts(prob, 3, 2))
-    assert len(calls) == 201
+    assert len(calls) == 97
 
 
 def test_solver_rows_skip_the_revalidation(monkeypatch):
@@ -157,18 +160,121 @@ def test_lockstep_polish_equals_the_sequential_polish(source, lam):
     (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
     lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
     Q = np.random.default_rng(7).uniform(lo, up, (5, len(lo)))
-    values, _ = sv._penalized_rows(prob, Q[:, :prob.p], Q[:, prob.p:], lam, 0.5)
-    got_q, got_v = sv._polish(prob, Q, values.tolist(), 0.3, lo, up, lam, 0.5)
+    got_q, got_v, got_m = sv._polish(prob, Q, 0.3, lo, up, lam, 0.5)
 
     def fn(w):
         return sv.penalized_value(prob, w[:prob.p], w[prob.p:], lam, 0.5)
 
     want = [sequential_polish(fn, q, 0.3, lo, up) for q in Q]
     assert np.array_equal(got_q, [q for q, _, _ in want])
-    assert got_v == [v for _, v, _ in want]
+    assert got_v.tolist() == [v for _, v, _ in want]
+    assert np.array_equal(got_m, mr.eval_merit_batch(prob, got_q[:, :prob.p], got_q[:, prob.p:]))
     # the polishes stop after different numbers of sweeps, so some of them
     # keep running after others have stopped
     assert len({sweeps for _, _, sweeps in want}) > 1
+
+
+def _row_sizes(monkeypatch, fn=None):
+    """Record the row count of every ``_penalized_rows`` call; with ``fn``,
+    a row function of the stacked (xi, x) points, the calls evaluate it in
+    place of the penalized objective (merits 0)."""
+    rows, sizes = sv._penalized_rows, []
+
+    def recorded(prob, XI, X, lam, gamma):
+        sizes.append(len(XI))
+        if fn is None:
+            return rows(prob, XI, X, lam, gamma)
+        return fn(np.hstack([XI, X])), np.zeros(len(XI))
+
+    monkeypatch.setattr(sv, "_penalized_rows", recorded)
+    return sizes
+
+
+def _targets(W):
+    # the distance to the nearest of 0, 10.25, 21 and 30.5, in one coordinate
+    return np.min(np.abs(W[:, :1] - np.array([0.0, 10.25, 21.0, 30.5])), axis=1)
+
+
+def _synthetic(affine_in_z):
+    return SimpleNamespace(p=1, f=SimpleNamespace(affine_in_z=affine_in_z))
+
+
+def test_ladder_moves_and_stops_at_different_rungs_of_one_call(monkeypatch):
+    # from 0, 10, 20 and 30 at step 1 the first round moves no polish, one
+    # on rung 2 (to 10.25), one on rung 0 (to 21) and one on rung 1 (to
+    # 30.5); thereafter none moves, and each runs its ladders down to the
+    # 1e-7 stop from a different sweep
+    sizes = _row_sizes(monkeypatch, _targets)
+    Q = np.array([[0.0], [10.0], [20.0], [30.0]])
+    lo, up = np.array([-100.0]), np.array([100.0])
+    got_q, got_v, got_m = sv._polish(_synthetic(True), Q, 1.0, lo, up, 1.0, 0.5)
+    want = [sequential_polish(lambda w: float(_targets(w[None])[0]), q, 1.0, lo, up) for q in Q]
+    assert np.array_equal(got_q, [q for q, _, _ in want])
+    assert got_v.tolist() == [v for _, v, _ in want] == [0.0] * 4
+    assert not got_m.any()
+    # the seeds; three rungs of two probes each, less the probes a move
+    # already took; in round 9 the polish at 10.25 stops after two rungs
+    # and the polish at 30.5 after three, and in round 10 the polish at 21
+    # after one
+    assert sizes == [4, 24, 21] + [24] * 6 + [16, 2]
+
+
+def test_ladder_is_cut_by_the_stop_below_1e_7(monkeypatch):
+    # from the step 3e-7 the ladder has two rungs, 3e-7 and 1.5e-7
+    prob = pb.load(str(POLYTOPE))
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
+    Q = np.random.default_rng(11).uniform(lo, up, (4, 3))
+    sizes = _row_sizes(monkeypatch)
+    got_q, got_v, _ = sv._polish(prob, Q, 3e-7, lo, up, 2.0, 0.5)
+    monkeypatch.undo()
+
+    def fn(w):
+        return sv.penalized_value(prob, w[:1], w[1:], 2.0, 0.5)
+
+    want = [sequential_polish(fn, q, 3e-7, lo, up) for q in Q]
+    assert np.array_equal(got_q, [q for q, _, _ in want])
+    assert got_v.tolist() == [v for _, v, _ in want]
+    # the first round's ladders stop at 1.5e-7; after a move at 3e-7 a
+    # ladder is the move's sweep, one at 3e-7 and one at 1.5e-7
+    assert sizes[:2] == [4, 4 * 2 * 6]
+    assert max(sizes[1:]) < 4 * 3 * 6
+
+
+@pytest.mark.parametrize("source", ["polytope.vep", "gencone.vep"])
+def test_ladder_probes_clipped_at_the_window(monkeypatch, source):
+    # polishes from window corners, whose outward probes are clipped back
+    # onto the bound
+    prob = pb.load(str(PROBLEMS / source))
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    lo, up = np.concatenate([wlo, xlo]), np.concatenate([wup, xup])
+    Q = np.array([lo, up, np.where(np.arange(len(lo)) % 2, lo, up)])
+    got_q, got_v, got_m = sv._polish(prob, Q, 0.7, lo, up, 4.0, 0.5)
+
+    def fn(w):
+        return sv.penalized_value(prob, w[:prob.p], w[prob.p:], 4.0, 0.5)
+
+    want = [sequential_polish(fn, q, 0.7, lo, up) for q in Q]
+    assert np.array_equal(got_q, [q for q, _, _ in want])
+    assert got_v.tolist() == [v for _, v, _ in want]
+    assert np.array_equal(got_m, mr.eval_merit_batch(prob, got_q[:, :prob.p], got_q[:, prob.p:]))
+
+
+def test_no_ladder_where_f_is_not_affine_in_z(monkeypatch):
+    # rows there run grid + Nelder-Mead each: a round evaluates only the
+    # pending probes, at most 2d rows per running polish
+    sizes = _row_sizes(monkeypatch, _targets)
+    Q = np.array([[0.0, 1.0], [10.0, -1.0], [20.0, 0.5], [30.0, 2.0]])
+    lo, up = np.full(2, -100.0), np.full(2, 100.0)
+    got_q, got_v, _ = sv._polish(_synthetic(False), Q, 1.0, lo, up, 1.0, 0.5)
+    want = [sequential_polish(lambda w: float(_targets(w[None])[0]), q, 1.0, lo, up) for q in Q]
+    assert np.array_equal(got_q, [q for q, _, _ in want])
+    assert got_v.tolist() == [v for _, v, _ in want]
+    assert sizes[:2] == [4, 4 * 4] and max(sizes[1:]) <= 4 * 4
+    # the same polishes with the ladder take fewer than half the calls
+    ladder = _row_sizes(monkeypatch, _targets)
+    sv._polish(_synthetic(True), Q, 1.0, lo, up, 1.0, 0.5)
+    assert len(ladder) < len(sizes) / 2
 
 
 def test_unbounded_objective_raises_like_the_sequential_reference(tmp_path):

@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-# qhull (``_hull_indices``) and nnls (Wolfe's refinement) load on first use; a name
-# already bound (a tracer's wrapper) is kept.  linprog is bound for the tracer only.
+# qhull (``_prune_hull``) loads on first use; a name already bound (a tracer's
+# wrapper) is kept.  nnls and linprog are bound for the tracer only.
 _SCIPY_NAMES = ("nnls", "linprog", "ConvexHull", "QhullError")
 
 
@@ -476,36 +476,14 @@ def _affine_min(Q: np.ndarray) -> np.ndarray:
     return sol[:m]
 
 
-def _segment_refine(P: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Dense pairwise refinement: exact line-search toward each point."""
-    x = x.copy()
-    for _ in range(200):
-        improved = False
-        xn = float(x @ x)
-        for p in P:
-            d = p - x
-            dd = float(d @ d)
-            if dd <= 0.0:
-                continue
-            t = -float(x @ d) / dd
-            if t <= 0.0:
-                continue
-            t = min(t, 1.0)
-            cand = x + t * d
-            cn = float(cand @ cand)
-            if cn < xn - TOL_MNP * max(1.0, xn):
-                x, xn, improved = cand, cn, True
-        if not improved:
-            break
-    return x
-
-
 def wolfe_min_norm(points):
     """Min-norm point of conv(points).
 
     Returns (q, indices, weights) with q = sum_i weights[i] * points[indices[i]].
-    Active-set iteration in the style of Wolfe's algorithm, with a dense
-    pairwise-refinement fallback when the active-set path stalls.
+    Active-set iteration in the style of Wolfe's algorithm.  It stops when
+    the gap x.x - min(P x) is at most TOL_MNP * max(1, x.x); should the
+    point that minimizes P x already be in the active set (a stall) or the
+    iteration cap be reached first, the active-set iterate is returned.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if len(P) == 0:
@@ -522,8 +500,6 @@ def wolfe_min_norm(points):
         j = int(np.argmin(dots))
         gap = xx - float(dots[j])
         if gap <= TOL_MNP * max(1.0, xx):
-            # optimal: every point of conv(P) has squared norm >= xx - 2*gap,
-            # so the refinement below could never gain the 10*TOL_MNP it needs
             return x, idx, w
         if j in idx:
             break
@@ -552,17 +528,6 @@ def wolfe_min_norm(points):
             w = w[keep]
             w = w / w.sum()
         x = w @ P[idx]
-    refined = _segment_refine(P, x)
-    if float(refined @ refined) < float(x @ x) - 10 * TOL_MNP * max(1.0, float(x @ x)):
-        # recover simplex weights for the refined point
-        aug = np.vstack([P.T, np.ones(len(P))])
-        target = np.concatenate([refined, [1.0]])
-        _bind_scipy()
-        coef, _ = nnls(aug, target)
-        support = np.nonzero(coef > 1e-12)[0]
-        if len(support) and abs(coef.sum() - 1.0) < 1e-6:
-            return refined, list(support), coef[support] / coef[support].sum()
-        return refined, idx, w
     return x, idx, w
 
 
@@ -825,27 +790,22 @@ def _cap_points(C: ConeRepr) -> np.ndarray:
 
 
 def _prune_hull(pts: np.ndarray) -> np.ndarray:
+    """The extreme points of the rows of pts (N, d): qhull's vertices where
+    it can take them, or else the hull within the affine hull, in reduced
+    coordinates.  Of exact copies of a row, one is returned."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return pts[_hull_indices(pts)]
-
-
-def _hull_indices(pts: np.ndarray) -> np.ndarray:
-    """Indices of the extreme points of the rows of pts (N, d): qhull's
-    vertices where it can take them, or else the hull within the affine
-    hull, in reduced coordinates.  Of exact copies of a row, the lowest
-    index is returned."""
     if len(pts) <= 1:
-        return np.arange(len(pts))
+        return pts.copy()
     d = pts.shape[1]
     if d == 1:
         lo, hi = int(np.argmin(pts[:, 0])), int(np.argmax(pts[:, 0]))
-        return np.array([lo] if pts[hi, 0] - pts[lo, 0] <= 0.0 else [lo, hi])
+        return pts[[lo] if pts[hi, 0] - pts[lo, 0] <= 0.0 else [lo, hi]]
     if len(pts) <= 3:
-        return np.unique(pts, axis=0, return_index=True)[1]
+        return pts[np.unique(pts, axis=0, return_index=True)[1]]
     _bind_scipy()
     if d <= 6:
         try:
-            return _first_copies(pts, ConvexHull(pts).vertices)
+            return pts[ConvexHull(pts).vertices]
         except QhullError:
             pass
     # a flat set: its hull within its affine hull, in reduced coordinates
@@ -854,34 +814,15 @@ def _hull_indices(pts: np.ndarray) -> np.ndarray:
     rank = int(np.sum(sing > 1e-10 * sing[0]))
     Y = centred @ Vt[:rank].T
     if rank == 0:
-        return np.array([0])
+        return pts[:1]
     if rank == 1:
-        return np.array([int(np.argmin(Y[:, 0])), int(np.argmax(Y[:, 0]))])
+        return pts[[int(np.argmin(Y[:, 0])), int(np.argmax(Y[:, 0]))]]
     if rank <= 6:
         try:
-            return _first_copies(pts, ConvexHull(Y).vertices)
+            return pts[ConvexHull(Y).vertices]
         except QhullError:
             pass
-    return np.unique(pts, axis=0, return_index=True)[1]
-
-
-def _first_copies(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """idx with each entry replaced by the lowest index of a row of pts
-    equal to its own: qhull keeps an arbitrary one of exact copies.  Only
-    the rows that share a hash bucket with one of idx's rows are compared;
-    the bucket hashes a fixed weighted sum of a row's entries, so exact
-    copies share it."""
-    keys = pts[:, 0].copy()
-    for j in range(1, pts.shape[1]):
-        keys += (1.0 + 0.6180339887 * j) * pts[:, j]
-    keys += 0.0     # -0.0 becomes 0.0
-    bits = max(16, len(idx).bit_length() + 6)     # about 1 in 64 buckets taken
-    bucket = (keys.view(np.uint64) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(64 - bits)
-    table = np.zeros(1 << bits, dtype=bool)
-    table[bucket[idx]] = True
-    cand = np.flatnonzero(table[bucket])
-    _, first, inverse = np.unique(pts[cand], axis=0, return_index=True, return_inverse=True)
-    return cand[first[inverse.ravel()[np.searchsorted(cand, idx)]]]
+    return pts[np.unique(pts, axis=0, return_index=True)[1]]
 
 
 @dataclass(frozen=True, eq=False)

@@ -304,36 +304,24 @@ def _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph):
         )
 
 
-def _sum_with_provenance(factors: list[np.ndarray]):
-    """Pairwise-sum point sets keeping, per summed point, its flat index in
-    the product of the factors' point lists (mixed radix, last factor
-    fastest): the row-major index of the full sum."""
-    total = factors[0]
-    prov = np.arange(len(total))
-    for F in factors[1:]:
-        new_total = (total[:, None, :] + F[None, :, :]).reshape(-1, total.shape[1])
-        new_prov = (prov[:, None] * len(F) + np.arange(len(F))).ravel()
-        if len(new_total) > 20000:
-            keep = geo._hull_indices(new_total)
-            total, prov = new_total[keep], new_prov[keep]
-        else:
-            total, prov = new_total, new_prov
-    return total, prov
-
-
 def _residual_and_witness(factor_pts: list[np.ndarray], radii: list[float]):
     """Distance from 0 to the sum of the factors conv(P_i) + r_i*B, and one
     summand per factor whose sum is the nearest point.  The balls are
     taken exactly: with q the min-norm point of the points' sum and
     R = sum r_i, the distance is max(0, |q| - R), and factor i's summand
-    is its share of q minus (r_i/R)*min(R, |q|)*q/|q|."""
-    total, prov = _sum_with_provenance(factor_pts)
+    is its share of q minus (r_i/R)*min(R, |q|)*q/|q|.  The points' sum
+    holds every tuple of factor rows, row-major with the last factor
+    fastest, so a row of it unravels to its tuple."""
+    shape = [len(F) for F in factor_pts]
+    total = factor_pts[0]
+    for F in factor_pts[1:]:
+        total = (total[:, None, :] + F[None, :, :]).reshape(-1, total.shape[1])
     q, idx, w = geo.wolfe_min_norm(total)
     nq = float(np.linalg.norm(q))
     ball = sum(radii)
     residual = max(nq - ball, 0.0)
     # one point per factor for each of Wolfe's support points
-    rows = np.unravel_index(prov[np.asarray(idx, dtype=int)], [len(F) for F in factor_pts])
+    rows = np.unravel_index(np.asarray(idx, dtype=int), shape)
     parts = []
     for F, r, rad in zip(factor_pts, rows, radii):
         part = np.zeros(F.shape[1])

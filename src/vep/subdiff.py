@@ -260,7 +260,8 @@ def _constraint_branches(a: np.ndarray, g: ex.Expr, s: float, xi: np.ndarray) ->
     where s·g is concave the graph has a reentrant corner and each row is
     its own branch; where s·g is convex the corner is salient and both rows
     form one fan; otherwise one row.  For p > 1 the row is (s·grad g, a),
-    and a kink of g raises.
+    and a kink of g raises ProblemError: a scope limit, not a failed
+    evaluation.
     """
     if len(xi) == 1:
         sm, sp = _one_sided_slopes(g, xi)
@@ -273,7 +274,7 @@ def _constraint_branches(a: np.ndarray, g: ex.Expr, s: float, xi: np.ndarray) ->
         return [gm.reshape(1, -1)]
     hull = ex.grad_hull(g, (xi, (), ()), "xi")
     if not hull.single:
-        raise SubdiffError("graph normals at a kink of the map need p = 1")
+        raise pb.ProblemError("graph normals at a kink of the map need p = 1")
     return [np.concatenate([s * hull.generators[0], a]).reshape(1, -1)]
 
 

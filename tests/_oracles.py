@@ -156,6 +156,28 @@ def hildreth_projection(x, A, b):
     raise geo.GeometryError("halfspace projection failed to converge")
 
 
+def lp_extreme_rows(pts):
+    """The distinct rows of pts that are extreme points of their convex
+    hull, by one LP per row: a row is kept when no convex combination of
+    the other distinct rows equals it.  The reference for the hull
+    branches of ``geometry._prune_hull``."""
+    from scipy.optimize import linprog
+
+    rows = np.unique(np.asarray(pts, dtype=float) + 0.0, axis=0)     # -0.0 is 0.0
+    keep = []
+    for i, x in enumerate(rows):
+        others = np.delete(rows, i, axis=0)
+        if not len(others):
+            keep.append(i)
+            continue
+        res = linprog(np.zeros(len(others)), A_eq=np.vstack([others.T, np.ones(len(others))]),
+                      b_eq=np.append(x, 1.0), bounds=(0, None), method="highs")
+        assert res.status in (0, 2), res.message     # feasible or infeasible
+        if res.status == 2:
+            keep.append(i)
+    return rows[keep]
+
+
 def qhull_vertices(A, b):
     """Vertices of a bounded {z : Az <= b} with an interior, by a Chebyshev
     centre LP and qhull's halfspace intersection (a closed form for n = 1):

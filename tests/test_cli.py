@@ -253,6 +253,67 @@ def test_check_subtransversality_rejects_p_or_n_other_than_one(capsys, tmp_path,
     assert out == "" and err == "error: sampled solution-graph normals need p = n = 1\n"
 
 
+# p = 2 with a kink of the map at xi = 0: K(xi) = [-|xi1| - 1, |xi2| + 1]
+KINKED_TWO_PARAMS = """
+[problem]
+p = 2
+n = 1
+m = 1
+
+[cone]
+type = orthant
+
+[K]
+type = box
+lower = -abs(xi1) - 1
+upper = abs(xi2) + 1
+
+[f]
+components = x1 - z1 + abs(xi1)
+
+[objective]
+expr = xi1^2 + xi2^2 + x1^2
+
+[Omega]
+type = box
+lower = 0, 0
+upper = inf, inf
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("--smooth-concave",)])
+def test_check_stationarity_at_a_p2_kink_exits_2(capsys, tmp_path, flags):
+    path = tmp_path / "kinked_two_params.vep"
+    path.write_text(KINKED_TWO_PARAMS)
+    code = cli.main(["check-stationarity", str(path), "--xi-bar", "0,0", "--x-bar", "1",
+                     "--gamma", "0.5", *flags])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_LOAD
+    assert out == "" and err == "error: graph normals at a kink of the map need p = 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--xi", "0,0", "--x", "1"),
+    ("solve", "--starts", "1"),
+    ("check-stationarity", "--xi-bar", "0,0", "--x-bar", "1", "--gamma", "0.5"),
+    ("check-stationarity", "--xi-bar", "0,0", "--x-bar", "1", "--gamma", "0.5",
+     "--smooth-concave"),
+    ("check-subtransversality", "--xi-bar", "0,0", "--x-bar", "1"),
+    ("probe-stability", "--xi-bar", "0,0", "--x-bar", "1"),
+    ("check-erbo", "--xi-bar", "0,0"),
+    ("estimate-constants",),
+])
+def test_every_command_on_a_p2_problem_ends_in_0_or_2(capsys, tmp_path, argv):
+    # a dimension limit is a scope error (2), never a traceback (1) or a
+    # failed evaluation (3)
+    path = tmp_path / "kinked_two_params.vep"
+    path.write_text(KINKED_TWO_PARAMS)
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_LOAD), err
+    assert (code == cli.EXIT_LOAD) == err.startswith("error: ")
+
+
 def test_determinism_of_fast_commands(capsys):
     for argv in (
         ["--seed", "7", "eval", "example:paper", "--xi", "0.25", "--x", "-1.5"],

@@ -10,7 +10,7 @@ from vep import geometry as geo
 from scipy.optimize import nnls
 
 from _oracles import (einsum_polyline_project, gathered_basis_points, generator_cone_members,
-                      grid_min_distance, hildreth_projection, nnls_cap_points,
+                      grid_min_distance, hildreth_projection, lp_extreme_rows, nnls_cap_points,
                       nnls_cone_projection, per_face_dist_cone_batch,
                       per_probe_limiting_normal_graph, per_row_project_polytopes,
                       per_value_cone_dist, qhull_vertices, reduce_on_segments, sampled_min_norm)
@@ -866,16 +866,12 @@ def _hull_cases():
 
 
 @pytest.mark.parametrize("case", list(_hull_cases()))
-def test_hull_indices_pick_the_lowest_exact_copy(case):
+def test_prune_hull_returns_the_extreme_rows(case):
+    # each extreme row once, whichever of its exact copies; no other row
     pts = _hull_cases()[case]
-    idx = geo._hull_indices(pts)
-    assert np.array_equal(geo._prune_hull(pts), pts[idx])
-    # the nearest-point search the indices replace: the first row at
-    # distance 0 from each hull point
-    nearest = [int(np.argmin(np.linalg.norm(pts - h, axis=1))) for h in pts[idx]]
-    assert idx.tolist() == nearest
-    for i in idx:
-        assert not (pts[:i] == pts[i]).all(axis=1).any()
+    got = [tuple(row) for row in geo._prune_hull(pts).tolist()]
+    assert len(got) == len(set(got))
+    assert set(got) == set(map(tuple, lp_extreme_rows(pts).tolist()))
 
 
 def test_basis_points_of_a_shared_a_stack_equal_the_per_slice_calls():
@@ -970,7 +966,7 @@ def test_lazy_scipy_names_resolve_and_keep_a_wrapper(monkeypatch):
         calls.append(len(args[0]))
         return ConvexHull(*args, **kwargs)
 
-    # a wrapper bound before first use: the binder in _hull_indices must keep it
+    # a wrapper bound before first use: the binder in _prune_hull must keep it
     monkeypatch.setitem(vars(geo), "ConvexHull", counting)
     pts = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0.5, 0.5]], dtype=float)
     assert sorted(map(tuple, geo._prune_hull(pts).tolist())) == sorted(map(tuple, pts[:4].tolist()))

@@ -406,36 +406,83 @@ def test_residual_monotone_under_summand_enlargement(tent):
     assert rep.residual == pytest.approx(residuals[0], abs=1e-6)
 
 
-def test_residual_takes_the_balls_exactly():
-    # conv P_i + r_i B summed: the distance from 0 is the points' min-norm
-    # distance less R = sum r_i, within the inscribed 180-gon's shortfall
-    # R (1 - cos(pi/180)) below the ring discretization, and each summand
-    # lies in its own factor
+def _residual_inputs():
+    """60 small planar sums, then three sums of 1 x 2 x 91 x 360 = 65,520
+    rows in R^3, the factor sizes of the polytope's smooth-concave sums:
+    two far from 0 and one around it."""
     rng = np.random.default_rng(23)
-    gap = 1.0 - np.cos(np.pi / 180.0)
-    swallowed = 0
-    for case in range(60):
+    for _ in range(60):
         k = int(rng.integers(2, 4))
         pts = [rng.normal(size=(int(rng.integers(1, 7)), 2)) + 3.0 * rng.normal(size=2)
                for _ in range(k)]
         radii = [0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 1.5))
                  for _ in range(k)]
-        R = sum(radii)
+        yield pts, radii
+    rng = np.random.default_rng(24)
+    for shift in (8.0, 0.0, 4.0):
+        pts = [rng.normal(size=(size, 3)) + shift for size in (1, 2, 91, 360)]
+        yield pts, [0.0, 0.0, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.0, 0.5))]
+
+
+def test_residual_takes_the_balls_exactly():
+    # conv P_i + r_i B summed: the distance from 0 is the points' min-norm
+    # distance less R = sum r_i, within the inscribed 180-gon's shortfall
+    # R (1 - cos(pi/180)) below the ring discretization (planar sums), and
+    # each summand lies in its own factor
+    gap = 1.0 - np.cos(np.pi / 180.0)
+    swallowed = {2: 0, 3: 0}
+    for case, (pts, radii) in enumerate(_residual_inputs()):
+        k, dim, R = len(pts), pts[0].shape[1], sum(radii)
         residual, parts = sv._residual_and_witness(pts, radii)
         total = pts[0]
         for P in pts[1:]:
-            total = (total[:, None, :] + P[None, :, :]).reshape(-1, 2)
+            total = (total[:, None, :] + P[None, :, :]).reshape(-1, dim)
         q, _, _ = geo.wolfe_min_norm(total)
         assert residual == pytest.approx(max(0.0, np.linalg.norm(q) - R), abs=1e-12), case
-        rings = [geo.ConvexBody(2, P, ball=r).ball_discretized() for P, r in zip(pts, radii)]
-        ring, _ = sv._residual_and_witness(rings, [0.0] * k)
-        assert ring - R * gap - 1e-12 <= residual <= ring + 1e-12, case
+        if dim == 2:
+            rings = [geo.ConvexBody(2, P, ball=r).ball_discretized() for P, r in zip(pts, radii)]
+            ring, _ = sv._residual_and_witness(rings, [0.0] * k)
+            assert ring - R * gap - 1e-12 <= residual <= ring + 1e-12, case
         assert len(parts) == k
-        assert np.linalg.norm(np.sum(parts, axis=0)) == pytest.approx(residual, abs=1e-12)
-        for part, P, r in zip(parts, pts, radii):
-            assert geo.dist_to_body(part, geo.ConvexBody(2, P, ball=r)) <= 1e-12, case
-        swallowed += residual == 0.0
-    assert 0 < swallowed < 60       # both sides of the ball are reached
+        s = np.sum(parts, axis=0)
+        assert np.linalg.norm(s) == pytest.approx(residual, abs=1e-12)
+        bodies = [geo.ConvexBody(dim, P, ball=r) for P, r in zip(pts, radii)]
+        for part, body in zip(parts, bodies):
+            assert geo.dist_to_body(part, body) <= 1e-12, case
+        # s is the nearest point: <s, y> >= |s|^2 on the sum, whose support
+        # function is the sum of the factors' own
+        assert s @ s + sum(geo.support(b, -s) for b in bodies) <= 1e-9 * max(1.0, q @ q), case
+        swallowed[dim] += residual == 0.0
+    assert 0 < swallowed[2] < 60 and 0 < swallowed[3] < 3   # both sides of the ball
+
+
+def test_the_assembler_never_stalls(monkeypatch):
+    # every min-norm point of the report commands' stationarity checks and
+    # of a gamma estimate meets Wolfe's optimality gap, so none of them
+    # comes from a stall or the iteration cap
+    from vep import diagnostics as dg
+
+    wolfe, gaps = geo.wolfe_min_norm, []
+
+    def checked(points):
+        x, idx, w = wolfe(points)
+        xx = float(x @ x)
+        gaps.append((xx - float(np.min(np.atleast_2d(points) @ x))) / max(1.0, xx))
+        return x, idx, w
+
+    monkeypatch.setattr(geo, "wolfe_min_norm", checked)
+    for source, points in (("example:paper", [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])]),
+                           (str(GENCONE), [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])]),
+                           (str(POLYTOPE), [([0.0], [0.5, 0.5]), ([0.5], [0.75, 0.75])])):
+        prob = pb.load(source)
+        for xi, x in points:
+            for grid in (None, (0.25, 0.5, 1.0)):
+                sv.check_stationarity_general(prob, xi, x, grid, 0.5)
+            for eps, l_f in (((0.05, 0.1), 1.0), ((0.02, 0.05, 0.1), 2.0)):
+                sv.check_stationarity_smooth_concave(prob, xi, x, None, 0.5, eps, l_f)
+    dg.estimate_gamma(pb.load(str(POLYTOPE)), [0.0], 1.0,
+                      dg.SampleSpec(grid_shape=(11, 11), n_random=20, seed=3))
+    assert len(gaps) > 500 and max(gaps) <= geo.TOL_MNP
 
 
 def test_solver_and_checker_agree(tent):

@@ -860,13 +860,35 @@ class ConvexBody:
         return pts
 
     def ball_discretized(self) -> np.ndarray:
-        """Points covering the whole body with the ball sampled on a sphere."""
+        """Points covering the whole body with the ball sampled on a sphere;
+        the unit ball's are built once per dimension (``_unit_ball_points``)."""
         pts = self.effective_points()
         if self.ball <= 0.0 or len(pts) == 0:
             return pts
-        dirs = _sphere_dirs(self.dim, int(round(360.0 / CAP_RES_DEG)) if self.dim == 2 else 64)
-        shift = self.ball * dirs
-        return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, self.dim))
+        if _is_unit_ball(self):
+            return _unit_ball_points(self.dim)
+        return _ball_sum(pts, self.ball)
+
+
+def _ball_sum(pts: np.ndarray, radius: float) -> np.ndarray:
+    """Hull points of conv(pts) + radius*B, B sampled as a 180-gon in 2-D,
+    +-1 in 1-D and 64 fixed directions above."""
+    dim = pts.shape[1]
+    dirs = _sphere_dirs(dim, int(round(360.0 / CAP_RES_DEG)) if dim == 2 else 64)
+    shift = radius * dirs
+    return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, dim))
+
+
+def _is_unit_ball(body: ConvexBody) -> bool:
+    return (body.ball == 1.0 and not body.caps and len(body.points) == 1
+            and not body.points.any())
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_ball_points(dim: int) -> np.ndarray:
+    """The unit ball's ``ball_discretized()`` points, read-only: every
+    coderivative-ball product has one as its second factor."""
+    return _read_only(_ball_sum(np.zeros((1, dim)), 1.0))
 
 
 def body_from_points(points, label: str = "", ball: float = 0.0) -> ConvexBody:
@@ -898,15 +920,35 @@ def scale_body(a: ConvexBody, t: float) -> ConvexBody:
 
 
 def product_body(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Cartesian product; balls are discretized (inscribed, flagged by label)."""
+    """Cartesian product; balls are discretized (inscribed, flagged by label).
+
+    The rows are the pairs (row of a, row of b), a's row slowest.  As
+    vert(P x Q) = vert(P) x vert(Q) (Ziegler, Lectures on Polytopes, 1995,
+    sec. 0.1), the pairs are kept as they are, qhull's answer in its index
+    order, when both lists are full-dimensional vertex lists by
+    construction (``_known_vertices``) and the product has dimension 3 or
+    more.  ``_prune_hull`` still takes planar products (qhull lists their
+    hull counter-clockwise), point or flat factors and other lists."""
     pa = a.ball_discretized()
     pb = b.ball_discretized()
+    dim = a.dim + b.dim
     if len(pa) == 0 or len(pb) == 0:
-        return ConvexBody(a.dim + b.dim, np.zeros((0, a.dim + b.dim)), label="empty")
+        return ConvexBody(dim, np.zeros((0, dim)), label="empty")
     pts = np.concatenate(
         [np.repeat(pa, len(pb), axis=0), np.tile(pb, (len(pa), 1))], axis=1
     )
-    return ConvexBody(a.dim + b.dim, _prune_hull(pts), label=f"({a.label})x({b.label})")
+    if dim < 3 or not (_known_vertices(a, pa) and _known_vertices(b, pb)):
+        pts = _prune_hull(pts)
+    return ConvexBody(dim, pts, label=f"({a.label})x({b.label})")
+
+
+def _known_vertices(body: ConvexBody, pts: np.ndarray) -> bool:
+    """Whether pts, the body's ``ball_discretized()``, are by construction
+    the vertices of a full-dimensional polytope: two distinct rows on the
+    line, or the unit ball's discretization."""
+    if body.dim == 1:
+        return len(pts) == 2 and pts[0, 0] != pts[1, 0]
+    return _is_unit_ball(body)
 
 
 def support(body: ConvexBody, direction) -> float:

@@ -309,9 +309,10 @@ def _residual_and_witness(factor_pts: list[np.ndarray], radii: list[float]):
     summand per factor whose sum is the nearest point.  The balls are
     taken exactly: with q the min-norm point of the points' sum and
     R = sum r_i, the distance is max(0, |q| - R), and factor i's summand
-    is its share of q minus (r_i/R)*min(R, |q|)*q/|q|.  The points' sum
-    holds every tuple of factor rows, row-major with the last factor
-    fastest, so a row of it unravels to its tuple."""
+    is its share of q minus (r_i/R)*min(R, |q|)*q/|q| (a one-row factor's
+    share is that row exactly).  The points' sum holds every tuple of
+    factor rows, row-major with the last factor fastest, so a row of it
+    unravels to its tuple."""
     shape = [len(F) for F in factor_pts]
     total = factor_pts[0]
     for F in factor_pts[1:]:
@@ -324,9 +325,12 @@ def _residual_and_witness(factor_pts: list[np.ndarray], radii: list[float]):
     rows = np.unravel_index(np.asarray(idx, dtype=int), shape)
     parts = []
     for F, r, rad in zip(factor_pts, rows, radii):
-        part = np.zeros(F.shape[1])
-        for j, weight in zip(r, w):
-            part = part + weight * F[j]
+        if len(F) == 1:     # Wolfe's weights sum to 1 only up to round-off
+            part = F[0].copy()
+        else:
+            part = np.zeros(F.shape[1])
+            for j, weight in zip(r, w):
+                part = part + weight * F[j]
         if rad > 0 and nq > 0:
             # the factor's share of the ball, taken along -q
             part = part - (rad / ball) * min(ball, nq) * (q / nq)

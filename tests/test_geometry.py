@@ -722,13 +722,67 @@ def test_minkowski_sum_and_scale():
 
 def test_product_body_of_segments_is_square():
     seg = geo.body_from_points([[0.0], [1.0]])
-    ball1 = geo.unit_ball_body(1)
-    sq = geo.product_body(seg, ball1)
-    assert geo.support(sq, [1.0, 0.0]) == pytest.approx(1.0)
-    assert geo.support(sq, [-1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    assert geo.support(sq, [0.0, -1.0]) == pytest.approx(1.0)
-    assert geo.body_contains(sq, [0.5, -0.7])
-    assert not geo.body_contains(sq, [-0.2, 0.0], tol=1e-6)
+    for side in (geo.unit_ball_body(1), geo.body_from_points([[1.0], [-1.0]]),
+                 geo.ConvexBody(1, [[-1.0], [0.0], [1.0]])):
+        sq = geo.product_body(seg, side)
+        assert len(sq.points) == 4
+        assert geo.support(sq, [1.0, 0.0]) == pytest.approx(1.0)
+        assert geo.support(sq, [-1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+        assert geo.support(sq, [0.0, -1.0]) == pytest.approx(1.0)
+        assert geo.body_contains(sq, [0.5, -0.7])
+        assert not geo.body_contains(sq, [-0.2, 0.0], tol=1e-6)
+
+
+def _all_pairs(a: geo.ConvexBody, b: geo.ConvexBody) -> np.ndarray:
+    pa, pb = a.ball_discretized(), b.ball_discretized()
+    return np.concatenate([np.repeat(pa, len(pb), axis=0), np.tile(pb, (len(pa), 1))], axis=1)
+
+
+def _product_cases(rng):
+    """(a, b, same_order): factor pairs for product_body, same_order when
+    both are full-dimensional and the product has dimension 3 or more."""
+    def segment():
+        return geo.body_from_points(rng.normal(size=(2, 1)))
+
+    def polygon():
+        return geo.body_from_points(rng.normal(size=(int(rng.integers(3, 9)), 2)))
+
+    for _ in range(8):
+        yield segment(), geo.unit_ball_body(2), True
+        yield geo.unit_ball_body(2), segment(), True
+        yield polygon(), segment(), True
+        yield segment(), polygon(), True
+        yield polygon(), polygon(), True                    # 4-D
+        yield segment(), geo.unit_ball_body(3), True        # 4-D, 64 sphere points
+        yield geo.body_from_points(rng.normal(size=(1, 1))), geo.unit_ball_body(2), False
+        yield polygon(), geo.body_from_points(rng.normal(size=(1, 2))), False
+        x = rng.normal()
+        yield geo.ConvexBody(1, [[x], [x]]), geo.unit_ball_body(2), False
+        yield segment(), segment(), False                   # planar
+        yield segment(), geo.unit_ball_body(1), False
+
+
+def test_product_body_is_the_pruned_all_pairs_product():
+    # vert(P x Q) = vert(P) x vert(Q): where product_body keeps the pairs
+    # as built, they are qhull's answer in its order; elsewhere qhull runs
+    for case, (a, b, same_order) in enumerate(_product_cases(np.random.default_rng(31))):
+        got = geo.product_body(a, b).points
+        want = geo._prune_hull(_all_pairs(a, b))
+        if same_order:
+            assert np.array_equal(got, want), case
+        else:
+            assert np.array_equal(np.unique(got, axis=0), np.unique(want, axis=0)), case
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_unit_ball_points_are_cached_read_only(dim):
+    pts = geo._unit_ball_points(dim)
+    assert geo.unit_ball_body(dim).ball_discretized() is pts
+    fresh = geo._prune_hull(geo._sphere_dirs(dim, 180 if dim == 2 else 64))
+    assert pts.dtype == fresh.dtype and pts.shape == fresh.shape
+    assert pts.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
 
 
 def test_halfspace_vertices_unit_square():

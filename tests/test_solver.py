@@ -407,9 +407,11 @@ def test_residual_monotone_under_summand_enlargement(tent):
 
 
 def _residual_inputs():
-    """60 small planar sums, then three sums of 1 x 2 x 91 x 360 = 65,520
-    rows in R^3, the factor sizes of the polytope's smooth-concave sums:
-    two far from 0 and one around it."""
+    """60 small planar sums; a planar sum of one row (an objective
+    gradient) and two polygons, whose Wolfe weights sum to 1 - 2e-16; then
+    three sums of 1 x 2 x 91 x 360 = 65,520 rows in R^3, the factor sizes
+    of the polytope's smooth-concave sums: two far from 0 and one around
+    it."""
     rng = np.random.default_rng(23)
     for _ in range(60):
         k = int(rng.integers(2, 4))
@@ -418,6 +420,9 @@ def _residual_inputs():
         radii = [0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 1.5))
                  for _ in range(k)]
         yield pts, radii
+    rng = np.random.default_rng(26)
+    yield [np.array([[0.0, 1.0]]), rng.normal(size=(3, 2)), rng.normal(size=(4, 2)) - 1.0], \
+        [0.0, 0.0, 0.0]
     rng = np.random.default_rng(24)
     for shift in (8.0, 0.0, 4.0):
         pts = [rng.normal(size=(size, 3)) + shift for size in (1, 2, 91, 360)]
@@ -428,7 +433,8 @@ def test_residual_takes_the_balls_exactly():
     # conv P_i + r_i B summed: the distance from 0 is the points' min-norm
     # distance less R = sum r_i, within the inscribed 180-gon's shortfall
     # R (1 - cos(pi/180)) below the ring discretization (planar sums), and
-    # each summand lies in its own factor
+    # each summand lies in its own factor; a one-row factor without a ball
+    # gives its row exactly
     gap = 1.0 - np.cos(np.pi / 180.0)
     swallowed = {2: 0, 3: 0}
     for case, (pts, radii) in enumerate(_residual_inputs()):
@@ -449,11 +455,13 @@ def test_residual_takes_the_balls_exactly():
         bodies = [geo.ConvexBody(dim, P, ball=r) for P, r in zip(pts, radii)]
         for part, body in zip(parts, bodies):
             assert geo.dist_to_body(part, body) <= 1e-12, case
+            if len(body.points) == 1 and body.ball == 0.0:
+                assert np.array_equal(part, body.points[0]), case
         # s is the nearest point: <s, y> >= |s|^2 on the sum, whose support
         # function is the sum of the factors' own
         assert s @ s + sum(geo.support(b, -s) for b in bodies) <= 1e-9 * max(1.0, q @ q), case
         swallowed[dim] += residual == 0.0
-    assert 0 < swallowed[2] < 60 and 0 < swallowed[3] < 3   # both sides of the ball
+    assert 0 < swallowed[2] < 61 and 0 < swallowed[3] < 3   # both sides of the ball
 
 
 def test_the_assembler_never_stalls(monkeypatch):
@@ -519,14 +527,30 @@ def test_smooth_concave_prune_hull_calls(monkeypatch):
     # a work count: with every factor discretized per (nu body, lambda,
     # mu branch) triple, this check made 33 calls, and 21 with the nu
     # bodies' Lipschitz ball summed as a 180-point ring per (nu body,
-    # lambda); the ball taken exactly needs no hull
+    # lambda); the ball taken exactly needs no hull; 9 with the 1-D unit
+    # ball discretized per coderivative-ball product, not once per dimension
     geo._normal_cone.cache_clear()
+    geo._unit_ball_points.cache_clear()
     prob = pb.load("example:paper")
     hull, calls = geo._prune_hull, []
     monkeypatch.setattr(geo, "_prune_hull", lambda pts: calls.append(None) or hull(pts))
     sv.check_stationarity_smooth_concave(prob, [0.0], [1.0], None, 0.5,
                                          eps_list=[0.05, 0.1], l_f=1.0)
-    assert len(calls) == 9
+    assert len(calls) == 8
+
+
+def test_polytope_mu_products_take_no_hull(monkeypatch):
+    # a work count: each of the two coderivative-ball products, a segment
+    # times the 180-gon, is a 360-row vertex list by construction, so no
+    # qhull call takes them
+    prob = pb.load(str(POLYTOPE))
+    hull, sizes = geo._prune_hull, []
+    monkeypatch.setattr(geo, "_prune_hull", lambda pts: sizes.append(np.shape(pts)) or hull(pts))
+    rep = sv.check_stationarity_general(prob, [0.0], [0.5, 0.5], None, 0.5)
+    assert rep.verdict == sv.STATIONARY
+    assert [s for s in sizes if s[1] >= 3 and s[0] > 3] == []
+    bodies = sd.mu_subgradient_estimate(prob, [0.0], [0.5, 0.5]).bodies
+    assert [b.points.shape for b in bodies] == [(360, 3), (360, 3)]
 
 
 def test_smooth_concave_residual_table_per_eps(tent):

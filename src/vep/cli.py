@@ -190,7 +190,10 @@ def cmd_check_subtransversality(prob, args, report: Report) -> int:
     xi_bar = np.atleast_1d(np.asarray(args.xi_bar, dtype=float))
     x_bar = np.atleast_1d(np.asarray(args.x_bar, dtype=float))
     point = np.concatenate([xi_bar, x_bar])
-    n_omega_gens = geo.normal_cone(prob.omega, xi_bar).branches[0]
+    try:
+        n_omega_gens = geo.normal_cone(prob.omega, xi_bar).branches[0]
+    except geo.GeometryError as err:    # xi_bar off Omega: a bad argument, before any sampling
+        raise pb.ProblemError(f"xi is not in the geometric set: {err}") from None
     padded = (np.hstack([n_omega_gens, np.zeros((len(n_omega_gens), prob.n))])
               if len(n_omega_gens) else np.zeros((0, prob.p + prob.n)))
     n1 = geo.RayUnion((padded,))

@@ -164,21 +164,7 @@ def _one_point_min_norms(prob: pb.VepProblem, XI, X, far: mr.Farthest | None,
     for k, comp in enumerate(prob.f.components):
         _, J[:, k], active = ex.grad_rows(comp, *pair, "x")
         kink |= active
-    # the u of every farthest vertex, as (vertex, u) entries
-    size = mr._dist_rows(F)
-    off = dist > 1e-9 * (1.0 + size)
-    owner, U = [np.flatnonzero(off)], [(F[off] - geo.project_cone_rows(F[off], prob.cone))
-                                       / dist[off, None]]
-    on = np.flatnonzero(~off)
-    if len(on):
-        cap = geo.cap_points(geo.dual_cone(prob.cone))
-        Fon, tol = F[on, None, :], 1e-7 * np.maximum(1.0, size[on])
-        # one cap point at a time keeps the temporaries at one number per vertex
-        normal = np.stack([np.abs(np.matmul(Fon, w[:, None])[:, 0, 0]) <= tol for w in cap], axis=1)
-        at, w = np.nonzero(normal)
-        owner += [on[at], on[~normal.any(axis=1)]]
-        U += [cap[w], np.zeros((len(owner[-1]), prob.m))]
-    owner, U = np.concatenate(owner), np.concatenate(U)
+    owner, U = sd._dist_subgradients(prob, F, dist)     # the u of every farthest vertex
     G = np.matmul(J[owner].swapaxes(1, 2), U[..., None])[..., 0]
     row = r[owner]
     first = np.argsort(row, kind="stable")[np.searchsorted(np.sort(row), np.arange(len(sel)))]

@@ -68,17 +68,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lower)
 
-    @property
-    def bounded(self) -> bool:
-        return bool(np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper)))
-
-    def vertices(self) -> np.ndarray:
-        if not self.bounded:
-            raise GeometryError("vertices of an unbounded box")
-        if self.dim > 16:
-            raise GeometryError("box vertex enumeration beyond 16 dims")
-        return box_corners(self.lower, self.upper)
-
 
 def box_corners(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """The 2^n corners of boxes with bounds of shape (..., n), as an array of
@@ -1104,13 +1093,19 @@ def _minors(n: int) -> tuple:
 
 def basis_vertices(A: np.ndarray, b: np.ndarray):
     """``basis_points`` with each vertex marked once: (Z, vertex, code),
-    ``vertex`` (N, S) marking the feasible solutions not within
-    1e-9 (1 + |z|) of an earlier feasible one.  A degenerate vertex solves
-    several subsystems: its first solution is kept."""
+    ``vertex`` = ``first_solutions(Z, feasible)``."""
     Z, feasible, code = basis_points(A, b)
+    return Z, first_solutions(Z, feasible), code
+
+
+def first_solutions(Z: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """The basis points Z (N, S, n) that ``feasible`` (N, S) marks and that
+    are not within 1e-9 (1 + |z|) of an earlier marked one, as a mask
+    (N, S).  A degenerate vertex solves several subsystems: its first
+    solution is kept."""
     gap = np.abs(Z[:, :, None, :] - Z[:, None, :, :]).max(axis=3)
     again = (gap <= 1e-9 * (1.0 + np.abs(Z).max(axis=2))[:, None, :]) & feasible[:, :, None]
-    return Z, feasible & ~np.triu(again, 1).any(axis=1), code
+    return feasible & ~np.triu(again, 1).any(axis=1)
 
 
 def halfspace_vertices(H: Halfspaces) -> np.ndarray:

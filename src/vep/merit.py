@@ -76,27 +76,31 @@ def _selector(mask: np.ndarray):
     return slice(None) if mask.all() else mask
 
 
-def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
-    """The vertex-exact part of N points' slices: (exact, Z, feasible, mu).
+def _slice_vertices(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, eps: float):
+    """The vertex-exact part of N points' slices enlarged by eps:
+    (exact, Z, feasible, mu).
 
-    ``exact`` marks the points whose slice is a bounded, nonempty box or a
-    polytope with a vertex list; for those, Z (shape (N', V, n)) holds
-    their slice's basis points (box corners, or ``geo.basis_points``, with
-    ``feasible`` marking the vertices; None for box corners, which all are)
-    and mu the distance of x to the slice, all as the scalar path computes
-    them.
+    ``exact`` marks the points whose slice is a bounded, nonempty box or,
+    at eps = 0, a polytope with a vertex list; for those, Z (N', V, n)
+    holds the basis points of the enlarged slice (the corners of the box
+    widened by eps, or ``geo.basis_points``, ``feasible`` marking the
+    vertices; None for box corners, which all are) and mu the distance of x
+    to the slice itself.  A bounded box in more than 16 dimensions raises
+    GeometryError: its corners are too many to list.
     """
     if isinstance(prob.K, pb.ParamBox):
-        if prob.n > 16:     # Box.vertices refuses so many corners
-            return np.zeros(len(XI), dtype=bool), None, None, None
         lo, up = pb.slice_arrays(prob.K, XI)
         exact = (np.isfinite(lo) & np.isfinite(up) & (lo <= up + 1e-12)).all(axis=1)
+        if not exact.any():
+            return exact, None, None, None
+        if prob.n > 16:
+            raise geo.GeometryError("box vertex enumeration beyond 16 dims")
         sel = _selector(exact)
         lo, up, X = lo[sel], up[sel], X[sel]
-        return exact, geo.box_corners(lo, up), None, _dist_rows(X - X.clip(lo, up))
+        return exact, geo.box_corners(lo - eps, up + eps), None, _dist_rows(X - X.clip(lo, up))
     A, b = pb.slice_arrays(prob.K, XI)
     Z, feasible, code = geo.basis_points(A, b)
-    exact = code == 0
+    exact = (code == 0) & (eps == 0.0)      # an enlarged polytope takes the grid
     sel = _selector(exact)
     A, b, X = A[sel], b[sel], X[sel]
     inside = (np.matmul(A, X[..., None])[..., 0] <= b + 1e-12 * (1.0 + np.abs(b))).all(axis=1)
@@ -111,9 +115,9 @@ class Farthest:
     """The farthest slice vertices of the vertex-exact points of a kernel
     call: ``exact`` (N,) marks those points; for the E of them, Z (E, V, n)
     holds their slices' basis points, F (E, V, m) the values of f there,
-    ``dists`` (E, V) the cone distances of F and ``mask`` (E, V) the
-    vertices within ``ARGMAX_TOL`` of the max, as ``eval_nu`` picks its
-    argmax (infeasible basis points are never in it)."""
+    ``dists`` (E, V) the cone distances of F (-inf at infeasible basis
+    points) and ``mask`` (E, V) the vertices within ``ARGMAX_TOL`` of the
+    max (infeasible basis points are never in it)."""
 
     exact: np.ndarray
     Z: np.ndarray
@@ -127,27 +131,31 @@ def _merit_parts(prob: pb.VepProblem, XI, X, farthest: bool = False):
     and with ``farthest`` a ``Farthest`` record as well (None when no point
     is vertex-exact).
 
-    Entry i of each equals ``eval_merit(prob, XI[i], X[i]).nu`` and ``.mu``
-    bit for bit.  Where f is affine in z and a slice is a bounded box or a
-    polytope with a vertex list, the sup of nu is a max over the slice's
-    vertices: the slices of all such points, f over all (point, vertex)
-    pairs and the cone distance of every value are each computed once
-    (infeasible basis points of a polytope count as -inf; a repeated vertex
-    cannot change a max).  Every other point goes through ``eval_merit``.
+    Entry i of each equals ``eval_merit(prob, XI[i], X[i]).nu`` and ``.mu``:
+    both read this kernel.  Where f is affine in z and a slice is a bounded
+    box or a polytope with a vertex list, the sup of nu is a max over the
+    slice's vertices: the slices of all such points, f over all (point,
+    vertex) pairs and the cone distance of every value are each computed
+    once (infeasible basis points of a polytope count as -inf; a repeated
+    vertex cannot change a max).  Every other point takes the grid and
+    local ascent of ``_grid_nu`` and ``geo.dist`` to its slice.
     """
     XI, X = prob.points(XI, X)
-    return _kernel_parts(prob, XI, X, farthest)
+    nu, mu, far, _ = _kernel_parts(prob, XI, X, farthest)
+    return (nu, mu, far) if farthest else (nu, mu)
 
 
-def _kernel_parts(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, farthest: bool):
+def _kernel_parts(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, farthest: bool,
+                  eps: float = 0.0):
     """``_merit_parts`` of rows that are already float arrays of shapes
     (N, p) and (N, n) with finite entries, such as the rows the solver
-    builds from checked points by clipped steps: the same values, without
-    ``prob.points``' re-validation."""
+    builds from checked points by clipped steps, without ``prob.points``'
+    re-validation, and of the slices enlarged by eps for nu: (nu, mu, far,
+    grid), ``grid`` the ``NuEval`` of each row that is not vertex-exact."""
     nu, mu = np.empty(len(XI)), np.empty(len(XI))
     exact = np.zeros(len(XI), dtype=bool)
     if prob.f.affine_in_z and len(XI):
-        exact, Z, feasible, mu_exact = _slice_vertices(prob, XI, X)
+        exact, Z, feasible, mu_exact = _slice_vertices(prob, XI, X, eps)
     far = None
     sel = _selector(exact)
     if exact.any():
@@ -159,11 +167,13 @@ def _kernel_parts(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, farthest: 
         mu[sel] = mu_exact
         if farthest:
             far = Farthest(exact, Z, F, dists, dists >= nu[sel][:, None] - ARGMAX_TOL)
+    grid = []
     if sel is exact:
         for i in np.flatnonzero(~exact):
-            me = eval_merit(prob, XI[i], X[i])
-            nu[i], mu[i] = me.nu, me.mu
-    return (nu, mu, far) if farthest else (nu, mu)
+            S = pb.slice_at(prob.K, XI[i])
+            grid.append(_grid_nu(prob, XI[i], X[i], eps, S))
+            nu[i], mu[i] = grid[-1].value, geo.dist(X[i], S)
+    return nu, mu, far, grid
 
 
 def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:
@@ -173,44 +183,47 @@ def eval_merit_batch(prob: pb.VepProblem, XI, X) -> np.ndarray:
     return nu + mu
 
 
-def _enlarged_box(S: geo.Box, eps: float) -> geo.Box:
-    return geo.Box(S.lower - eps, S.upper + eps)
-
-
 def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
     """sup over z in the (eps-enlarged) slice of dist(f(xi, x, z), C).
 
     When f is affine in z and the slice is a bounded box/polytope the sup
     is attained at a vertex and evaluated exactly; otherwise a dense grid
-    plus multistart local ascent is used and the method is recorded.
+    plus multistart local ascent is used and the method is recorded.  The
+    value is the merit kernel's, as ``_point`` reads it.
     """
     xi, x = prob.point(xi, x)
-    return _nu(prob, xi, x, eps, pb.slice_at(prob.K, xi))
+    return _point(prob, xi, x, eps)[0]
 
 
-def _nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> NuEval:
-    """eval_nu at a point already checked by ``prob.point``, on its slice S."""
+def _point(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float):
+    """eval_nu and mu at a point checked by ``prob.point``, the one row of a
+    kernel call, with f and its cone distance at the argmax: (NuEval, mu,
+    F, dists), F and dists None off the vertex-exact path.  A vertex-exact
+    argmax lists the farthest vertices in basis order, a degenerate
+    polytope vertex once (``geo.first_solutions``); an enlarged box in
+    n > 1 dimensions is flagged ``eps-box-superset``.  An overflow of f or
+    of a distance raises ProblemError."""
+    try:
+        with np.errstate(over="raise"):
+            nu, mu, far, grid = _kernel_parts(prob, xi[None], x[None], True, eps)
+    except FloatingPointError as err:
+        raise pb.ProblemError(f"the point overflows f or a distance: {err}") from None
+    if grid:
+        return grid[0], float(mu[0]), None, None
+    mask = far.mask
+    if isinstance(prob.K, pb.ParamPolytope):
+        mask = mask & geo.first_solutions(far.Z, far.dists != -np.inf)
+    flags = ("eps-box-superset",) if eps > 0.0 and prob.n > 1 else ()
+    arg = mask[0]
+    return (NuEval(float(nu[0]), tuple(far.Z[0][arg]), "vertex-exact", flags), float(mu[0]),
+            far.F[0][arg], far.dists[0][arg])
+
+
+def _grid_nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> NuEval:
+    """eval_nu of a point that is not vertex-exact, on its slice S: the max
+    over a grid of the (eps-enlarged) slice, refined on a box by Nelder-Mead
+    ascent from the five best grid points."""
     flags: list[str] = []
-
-    verts = None
-    if prob.f.affine_in_z:
-        if isinstance(S, geo.Box) and S.bounded:
-            box = S if eps == 0.0 else _enlarged_box(S, eps)
-            if eps > 0.0 and prob.n > 1:
-                flags.append("eps-box-superset")
-            verts = box.vertices()
-        elif isinstance(S, geo.Halfspaces) and eps == 0.0:
-            try:
-                verts = geo.halfspace_vertices(S)
-            except geo.GeometryError:
-                pass
-    if verts is not None:
-        vals = _f_dists(prob, xi[None], x[None], verts[None])[0]
-        best = float(vals.max())
-        arg = tuple(v for v, w in zip(verts, vals) if w >= best - ARGMAX_TOL)
-        return NuEval(best, arg, "vertex-exact", tuple(flags))
-
-    # grid path over the (enlarged) slice
     axes, truncated = pb._axis_grids(prob, S, 201)
     if truncated:
         flags.append("unbounded-window")
@@ -264,10 +277,9 @@ def eval_mu(prob: pb.VepProblem, xi, x) -> float:
 
 
 def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
+    """nu, mu and their sum at one point: the one row of a kernel call."""
     xi, x = prob.point(xi, x)
-    S = pb.slice_at(prob.K, xi)
-    nu = _nu(prob, xi, x, eps, S)
-    mu = geo.dist(x, S)
+    nu, mu = _point(prob, xi, x, eps)[:2]
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)
 
 

@@ -104,7 +104,7 @@ def _penalized_rows(prob, XI: np.ndarray, X: np.ndarray, lam: float,
     """penalized_value and merit at the rows of XI and X, float arrays with
     finite entries: the merits from one kernel call, the objective
     evaluated once over columns."""
-    nu, mu = mr._kernel_parts(prob, XI, X, False)
+    nu, mu = mr._kernel_parts(prob, XI, X, False)[:2]
     merit = nu + mu
     d_om = mr._dist_rows(XI - geo.project_rows(XI, prob.omega))
     return _penalize(prob, XI, X, d_om, merit, lam, gamma), merit

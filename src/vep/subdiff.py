@@ -66,15 +66,28 @@ class CoderivativeImage:
 # x-block subgradient of nu by the adjoint-image formula
 # ---------------------------------------------------------------------------
 
-def _dist_grad_cap(prob: pb.VepProblem, F: np.ndarray, d: float) -> np.ndarray:
-    """Subgradient set of dist(., C) at F as points: the unit outward
-    direction off the cone, the normal-cone cap on it."""
-    if d > 1e-9 * (1.0 + np.linalg.norm(F)):
-        return ((F - geo.project(F, prob.cone)) / d).reshape(1, -1)
-    cap = geo.cap_points(geo.dual_cone(prob.cone))
-    scale = max(1.0, float(np.linalg.norm(F)))
-    keep = [w for w in cap if abs(float(w @ F)) <= 1e-7 * scale]
-    return np.asarray(keep) if keep else np.zeros((1, prob.m))
+def _dist_subgradients(prob: pb.VepProblem, F: np.ndarray, dist: np.ndarray):
+    """The subgradient sets of dist(., C) at the values F (V, m), whose
+    distances are ``dist`` (V,), as points: (owner, U), owner[j] the value
+    whose set holds U[j].  Off the cone
+    (dist > 1e-9 (1 + |F|)) a set is the unit outward direction
+    (F - P_C F)/dist; on it, the points w of ``geo.dual_cone(C)``'s cap
+    with |w·F| <= 1e-7 max(1, |F|) in cap order, or the origin when none is
+    (F inside the cone)."""
+    size = mr._dist_rows(F)
+    off = dist > 1e-9 * (1.0 + size)
+    owner, U = [np.flatnonzero(off)], [(F[off] - geo.project_cone_rows(F[off], prob.cone))
+                                       / dist[off, None]]
+    on = np.flatnonzero(~off)
+    if len(on):
+        cap = geo.cap_points(geo.dual_cone(prob.cone))
+        Fon, tol = F[on, None, :], 1e-7 * np.maximum(1.0, size[on])
+        # one cap point at a time keeps the temporaries at one number per value
+        normal = np.stack([np.abs(np.matmul(Fon, w[:, None])[:, 0, 0]) <= tol for w in cap], axis=1)
+        at, w = np.nonzero(normal)
+        owner += [on[at], on[~normal.any(axis=1)]]
+        U += [cap[w], np.zeros((len(owner[-1]), prob.m))]
+    return np.concatenate(owner), np.concatenate(U)
 
 
 def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
@@ -82,33 +95,24 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
     u the unit outward direction of f(xi, x, z) from the cone (or the
     normal-cone cap when the value sits on the cone)."""
     xi, x = prob.point(xi, x)
-    nu = mr.eval_nu(prob, xi, x)
+    nu, _, F, dist = mr._point(prob, xi, x, 0.0)
     if not nu.argmax:
         raise SubdiffError("empty farthest-point set")
-    flags: list[str] = []
-    pts: list[np.ndarray] = []
-    kinked = False
-    for z in nu.argmax:
-        F = prob.f.eval(xi=xi, x=x, z=z).reshape(prob.m)
-        d = geo.dist(F, prob.cone)
-        U = _dist_grad_cap(prob, F, d)
+    if F is None:       # the grid keeps no values: f at its argmax points
+        F = mr._f_values(prob, xi[None], x[None], np.array(nu.argmax)[None])[0]
+        dist = mr._cone_dists(prob, F)
+    owner, U = _dist_subgradients(prob, F, dist)
+    pts, kinked = [], False
+    for k, z in enumerate(nu.argmax):
         jacs = prob.f.jac_branches((xi, x, np.asarray(z, dtype=float)), "x")
-        if len(jacs) > 1:
-            kinked = True
-        for J in jacs:
-            for u in U:
-                pts.append(J.T @ u)
+        kinked |= len(jacs) > 1
+        pts.extend(J.T @ u for J in jacs for u in U[owner == k])
     body = geo.body_from_points(np.asarray(pts), label="nu-x-subgradient")
+    if kinked:
+        return SubgradEstimate((body,), BRANCH_HULL, ("branch-hull-at-argmax",))
     smooth_ok = ("K-concave" in prob.asserts
                  and ("f-C-concave" in prob.asserts or "nu-convex" in prob.asserts))
-    if kinked:
-        flags.append("branch-hull-at-argmax")
-        exact = BRANCH_HULL
-    elif smooth_ok:
-        exact = EXACT_CONVEX
-    else:
-        exact = OUTER
-    return SubgradEstimate((body,), exact, tuple(flags))
+    return SubgradEstimate((body,), EXACT_CONVEX if smooth_ok else OUTER)
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,49 @@ def qhull_vertices(A, b):
     return pts[ConvexHull(pts).vertices]
 
 
+def per_point_vertex_nu(prob, xi, x, eps=0.0):
+    """The vertex-exact excess value at one point as it was taken point by
+    point, before the merit kernel served ``eval_nu``: (value, argmax,
+    flags), or None where f is not affine in z or the grid takes over.  A
+    bounded box slice gives the corners of the box widened by eps, listed
+    with the first coordinate slowest (more than 16 dimensions raise
+    GeometryError), and more than one dimension with eps > 0 is flagged
+    ``eps-box-superset``; a polytope slice at eps = 0 gives
+    ``geo.halfspace_vertices``.  Each vertex's value is ``geo.dist`` of one
+    scalar f evaluation; the argmax holds the vertices within 1e-8 of the
+    max, in vertex order."""
+    import itertools
+
+    from vep import geometry as geo
+    from vep import problem as pb
+
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not prob.f.affine_in_z:
+        return None
+    S = pb.slice_at(prob.K, xi)
+    flags = ()
+    if isinstance(S, geo.Box):
+        if not (np.isfinite(S.lower).all() and np.isfinite(S.upper).all()):
+            return None
+        if S.dim > 16:
+            raise geo.GeometryError("box vertex enumeration beyond 16 dims")
+        if eps > 0.0 and S.dim > 1:
+            flags = ("eps-box-superset",)
+        verts = np.array(list(itertools.product(*zip(S.lower - eps, S.upper + eps))))
+    elif eps > 0.0:
+        return None
+    else:
+        try:
+            verts = geo.halfspace_vertices(S)
+        except geo.GeometryError:
+            return None
+    vals = np.array([geo.dist(prob.f.eval(xi=xi, x=x, z=z).reshape(prob.m), prob.cone)
+                     for z in verts])
+    best = float(vals.max())
+    return best, verts[vals >= best - 1e-8], flags
+
+
 def pairwise_oracle_solutions(prob, xi, grid=None):
     """The grid solution oracle comparing every grid x of the slice with
     every grid z of it, chunked so that one f evaluation holds at most
@@ -417,7 +460,8 @@ def per_slice_axis_grids(prob, S, resolution):
         return prob.window["x"]
 
     if isinstance(S, geo.Box):
-        lo, up, truncated = S.lower, S.upper, not S.bounded
+        lo, up = S.lower, S.upper
+        truncated = not (np.isfinite(lo).all() and np.isfinite(up).all())
         if truncated:
             wlo, wup = window()
             lo = np.where(np.isfinite(S.lower), S.lower, wlo)

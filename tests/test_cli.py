@@ -527,6 +527,48 @@ def test_rho_whose_samples_overflow_exits_2(argv):
     assert "rho" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "example:paper", "--xi", "0", "--x", "1e200"),
+    ("eval", str(GENCONE), "--xi", "0", "--x", "1", "--epsilon", "1e200"),
+    ("eval", str(POLYTOPE), "--xi", "0", "--x", "0.5,0.5", "--epsilon", "1e308"),
+])
+def test_eval_whose_values_overflow_exits_2(argv):
+    # mu, a vertex-exact nu and a grid nu that overflow: no inf merit is
+    # printed, and a fresh interpreter shows any warning numpy would print
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "vep.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.strip().splitlines()) == 1
+    assert "overflow" in out.stderr
+
+
+def test_check_subtransversality_off_omega_exits_2(capsys, monkeypatch):
+    # xi_bar = -1 is outside Omega = [0, inf): refused before any sampling
+    from vep import subdiff as sd
+
+    monkeypatch.setattr(sd, "graph_E_normals", lambda *a, **k: pytest.fail("graph sampled"))
+    code = cli.main(["check-subtransversality", "example:paper", "--xi-bar", "-1", "--x-bar", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: xi is not in the geometric set: point is not on the set (dist 1)\n"
+
+
+def test_eval_on_a_17_dimensional_box_exits_3(capsys, tmp_path):
+    # 2^17 corners are too many to list: the vertex-exact path refuses
+    lower, upper = " ; ".join(["-1"] * 17), " ; ".join(["1"] * 17)
+    path = tmp_path / "wide.vep"
+    path.write_text("[problem]\np = 1\nn = 17\nm = 1\n[cone]\ntype = orthant\n"
+                    f"[K]\ntype = box\nlower = {lower}\nupper = {upper}\n"
+                    "[f]\ncomponents = x1 - z1\n[objective]\nexpr = x1^2\n")
+    code = cli.main(["eval", str(path), "--xi", "0", "--x", ",".join(["0"] * 17)])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == "error: box vertex enumeration beyond 16 dims\n"
+
+
 def test_estimate_constants_default_xi_bar_has_p_entries(capsys, tmp_path):
     path = tmp_path / "two_params.vep"
     path.write_text(TWO_PARAMS)

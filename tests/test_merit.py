@@ -9,6 +9,8 @@ from vep import expr as ex
 from vep import merit as mr
 from vep import problem as pb
 
+from _oracles import per_point_vertex_nu
+
 
 # ---------------------------------------------------------------------------
 # golden values on the worked instance
@@ -142,6 +144,16 @@ def _seeded_rows(prob, seed, count=150):
     return XI, X
 
 
+def _assert_independent_parts(prob, XI, X, nu, mu):
+    """mu is ``geo.dist`` to the slice (``eval_mu``) and a vertex-exact nu
+    is the per-point enumeration, bit for bit."""
+    want = [mr.eval_mu(prob, a, b) for a, b in zip(XI, X)]
+    assert np.array_equal(mu, want), np.flatnonzero(mu != want)
+    for i, (a, b) in enumerate(zip(XI, X)):
+        ref = per_point_vertex_nu(prob, a, b)
+        assert ref is None or nu[i] == ref[0], i
+
+
 def _assert_kernel_is_scalar(prob, XI, X):
     got = mr.eval_merit_batch(prob, XI, X)
     scalar = [mr.eval_merit(prob, a, b) for a, b in zip(XI, X)]
@@ -151,6 +163,7 @@ def _assert_kernel_is_scalar(prob, XI, X):
     nu, mu = mr._merit_parts(prob, XI, X)
     for part, want in ((nu, [me.nu for me in scalar]), (mu, [me.mu for me in scalar])):
         assert np.array_equal(part, want), np.flatnonzero(part != want)
+    _assert_independent_parts(prob, XI, X, nu, mu)
 
 
 @pytest.mark.parametrize("source, seed", [("example:paper", 1), (POLYTOPE, 2), (GENCONE, 3)])
@@ -205,18 +218,63 @@ def test_merit_parts_with_and_without_fallback_rows(monkeypatch):
     _, _, far = mr._merit_parts(prob, XI, X, farthest=True)
     assert far.exact.tolist() == [True, False, True, False, True, False]
     _assert_kernel_is_scalar(prob, XI[far.exact], X[far.exact])
-    # every row vertex-exact: the full-slice selector, and no scalar fallback
+    # every row vertex-exact: the full-slice selector, and no grid fallback
     for source, seed in (("example:paper", 6), (GENCONE, 7), (POLYTOPE, 8)):
         prob = pb.load(source)
         XI, X = _seeded_rows(prob, seed, count=60)
-        scalar = [mr.eval_merit(prob, a, b) for a, b in zip(XI, X)]
         with monkeypatch.context() as mp:
-            mp.setattr(mr, "eval_merit", None)
+            mp.setattr(mr, "_grid_nu", None)
             nu, mu, far = mr._merit_parts(prob, XI, X, farthest=True)
         assert far.exact.all() and len(far.Z) == len(XI)
-        assert np.array_equal(nu, [me.nu for me in scalar])
-        assert np.array_equal(mu, [me.mu for me in scalar])
+        assert all(per_point_vertex_nu(prob, a, b) is not None for a, b in zip(XI, X))
+        _assert_independent_parts(prob, XI, X, nu, mu)
         assert np.array_equal(far.mask.any(axis=1), np.ones(len(XI), dtype=bool))
+
+
+def _assert_nu_is_the_per_point_enumeration(prob, xi, x, eps):
+    ne, me = mr.eval_nu(prob, xi, x, eps=eps), mr.eval_merit(prob, xi, x, eps=eps)
+    assert (me.nu, me.method, me.flags) == (ne.value, ne.method, ne.flags)
+    assert np.array_equal(np.reshape(me.argmax_z, (-1, prob.n)), np.reshape(ne.argmax, (-1, prob.n)))
+    ref = per_point_vertex_nu(prob, xi, x, eps)
+    if ref is None:
+        assert ne.method != "vertex-exact"
+        return ne
+    value, argmax, flags = ref
+    assert (ne.value, ne.method, ne.flags) == (value, "vertex-exact", flags)
+    assert np.array_equal(np.reshape(ne.argmax, (-1, prob.n)), argmax)
+    return ne
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("source, seed", [("example:paper", 11), (POLYTOPE, 12), (GENCONE, 13)])
+def test_eval_nu_equals_the_per_point_enumeration(source, seed, eps):
+    prob = pb.load(source)
+    XI, X = _seeded_rows(prob, seed, count=40)
+    methods = {_assert_nu_is_the_per_point_enumeration(prob, a, b, eps).method
+               for a, b in zip(XI, X)}
+    # an enlarged polytope takes the grid; every other slice here is exact
+    assert methods == ({"grid"} if source == POLYTOPE and eps else {"vertex-exact"})
+
+
+def test_eval_nu_lists_a_degenerate_vertex_once():
+    # at xi = 0 three rows of the polytope meet at (2, -1) and at (-1, 2):
+    # the kernel holds each of them once per subsystem it solves
+    prob = pb.load(POLYTOPE)
+    ne = _assert_nu_is_the_per_point_enumeration(prob, [0.0], [0.5, 0.5], 0.0)
+    assert np.array_equal(np.reshape(ne.argmax, (-1, 2)), [[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]])
+    _, _, far = mr._merit_parts(prob, [[0.0]], [[0.5, 0.5]], farthest=True)
+    assert far.mask.sum() > 3
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25])
+def test_eval_nu_on_an_enlarged_plane_box(eps):
+    prob = pb.parse_problem_text(
+        "[problem]\np = 1\nn = 2\nm = 1\n[cone]\ntype = orthant\n[K]\ntype = box\n"
+        "lower = -1 ; -abs(xi1)\nupper = abs(xi1) + 1 ; 1\n[f]\ncomponents = x1 + x2 - z1 - 2 * z2\n"
+        "[objective]\nexpr = x1^2\n", "toy:plane-box")
+    for xi, x in (([0.5], [0.0, 0.0]), ([-1.0], [3.0, 0.5]), ([0.0], [-2.0, 1.0])):
+        ne = _assert_nu_is_the_per_point_enumeration(prob, xi, x, eps)
+        assert ne.flags == (("eps-box-superset",) if eps else ())
 
 
 def test_merit_batch_of_no_points(tent):

@@ -9,9 +9,10 @@ The script runs every command of ``report_bodies.commands()`` in this one
 process, as ``vep.cli.main(["--seed", "3", "--format", "json-like", ...])``
 with its output discarded, under a ``sys.settrace`` line collector (stdlib
 only).  It then prints, per module, the statement lines reached out of the
-statement lines inside function bodies, and the functions that no command
-enters.  A statement counts as reached when a line event falls on one of its
-own lines (its lines outside the statements nested in it).  Caches live for
+statement lines inside function bodies; the lines of the statements that no
+command reaches, as ranges; and the functions that no command enters.  A
+statement counts as reached when a line event falls on one of its own lines
+(its lines outside the statements nested in it).  Caches live for
 the whole process, so a line that only a cache miss runs counts once a
 command before it has run it; run time is a few seconds.
 """
@@ -67,6 +68,18 @@ def _census(tree: ast.Module):
     return statements, functions
 
 
+def _ranges(numbers: set[int]) -> str:
+    """Sorted numbers as comma-separated runs: {3, 4, 5, 9} -> "3-5, 9"."""
+    runs, ordered = [], sorted(numbers)
+    start = prev = ordered[0]
+    for k in ordered[1:] + [None]:
+        if k != prev + 1:
+            runs.append(f"{start}-{prev}" if prev > start else f"{start}")
+            start = k
+        prev = k
+    return ", ".join(runs)
+
+
 def _run_commands(commands) -> tuple[dict, dict]:
     """Line events and entered code objects, per file under src/vep."""
     lines, entered = defaultdict(set), defaultdict(set)
@@ -104,7 +117,7 @@ def main():
 
     lines, entered = _run_commands(commands())
     reached_total = total = 0
-    missed = []
+    missed, unreached = [], []
     print(f"{'module':<16} {'reached':>8} {'total':>6}")
     for path in sorted(PACKAGE.glob("*.py")):
         statements, functions = _census(ast.parse(path.read_text(encoding="utf-8")))
@@ -113,9 +126,14 @@ def main():
         reached_total += reached
         total += len(statements)
         print(f"vep.{path.stem:<12} {reached:>8} {len(statements):>6}")
+        cold = set().union(*(own for own in statements if not own & seen))
+        if cold:
+            unreached.append(f"  vep.{path.stem}: {_ranges(cold)}")
         missed += [f"vep.{path.stem}.{name}" for first, name in functions
                    if first not in entered[str(path)]]
     print(f"{'total':<16} {reached_total:>8} {total:>6}  ({100 * reached_total / total:.0f}%)")
+    print("statement lines no command reaches:")
+    print("\n".join(unreached))
     print(f"functions no command enters ({len(missed)}):")
     for name in missed:
         print(f"  {name}")

@@ -529,35 +529,42 @@ def stability_probe(prob: pb.VepProblem, xi_bar, x_bar, gamma: float) -> Certifi
     beta = 0.0
     lsc_ok = True
     lsc_witness = None
-    # the oracle at every t and, last, at xi_bar for its grid step
-    per_t, steps = pb._oracle_rows(prob, np.append(ts, xi_bar)[:, None], pb.OracleGrid())
-    # merit at (t, x_bar + dx) for every t and dx; column 1 is x_bar itself
-    dxs = (-0.25, 0.0, 0.25)
-    table = mr.eval_merit_batch(prob, np.repeat(ts, len(dxs))[:, None],
-                                [x_bar + dx for _ in ts for dx in dxs]).reshape(len(ts), len(dxs))
-    for t, sols, step, me in zip(ts, per_t, steps, table[:, 1].tolist()):
-        slack = step + 1e-9
-        d = float(np.min(np.linalg.norm(sols - x_bar, axis=1))) if len(sols) else math.inf
-        if d > me / gamma + slack:
-            lsc_ok = False
-            lsc_witness = (t,)
-        dt = abs(t - float(xi_bar[0]))
-        if dt > 1e-12:
-            beta = max(beta, me / dt)
-    # local Lipschitz constant of merit in xi near the point
-    ell = float(np.max(np.abs(np.diff(table, axis=0)) / np.diff(ts)[:, None]))
-    aubin_bound = ell / gamma
-    worst_ratio = 0.0
-    for i, (s1, s2) in enumerate(zip(per_t, per_t[1:n_xi])):
-        if len(s1) == 0 or len(s2) == 0:
-            continue
-        near = s2[np.linalg.norm(s2 - x_bar, axis=1) <= 1.0]
-        if len(near) == 0:
-            continue
-        exc = max(float(np.min(np.linalg.norm(s1 - q, axis=1))) for q in near)
-        worst_ratio = max(worst_ratio, exc / abs(ts[i + 1] - ts[i]))
-    slack = steps[-1] / (ts[1] - ts[0]) + 1e-6
-    ok = lsc_ok and worst_ratio <= aubin_bound + slack
+    # an x_bar whose merit samples overflow gives no probe: it ends as a
+    # load error, not as a verdict on inf and NaN values
+    try:
+        with np.errstate(over="raise"):
+            # the oracle at every t and, last, at xi_bar for its grid step
+            per_t, steps = pb._oracle_rows(prob, np.append(ts, xi_bar)[:, None], pb.OracleGrid())
+            # merit at (t, x_bar + dx) for every t and dx; column 1 is x_bar itself
+            dxs = (-0.25, 0.0, 0.25)
+            table = mr.eval_merit_batch(
+                prob, np.repeat(ts, len(dxs))[:, None],
+                [x_bar + dx for _ in ts for dx in dxs]).reshape(len(ts), len(dxs))
+            for t, sols, step, me in zip(ts, per_t, steps, table[:, 1].tolist()):
+                slack = step + 1e-9
+                d = float(np.min(np.linalg.norm(sols - x_bar, axis=1))) if len(sols) else math.inf
+                if d > me / gamma + slack:
+                    lsc_ok = False
+                    lsc_witness = (t,)
+                dt = abs(t - float(xi_bar[0]))
+                if dt > 1e-12:
+                    beta = max(beta, me / dt)
+            # local Lipschitz constant of merit in xi near the point
+            ell = float(np.max(np.abs(np.diff(table, axis=0)) / np.diff(ts)[:, None]))
+            aubin_bound = ell / gamma
+            worst_ratio = 0.0
+            for i, (s1, s2) in enumerate(zip(per_t, per_t[1:n_xi])):
+                if len(s1) == 0 or len(s2) == 0:
+                    continue
+                near = s2[np.linalg.norm(s2 - x_bar, axis=1) <= 1.0]
+                if len(near) == 0:
+                    continue
+                exc = max(float(np.min(np.linalg.norm(s1 - q, axis=1))) for q in near)
+                worst_ratio = max(worst_ratio, exc / abs(ts[i + 1] - ts[i]))
+            slack = steps[-1] / (ts[1] - ts[0]) + 1e-6
+            ok = lsc_ok and worst_ratio <= aubin_bound + slack
+    except FloatingPointError as err:
+        raise pb.ProblemError(f"the merit samples around x_bar overflow: {err}") from None
     return Certificate(
         "stability", CERTIFIED if ok else REFUTED, aubin_bound,
         (lsc_witness,) if lsc_witness else (),

@@ -752,7 +752,7 @@ def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
 
 
 # ---------------------------------------------------------------------------
-# convex bodies: conv(points) + r*B + capped cones
+# convex bodies: conv(points) + r*B
 # ---------------------------------------------------------------------------
 
 def cap_points(C: ConeRepr) -> np.ndarray:
@@ -816,19 +816,18 @@ def _prune_hull(pts: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ConvexBody:
-    """conv(points) ⊕ ball*B ⊕ sum of discretized cone caps."""
+    """conv(points) ⊕ ball*B.  A cone cap is folded into the points where
+    the body is made (``truncated_normal``)."""
 
     dim: int
     points: np.ndarray
     ball: float = 0.0
-    caps: tuple = ()
-    label: str = ""
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.size == 0:
             pts = pts.reshape(0, self.dim)
-        if pts.shape[0] == 0 and (self.caps or self.ball > 0):
+        if pts.shape[0] == 0 and self.ball > 0:
             pts = np.zeros((1, self.dim))
         object.__setattr__(self, "points", pts)
         if pts.shape[0] and pts.shape[1] != self.dim:
@@ -838,106 +837,50 @@ class ConvexBody:
     def is_empty(self) -> bool:
         return len(self.points) == 0
 
-    def effective_points(self) -> np.ndarray:
-        """Hull points after folding the cone caps in (ball kept separate)."""
-        if self.is_empty:
-            return self.points
-        pts = self.points
-        for cap in self.caps:
-            cp = cap_points(cap)
-            pts = _prune_hull((pts[:, None, :] + cp[None, :, :]).reshape(-1, self.dim))
-        return pts
-
-    def ball_discretized(self) -> np.ndarray:
-        """Points covering the whole body with the ball sampled on a sphere;
-        the unit ball's are built once per dimension (``_unit_ball_points``)."""
-        pts = self.effective_points()
-        if self.ball <= 0.0 or len(pts) == 0:
-            return pts
-        if _is_unit_ball(self):
-            return _unit_ball_points(self.dim)
-        return _ball_sum(pts, self.ball)
-
-
-def _ball_sum(pts: np.ndarray, radius: float) -> np.ndarray:
-    """Hull points of conv(pts) + radius*B, B sampled as a 180-gon in 2-D,
-    +-1 in 1-D and 64 fixed directions above."""
-    dim = pts.shape[1]
-    dirs = _sphere_dirs(dim, int(round(360.0 / CAP_RES_DEG)) if dim == 2 else 64)
-    shift = radius * dirs
-    return _prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, dim))
-
-
-def _is_unit_ball(body: ConvexBody) -> bool:
-    return (body.ball == 1.0 and not body.caps and len(body.points) == 1
-            and not body.points.any())
-
 
 @functools.lru_cache(maxsize=None)
 def _unit_ball_points(dim: int) -> np.ndarray:
-    """The unit ball's ``ball_discretized()`` points, read-only: every
-    coderivative-ball product has one as its second factor."""
-    return _read_only(_ball_sum(np.zeros((1, dim)), 1.0))
+    """Hull points of the unit ball sampled as a 180-gon in 2-D, +-1 in 1-D
+    and 64 fixed directions above, built once per dimension, read-only."""
+    dirs = _sphere_dirs(dim, int(round(360.0 / CAP_RES_DEG)) if dim == 2 else 64)
+    return _read_only(_prune_hull(dirs))
 
 
-def body_from_points(points, label: str = "", ball: float = 0.0) -> ConvexBody:
+def body_from_points(points, ball: float = 0.0) -> ConvexBody:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return ConvexBody(pts.shape[1] if pts.size else 1, _prune_hull(pts) if pts.size else pts,
-                      ball=ball, label=label)
-
-
-def unit_ball_body(dim: int) -> ConvexBody:
-    return ConvexBody(dim, np.zeros((1, dim)), ball=1.0, label="ball")
+                      ball=ball)
 
 
 def minkowski(a: ConvexBody, b: ConvexBody) -> ConvexBody:
     if a.dim != b.dim:
         raise GeometryError("minkowski sum dimension mismatch")
     if a.is_empty or b.is_empty:
-        return ConvexBody(a.dim, np.zeros((0, a.dim)), label="empty")
+        return ConvexBody(a.dim, np.zeros((0, a.dim)))
     pts = (a.points[:, None, :] + b.points[None, :, :]).reshape(-1, a.dim)
-    return ConvexBody(a.dim, _prune_hull(pts), ball=a.ball + b.ball,
-                      caps=a.caps + b.caps, label=f"{a.label}+{b.label}")
+    return ConvexBody(a.dim, _prune_hull(pts), ball=a.ball + b.ball)
 
 
-def scale_body(a: ConvexBody, t: float) -> ConvexBody:
-    """t * body for t >= 0; caps are discretized into hull points."""
-    if t < 0:
-        raise GeometryError("negative scaling of a body")
-    pts = a.effective_points()
-    return ConvexBody(a.dim, t * pts, ball=t * a.ball, label=a.label)
+def product_with_ball(a: ConvexBody, n: int) -> ConvexBody:
+    """a x B^n for a body a without a ball, B^n discretized
+    (``_unit_ball_points``, inscribed).
 
-
-def product_body(a: ConvexBody, b: ConvexBody) -> ConvexBody:
-    """Cartesian product; balls are discretized (inscribed, flagged by label).
-
-    The rows are the pairs (row of a, row of b), a's row slowest.  As
+    The rows are the pairs (row of a, ball row), a's row slowest.  As
     vert(P x Q) = vert(P) x vert(Q) (Ziegler, Lectures on Polytopes, 1995,
     sec. 0.1), the pairs are kept as they are, qhull's answer in its index
-    order, when both lists are full-dimensional vertex lists by
-    construction (``_known_vertices``) and the product has dimension 3 or
-    more.  ``_prune_hull`` still takes planar products (qhull lists their
-    hull counter-clockwise), point or flat factors and other lists."""
-    pa = a.ball_discretized()
-    pb = b.ball_discretized()
-    dim = a.dim + b.dim
-    if len(pa) == 0 or len(pb) == 0:
-        return ConvexBody(dim, np.zeros((0, dim)), label="empty")
+    order, when a is 1-D with two distinct rows and the product has
+    dimension 3 or more.  ``_prune_hull`` still takes planar products
+    (qhull lists their hull counter-clockwise) and other factors."""
+    pa, pb = a.points, _unit_ball_points(n)
+    dim = a.dim + n
+    if len(pa) == 0:
+        return ConvexBody(dim, np.zeros((0, dim)))
     pts = np.concatenate(
         [np.repeat(pa, len(pb), axis=0), np.tile(pb, (len(pa), 1))], axis=1
     )
-    if dim < 3 or not (_known_vertices(a, pa) and _known_vertices(b, pb)):
+    if dim < 3 or not (a.dim == 1 and len(pa) == 2 and pa[0, 0] != pa[1, 0]):
         pts = _prune_hull(pts)
-    return ConvexBody(dim, pts, label=f"({a.label})x({b.label})")
-
-
-def _known_vertices(body: ConvexBody, pts: np.ndarray) -> bool:
-    """Whether pts, the body's ``ball_discretized()``, are by construction
-    the vertices of a full-dimensional polytope: two distinct rows on the
-    line, or the unit ball's discretization."""
-    if body.dim == 1:
-        return len(pts) == 2 and pts[0, 0] != pts[1, 0]
-    return _is_unit_ball(body)
+    return ConvexBody(dim, pts)
 
 
 def support(body: ConvexBody, direction) -> float:
@@ -945,17 +888,14 @@ def support(body: ConvexBody, direction) -> float:
     d = np.asarray(direction, dtype=float)
     if body.is_empty:
         return -float("inf")
-    val = float(np.max(body.points @ d))
-    for cap in body.caps:
-        val += float(np.max(cap_points(cap) @ d))
-    return val + body.ball * float(np.linalg.norm(d))
+    return float(np.max(body.points @ d)) + body.ball * float(np.linalg.norm(d))
 
 
 def min_norm_point(body: ConvexBody) -> tuple[np.ndarray, float]:
     """Point of the body nearest the origin and its norm."""
     if body.is_empty:
         raise GeometryError("min-norm point of an empty body")
-    q, _, _ = wolfe_min_norm(body.effective_points())
+    q, _, _ = wolfe_min_norm(body.points)
     nq = float(np.linalg.norm(q))
     if nq <= body.ball:
         return np.zeros(body.dim), 0.0
@@ -968,7 +908,7 @@ def dist_to_body(x, body: ConvexBody) -> float:
     x = np.asarray(x, dtype=float)
     if body.is_empty:
         return float("inf")
-    q, _, _ = wolfe_min_norm(body.effective_points() - x)
+    q, _, _ = wolfe_min_norm(body.points - x)
     return max(float(np.linalg.norm(q)) - body.ball, 0.0)
 
 
@@ -977,7 +917,8 @@ def body_contains(body: ConvexBody, x, tol: float = 1e-8) -> bool:
 
 
 def truncated_normal(x, S) -> ConvexBody:
-    """Unit-truncated normal map: N(x;S) ∩ B on the set, unit projection
+    """Unit-truncated normal map: N(x;S) ∩ B on the set, its cap's points
+    (``cap_points``) as the body's points, and the unit projection
     direction off the set."""
     x = np.asarray(x, dtype=float)
     q = project(x, S)
@@ -986,10 +927,10 @@ def truncated_normal(x, S) -> ConvexBody:
     if d <= TOL_ON * (1.0 + np.linalg.norm(x)):
         gens = normal_cone(S, q).branches[0]
         if len(gens) == 0:
-            return ConvexBody(dim, np.zeros((1, dim)), label="normal-cap")
-        return ConvexBody(dim, np.zeros((1, dim)),
-                          caps=(_normal_cone(gens.tobytes(), dim),), label="normal-cap")
-    return ConvexBody(dim, ((x - q) / d).reshape(1, -1), label="unit-outward")
+            return ConvexBody(dim, np.zeros((1, dim)))
+        # 0.0 + turns a -0.0 entry into 0.0, as the sum with the apex did
+        return ConvexBody(dim, _prune_hull(0.0 + cap_points(_normal_cone(gens.tobytes(), dim))))
+    return ConvexBody(dim, ((x - q) / d).reshape(1, -1))
 
 
 @functools.lru_cache(maxsize=64)

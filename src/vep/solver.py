@@ -279,14 +279,13 @@ def _default_dirs(dim: int) -> list[np.ndarray]:
 def _omega_cap_body(prob, xi_bar) -> geo.ConvexBody:
     """(N(xi; Omega) ∩ B) x {0} as a body in R^(p+n)."""
     cap = geo.truncated_normal(xi_bar, prob.omega)
-    pts = cap.effective_points()
-    padded = np.hstack([pts, np.zeros((len(pts), prob.n))])
-    return geo.ConvexBody(prob.p + prob.n, padded, label="omega-normal-cap")
+    padded = np.hstack([cap.points, np.zeros((len(cap.points), prob.n))])
+    return geo.ConvexBody(prob.p + prob.n, padded)
 
 
 def _phi_body(prob, xi_bar, x_bar) -> geo.ConvexBody:
     hull = ex.grad_hull(prob.objective, (xi_bar, x_bar, ()), "xix")
-    return geo.body_from_points(hull.as_matrix(), label="objective-subgradient")
+    return geo.body_from_points(hull.as_matrix())
 
 
 def _check_preconditions(prob, xi_bar, x_bar, gamma, tol_on_graph):
@@ -340,7 +339,7 @@ def _residual_and_witness(factor_pts: list[np.ndarray], radii: list[float]):
 
 def _factor(body: geo.ConvexBody, t: float) -> tuple[np.ndarray, float]:
     """t * body as a residual factor: its hull points and its ball radius."""
-    return geo.scale_body(body, t).effective_points(), t * body.ball
+    return t * body.points, t * body.ball
 
 
 def _refutation_scan(phi_body, omega_body, nu_body, k_bodies, gamma, dirs):

@@ -107,7 +107,7 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
         jacs = prob.f.jac_branches((xi, x, np.asarray(z, dtype=float)), "x")
         kinked |= len(jacs) > 1
         pts.extend(J.T @ u for J in jacs for u in U[owner == k])
-    body = geo.body_from_points(np.asarray(pts), label="nu-x-subgradient")
+    body = geo.body_from_points(np.asarray(pts))
     if kinked:
         return SubgradEstimate((body,), BRANCH_HULL, ("branch-hull-at-argmax",))
     smooth_ok = ("K-concave" in prob.asserts
@@ -156,7 +156,7 @@ def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     if not grads:
         nu = _nu_rows(prob, np.concatenate([q0 + steps, q0 - steps]))
         grads = [(nu[: len(q0)] - nu[len(q0):]) / (2 * h)]
-    body = geo.body_from_points(np.asarray(grads), label="nu-subgradient")
+    body = geo.body_from_points(np.asarray(grads))
     convex = "nu-convex" in prob.asserts or (
         "K-concave" in prob.asserts and "f-C-concave" in prob.asserts
     )
@@ -202,8 +202,7 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
                 if np.linalg.matrix_rank(J) < prob.m and "derivative-not-onto" not in flags:
                     flags.append("derivative-not-onto")
                 pts.extend(J.T @ u for u in cap)
-        body = geo.ConvexBody(prob.p + prob.n, geo._prune_hull(np.asarray(pts)),
-                              ball=float(l_f), label=f"nu-outer-eps={eps:g}")
+        body = geo.ConvexBody(prob.p + prob.n, geo._prune_hull(np.asarray(pts)), ball=float(l_f))
         per_eps.append((eps, body))
     bodies = (per_eps[0][1],)
     return NuOuterEstimate(bodies, OUTER, tuple(flags), tuple(per_eps))
@@ -411,7 +410,7 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexB
     for br in normals.branches:
         k = len(br)
         if k == 0:
-            bodies.append(geo.ConvexBody(p, np.zeros((1, p)), label="coder-zero"))
+            bodies.append(geo.ConvexBody(p, np.zeros((1, p))))
             continue
         Gxi = br[:, :p]
         Gx = br[:, p:]
@@ -420,10 +419,10 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexB
             nx = float(np.linalg.norm(gx))
             if nx <= 1e-12:
                 pts = np.vstack([np.zeros(p), cap_radius * Gxi[0]])
-                bodies.append(geo.ConvexBody(p, pts, label="coder-ray-truncated"))
+                bodies.append(geo.ConvexBody(p, pts))
                 continue
             pts = np.vstack([np.zeros(p), Gxi[0] / nx])
-            bodies.append(geo.ConvexBody(p, pts, label="coder-segment"))
+            bodies.append(geo.ConvexBody(p, pts))
             continue
         # fan: sample directions of the branch cone, cap each at the ball
         pts = [np.zeros(p)]
@@ -434,8 +433,7 @@ def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexB
                 pts.append(cap_radius * (Gxi.T @ t))
             else:
                 pts.append((Gxi.T @ t) / nx)
-        bodies.append(geo.ConvexBody(p, geo._prune_hull(np.asarray(pts)),
-                                     label="coder-fan-discretized"))
+        bodies.append(geo.ConvexBody(p, geo._prune_hull(np.asarray(pts))))
     return bodies
 
 
@@ -446,8 +444,7 @@ def mu_subgradient_estimate(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
     S = pb.slice_at(prob.K, xi)
     zbar = geo.project(x, S)
     branches = coderivative_K_ball_image(prob, xi, zbar)
-    ball = geo.unit_ball_body(prob.n)
-    bodies = tuple(geo.product_body(b, ball) for b in branches)
+    bodies = tuple(geo.product_with_ball(b, prob.n) for b in branches)
     return SubgradEstimate(bodies, OUTER, ("k-lsc-assumed",))
 
 
@@ -473,8 +470,7 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     if len(rows) and np.ptp(rows[:, p:], axis=0).max() > 1e-12:
         return None
     nx = float(np.linalg.norm(rows[0, p:])) if len(rows) else 1.0
-    bodies = tuple(geo.ConvexBody(dim, np.vstack([np.zeros(dim), br / nx]),
-                                  label="mu-graph-normal-cap")
+    bodies = tuple(geo.ConvexBody(dim, np.vstack([np.zeros(dim), br / nx]))
                    for br in normals.branches)
     return SubgradEstimate(bodies, OUTER)
 
@@ -492,15 +488,21 @@ def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayU
     xi, x = prob.point(xi, x)
     check_graph_normals_scope(prob)
     t0 = float(xi[0])
-    cloud = pb.graph_samples(prob, t0 - window, t0 + window, 501)
-    if len(cloud) == 0:
-        raise SubdiffError("no solution-graph samples in the window")
-    left = cloud[cloud[:, 0] <= t0 + 1e-12]
-    right = cloud[cloud[:, 0] >= t0 - 1e-12]
-    branches = [b for b in (left, right) if len(b) >= 2]
-    if not branches:
-        branches = [cloud]
-    return geo.limiting_normal_graph(
-        branches, np.concatenate([xi, x]),
-        radii=(0.04 * window, 0.02 * window, 0.01 * window),
-    )
+    # a point or samples that overflow give no normals: an overflowing
+    # |point| would switch off the test that the point is on the samples
+    try:
+        with np.errstate(over="raise"):
+            cloud = pb.graph_samples(prob, t0 - window, t0 + window, 501)
+            if len(cloud) == 0:
+                raise SubdiffError("no solution-graph samples in the window")
+            left = cloud[cloud[:, 0] <= t0 + 1e-12]
+            right = cloud[cloud[:, 0] >= t0 - 1e-12]
+            branches = [b for b in (left, right) if len(b) >= 2]
+            if not branches:
+                branches = [cloud]
+            return geo.limiting_normal_graph(
+                branches, np.concatenate([xi, x]),
+                radii=(0.04 * window, 0.02 * window, 0.01 * window),
+            )
+    except FloatingPointError as err:
+        raise pb.ProblemError(f"the point or its solution-graph samples overflow: {err}") from None

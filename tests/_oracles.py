@@ -445,6 +445,50 @@ def per_sample_gamma(prob, xi_bar, rho, spec):
     return best, verdict, (np.asarray(xi, dtype=float), np.asarray(x, dtype=float)), flags
 
 
+def lazy_fold_min_norm(prob, xi, x):
+    """``diagnostics._min_norm_body``'s distance with the truncated normal
+    map's cap folded in last, as it was while a body kept its cone caps
+    apart: with a the points of ``nu_partial_subgradient_smooth``'s body
+    and t the truncated normal's point (0 on the slice, the unit outward
+    direction off it), the min-norm point of
+    _prune_hull(_prune_hull(a + {t}) + cap), the cap left out where x is
+    off the slice or inside it."""
+    from vep import geometry as geo
+    from vep import problem as pb
+    from vep import subdiff as sd
+
+    xi, x = prob.point(xi, x)
+    S = pb.slice_at(prob.K, xi)
+    a = sd.nu_partial_subgradient_smooth(prob, xi, x).body.points
+    q = geo.project(x, S)
+    d = float(np.linalg.norm(x - q))
+    cap = None
+    if d <= geo.TOL_ON * (1.0 + np.linalg.norm(x)):
+        t = np.zeros((1, len(x)))
+        gens = geo.normal_cone(S, q).branches[0]
+        if len(gens):
+            cap = geo.cap_points(geo.generated_cone(gens))
+    else:
+        t = ((x - q) / d).reshape(1, -1)
+    pts = geo._prune_hull((a[:, None, :] + t[None, :, :]).reshape(-1, len(x)))
+    if cap is not None:
+        pts = geo._prune_hull((pts[:, None, :] + cap[None, :, :]).reshape(-1, len(x)))
+    q, _, _ = geo.wolfe_min_norm(pts)
+    return float(np.linalg.norm(q))
+
+
+def ball_sum(pts, radius):
+    """Hull points of conv(pts) + radius*B, B sampled as a 180-gon in 2-D,
+    +-1 in 1-D and 64 fixed directions above: the ring a body's ball was
+    discretized to before the residual took the balls exactly."""
+    from vep import geometry as geo
+
+    dim = pts.shape[1]
+    dirs = geo._sphere_dirs(dim, int(round(360.0 / geo.CAP_RES_DEG)) if dim == 2 else 64)
+    shift = radius * dirs
+    return geo._prune_hull((pts[:, None, :] + shift[None, :, :]).reshape(-1, dim))
+
+
 def per_slice_axis_grids(prob, S, resolution):
     """The axis grids of one slice, and whether the window truncated it, as
     they were taken slice by slice: a bounded box's bounds; the bounding box,

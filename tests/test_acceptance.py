@@ -94,10 +94,13 @@ def test_criterion_5a_stationarity_identity(tent):
     # the identity (0,2) + (0,0) + (0,-1) + (0,-1) = 0 holds summand-wise
     lam = gam = 0.5
     phi = sv._phi_body(tent, np.array([0.0]), np.array([1.0]))
-    omega = geo.scale_body(sv._omega_cap_body(tent, np.array([0.0])), lam)
-    nu = geo.scale_body(sd.nu_subgradient_full(tent, [0.0], [1.0]).body, lam / gam)
-    kbr = [geo.scale_body(b, lam / gam)
-           for b in sd.mu_subgradient_estimate(tent, [0.0], [1.0]).bodies]
+
+    def scaled(b, t):
+        return geo.ConvexBody(b.dim, t * b.points, ball=t * b.ball)
+
+    omega = scaled(sv._omega_cap_body(tent, np.array([0.0])), lam)
+    nu = scaled(sd.nu_subgradient_full(tent, [0.0], [1.0]).body, lam / gam)
+    kbr = [scaled(b, lam / gam) for b in sd.mu_subgradient_estimate(tent, [0.0], [1.0]).bodies]
     ok = ok and geo.body_contains(phi, [0.0, 2.0], tol=1e-9)
     ok = ok and geo.body_contains(omega, [0.0, 0.0], tol=1e-9)
     ok = ok and geo.body_contains(nu, [0.0, -1.0], tol=1e-9)
@@ -183,7 +186,7 @@ def test_criterion_8_property_suite(tent):
         pts = rng.uniform(-2, 2, size=(6, 2)) + rng.uniform(-1, 1, 2)
         body = geo.body_from_points(pts, ball=float(rng.uniform(0, 0.3)))
         _, d = geo.min_norm_point(body)
-        oracle = sampled_min_norm(body.effective_points(), body.ball, n=8000)
+        oracle = sampled_min_norm(body.points, body.ball, n=8000)
         if not (d <= oracle + 1e-9 and oracle - d <= 0.02):
             ok, notes = False, notes + ["min-norm"]
 

@@ -545,6 +545,24 @@ def test_eval_whose_values_overflow_exits_2(argv):
     assert "overflow" in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("probe-stability", "example:paper", "--xi-bar", "0", "--x-bar", "1e200", "--gamma", "0.9"),
+    ("check-subtransversality", "example:paper", "--xi-bar", "0", "--x-bar", "1e200"),
+])
+def test_x_bar_whose_samples_overflow_exits_2(argv):
+    # a finite x_bar whose merit samples or norm overflow: no verdict on
+    # inf and NaN values, and a fresh interpreter shows any warning numpy
+    # would print
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-m", "vep.cli", *argv], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr.startswith("error: ") and len(out.stderr.strip().splitlines()) == 1
+    assert "overflow" in out.stderr
+
+
 def test_check_subtransversality_off_omega_exits_2(capsys, monkeypatch):
     # xi_bar = -1 is outside Omega = [0, inf): refused before any sampling
     from vep import subdiff as sd

@@ -11,9 +11,9 @@ from vep import merit as mr
 from vep import problem as pb
 from vep import subdiff as sd
 
-from _oracles import (per_pair_lipschitz_f, per_point_c_bounded_sups, per_point_distance_oracles,
-                      per_point_error_bound, per_point_kappa, per_sample_gamma,
-                      per_target_openness_rate)
+from _oracles import (lazy_fold_min_norm, per_pair_lipschitz_f, per_point_c_bounded_sups,
+                      per_point_distance_oracles, per_point_error_bound, per_point_kappa,
+                      per_sample_gamma, per_target_openness_rate)
 from conftest import make_const_box
 
 SMALL = dg.SampleSpec(grid_shape=(13, 13), n_random=40)
@@ -121,6 +121,35 @@ def test_gamma_sweep_matches_the_per_sample_loop(case, monkeypatch):
     if case in ("paper", "polytope", "refuted-at-cap", "kinked"):
         # normal-cap or kinked rows keep the per-sample body
         assert calls
+
+
+@pytest.mark.parametrize("on_faces", [False, True])
+def test_cap_folded_at_construction_keeps_every_n2_gamma_distance(on_faces, monkeypatch):
+    # the truncated normal's cap is summed into its points before the
+    # Minkowski sum with the subgradient body, not after it: on the
+    # polytope (n = 2) every per-sample row keeps its distance bit for bit.
+    # The problem's x window puts no grid point on a face of the slice, so
+    # no row of the first case has a cap; the slice's own bounds put rows
+    # of the second on its faces
+    prob, spec = _gamma_cases()["polytope"]
+    if on_faces:
+        spec = dg.SampleSpec(grid_shape=spec.grid_shape, n_random=spec.n_random,
+                             x_window=(np.array([-1.0, -1.0]), np.array([2.0, 2.0])))
+    body, rows = dg._min_norm_body, []
+
+    def record(*args):
+        d, flags = body(*args)
+        rows.append((args, d))
+        return d, flags
+
+    monkeypatch.setattr(dg, "_min_norm_body", record)
+    dg.estimate_gamma(prob, [0.0], 1.0, spec)
+    assert rows
+    capped = 0
+    for (_, xi, x), d in rows:
+        assert d == lazy_fold_min_norm(prob, xi, x), (xi, x)
+        capped += len(geo.truncated_normal(x, pb.slice_at(prob.K, xi)).points) > 1
+    assert (capped > 0) == on_faces
 
 
 # ---------------------------------------------------------------------------

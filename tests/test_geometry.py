@@ -487,9 +487,9 @@ def test_normal_cone_product_rule():
 
 def test_truncated_normal_table_on_interval():
     S = geo.Box([-1.0], [1.0])
-    lowends = geo.truncated_normal([-1.0], S).effective_points().ravel()
+    lowends = geo.truncated_normal([-1.0], S).points.ravel()
     assert sorted(lowends.tolist()) == [-1.0, 0.0]
-    assert np.allclose(geo.truncated_normal([0.2], S).effective_points(), [[0.0]])
+    assert np.allclose(geo.truncated_normal([0.2], S).points, [[0.0]])
     assert np.allclose(geo.truncated_normal([-3.0], S).points, [[-1.0]])
     assert np.allclose(geo.truncated_normal([4.0], S).points, [[1.0]])
 
@@ -500,7 +500,7 @@ def test_truncated_normal_stays_in_unit_ball():
     for _ in range(40):
         x = rng.uniform(-3, 3, 2)
         body = geo.truncated_normal(x, S)
-        pts = body.effective_points()
+        pts = body.points
         assert np.all(np.linalg.norm(pts, axis=1) <= 1 + 1e-9)
 
 
@@ -511,7 +511,7 @@ def test_truncated_normal_stays_in_unit_ball():
 def test_support_examples():
     box = geo.body_from_points([[0, -1], [0, 1], [1, -1], [1, 1]])
     assert geo.support(box, [-1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-    ball = geo.unit_ball_body(2)
+    ball = geo.ConvexBody(2, np.zeros((1, 2)), ball=1.0)
     assert geo.support(ball, [0.6, -0.8]) == pytest.approx(1.0)
     seg = geo.ConvexBody(2, [[1, 1], [1, -1]], ball=0.5)
     assert geo.support(seg, [1.0, 0.0]) == pytest.approx(1.5)
@@ -531,7 +531,7 @@ def test_min_norm_against_dense_sampling():
         pts = rng.uniform(-2, 2, size=(7, 2)) + rng.uniform(-1, 1, 2)
         body = geo.body_from_points(pts, ball=float(rng.uniform(0, 0.3)))
         _, d = geo.min_norm_point(body)
-        oracle = sampled_min_norm(body.effective_points(), body.ball)
+        oracle = sampled_min_norm(body.points, body.ball)
         assert d <= oracle + 1e-9
         assert oracle - d <= 0.02
 
@@ -543,8 +543,9 @@ def test_min_norm_support_duality():
     dirs = geo._sphere_dirs(2, 512)
     for _ in range(5):
         pts = rng.uniform(-2, 2, size=(6, 2)) + np.array([1.5, 0.5])
-        body = geo.ConvexBody(2, pts, ball=0.2,
-                              caps=(geo.generated_cone([[1.0, 0.2]]),))
+        cap = geo.cap_points(geo.generated_cone([[1.0, 0.2]]))
+        folded = geo._prune_hull((pts[:, None, :] + cap[None, :, :]).reshape(-1, 2))
+        body = geo.ConvexBody(2, folded, ball=0.2)
         _, d = geo.min_norm_point(body)
         dual = max(-geo.support(body, -u) for u in dirs)
         assert dual <= d + 1e-9  # weak duality
@@ -697,13 +698,10 @@ def test_truncated_normal_reuses_one_cone_per_active_set(monkeypatch):
     monkeypatch.setattr(geo, "_cap_points", lambda C: built.append(C) or caps(C))
     points = [[1.0, 1.0], [1.0, 0.2], [0.3, 1.0]] * 4
     bodies = [geo.truncated_normal(x, H) for x in points]
-    assert len(built) == 0      # caps are built when a body is used
-    effective = [b.effective_points() for b in bodies]
-    assert len(built) == 3
-    for x, pts in zip(points, effective):
-        fresh = geo.ConvexBody(2, np.zeros((1, 2)),
-                               caps=(geo.generated_cone(geo.normal_cone(H, x).branches[0]),))
-        assert np.array_equal(pts, fresh.effective_points())
+    assert len(built) == 3      # each cap is built with its first body
+    for x, body in zip(points, bodies):
+        cap = geo.cap_points(geo.generated_cone(geo.normal_cone(H, x).branches[0]))
+        assert np.array_equal(body.points, geo._prune_hull(np.zeros((1, 2)) + cap))
 
 
 # ---------------------------------------------------------------------------
@@ -716,58 +714,47 @@ def test_minkowski_sum_and_scale():
     s = geo.minkowski(a, b)
     assert geo.support(s, [1.0, 0.0]) == pytest.approx(1.0)
     assert geo.support(s, [0.0, 1.0]) == pytest.approx(3.0)
-    half = geo.scale_body(b, 0.5)
+    half = geo.ConvexBody(b.dim, 0.5 * b.points, ball=0.5 * b.ball)
     assert geo.support(half, [1.0, 0.0]) == pytest.approx(0.5)
 
 
 def test_product_body_of_segments_is_square():
     seg = geo.body_from_points([[0.0], [1.0]])
-    for side in (geo.unit_ball_body(1), geo.body_from_points([[1.0], [-1.0]]),
-                 geo.ConvexBody(1, [[-1.0], [0.0], [1.0]])):
-        sq = geo.product_body(seg, side)
-        assert len(sq.points) == 4
-        assert geo.support(sq, [1.0, 0.0]) == pytest.approx(1.0)
-        assert geo.support(sq, [-1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
-        assert geo.support(sq, [0.0, -1.0]) == pytest.approx(1.0)
-        assert geo.body_contains(sq, [0.5, -0.7])
-        assert not geo.body_contains(sq, [-0.2, 0.0], tol=1e-6)
+    sq = geo.product_with_ball(seg, 1)
+    assert len(sq.points) == 4
+    assert geo.support(sq, [1.0, 0.0]) == pytest.approx(1.0)
+    assert geo.support(sq, [-1.0, 0.0]) == pytest.approx(0.0, abs=1e-12)
+    assert geo.support(sq, [0.0, -1.0]) == pytest.approx(1.0)
+    assert geo.body_contains(sq, [0.5, -0.7])
+    assert not geo.body_contains(sq, [-0.2, 0.0], tol=1e-6)
 
 
-def _all_pairs(a: geo.ConvexBody, b: geo.ConvexBody) -> np.ndarray:
-    pa, pb = a.ball_discretized(), b.ball_discretized()
+def _all_pairs(a: geo.ConvexBody, n: int) -> np.ndarray:
+    pa, pb = a.points, geo._unit_ball_points(n)
     return np.concatenate([np.repeat(pa, len(pb), axis=0), np.tile(pb, (len(pa), 1))], axis=1)
 
 
 def _product_cases(rng):
-    """(a, b, same_order): factor pairs for product_body, same_order when
-    both are full-dimensional and the product has dimension 3 or more."""
+    """(a, n, same_order): factors of product_with_ball, same_order when a
+    is a segment and the product has dimension 3 or more."""
     def segment():
         return geo.body_from_points(rng.normal(size=(2, 1)))
 
-    def polygon():
-        return geo.body_from_points(rng.normal(size=(int(rng.integers(3, 9)), 2)))
-
     for _ in range(8):
-        yield segment(), geo.unit_ball_body(2), True
-        yield geo.unit_ball_body(2), segment(), True
-        yield polygon(), segment(), True
-        yield segment(), polygon(), True
-        yield polygon(), polygon(), True                    # 4-D
-        yield segment(), geo.unit_ball_body(3), True        # 4-D, 64 sphere points
-        yield geo.body_from_points(rng.normal(size=(1, 1))), geo.unit_ball_body(2), False
-        yield polygon(), geo.body_from_points(rng.normal(size=(1, 2))), False
+        yield segment(), 2, True
+        yield segment(), 3, True        # 4-D, 64 sphere points
+        yield geo.body_from_points(rng.normal(size=(1, 1))), 2, False
         x = rng.normal()
-        yield geo.ConvexBody(1, [[x], [x]]), geo.unit_ball_body(2), False
-        yield segment(), segment(), False                   # planar
-        yield segment(), geo.unit_ball_body(1), False
+        yield geo.ConvexBody(1, [[x], [x]]), 2, False
+        yield segment(), 1, False
 
 
 def test_product_body_is_the_pruned_all_pairs_product():
-    # vert(P x Q) = vert(P) x vert(Q): where product_body keeps the pairs
-    # as built, they are qhull's answer in its order; elsewhere qhull runs
-    for case, (a, b, same_order) in enumerate(_product_cases(np.random.default_rng(31))):
-        got = geo.product_body(a, b).points
-        want = geo._prune_hull(_all_pairs(a, b))
+    # vert(P x Q) = vert(P) x vert(Q): where product_with_ball keeps the
+    # pairs as built, they are qhull's answer in its order; elsewhere qhull runs
+    for case, (a, n, same_order) in enumerate(_product_cases(np.random.default_rng(31))):
+        got = geo.product_with_ball(a, n).points
+        want = geo._prune_hull(_all_pairs(a, n))
         if same_order:
             assert np.array_equal(got, want), case
         else:
@@ -777,7 +764,7 @@ def test_product_body_is_the_pruned_all_pairs_product():
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_unit_ball_points_are_cached_read_only(dim):
     pts = geo._unit_ball_points(dim)
-    assert geo.unit_ball_body(dim).ball_discretized() is pts
+    assert geo._unit_ball_points(dim) is pts
     fresh = geo._prune_hull(geo._sphere_dirs(dim, 180 if dim == 2 else 64))
     assert pts.dtype == fresh.dtype and pts.shape == fresh.shape
     assert pts.tobytes() == fresh.tobytes()

@@ -10,7 +10,7 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import per_row_penalized, sequential_polish, sequential_solve_penalized
+from _oracles import ball_sum, per_row_penalized, sequential_polish, sequential_solve_penalized
 from conftest import make_const_box
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
@@ -446,7 +446,7 @@ def test_residual_takes_the_balls_exactly():
         q, _, _ = geo.wolfe_min_norm(total)
         assert residual == pytest.approx(max(0.0, np.linalg.norm(q) - R), abs=1e-12), case
         if dim == 2:
-            rings = [geo.ConvexBody(2, P, ball=r).ball_discretized() for P, r in zip(pts, radii)]
+            rings = [ball_sum(P, r) if r > 0 else P for P, r in zip(pts, radii)]
             ring, _ = sv._residual_and_witness(rings, [0.0] * k)
             assert ring - R * gap - 1e-12 <= residual <= ring + 1e-12, case
         assert len(parts) == k

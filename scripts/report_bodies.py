@@ -5,7 +5,7 @@ Usage, from the root of a checkout (the one whose ``src/`` is run):
 
     python3 path/to/scripts/report_bodies.py OUTDIR
 
-Each of the 48 commands below runs as
+Each of the 50 commands below runs as
 ``python -m vep.cli --seed 3 --format json-like ...`` in its own
 subprocess, with ``src/`` of the current directory on the path.  For
 command k the script writes ``OUTDIR/NN.txt``: the command line, its stdout
@@ -26,6 +26,8 @@ from pathlib import Path
 PAPER = "example:paper"
 GENCONE = "perfbench/problems/gencone.vep"
 POLYTOPE = "perfbench/problems/polytope.vep"
+CANCELLED_KINK = "tests/data/gencone_cancelled_kink.vep"
+CURVED_BOX = "tests/data/curved_box.vep"
 
 STATIONARITY_FLAGS = (
     (),
@@ -71,6 +73,10 @@ def commands() -> list[tuple[str, ...]]:
         ("check-stationarity", POLYTOPE, "--xi-bar", "0", "--x-bar", "0.5,0.5",
          "--gamma", "0.5", "--smooth-concave"),
         ("check-subtransversality", POLYTOPE, "--xi-bar", "0", "--x-bar", "0.5,0.5"),
+        ("check-stationarity", CANCELLED_KINK, "--xi-bar", "0.5", "--x-bar", "1.5",
+         "--gamma", "0.5"),
+        ("check-stationarity", CURVED_BOX, "--xi-bar", "0.5", "--x-bar", "1.25",
+         "--gamma", "0.5"),
     ]
     return cmds
 

@@ -2,9 +2,11 @@
 
 The language is deliberately small: +, -, *, /, integer powers, abs and
 binary min/max.  Trees are immutable; evaluation broadcasts over numpy
-arrays so grid sweeps stay vectorized.  At kink points (abs arguments or
-min/max ties) ``grad_hull`` returns the gradients of every active smooth
-branch instead of a single gradient.
+arrays so grid sweeps stay vectorized.  One forward pass, ``switch_rows``,
+differentiates: it lists every abs/min/max node as a switch.  At a kink
+point (abs arguments or min/max ties) ``grad_hull`` returns the gradients
+of the sign vectors of the tied switches that some direction realizes,
+instead of a single gradient.
 
 Grammar::
 
@@ -18,11 +20,14 @@ Grammar::
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from . import geometry as geo
 
 EPS_DIV = 1e-12
 ACTIVE_TOL = 1e-9
@@ -342,12 +347,15 @@ def _ev(e: Expr, env):
 
 
 # ---------------------------------------------------------------------------
-# branch-wise gradients
+# the switch table and branch gradients
 # ---------------------------------------------------------------------------
+
+MAX_TIED_SWITCHES = 10
+
 
 @dataclass(frozen=True, eq=False)
 class GradHull:
-    """Gradients of the smooth branches active at a point.
+    """Gradients of the smooth branches that some direction realizes at a point.
 
     At a point where every piecewise node is strictly on one branch the
     tuple holds exactly the classical gradient.
@@ -363,141 +371,48 @@ class GradHull:
         return np.asarray(self.generators, dtype=float)
 
 
-def _dedup(grads: list[np.ndarray]) -> list[np.ndarray]:
-    out: list[np.ndarray] = []
-    for g in grads:
-        if not any(np.max(np.abs(g - h)) <= 1e-12 * max(1.0, np.max(np.abs(g))) for h in out):
-            out.append(g)
-    return out
-
-
-def grad_hull(e: Expr, point, wrt: str) -> GradHull:
-    """Branch gradients of ``e`` at ``point`` w.r.t. a variable block.
-
-    ``point`` is a triple (xi, x, z) of float sequences; ``wrt`` is one of
-    'xi', 'x', 'z' or 'xix' (the stacked (xi, x) block).
-    """
-    xi, x, z = (np.asarray(b, dtype=float) for b in point)
-    p, n = len(xi), len(x)
-    if wrt == "xi":
-        dim = p
-    elif wrt == "x":
-        dim = n
-    elif wrt == "z":
-        dim = len(z)
-    elif wrt == "xix":
-        dim = p + n
-    else:
-        raise ValueError(f"unknown block selector {wrt!r}")
-
-    def seed(block: str, index: int) -> np.ndarray:
-        g = np.zeros(dim)
-        if wrt == "xix":
-            if block == "xi":
-                g[index - 1] = 1.0
-            elif block == "x":
-                g[p + index - 1] = 1.0
-        elif block == wrt:
-            g[index - 1] = 1.0
-        return g
-
-    env = {"xi": xi, "x": x, "z": z}
-
-    def rec(node: Expr) -> tuple[float, list[np.ndarray]]:
-        if isinstance(node, Const):
-            return float(node.value), [np.zeros(dim)]
-        if isinstance(node, Var):
-            block = env[node.block]
-            if node.index > len(block):
-                raise EvalError(f"point has no component {node.block}{node.index}")
-            return float(block[node.index - 1]), [seed(node.block, node.index)]
-        if isinstance(node, Neg):
-            v, gs = rec(node.a)
-            return -v, _dedup([-g for g in gs])
-        if isinstance(node, Abs):
-            v, gs = rec(node.a)
-            tol = ACTIVE_TOL * max(1.0, abs(v))
-            if v > tol:
-                return v, gs
-            if v < -tol:
-                return -v, _dedup([-g for g in gs])
-            return abs(v), _dedup([s * g for g in gs for s in (1.0, -1.0)])
-        if isinstance(node, (Add, Sub)):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            s = 1.0 if isinstance(node, Add) else -1.0
-            return va + s * vb, _dedup([a + s * b for a in ga for b in gb])
-        if isinstance(node, Mul):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            return va * vb, _dedup([vb * a + va * b for a in ga for b in gb])
-        if isinstance(node, Div):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            if abs(vb) < EPS_DIV:
-                raise EvalError("division by near-zero value")
-            return va / vb, _dedup([(a * vb - va * b) / vb**2 for a in ga for b in gb])
-        if isinstance(node, (Min2, Max2)):
-            va, ga = rec(node.a)
-            vb, gb = rec(node.b)
-            lo = isinstance(node, Min2)
-            val = min(va, vb) if lo else max(va, vb)
-            tol = ACTIVE_TOL * max(1.0, abs(va), abs(vb))
-            if abs(va - vb) <= tol:
-                return val, _dedup(ga + gb)
-            take_a = (va < vb) if lo else (va > vb)
-            return val, ga if take_a else gb
-        if isinstance(node, Pow):
-            va, ga = rec(node.base)
-            k = node.power
-            if k == 0:
-                return 1.0, [np.zeros(dim)]
-            if k == 1:
-                return va, ga
-            return va**k, _dedup([k * va ** (k - 1) * g for g in ga])
-        raise TypeError(f"unknown node {node!r}")  # pragma: no cover
-
-    _, grads = rec(e)
-    return GradHull(tuple(grads))
-
-
 def _pow_rows(v: np.ndarray, k: int) -> np.ndarray:
-    """v ** k entry by entry with Python's float power, as ``grad_hull``
-    takes it (``np.power`` rounds some entries differently)."""
+    """v ** k entry by entry with Python's float power (``np.power`` rounds
+    some entries differently)."""
     return np.array([t ** k for t in v.tolist()], dtype=float)
 
 
 def _differ(h: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows where ``_dedup`` keeps g next to h: two generators, not one."""
+    """Rows where g and h are two gradients, not one (1e-12 relative)."""
     return np.max(np.abs(g - h), axis=1, initial=0.0) > 1e-12 * np.maximum(
         1.0, np.max(np.abs(g), axis=1, initial=0.0))
 
 
-def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
-              wrt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def switch_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray, wrt: str,
+                signs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, list]:
     """One forward-mode pass over N points, the rows of XI, X and Z.
 
     Returns the values (N,), the gradients (N, dim) w.r.t. the block
-    ``wrt``, one of 'xi', 'x' or 'z', and a mask (N,) of the rows where some
-    switch is active: an ``abs`` argument or a ``min``/``max`` gap within
-    ``grad_hull``'s tolerance, whose two branch gradients ``grad_hull``
-    keeps apart (a kink of ``abs(xi1)`` is no kink in x).  Row i's
-    gradient equals ``grad_hull(e, (XI[i], X[i], Z[i]), wrt).generators[0]``
-    bit for bit, which is that hull's only generator on an unmasked row: a
-    tie takes the ``+`` sign of an ``abs`` and operand ``a`` of a
-    ``min``/``max``, and every value is computed with ``grad_hull``'s
-    arithmetic.
+    ``wrt`` ('xi', 'x', 'z' or 'xix', the stacked (xi, x) block) and the
+    switch table.  Every ``abs``/``min``/``max`` node is a switch, listed in
+    post-order as (tie, split, grad): ``tie`` (N,) marks the rows where its
+    argument (``abs``) or gap (``min``/``max``) is within ``ACTIVE_TOL``,
+    ``split`` (N,) the tied rows where its two branch gradients differ, and
+    ``grad`` (N, dim) is the gradient of its argument or gap, oriented so
+    that branch ``+`` (the ``+`` sign, or operand ``a``) is the one selected
+    where it is positive.  A tied switch takes branch ``+``, or the branch
+    of the sign that column k of ``signs`` (N, switches) gives switch k.
     """
     N, p = XI.shape
     n = X.shape[1]
     env = {"xi": XI, "x": X, "z": Z}
-    dim = {"xi": p, "x": n, "z": Z.shape[1]}.get(wrt)
+    dim = {"xi": p, "x": n, "z": Z.shape[1], "xix": p + n}.get(wrt)
     if dim is None:
         raise ValueError(f"unknown block selector {wrt!r}")
-    active = np.zeros(N, dtype=bool)
+    offset = {"xi": 0, "x": p} if wrt == "xix" else {wrt: 0}
+    table: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def takes_plus(tie: np.ndarray, strict: np.ndarray) -> np.ndarray:
+        if signs is None:
+            return tie | strict
+        return np.where(tie, signs[:, len(table)] > 0, strict)
 
     def rec(node: Expr) -> tuple[np.ndarray, np.ndarray]:
-        nonlocal active
         if isinstance(node, Const):
             return np.full(N, float(node.value)), np.zeros((N, dim))
         if isinstance(node, Var):
@@ -505,8 +420,8 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
             if node.index > block.shape[1]:
                 raise EvalError(f"point has no component {node.block}{node.index}")
             g = np.zeros((N, dim))
-            if node.block == wrt:
-                g[:, node.index - 1] = 1.0
+            if node.block in offset:
+                g[:, offset[node.block] + node.index - 1] = 1.0
             return block[:, node.index - 1].astype(float), g
         if isinstance(node, Neg):
             v, g = rec(node.a)
@@ -514,9 +429,10 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
         if isinstance(node, Abs):
             v, g = rec(node.a)
             tol = ACTIVE_TOL * np.maximum(1.0, np.abs(v))
-            neg = v < -tol
-            active = active | (~((v > tol) | neg) & _differ(g, -g))
-            return np.abs(v), np.where(neg[:, None], -g, g)
+            tie = ~((v > tol) | (v < -tol))
+            take = takes_plus(tie, v > tol)
+            table.append((tie, tie & _differ(g, -g) if tie.any() else tie, g))
+            return np.abs(v), np.where(take[:, None], g, -g)
         if isinstance(node, (Add, Sub)):
             (va, ga), (vb, gb) = rec(node.a), rec(node.b)
             if isinstance(node, Add):
@@ -536,8 +452,8 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
             # Python's min/max keep operand a unless b is strictly better
             val = np.where((vb < va) if lo else (vb > va), vb, va)
             tie = np.abs(va - vb) <= ACTIVE_TOL * np.maximum(1.0, np.maximum(np.abs(va), np.abs(vb)))
-            active = active | (tie & _differ(ga, gb))
-            take_a = tie | ((va < vb) if lo else (va > vb))
+            take_a = takes_plus(tie, (va < vb) if lo else (va > vb))
+            table.append((tie, tie & _differ(ga, gb) if tie.any() else tie, gb - ga if lo else ga - gb))
             return val, np.where(take_a[:, None], ga, gb)
         if isinstance(node, Pow):
             va, ga = rec(node.base)
@@ -550,7 +466,92 @@ def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
         raise TypeError(f"unknown node {node!r}")  # pragma: no cover
 
     values, grads = rec(e)
+    return values, grads, table
+
+
+def grad_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray,
+              wrt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``switch_rows`` at the default signs: the values (N,), the gradients
+    (N, dim) w.r.t. the block ``wrt`` and a mask (N,) of the rows where some
+    tied switch splits (a kink of ``abs(xi1)`` is no kink in x).  An
+    unmasked row's gradient is ``grad_hull``'s only generator bit for bit; a
+    masked row's is the first, all-``+``, row of ``sign_rows``."""
+    values, grads, table = switch_rows(e, XI, X, Z, wrt)
+    active = np.zeros(len(values), dtype=bool)
+    for _, split, _ in table:
+        active |= split
     return values, grads, active
+
+
+def sign_rows(comps, point, wrt: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Jacobians of the expressions ``comps`` at one point over the sign
+    vectors of the switches tied there, all components sharing one table.
+
+    ``point`` is a triple (xi, x, z) of float sequences.  Returns J (R, m,
+    dim) and, for each of the R sign vectors, the signed gradients (k, dim)
+    of its split switches: a direction d realizes the vector when every one
+    has a positive slope along d.  The vectors run ``+`` first with the
+    first switch slowest; where no tied switch splits at the default signs
+    no sign can change a gradient (by induction from the innermost tied
+    switch), and R = 1.  More than ``MAX_TIED_SWITCHES`` tied switches
+    raise EvalError.
+    """
+    XI, X, Z = (np.asarray(b, dtype=float).reshape(1, -1) for b in point)
+    passes = [switch_rows(c, XI, X, Z, wrt) for c in comps]
+    J = np.stack([g for _, g, _ in passes], axis=1)
+    if not any(split[0] for _, _, table in passes for _, split, _ in table):
+        return J, [np.zeros((0, J.shape[2]))]
+    tied = [[k for k, (tie, _, _) in enumerate(table) if tie[0]] for _, _, table in passes]
+    count = sum(map(len, tied))
+    if count > MAX_TIED_SWITCHES:
+        raise EvalError(f"{count} switches tied at one point (at most {MAX_TIED_SWITCHES})")
+    sigma = np.array(list(itertools.product((1.0, -1.0), repeat=count)))
+    rows = [np.repeat(B, len(sigma), axis=0) for B in (XI, X, Z)]
+    grads, split, signed, start = [], [], [], 0
+    for comp, (_, _, table), idx in zip(comps, passes, tied):
+        signs = np.ones((len(sigma), len(table)))
+        signs[:, idx] = sigma[:, start:start + len(idx)]
+        start += len(idx)
+        _, G, table = switch_rows(comp, *rows, wrt, signs)
+        grads.append(G)
+        split += [s for _, s, _ in table]
+        signed += [signs[:, k, None] * g for k, (_, _, g) in enumerate(table)]
+    W = np.stack(signed, axis=1)
+    return np.stack(grads, axis=1), [w[s] for w, s in zip(W, np.stack(split, axis=1))]
+
+
+def _realized(W: np.ndarray) -> bool:
+    """Gordan's alternative: some d has w·d > 0 for every row w of W iff 0 is
+    not in conv(W), and then the min-norm point q of conv(W) is such a d.
+    A lone switch always qualifies."""
+    if len(W) <= 1:
+        return True
+    q, _, _ = geo.wolfe_min_norm(W)
+    return float(np.min(W @ q)) > 1e-12 * float(np.linalg.norm(q)) * max(1.0, float(np.max(np.abs(W))))
+
+
+def _branch_jacobians(comps, point, wrt: str) -> list[np.ndarray]:
+    """``sign_rows``' Jacobians of the realizable sign vectors, less those
+    within 1e-12 relative of an earlier one."""
+    out: list[np.ndarray] = []
+    for J, W in zip(*sign_rows(comps, point, wrt)):
+        scale = 1e-12 * max(1.0, float(np.max(np.abs(J), initial=0.0)))
+        if not any(np.max(np.abs(J - H), initial=0.0) <= scale for H in out) and _realized(W):
+            out.append(J)
+    return out
+
+
+def grad_hull(e: Expr, point, wrt: str) -> GradHull:
+    """Branch gradients of ``e`` at ``point`` w.r.t. a variable block: the
+    gradients of the sign vectors of the switches tied there that some
+    direction realizes (``sign_rows``, Gordan's test by one Wolfe call).
+
+    ``point`` is a triple (xi, x, z) of float sequences; ``wrt`` is one of
+    'xi', 'x', 'z' or 'xix' (the stacked (xi, x) block).  Exact where the
+    switches' arguments are affine near the point; elsewhere realizability
+    is judged to first order only.
+    """
+    return GradHull(tuple(J[0] for J in _branch_jacobians((e,), point, wrt)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,31 +633,10 @@ class VectorFunc:
         vals = [eval_expr(c, xi, x, z) for c in self.components]
         return np.stack(np.broadcast_arrays(*[np.asarray(v, dtype=float) for v in vals]))
 
-    def jac_hull(self, point, wrt: str) -> list[GradHull]:
-        return [grad_hull(c, point, wrt) for c in self.components]
-
     def jac_branches(self, point, wrt: str) -> list[np.ndarray]:
-        """All branch Jacobians (rows = components) at ``point``.
-
-        Branch choices combine independently across components, which is an
-        overestimate when components share a kink; flagged by callers.
-        """
-        hulls = self.jac_hull(point, wrt)
-        count = 1
-        for h in hulls:
-            count *= len(h.generators)
-        if count > 64:
-            raise EvalError(f"too many kink branch combinations ({count})")
-
-        def build(idx: int, rows: list) -> list:
-            if idx == len(hulls):
-                return [np.vstack(rows)]
-            out = []
-            for g in hulls[idx].generators:
-                out.extend(build(idx + 1, rows + [g]))
-            return out
-
-        return build(0, [])
+        """All branch Jacobians (rows = components) at ``point``: one sign
+        enumeration over the switches of every component (``grad_hull``)."""
+        return _branch_jacobians(self.components, point, wrt)
 
     @cached_property
     def affine_in_z(self) -> bool:

@@ -213,12 +213,12 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
 # ---------------------------------------------------------------------------
 
 def _one_sided_slopes(g: ex.Expr, xi: np.ndarray) -> tuple[float, float]:
-    # dyadic step: exact slopes for piecewise-linear expressions at dyadic points
-    h = 2.0 ** -20
-    v0 = float(ex.eval_expr(g, xi=xi))
-    vm = float(ex.eval_expr(g, xi=xi - np.array([h])))
-    vp = float(ex.eval_expr(g, xi=xi + np.array([h])))
-    return (v0 - vm) / h, (vp - v0) / h
+    """Left and right derivatives of g at a scalar xi: the gradients of the sign
+    rows whose split switches all have negative, or all positive, slopes."""
+    J, W = ex.sign_rows((g,), (xi, (), ()), "xi")
+    left = next(j for j, w in zip(J, W) if np.all(w < 0))
+    right = next(j for j, w in zip(J, W) if np.all(w > 0))
+    return float(left[0, 0]), float(right[0, 0])
 
 
 def _active_constraint_groups(prob: pb.VepProblem, xi, zbar) -> list[list[tuple]]:

@@ -649,6 +649,19 @@ def test_bad_halfspace_omega_exits_2_at_load(capsys, tmp_path, omega):
     assert err.startswith("error: [Omega]") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_too_many_tied_switches_exit_3(capsys, tmp_path):
+    # eleven switches tied at x1 = 1.5 in the objective: 2^11 sign vectors
+    text = GENCONE.read_text()
+    path = tmp_path / "eleven.vep"
+    path.write_text(text.replace("expr = xi1^2 + x1^2",
+                                 "expr = xi1^2 + x1^2" + " + abs(x1 - 1.5)" * 11))
+    code = cli.main(["check-stationarity", str(path), "--xi-bar", "0.5", "--x-bar", "1.5",
+                     "--gamma", "0.5"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_EVAL
+    assert out == "" and err == "error: 11 switches tied at one point (at most 10)\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("check-stationarity", str(GENCONE), "--xi-bar", "0", "--x-bar", "1", "--gamma", "0.5"),
     ("eval", str(POLYTOPE), "--xi", "0", "--x", "2.5,-1.5"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from vep import expr as ex
@@ -237,16 +237,20 @@ def test_grad_rows_is_grad_hull_first_generator(tree, rows, wrt):
     Q = np.array(rows)
     XI, X, Z = Q[:, :2], Q[:, 2:4], Q[:, 4:]
     try:
-        hulls = [ex.grad_hull(tree, (xi, x, z), wrt) for xi, x, z in zip(XI, X, Z)]
+        _, G, active = ex.grad_rows(tree, XI, X, Z, wrt)
     except ex.EvalError:
         with pytest.raises(ex.EvalError):
-            ex.grad_rows(tree, XI, X, Z, wrt)
+            for point in zip(XI, X, Z):
+                ex.grad_hull(tree, point, wrt)
         return
-    _, G, active = ex.grad_rows(tree, XI, X, Z, wrt)
-    for g, hull, act in zip(G, hulls, active):
+    for g, act, point in zip(G, active, zip(XI, X, Z)):
         # bit for bit, the sign of a zero included
-        assert g.tobytes() == np.asarray(hull.generators[0], dtype=float).tobytes()
-        assert act or hull.single
+        if act:
+            # a masked row is the all-+ selection, whether or not a direction realizes it
+            assert g.tobytes() == ex.sign_rows((tree,), point, wrt)[0][0, 0].tobytes()
+        else:
+            hull = ex.grad_hull(tree, point, wrt)
+            assert hull.single and g.tobytes() == hull.generators[0].tobytes()
 
 
 def test_grad_rows_masks_kinks_and_takes_the_first_branch():
@@ -257,6 +261,79 @@ def test_grad_rows_masks_kinks_and_takes_the_first_branch():
     assert vals.tolist() == [5.0, 3.0, 4.0, 1.0]
     assert G.tolist() == [[1.0, 0.0], [-1.0, 1.0], [1.0, 1.0], [1.0, 0.0]]
     assert active.tolist() == [True, False, True, False]
+
+
+KINKED = [
+    # (expression, point, block, gradients): one switch of sign shared by
+    # two nodes, or switches nested, where adding or chaining the branches
+    # of each node on its own lists gradients that no direction reaches
+    ("abs(x1) - abs(x1)", [0.0] * 6, "x", [[0.0, 0.0]]),
+    ("abs(x1) + abs(-x1)", [0.0] * 6, "x", [[2.0, 0.0], [-2.0, 0.0]]),
+    ("abs(min(xi1, 0))", [0.0] * 6, "xi", [[-1.0, 0.0], [0.0, 0.0]]),
+    ("abs(abs(min(0, x1)))", [0.0] * 6, "x", [[0.0, 0.0], [-1.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("text, coords, wrt, want", KINKED)
+def test_shared_and_nested_kinks_keep_the_realized_branches(text, coords, wrt, want):
+    q = np.array(coords)
+    hull = ex.grad_hull(ex.parse(text, DIMS), (q[:2], q[2:4], q[4:]), wrt)
+    # equal up to the sign of a zero
+    assert [g.tolist() for g in hull.generators] == want
+
+
+def test_jac_branches_share_one_switch_table():
+    dims = (1, 0, 0)
+    f = ex.VectorFunc((ex.parse("abs(xi1)", dims), ex.parse("abs(xi1)", dims)), dims)
+    jacs = f.jac_branches(([0.0], (), ()), "xi")
+    assert [J.tolist() for J in jacs] == [[[1.0], [1.0]], [[-1.0], [-1.0]]]
+
+
+def test_more_tied_switches_than_the_cap_raise():
+    text = " + ".join(["abs(x1)"] * (ex.MAX_TIED_SWITCHES + 1))
+    e = ex.parse(text, DIMS)
+    with pytest.raises(ex.EvalError, match="11 switches tied"):
+        ex.grad_hull(e, ([0.0] * 2, [0.0] * 2, [0.0] * 2), "x")
+    # the default row needs no enumeration
+    _, G, active = ex.grad_rows(e, np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 2)), "x")
+    assert active.tolist() == [True] and G.tolist() == [[11.0, 0.0]]
+
+
+def _kinked_examples(test):
+    for text, coords, wrt, _ in KINKED:
+        test = example(ex.parse(text, DIMS), coords, wrt)(test)
+    return test
+
+
+_BLOCK_COLUMNS = {"xi": [0, 1], "x": [2, 3], "z": [4, 5], "xix": [0, 1, 2, 3]}
+
+
+@given(trees_with_div(), st.lists(st.sampled_from([-1.0, 0.0, 1.0, 2.0]), min_size=6,
+                                  max_size=6), st.sampled_from(list(_BLOCK_COLUMNS)))
+@_kinked_examples
+@settings(max_examples=200, deadline=None)
+def test_branches_are_the_sampled_gradient_limits(tree, coords, wrt):
+    """Every gradient sampled within 1e-6 of the point, off the masked rows,
+    is near a returned branch, and every returned branch is near a sample."""
+    q = np.array(coords)
+    cols = _BLOCK_COLUMNS[wrt]
+    rng = np.random.default_rng(0)
+    D = rng.standard_normal((400, len(cols)))
+    D *= 1e-6 * rng.uniform(0.5, 1.0, (400, 1)) / np.linalg.norm(D, axis=1, keepdims=True)
+    Q = np.repeat(q[None], 400, axis=0)
+    Q[:, cols] += D
+    try:
+        branches = ex.grad_hull(tree, (q[:2], q[2:4], q[4:]), wrt).as_matrix()
+        _, G, masked = ex.grad_rows(tree, Q[:, :2], Q[:, 2:4], Q[:, 4:], wrt)
+    except ex.EvalError:
+        return
+    G = G[~masked]
+    if not len(G):      # every sample on a kink, as abs(abs(x1^2)) at 0
+        return
+    tol = 1e-3 * np.maximum(1.0, np.linalg.norm(G, axis=1))
+    near = np.linalg.norm(G[:, None] - branches[None], axis=2) <= tol[:, None]
+    assert near.any(axis=1).all(), "a sampled gradient is far from every branch"
+    assert near.any(axis=0).all(), "a branch that no sample reaches"
 
 
 def test_grad_hull_at_kink_of_scaled_f_scales():

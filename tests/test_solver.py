@@ -376,6 +376,17 @@ def test_refutation_by_lambda_affine_sign_test():
     assert min(r for _, _, r in rep.residual_table) > 0.5
 
 
+def test_a_cancelled_kink_keeps_the_verdict_and_the_direction():
+    # the same objective written with + 3*abs(x1 - 1.5) - 3*abs(x1 - 1.5):
+    # one switch of sign, so one gradient of phi at x1 = 1.5
+    root = Path(__file__).resolve().parents[1]
+    reps = [sv.check_stationarity_general(pb.load(str(path)), [0.5], [1.5], None, gamma=0.5)
+            for path in (root / "perfbench" / "problems" / "gencone.vep",
+                         root / "tests" / "data" / "gencone_cancelled_kink.vep")]
+    assert [r.verdict for r in reps] == [sv.REFUTED_BY_DIRECTION] * 2
+    assert reps[0].direction == reps[1].direction == (-0.0, -1.0)
+
+
 def test_stationary_when_every_summand_contains_zero(const_box):
     prob = make_const_box(phi="(x1 - 1)^2", asserts=("K-concave", "nu-convex"))
     rep = sv.check_stationarity_general(prob, [0.7], [1.0], [0.25], gamma=0.5)

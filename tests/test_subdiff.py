@@ -252,6 +252,15 @@ def test_mu_coupled_none_where_not_exact(tent):
     assert sd.mu_subgradient_coupled(tent, [0.0], [1.5]) is None
 
 
+def test_a_curved_bound_has_one_graph_normal():
+    # K(xi) = [-xi^2 - 1, xi^2 + 1] is smooth: the active upper bound at
+    # (0.3, 1.09) has the one normal (-2 xi, 1), its slope read exactly
+    prob = pb.load(str(Path(__file__).parent / "data" / "curved_box.vep"))
+    normals = sd.graph_normal_branches(prob, [0.3], [1.09])
+    assert normals.exact
+    assert [b.tolist() for b in normals.branches] == [[[-2 * 0.3, 1.0]]]
+
+
 def test_graph_normals_add_over_active_coordinates(tent):
     # p = 1, n = 2 with both upper bounds active at xi = 0, z = (1, 1): the
     # graph normal cone is cone{(-1, 1, 0)} + cone{(-2, 0, 1)}, so it holds

@@ -12,8 +12,8 @@ Grammar::
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := atom ['^' INT]
-    atom   := NUMBER | IDENT | '(' expr ')' | '-' atom
+    factor := '-' factor | atom ['^' INT]
+    atom   := NUMBER | IDENT | '(' expr ')'
             | 'abs(' expr ')' | 'min(' expr ',' expr ')' | 'max(' expr ',' expr ')'
     IDENT  := ('xi'|'x'|'z') INT
 """
@@ -195,6 +195,10 @@ class _Parser:
                 return e
 
     def _factor(self) -> Expr:
+        kind, val, _ = self._peek()
+        if kind == "op" and val == "-":
+            self.pos += 1
+            return Neg(self._factor())
         e = self._atom()
         kind, val, _ = self._peek()
         if kind == "op" and val == "^":
@@ -209,8 +213,6 @@ class _Parser:
         kind, val, off = self._next()
         if kind == "num":
             return Const(float(val))
-        if kind == "op" and val == "-":
-            return Neg(self._atom())
         if kind == "op" and val == "(":
             e = self._expr()
             self._expect_op(")")
@@ -259,8 +261,7 @@ def _prec(e: Expr) -> int:
     if isinstance(e, (Mul, Div)):
         return _PREC_MUL
     if isinstance(e, Neg):
-        # the grammar treats '-' atom as an atom itself
-        return _PREC_ATOM
+        return _PREC_NEG
     if isinstance(e, Pow):
         return _PREC_POW
     return _PREC_ATOM
@@ -278,7 +279,7 @@ def _fmt(e: Expr, parent: int) -> str:
     elif isinstance(e, Max2):
         s = f"max({_fmt(e.a, 0)}, {_fmt(e.b, 0)})"
     elif isinstance(e, Neg):
-        s = "-" + _fmt(e.a, _PREC_ATOM)
+        s = "-" + _fmt(e.a, _PREC_NEG)
     elif isinstance(e, Pow):
         s = _fmt(e.base, _PREC_ATOM) + "^" + str(e.power)
     elif isinstance(e, Add):

@@ -202,6 +202,11 @@ class OracleGrid:
 # ---------------------------------------------------------------------------
 
 _SECTION = re.compile(r"^\[([a-zA-Z]+)\]\s*$")
+# the keys each section may hold; [K] kinks is retired and read as nothing
+_KEYS = {"problem": {"p", "n", "m", "window_xi", "window_x", "asserts"},
+         "cone": {"type", "rows"}, "k": {"type", "lower", "upper", "a", "b", "kinks"},
+         "f": {"components"}, "objective": {"expr"},
+         "omega": {"type", "lower", "upper", "a", "b"}}
 
 
 def _split_top(s: str, sep: str) -> list[str]:
@@ -225,12 +230,14 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
     sections: dict[str, dict[str, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.split("#", 1)[0].strip()     # no key, number or expression holds '#'
+        if not line:
             continue
         m = _SECTION.match(line)
         if m:
-            current = m.group(1).lower()
+            header, current = m.group(1), m.group(1).lower()
+            if current not in _KEYS:
+                raise ProblemError(f"line {lineno}: unknown section [{header}]")
             sections.setdefault(current, {})
             continue
         if current is None:
@@ -238,7 +245,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
         if "=" not in line:
             raise ProblemError(f"line {lineno}: expected key = value")
         key, val = line.split("=", 1)
-        sections[current][key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key not in _KEYS[current]:
+            raise ProblemError(f"line {lineno}: unknown key {key!r} in [{header}]")
+        sections[current][key] = val.strip()
     return sections
 
 

@@ -2,12 +2,13 @@
 
 Covers the x-block subgradient of the excess value via the adjoint-image
 formula, full-block subgradients via gradient-limit hulls, the
-enlargement-based outer estimate with a Lipschitz ball, the coderivative
-of the feasible-set map (exact, from the one-sided slopes or gradients of
-the active constraints of a box or polytope map), two outer estimates of
-the feasibility-gap subdifferential (the coderivative-ball product and the
-coupled graph-normal cap), and the sampled normal cone to the graph of the
-solution map.
+enlargement-based outer estimate with a Lipschitz ball, the graph normal
+cone of the feasible-set map (exact, from the one-sided slopes or gradients
+of the active constraints of a box or polytope map) with its coderivative
+(exact for any number of rows), one capped normal cone per graph branch,
+read by both outer estimates of the feasibility-gap subdifferential (the
+coderivative-ball product and the coupled graph-normal cap), and the
+sampled normal cone to the graph of the solution map.
 """
 
 from __future__ import annotations
@@ -307,84 +308,52 @@ def graph_normal_branches(prob: pb.VepProblem, xi, zbar) -> geo.RayUnion:
                         exact=True, note=note)
 
 
-def _branch_image_of_v(branch: np.ndarray, v: np.ndarray, p: int, tol: float):
-    """{u : (u, -v) in cone(branch rows)} as (points, rays)."""
-    k = len(branch)
-    n = len(v)
-    if k == 0:
-        if np.linalg.norm(v) <= tol:
-            return [np.zeros(p)], []
-        return [], []
-    Gxi = branch[:, :p]
-    Gx = branch[:, p:]
-    target = -v
-    if k == 1:
-        gx = Gx[0]
-        if np.linalg.norm(gx) <= tol:
-            if np.linalg.norm(v) <= tol:
-                return [np.zeros(p)], [Gxi[0]] if np.linalg.norm(Gxi[0]) > tol else []
-            return [], []
-        t = float(gx @ target) / float(gx @ gx)
-        if t < -tol or np.linalg.norm(t * gx - target) > tol * (1 + np.linalg.norm(v)):
-            return [], []
-        return [max(t, 0.0) * Gxi[0]], []
-    if k == 2 and n == 1:
-        a, b = float(Gx[0, 0]), float(Gx[1, 0])
-        c = float(target[0])
-        pts, rays = [], []
-        cands = []
-        if abs(a) > tol:
-            t1 = c / a
-            if t1 >= -tol:
-                cands.append((max(t1, 0.0), 0.0))
-        if abs(b) > tol:
-            t2 = c / b
-            if t2 >= -tol:
-                cands.append((0.0, max(t2, 0.0)))
-        if abs(a) <= tol and abs(c) <= tol:
-            rays.append(Gxi[0])
-        if abs(b) <= tol and abs(c) <= tol:
-            rays.append(Gxi[1])
-        # opposite-sign x-parts admit an unbounded feasible direction
-        if a * b < -tol * tol:
-            d = np.array([abs(b), abs(a)])
-            rays.append(d[0] * Gxi[0] + d[1] * Gxi[1])
-        for t1, t2 in cands:
-            pts.append(t1 * Gxi[0] + t2 * Gxi[1])
-        if abs(a) <= tol and abs(b) <= tol and abs(c) <= tol:
-            pts.append(np.zeros(p))
-            rays.extend([Gxi[0], Gxi[1]])
-        return pts, [r for r in rays if np.linalg.norm(r) > tol]
-    # generic small system: least squares with nonnegativity by projection
-    from scipy.optimize import nnls
-
-    coef, resid = nnls(Gx.T, target)
-    if resid > tol * (1 + np.linalg.norm(v)):
-        return [], []
-    return [Gxi.T @ coef], []
-
-
 def coderivative_K(prob: pb.VepProblem, xi, zbar, v) -> CoderivativeImage:
     """Coderivative image {u : (u, -v) in N((xi, zbar); graph K)}: the union
-    over normal-cone branches, points closer than 1e-9 merged."""
+    over normal-cone branches, points closer than 1e-9 merged.
+
+    Exact for any number of rows: with G = [G_xi | G_x] a branch's rows,
+    {t >= 0 : G_x^T t = -v} is the hull of its basic solutions plus the
+    cone of its circuits (Schrijver, Theory of Linear and Integer
+    Programming, 1986, ch. 8), and the image is their G_xi-image.  A basic
+    solution has linearly independent support; a circuit is a minimal
+    dependent support whose kernel vector has one sign.
+    """
     xi, zbar = prob.point(xi, zbar)
     v = np.atleast_1d(np.asarray(v, dtype=float))
+    tol = 1e-9
     pts: list[np.ndarray] = []
     rays: list[np.ndarray] = []
     for br in graph_normal_branches(prob, xi, zbar).branches:
-        bpts, brays = _branch_image_of_v(br, v, prob.p, 1e-9)
-        pts.extend(bpts)
-        rays.extend(brays)
+        Gxi, Gx = br[:, : prob.p], br[:, prob.p:]
+        for size in range(min(len(br), prob.n + 1) + 1):
+            for S in map(list, itertools.combinations(range(len(br)), size)):
+                A = Gx[S].T
+                rank = np.linalg.matrix_rank(A, tol) if size else 0
+                if rank == size:
+                    t = np.linalg.lstsq(A, -v, rcond=None)[0]
+                    resid = np.linalg.norm(A @ t + v)
+                    if np.all(t >= -tol) and resid <= tol * (1 + np.linalg.norm(v)):
+                        pts.append(Gxi[S].T @ np.maximum(t, 0.0))
+                elif rank == size - 1:
+                    t = np.linalg.svd(A)[2][-1]
+                    if np.all(t > tol) or np.all(t < -tol):
+                        ray = Gxi[S].T @ np.abs(t)
+                        if np.linalg.norm(ray) > tol:
+                            rays.append(ray)
     uniq: list[np.ndarray] = []
     for q in pts:
-        if not any(np.linalg.norm(q - r) <= 1e-9 for r in uniq):
+        if not any(np.linalg.norm(q - r) <= tol for r in uniq):
             uniq.append(q)
     return CoderivativeImage(tuple(uniq), tuple(rays))
 
 
 def _simplex_samples(k: int) -> np.ndarray:
-    """Weights on the unit simplex of R^k, k >= 2: 91 points for k = 2, else
-    the grid of multiples of 1/s with the largest s giving at most 2000."""
+    """Weights on the unit simplex of R^k: none for k = 0, the one weight 1
+    for k = 1, 91 points for k = 2, else the grid of multiples of 1/s with
+    the largest s giving at most 2000."""
+    if k <= 1:
+        return np.ones((k, k))
     if k == 2:
         w = np.linspace(0.0, 1.0, 91)
         return np.c_[1.0 - w, w]
@@ -397,44 +366,32 @@ def _simplex_samples(k: int) -> np.ndarray:
     return np.asarray(grid, dtype=float) / s
 
 
-def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexBody]:
-    """Per-branch bodies for the image of the unit ball under the coderivative.
+def _normal_caps(normals: geo.RayUnion, p: int) -> list[np.ndarray]:
+    """Per branch (rows G = [G_xi | G_x]), points of its cap
+    N_b ∩ (R^p x B): the origin, then G^T t / |G_x^T t| over
+    ``_simplex_samples`` weights t, so a one-row branch gives its row
+    scaled to a unit x-part.  A direction whose x-part vanishes spans an
+    unbounded ray, truncated at length 1e6."""
+    caps = []
+    for br in normals.branches:
+        T = _simplex_samples(len(br)) @ br
+        nx = np.linalg.norm(T[:, p:], axis=1)
+        flat = nx <= 1e-12
+        T[flat] *= 1e6
+        T[~flat] /= nx[~flat, None]
+        caps.append(np.vstack([np.zeros(br.shape[1]), T]))
+    return caps
 
-    A direction whose x-part vanishes spans an unbounded ray of the image,
-    truncated at length 1e6."""
-    cap_radius = 1e6
+
+def coderivative_K_ball_image(prob: pb.VepProblem, xi, zbar) -> list[geo.ConvexBody]:
+    """Per-branch bodies for the image of the unit ball under the
+    coderivative: the xi-columns of the branch caps (``_normal_caps``),
+    hulled where a branch has more than one row."""
     xi, zbar = prob.point(xi, zbar)
     normals = graph_normal_branches(prob, xi, zbar)
-    p = prob.p
-    bodies = []
-    for br in normals.branches:
-        k = len(br)
-        if k == 0:
-            bodies.append(geo.ConvexBody(p, np.zeros((1, p))))
-            continue
-        Gxi = br[:, :p]
-        Gx = br[:, p:]
-        if k == 1:
-            gx = Gx[0]
-            nx = float(np.linalg.norm(gx))
-            if nx <= 1e-12:
-                pts = np.vstack([np.zeros(p), cap_radius * Gxi[0]])
-                bodies.append(geo.ConvexBody(p, pts))
-                continue
-            pts = np.vstack([np.zeros(p), Gxi[0] / nx])
-            bodies.append(geo.ConvexBody(p, pts))
-            continue
-        # fan: sample directions of the branch cone, cap each at the ball
-        pts = [np.zeros(p)]
-        for t in _simplex_samples(k):
-            gx = Gx.T @ t
-            nx = float(np.linalg.norm(gx))
-            if nx <= 1e-12:
-                pts.append(cap_radius * (Gxi.T @ t))
-            else:
-                pts.append((Gxi.T @ t) / nx)
-        bodies.append(geo.ConvexBody(p, geo._prune_hull(np.asarray(pts))))
-    return bodies
+    return [geo.ConvexBody(prob.p, geo._prune_hull(cap[:, : prob.p]) if len(br) > 1
+                           else cap[:, : prob.p])
+            for br, cap in zip(normals.branches, _normal_caps(normals, prob.p))]
 
 
 def mu_subgradient_estimate(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
@@ -453,11 +410,11 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     point: per-branch bodies of N((xi, x); graph K) ∩ (R^p x B).
 
     A regular subgradient of mu at a zero of mu is a regular normal to the
-    graph, and mu is 1-Lipschitz in x, so the bodies conv{0, g/|g_x|} over
-    the rows g of each normal-cone branch form an outer estimate of the
-    subdifferential.  Returns None where that does not hold exactly: x off
-    K(xi) beyond 1e-9 relative, a non-box map, or more than one active
-    bound (rows whose x-parts differ).
+    graph, and mu is 1-Lipschitz in x, so the branch caps
+    (``_normal_caps``) form an outer estimate of the subdifferential.
+    Returns None where that does not hold exactly: x off K(xi) beyond 1e-9
+    relative, a non-box map, or more than one active bound (rows whose
+    x-parts differ).
     """
     xi, x = prob.point(xi, x)
     if not isinstance(prob.K, pb.ParamBox):
@@ -465,14 +422,12 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
     if geo.dist(x, pb.slice_at(prob.K, xi)) > 1e-9 * (1.0 + np.linalg.norm(x)):
         return None
     normals = graph_normal_branches(prob, xi, x)
-    p, dim = prob.p, prob.p + prob.n
     rows = np.vstack(normals.branches)
-    if len(rows) and np.ptp(rows[:, p:], axis=0).max() > 1e-12:
+    if len(rows) and np.ptp(rows[:, prob.p:], axis=0).max() > 1e-12:
         return None
-    nx = float(np.linalg.norm(rows[0, p:])) if len(rows) else 1.0
-    bodies = tuple(geo.ConvexBody(dim, np.vstack([np.zeros(dim), br / nx]))
-                   for br in normals.branches)
-    return SubgradEstimate(bodies, OUTER)
+    dim = prob.p + prob.n
+    return SubgradEstimate(tuple(geo.ConvexBody(dim, cap)
+                                 for cap in _normal_caps(normals, prob.p)), OUTER)
 
 
 def check_graph_normals_scope(prob: pb.VepProblem) -> None:

@@ -68,6 +68,17 @@ def test_bound_that_fails_to_evaluate_exits_2(capsys, tmp_path):
     assert "error: standing assumption violated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("upper = abs(xi1) + 1", "uper = abs(xi1) + 1", "error: line 30: unknown key 'uper' in [K]"),
+    ("[Omega]", "[Omgea]", "error: line 39: unknown section [Omgea]"),
+])
+def test_misspelt_key_or_section_exits_2(capsys, tmp_path, old, new, message):
+    path = tmp_path / "typo.vep"
+    path.write_text(GENCONE.read_text().replace(old, new))
+    assert cli.main(["eval", str(path), "--xi", "0", "--x", "1"]) == 2
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 def test_precondition_exit_code(capsys):
     code = cli.main(["check-stationarity", "example:paper",
                      "--xi-bar", "0", "--x-bar", "2", "--gamma", "0.5"])

@@ -32,6 +32,11 @@ def test_parse_sum_of_squares():
     assert isinstance(e.b, ex.Pow) and e.b.power == 2
 
 
+def test_a_leading_minus_binds_looser_than_a_power():
+    for text, want in (("-xi1^2", -9.0), ("(-xi1)^2", 9.0), ("-2^2", -4.0), ("x1*-x1", -9.0)):
+        assert ex.eval_expr(ex.parse(text, (1, 1, 0)), xi=[3.0], x=[3.0]) == want, text
+
+
 def test_parse_errors_carry_offsets():
     with pytest.raises(ex.ParseError) as err:
         ex.parse("x1 + $", (1, 1, 1))

@@ -74,6 +74,16 @@ def test_load_from_file_matches_builtin(tmp_path, tent):
     assert "K-concave" in prob.asserts
 
 
+def test_the_readme_example_loads(tent):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    prob = pb.parse_problem_text(block, "readme")
+    assert (prob.p, prob.n, prob.m) == (tent.p, tent.n, tent.m)
+    for t in (-1.0, 0.0, 0.7):
+        a, b = pb.slice_at(prob.K, [t]), pb.slice_at(tent.K, [t])
+        assert np.allclose(a.lower, b.lower) and np.allclose(a.upper, b.upper)
+
+
 def test_load_rejects_crossed_bounds(tmp_path):
     bad = FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = -abs(xi1) - 2")
     path = tmp_path / "bad.vep"

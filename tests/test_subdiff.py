@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from vep import expr as ex
 from vep import geometry as geo
@@ -11,7 +12,7 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import fd_gradient, per_point_nu_gradients
+from _oracles import fd_gradient, nnls_cone_projection, per_point_nu_gradients
 
 
 def _vertex_set(body, digits=9):
@@ -152,6 +153,64 @@ def test_coderivative_on_smooth_branch(tent):
 def test_coderivative_requires_graph_point(tent):
     with pytest.raises(sd.SubdiffError, match="not on the graph"):
         sd.coderivative_K(tent, [0.0], [5.0], [0.0])
+
+
+def _coderivative_of_rows(monkeypatch, tent, G, p, v):
+    """coderivative_K of a one-branch graph normal cone with rows G."""
+    G = np.asarray(G, dtype=float)
+    monkeypatch.setattr(sd, "graph_normal_branches", lambda *a: geo.RayUnion((G,)))
+    prob = dataclasses.replace(tent, p=p, n=G.shape[1] - p)
+    return sd.coderivative_K(prob, np.zeros(p), np.zeros(prob.n), v)
+
+
+def _in_cone(y, G):
+    y = np.asarray(y, dtype=float)
+    gap = y - nnls_cone_projection(y, geo.ConeRepr(len(y), "generators", G))
+    return np.linalg.norm(gap) <= 1e-7 * (1.0 + np.linalg.norm(y))
+
+
+def test_coderivative_of_a_three_row_fan_is_an_interval(monkeypatch, tent):
+    # {t1 + 2 t2 + 3 t3 : t >= 0, t1 + t2 + t3 = 1} = [1, 3]
+    img = _coderivative_of_rows(monkeypatch, tent, [[1, 1], [2, 1], [3, 1]], 1, [-1.0])
+    assert sorted(round(float(u[0]), 9) for u in img.points) == [1.0, 2.0, 3.0]
+    assert img.rays == ()
+
+
+def test_coderivative_of_random_branches_is_exact(monkeypatch, tent):
+    # points and rays lie in the branch cone, and every G_xi^T t with
+    # G_x^T t = -v, t >= 0, lies in conv(points) + cone(rays)
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        p, n, k = rng.integers(1, 3), rng.integers(1, 3), rng.integers(1, 5)
+        G = rng.integers(-2, 3, size=(k, p + n)).astype(float)
+        t = rng.uniform(0.0, 2.0, k) * (rng.uniform(size=k) < 0.7)
+        v = -G[:, p:].T @ t
+        img = _coderivative_of_rows(monkeypatch, tent, G, p, v)
+        for u in img.points:
+            assert _in_cone(np.concatenate([u, -v]), G), (G, v, u)
+        for r in img.rays:
+            assert _in_cone(np.concatenate([r, np.zeros(n)]), G), (G, r)
+        P, R = np.reshape(img.points, (-1, p)), np.reshape(img.rays, (-1, p))
+        M = np.block([[P.T, R.T], [np.ones(len(P)), np.zeros(len(R))]])
+        want = np.concatenate([G[:, :p].T @ t, [1.0]])
+        assert nnls(M, want)[1] <= 1e-7 * (1.0 + np.linalg.norm(want)), (G, t)
+
+
+def test_coderivative_and_mu_bodies_call_no_nnls(monkeypatch, tent):
+    import scipy.optimize
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("nnls called")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", refuse)
+    monkeypatch.setattr(geo, "nnls", refuse)
+    up = ex.parse("1 - abs(xi1)", (1, 0, 0))
+    fan = dataclasses.replace(tent, n=2, K=pb.ParamBox((None, None), (up, up)))
+    for prob, xi, z in ((tent, [0.0], [1.0]), (tent, [0.5], [1.5]), (fan, [0.0], [1.0, 1.0])):
+        sd.coderivative_K(prob, xi, z, -np.ones(prob.n))
+        sd.coderivative_K_ball_image(prob, xi, z)
+        sd.mu_subgradient_estimate(prob, xi, z)
+        sd.mu_subgradient_coupled(prob, xi, z)
 
 
 def test_ball_image_bodies(tent):

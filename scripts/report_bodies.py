@@ -5,7 +5,7 @@ Usage, from the root of a checkout (the one whose ``src/`` is run):
 
     python3 path/to/scripts/report_bodies.py OUTDIR
 
-Each of the 50 commands below runs as
+Each of the 52 commands below runs as
 ``python -m vep.cli --seed 3 --format json-like ...`` in its own
 subprocess, with ``src/`` of the current directory on the path.  For
 command k the script writes ``OUTDIR/NN.txt``: the command line, its stdout
@@ -77,6 +77,8 @@ def commands() -> list[tuple[str, ...]]:
          "--gamma", "0.5"),
         ("check-stationarity", CURVED_BOX, "--xi-bar", "0.5", "--x-bar", "1.25",
          "--gamma", "0.5"),
+        ("check-subtransversality", GENCONE, "--xi-bar", "0.5", "--x-bar", "1.5"),
+        ("check-subtransversality", CURVED_BOX, "--xi-bar", "0", "--x-bar", "1"),
     ]
     return cmds
 

@@ -186,18 +186,14 @@ def cmd_check_erbo(prob, args, report: Report) -> int:
 
 
 def cmd_check_subtransversality(prob, args, report: Report) -> int:
-    sd.check_graph_normals_scope(prob)
-    xi_bar = np.atleast_1d(np.asarray(args.xi_bar, dtype=float))
-    x_bar = np.atleast_1d(np.asarray(args.x_bar, dtype=float))
+    xi_bar, x_bar = prob.point(args.xi_bar, args.x_bar)
     point = np.concatenate([xi_bar, x_bar])
     try:
         n_omega_gens = geo.normal_cone(prob.omega, xi_bar).branches[0]
     except geo.GeometryError as err:    # xi_bar off Omega: a bad argument, before any sampling
         raise pb.ProblemError(f"xi is not in the geometric set: {err}") from None
-    padded = (np.hstack([n_omega_gens, np.zeros((len(n_omega_gens), prob.n))])
-              if len(n_omega_gens) else np.zeros((0, prob.p + prob.n)))
-    n1 = geo.RayUnion((padded,))
-    n2 = sd.graph_E_normals(prob, xi_bar, x_bar, window=args.radius)
+    n1 = geo.RayUnion((np.hstack([n_omega_gens, np.zeros((len(n_omega_gens), prob.n))]),))
+    n2 = sd.graph_E_normals(prob, xi_bar, x_bar)
     cert_nc = dg.subtransversality_nc(n1, n2)
     report.results["normal_cone_test"] = _cert_dict(cert_nc)
     d1, d2, d12 = dg.graph_e_distance_oracles(
@@ -381,7 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--xi-bar", dest="xi_bar", type=_floats, required=True)
     p.add_argument("--x-bar", dest="x_bar", type=_floats, required=True)
-    p.add_argument("--radius", type=_positive_float, default=0.5)
+    p.add_argument("--radius", type=_positive_float, default=0.5,
+                   help="half-width of the window and grid of the kappa test")
     p.set_defaults(fn=cmd_check_subtransversality)
 
     p = sub.add_parser("check-stationarity", help="stationarity inclusion test")

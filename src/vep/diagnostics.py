@@ -331,7 +331,7 @@ def subtransversality_nc(n1: geo.RayUnion, n2: geo.RayUnion) -> Certificate:
     tol_deg = 0.5  # angular slack for two arcs to count as meeting
     if n1.dim != 2:
         raise pb.ProblemError(f"normal-cone test is planar, got dimension {n1.dim}")
-    flags = () if (n1.exact and n2.exact) else ("sampled-normals",)
+    flags = () if (n1.exact and n2.exact) else ("linearized-normals",)
     tol = math.radians(tol_deg)
     arcs2 = _branch_arcs_2d([-g for g in n2.branches])
     for a in _branch_arcs_2d(n1.branches):
@@ -483,16 +483,8 @@ def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
                     for i in range(prob.n)]
             pts = pb._grid_points(axes)
             pts = pts[np.linalg.norm(pts - z0, axis=1) <= r]
-            comps = []
-            for c in prob.f.components:
-                v = np.asarray(
-                    ex.eval_expr(c, xi=xi, x=x,
-                                 z=[pts[:, j] for j in range(prob.n)]),
-                    dtype=float,
-                )
-                comps.append(np.broadcast_to(v, (len(pts),)))
-            img = np.stack(comps).T
-            f0 = prob.f.eval(xi=xi, x=x, z=z0).reshape(prob.m)
+            F = mr._f_values(prob, xi[None], x[None], np.vstack([pts, z0])[None])[0]
+            img, f0 = F[:-1], F[-1]
             spread = np.linalg.norm(img - f0, axis=1)
             # image sampling density drives the coverage tolerance and the
             # resolution floor subtracted from the measured rate

@@ -578,31 +578,42 @@ def vars_of(e: Expr) -> frozenset[tuple[str, int]]:
     return frozenset(out)
 
 
-def uses_block(e: Expr, block: str) -> bool:
-    return any(b == block for b, _ in vars_of(e))
+def substitute(e: Expr, block: str, values) -> Expr:
+    """``e`` with each variable of ``block`` replaced: ``block``k by
+    ``values[k - 1]``."""
+    if isinstance(e, Var):
+        return values[e.index - 1] if e.block == block else e
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, block, values), e.power)
+    return type(e)(*(substitute(c, block, values) for c in _children(e)))
 
 
 def is_affine_in(e: Expr, block: str) -> bool:
     """Structural (conservative) test: is ``e`` affine in the block's vars?"""
-    if not uses_block(e, block):
+    return _affine(e, (block,), False)
+
+
+def is_piecewise_affine(e: Expr) -> bool:
+    """Structural (conservative) test: is ``e`` piecewise affine in all its
+    variables, with abs, min and max as its kinks?"""
+    return _affine(e, _BLOCKS, True)
+
+
+def _affine(e: Expr, blocks, kinks: bool) -> bool:
+    """Is ``e`` affine in the variables of ``blocks`` (piecewise, with
+    ``kinks``): sums of such trees, products and quotients whose other
+    factor or divisor holds none of them, and their powers 0 and 1?"""
+    def uses(t: Expr) -> bool:
+        return any(b in blocks for b, _ in vars_of(t))
+
+    if not uses(e) or isinstance(e, Var):
         return True
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return is_affine_in(e.a, block)
-    if isinstance(e, (Add, Sub)):
-        return is_affine_in(e.a, block) and is_affine_in(e.b, block)
-    if isinstance(e, Mul):
-        a_free = not uses_block(e.a, block)
-        b_free = not uses_block(e.b, block)
-        return (a_free and is_affine_in(e.b, block)) or (b_free and is_affine_in(e.a, block))
-    if isinstance(e, Div):
-        return not uses_block(e.b, block) and is_affine_in(e.a, block)
-    if isinstance(e, Pow):
-        return e.power in (0, 1) and is_affine_in(e.base, block)
-    # abs / min / max are affine only when the block does not enter them,
-    # which was excluded above.
-    return False
+    if (isinstance(e, Mul) and uses(e.a) and uses(e.b) or isinstance(e, Div) and uses(e.b)
+            or isinstance(e, Pow) and e.power > 1 or isinstance(e, (Abs, Min2, Max2)) and not kinks):
+        return False
+    return all(_affine(c, blocks, kinks) for c in _children(e))
 
 
 # ---------------------------------------------------------------------------

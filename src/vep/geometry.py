@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,6 +140,25 @@ class ConeRepr:
     def cap(self) -> np.ndarray:
         """Discretization of cone ∩ unit ball as conv of finitely many points."""
         return _read_only(_cap_points(self))
+
+    @cached_property
+    def facets(self) -> np.ndarray:
+        """Unit generators of the dual cone {w : <w, c> >= 0 on C}, read-only:
+        e_i, the negated rows of a halfspace form or, for a generator form
+        of full rank, the null vectors (generalized cross products) of its
+        (dim - 1)-generator subsets that are >= 0 on every generator."""
+        W = np.eye(self.dim) if self.kind == "orthant" else -self.mat
+        if self.kind == "generators":
+            G = self.mat
+            if np.linalg.matrix_rank(G) < self.dim:
+                raise GeometryError("a generator-form cone of rank < dim has no facet list")
+            cols, signs = _minors(self.dim)
+            D = np.linalg.det(G[_row_subsets(len(G), self.dim - 1)][..., cols].swapaxes(-3, -2)) * signs
+            S, tol = D @ G.T, 1e-9 * np.linalg.norm(D, axis=1)[:, None] * np.linalg.norm(G, axis=1)
+            up, down = np.all(S >= -tol, axis=1), np.all(S <= tol, axis=1)
+            W = np.where(up[:, None], D, -D)[up | down]
+        norms = np.linalg.norm(W, axis=1)
+        return _read_only(W[norms > 1e-12] / norms[norms > 1e-12, None])
 
     @cached_property
     def faces(self) -> tuple:
@@ -578,7 +596,7 @@ def normal_cone(S, point) -> RayUnion:
 
 
 # ---------------------------------------------------------------------------
-# sampled limiting normals to graph-like sets
+# polylines through sampled sets, and sphere directions
 # ---------------------------------------------------------------------------
 
 def polyline_project(w: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, float]:
@@ -635,15 +653,6 @@ def _on_segments(W: np.ndarray, a, d, dd) -> tuple[np.ndarray, np.ndarray]:
     return cand, np.sqrt(sq)
 
 
-def _segment_dists(w: np.ndarray, branch: np.ndarray) -> np.ndarray:
-    """Distances of the point w to each segment of the polyline through the
-    branch samples, as ``polyline_project_rows`` takes them (to the one
-    sample when there is one)."""
-    if len(branch) == 1:
-        return polyline_project_rows(w[None], branch)[1]
-    return _on_segments(w[None], *_segments(branch))[1][0]
-
-
 def _sphere_dirs(dim: int, n: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
@@ -653,102 +662,6 @@ def _sphere_dirs(dim: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(0)
     v = rng.normal(size=(n, dim))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-# clustering of limit directions: a gap wider than _GAP_DEG splits two
-# clusters, and a cluster no wider than _RAY_WIDTH_DEG is one ray
-_GAP_DEG = 12.0
-_RAY_WIDTH_DEG = 5.0
-
-
-def _angular_hausdorff(A: np.ndarray, B: np.ndarray) -> float:
-    if len(A) == 0 and len(B) == 0:
-        return 0.0
-    if len(A) == 0 or len(B) == 0:
-        return np.pi
-    cos = np.clip(A @ B.T, -1.0, 1.0)
-    ang = np.arccos(cos)
-    return max(float(ang.min(axis=1).max()), float(ang.min(axis=0).max()))
-
-
-def _cluster_dirs_2d(dirs: np.ndarray):
-    ang = np.sort(np.mod(np.arctan2(dirs[:, 1], dirs[:, 0]), 2 * np.pi))
-    gaps = np.diff(np.concatenate([ang, [ang[0] + 2 * np.pi]]))
-    cut = np.nonzero(gaps > np.deg2rad(_GAP_DEG))[0]
-    if len(cut) == 0:
-        # directions wrap the whole circle
-        return [np.array([[math.cos(a), math.sin(a)] for a in
-                          np.linspace(0, 2 * np.pi, 32, endpoint=False)])]
-    # rotate so clusters do not wrap
-    start = cut[-1] + 1
-    ang = np.concatenate([ang[start:], ang[:start] + 2 * np.pi])
-    clusters = []
-    cur = [ang[0]]
-    for a in ang[1:]:
-        if a - cur[-1] > np.deg2rad(_GAP_DEG):
-            clusters.append(cur)
-            cur = [a]
-        else:
-            cur.append(a)
-    clusters.append(cur)
-    branches = []
-    for c in clusters:
-        width = c[-1] - c[0]
-        if width <= np.deg2rad(_RAY_WIDTH_DEG):
-            mid = 0.5 * (c[0] + c[-1])
-            branches.append(np.array([[math.cos(mid), math.sin(mid)]]))
-        else:
-            branches.append(np.array([[math.cos(c[0]), math.sin(c[0])],
-                                      [math.cos(c[-1]), math.sin(c[-1])]]))
-    return branches
-
-
-def limiting_normal_graph(boundary_branches, point, *, radii) -> RayUnion:
-    """Sampled basic normal cone to a planar curve described by samples.
-
-    ``boundary_branches`` is a list of ordered point arrays in the plane
-    (one-sided smooth parameterizations near ``point``).  Probe points on
-    the circles of the given ``radii`` around ``point`` are projected onto
-    the polylines; the limit directions cone[x - Proj(x, S)] are clustered
-    into ray/fan branches.  Always flagged approximate.
-    """
-    point = np.asarray(point, dtype=float)
-    branches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in boundary_branches]
-    dim = len(point)
-    if dim != 2:
-        raise GeometryError(f"sampled limiting normals are planar, got dimension {dim}")
-    scale = max(1.0, float(np.linalg.norm(point)))
-    near = min(polyline_project(point, b)[1] for b in branches)
-    if near > 1e-6 * scale:
-        raise GeometryError(f"point is not on the sampled set (dist {near:.3g})")
-    seg_dists = [_segment_dists(point, b) for b in branches]
-    radii = sorted(radii, reverse=True)
-    per_radius = []
-    for r in radii:
-        # every probe of the circle onto every branch; the first branch wins ties
-        W = point + r * _sphere_dirs(dim, 240)
-        best_q, best_d = np.zeros_like(W), np.full(len(W), np.inf)
-        for b, dists in zip(branches, seg_dists):
-            # a probe is within r + near of the set, so a segment farther
-            # than 2r + near from the point is never its nearest
-            close = np.flatnonzero(dists <= 2.0 * r + near + 1e-9 * scale)
-            if not len(close):
-                continue
-            if close[-1] - close[0] + 1 == len(close):
-                b = b[close[0]:close[-1] + 2]
-            q, dq = polyline_project_rows(W, b)
-            closer = dq < best_d
-            best_q[closer], best_d[closer] = q[closer], dq[closer]
-        D = best_q - point
-        keep = ~((best_d <= 1e-12 * scale) | (best_d == np.inf))
-        keep &= ~(np.sqrt(np.matmul(D[:, None], D[..., None])[:, 0, 0]) > 4.0 * r)
-        per_radius.append((W - best_q)[keep] / best_d[keep, None])
-    if _angular_hausdorff(per_radius[-1], per_radius[-2]) > 0.08:
-        raise GeometryError("ray directions failed to stabilize across radii")
-    finest = per_radius[-1]
-    if len(finest) == 0:
-        return RayUnion((np.zeros((0, dim)),), exact=False, note="sampled")
-    return RayUnion(tuple(_cluster_dirs_2d(finest)), exact=False, note="sampled")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ over (xi, x, z), an ordering cone C, a parametric feasible-set map K(xi)
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -202,11 +204,13 @@ class OracleGrid:
 # ---------------------------------------------------------------------------
 
 _SECTION = re.compile(r"^\[([a-zA-Z]+)\]\s*$")
-# the keys each section may hold; [K] kinks is retired and read as nothing
-_KEYS = {"problem": {"p", "n", "m", "window_xi", "window_x", "asserts"},
-         "cone": {"type", "rows"}, "k": {"type", "lower", "upper", "a", "b", "kinks"},
-         "f": {"components"}, "objective": {"expr"},
-         "omega": {"type", "lower", "upper", "a", "b"}}
+# the keys each section may hold, per type (the first is the default) where
+# it has types; [K] kinks is retired and read as nothing
+_KEYS = {"problem": {None: {"p", "n", "m", "window_xi", "window_x", "asserts"}},
+         "cone": {"orthant": {"type"}, "generators": {"type", "rows"}, "halfspaces": {"type", "rows"}},
+         "k": {"box": {"type", "lower", "upper", "kinks"}, "polytope": {"type", "a", "b", "kinks"}},
+         "f": {None: {"components"}}, "objective": {None: {"expr"}},
+         "omega": {"box": {"type", "lower", "upper"}, "halfspaces": {"type", "a", "b"}}}
 
 
 def _split_top(s: str, sep: str) -> list[str]:
@@ -227,7 +231,10 @@ def _split_top(s: str, sep: str) -> list[str]:
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, str]]:
+    """{section: {key: value}}, names in lower case; an unknown section, or a
+    key that the section's type does not read, raises naming its line."""
     sections: dict[str, dict[str, str]] = {}
+    where: dict[tuple[str, str], tuple[int, str]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()     # no key, number or expression holds '#'
@@ -246,18 +253,21 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
             raise ProblemError(f"line {lineno}: expected key = value")
         key, val = line.split("=", 1)
         key = key.strip().lower()
-        if key not in _KEYS[current]:
-            raise ProblemError(f"line {lineno}: unknown key {key!r} in [{header}]")
+        where[current, key] = (lineno, header)
         sections[current][key] = val.strip()
+    for (section, key), (lineno, header) in sorted(where.items(), key=lambda kv: kv[1]):
+        kinds = _KEYS[section]
+        kind = next(iter(kinds))
+        kind = kind and sections[section].get("type", kind).lower()
+        if key not in kinds.get(kind, {key}):
+            raise ProblemError(f"line {lineno}: unknown key {key!r} in [{header}]")
     return sections
 
 
 def _parse_bound_expr(token: str, p: int):
-    t = token.strip().lower()
-    if t in ("inf", "+inf"):
-        return "upper-inf"
-    if t == "-inf":
-        return "lower-inf"
+    """A bound expression over xi, or None for an infinite bound."""
+    if token.strip().lower() in ("inf", "+inf", "-inf"):
+        return None
     try:
         return ex.parse(token, (p, 0, 0))
     except ex.ParseError as err:
@@ -352,15 +362,8 @@ def parse_problem_text(text: str, name: str) -> VepProblem:
         ups = _split_top(ksec.get("upper", ""), ";")
         if len(lows) != n or len(ups) != n:
             raise ProblemError(f"[K] needs {n} lower and upper bounds")
-        lower = []
-        upper = []
-        for t in lows:
-            b = _parse_bound_expr(t, p)
-            lower.append(None if isinstance(b, str) else b)
-        for t in ups:
-            b = _parse_bound_expr(t, p)
-            upper.append(None if isinstance(b, str) else b)
-        K = ParamBox(tuple(lower), tuple(upper))
+        K = ParamBox(tuple(_parse_bound_expr(t, p) for t in lows),
+                     tuple(_parse_bound_expr(t, p) for t in ups))
     elif kkind == "polytope":
         rows = []
         for r in _split_top(ksec.get("a", ""), ";"):
@@ -507,6 +510,63 @@ def load(source: str) -> VepProblem:
 
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return parse_problem_text(text, name=f"{source}#{digest}")
+
+
+# ---------------------------------------------------------------------------
+# the graph of the solution map as a finite system
+# ---------------------------------------------------------------------------
+
+def _bound_exprs(K, xi: np.ndarray) -> tuple[tuple, tuple]:
+    """Lower and upper bound expressions of K near xi, None where unbounded.
+    A polytope with n = 1 is read as bounds b_j / a_j: their max over the
+    rows with a_j(xi) < 0 and their min over those with a_j(xi) > 0."""
+    if isinstance(K, ParamBox):
+        return K.lower, K.upper
+    if K.n != 1:
+        raise ProblemError("the solution-graph system of a polytope K needs n = 1")
+    sides: tuple[list, list] = ([], [])
+    for (a,), b in zip(K.rows, K.rhs):
+        slope = float(ex.eval_expr(a, xi=xi))
+        if abs(slope) < ex.EPS_DIV:
+            raise ProblemError(f"the solution-graph system needs nonzero K rows at xi={xi.tolist()}")
+        sides[slope > 0].append(ex.Div(b, a))
+    return tuple((functools.reduce(op, es) if es else None,)
+                 for op, es in zip((ex.Max2, ex.Min2), sides))
+
+
+def E_system(prob: VepProblem, xi) -> tuple:
+    """Expressions h_j over xi and x, each listed once, whose region
+    {h_j >= 0} is the graph of the solution map near the parameter xi: K's
+    bounds and, for f affine in z, <w, f(xi, x, v)> for every facet normal
+    w of C and vertex v of K(xi), the vertex form of a robust linear
+    constraint (Ben-Tal and Nemirovski, Math. Oper. Res. 23, 1998), with
+    <w, f(v + d) - f(v)> along each unbounded side d of the slice."""
+    xi, _ = prob.point(xi, None)
+    if not prob.f.affine_in_z:
+        raise ProblemError("the solution-graph system needs f affine in z")
+    try:
+        facets = prob.cone.facets
+    except geo.GeometryError as err:
+        raise ProblemError(f"the solution-graph system: {err}") from None
+    lower, upper = _bound_exprs(prob.K, xi)
+    x = [ex.Var("x", i + 1) for i in range(prob.n)]
+    rows = [ex.Sub(xk, lo) for xk, lo in zip(x, lower) if lo is not None]
+    rows += [ex.Sub(up, xk) for xk, up in zip(x, upper) if up is not None]
+    # a coordinate free on both sides takes the point 0 of its line
+    ends = [[b for b in pair if b is not None] or [ex.Const(0.0)] for pair in zip(lower, upper)]
+    v0 = tuple(e[0] for e in ends)
+    sides = [v0[:i] + (ex.Add(v0[i], ex.Const(step)),) + v0[i + 1:]
+             for i, pair in enumerate(zip(lower, upper))
+             for bound, step in zip(pair, (-1.0, 1.0)) if bound is None]
+
+    def wf(w, v):
+        return functools.reduce(ex.Add, [ex.Mul(ex.Const(float(c)), ex.substitute(comp, "z", v))
+                                         for c, comp in zip(w, prob.f.components) if c != 0.0])
+
+    for w in facets:
+        rows += [wf(w, v) for v in itertools.product(*ends)]
+        rows += [ex.Sub(wf(w, v), wf(w, v0)) for v in sides]
+    return tuple(dict.fromkeys(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ of the active constraints of a box or polytope map) with its coderivative
 (exact for any number of rows), one capped normal cone per graph branch,
 read by both outer estimates of the feasibility-gap subdifferential (the
 coderivative-ball product and the coupled graph-normal cap), and the
-sampled normal cone to the graph of the solution map.
+regular and limiting normal cones to the graph of the solution map, exact
+from its finite vertex-form system (p = n = 1, f affine in z).
 """
 
 from __future__ import annotations
@@ -430,34 +431,59 @@ def mu_subgradient_coupled(prob: pb.VepProblem, xi, x) -> SubgradEstimate | None
                                  for cap in _normal_caps(normals, prob.p)), OUTER)
 
 
-def check_graph_normals_scope(prob: pb.VepProblem) -> None:
-    """Raise ProblemError unless the sampled solution-graph normals cover
-    prob (p = n = 1)."""
-    if prob.p != 1 or prob.n != 1:
-        raise pb.ProblemError("sampled solution-graph normals need p = n = 1")
-
-
-def graph_E_normals(prob: pb.VepProblem, xi, x, window: float = 0.5) -> geo.RayUnion:
-    """Sampled basic normal cone to the solution-map graph at (xi, x); the
-    graph is a planar curve, so p = n = 1."""
+def _graph_E_cones(prob: pb.VepProblem, xi, x) -> tuple[geo.RayUnion, geo.RayUnion]:
+    """Regular and limiting normal cones to the graph of the solution map at
+    (xi, x), p = n = 1: ``_planar_cones`` of the pieces {d : W d >= 0, J d >= 0}
+    of one ``expr.sign_rows`` pass over the rows of ``problem.E_system``
+    active there (value <= 1e-6), whose union is the tangent cone.  Exact
+    where every active row is piecewise affine, else linearized (noted).  A
+    point whose merit exceeds check-stationarity's 1e-6 raises ProblemError."""
     xi, x = prob.point(xi, x)
-    check_graph_normals_scope(prob)
-    t0 = float(xi[0])
-    # a point or samples that overflow give no normals: an overflowing
-    # |point| would switch off the test that the point is on the samples
-    try:
-        with np.errstate(over="raise"):
-            cloud = pb.graph_samples(prob, t0 - window, t0 + window, 501)
-            if len(cloud) == 0:
-                raise SubdiffError("no solution-graph samples in the window")
-            left = cloud[cloud[:, 0] <= t0 + 1e-12]
-            right = cloud[cloud[:, 0] >= t0 - 1e-12]
-            branches = [b for b in (left, right) if len(b) >= 2]
-            if not branches:
-                branches = [cloud]
-            return geo.limiting_normal_graph(
-                branches, np.concatenate([xi, x]),
-                radii=(0.04 * window, 0.02 * window, 0.01 * window),
-            )
-    except FloatingPointError as err:
-        raise pb.ProblemError(f"the point or its solution-graph samples overflow: {err}") from None
+    if prob.p != 1 or prob.n != 1:
+        raise pb.ProblemError("solution-graph normals need p = n = 1")
+    rows = pb.E_system(prob, xi)
+    nu, mu = mr._point(prob, xi, x, 0.0)[:2]
+    if nu.value + mu > 1e-6:
+        raise pb.ProblemError(f"point is not on the solution graph (merit {nu.value + mu:.3g} > 1e-06)")
+    active = [h for h in rows if float(ex.eval_expr(h, xi=xi, x=x)) <= 1e-6]
+    J, W = ex.sign_rows(active, (xi, x, ()), "xix") if active else ([np.zeros((0, 2))],) * 2
+    note = "" if all(map(ex.is_piecewise_affine, active)) else "linearized"
+    return tuple(geo.RayUnion(c, not note, note) for c in _planar_cones(list(map(np.vstack, zip(W, J)))))
+
+
+def _planar_cones(pieces) -> tuple[tuple, tuple]:
+    """Branches (rays, and fans between neighbouring candidate rays) of the
+    regular and the limiting normal cone at 0 of the union T of the planar
+    cones {d : M d >= 0}, M over ``pieces`` (Rockafellar and Wets,
+    Variational Analysis, 1998, ch. 6).  T's boundary lies on the rows'
+    perpendiculars, so T is decided on those angles, closed under quarter
+    turns, and the midpoints of the gaps between them.  The regular cone,
+    T's polar, holds the angles with no angle of T in their open
+    half-circle; the limiting cone adds, at each boundary ray of T, the
+    outward perpendicular of each side that T does not cover.
+    """
+    pieces = [M[np.linalg.norm(M, axis=1) > 1e-12] for M in pieces]
+    pieces = [M / np.linalg.norm(M, axis=1, keepdims=True) for M in pieces]
+    R = np.vstack(pieces)
+    base = np.sort(np.append(np.mod(np.arctan2(R[:, 1], R[:, 0]), np.pi / 2), 0.0))
+    base = base[np.append(True, np.diff(base) > 1e-10) & (base < np.pi / 2 - 1e-10)]
+    q = 2 * len(base)       # slots in a quarter turn
+    theta = (base + np.pi / 2 * np.arange(4)[:, None]).ravel()
+    # slot 2i is the ray at theta[i], slot 2i + 1 the gap after it
+    ang = np.c_[theta, theta + 0.5 * np.diff(np.append(theta, 2 * np.pi))].ravel()
+    D, n = np.c_[np.cos(ang), np.sin(ang)], len(ang)
+    in_T = np.any([np.all(M @ D.T >= -np.tile([1e-9, 0.0], len(theta)), axis=0) for M in pieces], axis=0)
+    # a ray's open half-circle stops short of its quarter turns, a gap's reaches into theirs
+    polar = np.array([not in_T[np.arange(s - q + 1 - s % 2, s + q + s % 2) % n].any() for s in range(n)])
+    regular = tuple(D[[s, (s + 2) % n]] if polar[s + 1] else D[[s]] for s in range(0, n, 2)
+                    if polar[s + 1] or polar[s] and not polar[s - 1])
+    rays = {(s + turn * q) % n for s in range(0, n, 2) for turn in (1, -1)
+            if in_T[s] and not in_T[(s + turn) % n]}
+    none = (np.zeros((0, 2)),)
+    return regular or none, regular + tuple(D[[t]] for t in sorted(rays) if not polar[t]) or none
+
+
+def graph_E_normals(prob: pb.VepProblem, xi, x) -> geo.RayUnion:
+    """Limiting normal cone to the graph of the solution map at (xi, x),
+    p = n = 1: the second cone of ``_graph_E_cones``."""
+    return _graph_E_cones(prob, xi, x)[1]

@@ -697,42 +697,6 @@ def einsum_polyline_project(w, branch):
     return cand[j], float(dists[j])
 
 
-def per_probe_limiting_normal_graph(boundary_branches, point, *, radii):
-    """``geometry.limiting_normal_graph`` with one polyline projection per
-    probe and branch: the reference for the stacked probes."""
-    from vep import geometry as geo
-
-    point = np.asarray(point, dtype=float)
-    branches = [np.atleast_2d(np.asarray(b, dtype=float)) for b in boundary_branches]
-    dim = len(point)
-    scale = max(1.0, float(np.linalg.norm(point)))
-    near = min(einsum_polyline_project(point, b)[1] for b in branches)
-    if near > 1e-6 * scale:
-        raise geo.GeometryError(f"point is not on the sampled set (dist {near:.3g})")
-    per_radius = []
-    for r in sorted(radii, reverse=True):
-        dirs = []
-        for u in geo._sphere_dirs(dim, 240):
-            w = point + r * u
-            best_q, best_d = None, np.inf
-            for b in branches:
-                q, dq = einsum_polyline_project(w, b)
-                if dq < best_d:
-                    best_q, best_d = q, dq
-            if best_d <= 1e-12 * scale or best_d == np.inf:
-                continue
-            if np.linalg.norm(best_q - point) > 4.0 * r:
-                continue
-            dirs.append((w - best_q) / best_d)
-        per_radius.append(np.asarray(dirs) if dirs else np.zeros((0, dim)))
-    if geo._angular_hausdorff(per_radius[-1], per_radius[-2]) > 0.08:
-        raise geo.GeometryError("ray directions failed to stabilize across radii")
-    finest = per_radius[-1]
-    if len(finest) == 0:
-        return geo.RayUnion((np.zeros((0, dim)),), exact=False, note="sampled")
-    return geo.RayUnion(tuple(geo._cluster_dirs_2d(finest)), exact=False, note="sampled")
-
-
 def per_point_c_bounded_sups(prob, xi, x0):
     """The per-level suprema of ``diagnostics.check_c_bounded``, one
     ``VectorFunc.eval`` and one ``geometry.dist`` per grid point of K(xi):

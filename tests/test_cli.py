@@ -193,11 +193,18 @@ def test_empty_polytope_slice_exits_2_at_load(capsys, tmp_path):
     assert "error: standing assumption violated: empty slice" in capsys.readouterr().err
 
 
-def test_check_subtransversality_command(capsys):
-    code, body = run_cli(capsys, "check-subtransversality", "example:paper",
-                         "--xi-bar", "0", "--x-bar", "1")
-    assert code == 0
-    assert "certified-on-samples" in body
+def test_check_subtransversality_command(capsys, monkeypatch):
+    # the normals, of the thick gencone graph too, come from the finite
+    # system: only kappa samples the graph, once per run
+    from vep import problem as pb
+
+    calls, sample = [], pb.graph_samples
+    monkeypatch.setattr(pb, "graph_samples", lambda *a: calls.append(a) or sample(*a))
+    for problem in ("example:paper", str(GENCONE)):
+        code, body = run_cli(capsys, "check-subtransversality", problem, "--xi-bar", "0", "--x-bar", "1")
+        assert code == 0
+        assert "certified-on-samples" in body
+    assert len(calls) == 2
 
 
 def test_probe_stability_command(capsys):
@@ -261,7 +268,14 @@ def test_check_subtransversality_rejects_p_or_n_other_than_one(capsys, tmp_path,
     code = cli.main(["check-subtransversality", *argv])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_LOAD
-    assert out == "" and err == "error: sampled solution-graph normals need p = n = 1\n"
+    assert out == "" and err == "error: solution-graph normals need p = n = 1\n"
+
+
+def test_check_subtransversality_off_the_graph_exits_2(capsys):
+    code = cli.main(["check-subtransversality", "example:paper", "--xi-bar", "0", "--x-bar", "2"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_LOAD and out == ""
+    assert err == "error: point is not on the solution graph (merit 1 > 1e-06)\n"
 
 
 # p = 2 with a kink of the map at xi = 0: K(xi) = [-|xi1| - 1, |xi2| + 1]

@@ -11,8 +11,7 @@ from scipy.optimize import nnls
 
 from _oracles import (einsum_polyline_project, gathered_basis_points, generator_cone_members,
                       grid_min_distance, hildreth_projection, lp_extreme_rows, nnls_cap_points,
-                      nnls_cone_projection, per_face_dist_cone_batch,
-                      per_probe_limiting_normal_graph, per_row_project_polytopes,
+                      nnls_cone_projection, per_face_dist_cone_batch, per_row_project_polytopes,
                       per_value_cone_dist, qhull_vertices, reduce_on_segments, sampled_min_norm)
 
 POLYTOPE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "polytope.vep"
@@ -584,38 +583,26 @@ def test_dual_dual_recovers_cone_on_generators():
     assert not geo.cone_contains(dd, [-1.0, 0.0], 1e-9)
 
 
+@pytest.mark.parametrize("cone", [
+    geo.generated_cone([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [-1.0, 0.0, 1.0], [0.0, -1.0, 1.0]]),
+    geo.ConeRepr(2, "halfspaces", [[0.0, -1.0], [-1.0, -1.0]]),
+])
+def test_facets_are_the_dual_generators(cone):
+    # y is in C iff <w, y> >= 0 for every facet normal w
+    Y = np.random.default_rng(0).normal(size=(400, cone.dim))
+    assert np.array_equal(geo.cone_members(cone, Y, 1e-9), (Y @ cone.facets.T).min(axis=1) >= -1e-9)
+    with pytest.raises(geo.GeometryError, match="rank < dim"):
+        geo.generated_cone([[1.0, 0.0]]).facets
+
+
 def test_cone_pointedness():
     assert geo.cone_pointed(geo.orthant(3))
     assert not geo.cone_pointed(geo.generated_cone([[1.0, 0], [-1.0, 0]]))
 
 
 # ---------------------------------------------------------------------------
-# sampled limiting normals
+# polyline projections
 # ---------------------------------------------------------------------------
-
-def _tent_branches(width=0.6, n=601):
-    t = np.linspace(-width, width, n)
-    upper = np.c_[t, np.abs(t) + 1.0]
-    lower = np.c_[t, -np.abs(t) - 1.0]
-    return upper, lower
-
-
-def test_limiting_normals_thin_curve_has_fan_below():
-    upper, _ = _tent_branches()
-    rn = geo.limiting_normal_graph([upper], [0.0, 1.0],
-                                   radii=(0.02, 0.01, 0.005))
-    # expected: rays at 45 and 135 degrees plus the downward fan [225, 315]
-    widths = []
-    for b in rn.branches:
-        angs = sorted(np.degrees(np.arctan2(b[:, 1], b[:, 0])) % 360)
-        widths.append((angs[0], angs[-1]))
-    fans = [w for w in widths if w[1] - w[0] > 10]
-    rays = sorted(w[0] for w in widths if w[1] - w[0] <= 10)
-    assert len(fans) == 1
-    assert fans[0][0] == pytest.approx(225.0, abs=3.0)
-    assert fans[0][1] == pytest.approx(315.0, abs=3.0)
-    assert rays == pytest.approx([45.0, 135.0], abs=2.0)
-
 
 def _thick_graph():
     """gencone's sampled solution graph over [-0.5, 0.5]: about 9,700
@@ -641,53 +628,6 @@ def test_polyline_rows_equal_the_per_point_projection():
         assert np.array_equal(Q, [q for q, _ in ref]) and np.array_equal(d, [e for _, e in ref])
         q, e = geo.polyline_project(W[0], branch)
         assert np.array_equal(q, ref[0][0]) and e == ref[0][1]
-
-
-@pytest.mark.parametrize("t0, window", [(0.0, 0.5), (0.0, 0.25), (-0.2, 0.25), (0.3, 0.25)])
-def test_stacked_probes_equal_the_per_probe_normals(t0, window):
-    cloud = _thick_graph()
-    cloud = cloud[np.abs(cloud[:, 0] - t0) <= window + 1e-12]
-    left, right = cloud[cloud[:, 0] <= t0 + 1e-12], cloud[cloud[:, 0] >= t0 - 1e-12]
-    point = cloud[np.argmin(np.abs(cloud[:, 0] - t0))]
-    radii = (0.04 * window, 0.02 * window, 0.01 * window)
-
-    def run(fn):
-        try:
-            return [b.tolist() for b in fn([left, right], point, radii=radii).branches]
-        except geo.GeometryError as err:     # the ray directions may not stabilize
-            return str(err)
-
-    assert run(geo.limiting_normal_graph) == run(per_probe_limiting_normal_graph)
-
-
-def test_stacked_probes_equal_the_per_probe_normals_on_one_branch():
-    upper, _ = _tent_branches()
-    got = geo.limiting_normal_graph([upper], [0.0, 1.0], radii=(0.02, 0.01, 0.005))
-    want = per_probe_limiting_normal_graph([upper], [0.0, 1.0], radii=(0.02, 0.01, 0.005))
-    assert [b.tolist() for b in got.branches] == [b.tolist() for b in want.branches]
-
-
-def test_stacked_probes_skip_a_far_branch_and_cut_a_near_run():
-    # a far branch, never nearest, and a branch whose near segments are one
-    # run in the middle; and a branch that comes back near the point, whose
-    # near segments are not contiguous
-    upper, _ = _tent_branches()
-    far = upper + np.array([0.0, 3.0])
-    hook = np.vstack([upper[300:], [[0.6, 1.03], [0.02, 1.03]]])
-    point = np.array([0.0, 1.0])
-
-    def near(branch):       # the segments within 2r + near of the point at r = 0.02
-        return np.flatnonzero(geo._segment_dists(point, branch) <= 0.04 + 1e-9)
-
-    assert len(near(far)) == 0
-    run = near(upper)
-    assert 0 < run[0] and run[-1] < len(upper) - 2 and len(run) == run[-1] - run[0] + 1
-    run = near(hook)
-    assert len(run) < run[-1] - run[0] + 1
-    for branches in ([far, upper], [upper, far], [hook]):
-        got = geo.limiting_normal_graph(branches, point, radii=(0.02, 0.01, 0.005))
-        want = per_probe_limiting_normal_graph(branches, point, radii=(0.02, 0.01, 0.005))
-        assert [b.tolist() for b in got.branches] == [b.tolist() for b in want.branches]
 
 
 def test_truncated_normal_reuses_one_cone_per_active_set(monkeypatch):

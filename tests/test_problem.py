@@ -171,6 +171,39 @@ def test_load_rejects_non_pointed_cone(tmp_path):
         pb.load(str(path))
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a key that the section's type does not read (the box [K]'s retired kinks loads)
+    ("upper = abs(xi1) + 1", "upper = abs(xi1) + 1\nA = 1", "line 18: unknown key 'a' in [K]"),
+    ("type = orthant", "type = orthant\nrows = 1, 0 ; 0, 1", "line 13: unknown key 'rows' in [cone]"),
+    ("upper = inf", "upper = inf\na = 1", "line 30: unknown key 'a' in [Omega]"),
+    ("m = 2", "m = 2\ntype = box", "line 7: unknown key 'type' in [problem]"),
+    # a problem without a finite solution-graph system
+    ("x1 - z1 ;", "x1 - z1^2 ;", "the solution-graph system needs f affine in z"),
+    ("type = box\nlower = -abs(xi1) - 1\nupper = abs(xi1) + 1", "type = polytope\nA = 1 ; xi1\nb = 1 ; 1",
+     "the solution-graph system needs nonzero K rows at xi=[0.0]"),
+])
+def test_misread_keys_and_problems_without_a_graph_system_are_refused(old, new, message):
+    with pytest.raises(pb.ProblemError) as err:
+        pb.E_system(pb.parse_problem_text(FILE_TEXT.replace(old, new, 1), "refused"), [0.0])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("source", ["example:paper", str(GENCONE), "unbounded"])
+def test_E_system_holds_exactly_where_the_merit_is_zero(source):
+    # the vertex form: every row >= 0 iff nu = mu = 0, at random points and at
+    # points of E.  "unbounded" has K(xi) = [-|xi| - 1, inf) and f1 = x1 + z1:
+    # E(xi) = [|xi| + 1, inf), and the recession row of z -> inf reads 1 >= 0
+    prob = pb.load(source) if source != "unbounded" else pb.parse_problem_text(
+        FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = inf").replace("x1 - z1", "x1 + z1"), source)
+    rng = np.random.default_rng(0)
+    for xi in (0.0, 0.3, -0.8):
+        X = np.r_[rng.uniform(-3, 3, 40), pb.oracle_solutions(prob, [xi])[::20, 0]]
+        hold = np.all([ex.eval_expr(h, xi=[xi], x=[X]) + 0 * X >= -1e-9
+                       for h in pb.E_system(prob, [xi])], axis=0)
+        zero = mr.eval_merit_batch(prob, np.full((len(X), 1), xi), X[:, None]) <= 1e-9
+        assert zero.any() and not zero.all() and np.array_equal(hold, zero)
+
+
 # ---------------------------------------------------------------------------
 # slices
 # ---------------------------------------------------------------------------

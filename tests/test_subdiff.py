@@ -400,6 +400,54 @@ def test_degenerate_box_slice_keeps_the_union(tent):
 
 
 # ---------------------------------------------------------------------------
+# normals of the solution graph
+# ---------------------------------------------------------------------------
+
+def _rays(cone):
+    return sorted(sorted(tuple(0.0 + np.round(ray, 12)) for ray in br) for br in cone.branches)
+
+
+H = round(2 ** -0.5, 12)
+UP, LINE, VLINE = [[(-H, H)], [(H, H)]], [[(-H, H)], [(H, -H)]], [[(0.0, -1.0)], [(0.0, 1.0)]]
+TENT_APEX = [[(-H, -H), (0.0, -1.0)], [(0.0, -1.0), (H, -H)]]
+CURVED_BOX = Path(__file__).parent / "data" / "curved_box.vep"
+
+
+@pytest.mark.parametrize("source, xi, x, regular, limiting", [
+    # the tent x = |xi| + 1: the fan below its apex, and the normals of its arms
+    ("example:paper", 0.0, 1.0, TENT_APEX, None),
+    ("example:paper", 0.5, 1.5, LINE, LINE),
+    # the same map as rows z <= |xi| + 1 and -z <= |xi| + 1: the same cones
+    ("tent as polytope", 0.0, 1.0, TENT_APEX, None),
+    ("tent as polytope", 0.5, 1.5, LINE, LINE),
+    # the thick graph 1 <= x <= |xi| + 1 at its apex, on its top edge and inside
+    (PROBLEMS / "gencone.vep", 0.0, 1.0, [[(0.0, -1.0)]], None),
+    (PROBLEMS / "gencone.vep", 0.5, 1.5, [[(-H, H)]], [[(-H, H)]]),
+    (PROBLEMS / "gencone.vep", 0.5, 1.2, [[]], [[]]),
+    # E(xi) = {xi^2 + 1}: an active row holds xi^2, so the cones are the linearized line
+    (CURVED_BOX, 0.0, 1.0, VLINE, VLINE),
+])
+def test_graph_E_normals_closed_forms(tmp_path, source, xi, x, regular, limiting):
+    if source == "tent as polytope":
+        source = tmp_path / "tent_polytope.vep"
+        source.write_text((PROBLEMS / "gencone.vep").read_text()
+                          .replace("type = generators\nrows = 1, 0 ; -1, 1", "type = orthant")
+                          .replace("type = box\nlower = -abs(xi1) - 1\nupper = abs(xi1) + 1",
+                                   "type = polytope\nA = 1 ; -1\nb = abs(xi1) + 1 ; abs(xi1) + 1"))
+    cones = sd._graph_E_cones(pb.load(str(source)), [xi], [x])
+    assert [_rays(c) for c in cones] == [regular, sorted(limiting or regular + UP)]
+    linearized = source == CURVED_BOX
+    assert [(c.exact, c.note) for c in cones] == [(not linearized, "linearized" * linearized)] * 2
+
+
+def test_planar_cones_cut_the_polar_of_a_ray_or_a_point_into_quarter_fans():
+    # the polar of the ray (1, 0) is the half-plane d1 <= 0, that of the point 0 the plane
+    for rows, fans in (([[1, 0], [0, 1], [0, -1]], 2), ([[1, 0], [-1, 0], [0, 1], [0, -1]], 4)):
+        regular, limiting = sd._planar_cones([np.array(rows, dtype=float)])
+        assert len(regular) == len(limiting) == fans and all(abs(f[0] @ f[1]) < 1e-12 for f in regular)
+
+
+# ---------------------------------------------------------------------------
 # outer estimate with enlargement
 # ---------------------------------------------------------------------------
 

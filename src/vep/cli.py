@@ -13,6 +13,7 @@ feasible incumbent.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -345,7 +346,11 @@ def _nonnegative_int(text: str) -> int:
     return _checked(v, v >= 0, text, "a non-negative integer")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on first use:
+    ``parse_args`` and ``error`` leave it unchanged, so ``main`` reuses it.
+    Its defaults are immutable, since each parse hands them out as they are."""
     ap = argparse.ArgumentParser(
         prog="vep",
         description="merit functions, error bounds and stationarity checks "
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None)
     p.add_argument("--smooth-concave", action="store_true")
     p.add_argument("--eps-list", dest="eps_list", type=_positive_floats,
-                   default=[0.05, 0.1])
+                   default=(0.05, 0.1))
     p.add_argument("--lf", type=_positive_float, default=1.0)
     p.set_defaults(fn=cmd_check_stationarity)
 
@@ -445,8 +450,11 @@ def main(argv=None) -> int:
         if k not in ("fn", "command", "problem", "format") and v is not None
     }
     report = Report(args.command, prob.name, params, args.seed)
+    # the shared parser holds the command functions it was built with; the
+    # module's binding is called, so a wrapper set later (a tracer's) is kept
+    fn = globals()[args.fn.__name__]
     try:
-        code = args.fn(prob, args, report)
+        code = fn(prob, args, report)
     except (sv.PreconditionError, pb.ProblemError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_LOAD

@@ -48,14 +48,15 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Box:
-    """Axis-aligned box; bounds may be +-inf."""
+    """Axis-aligned box; bounds may be +-inf.  The bounds are read-only
+    copies of the arrays passed in, so a box can be shared safely."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        up = np.asarray(self.upper, dtype=float)
+        lo = _read_only(np.array(self.lower, dtype=float))
+        up = _read_only(np.array(self.upper, dtype=float))
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
         if lo.shape != up.shape:
@@ -82,14 +83,15 @@ def _upper_bits(n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Halfspaces:
-    """Intersection of halfspaces {y : A y <= b}."""
+    """Intersection of halfspaces {y : A y <= b}, held as read-only copies
+    of the arrays passed in."""
 
     A: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
+        A = _read_only(np.array(np.atleast_2d(self.A), dtype=float))
+        b = _read_only(np.array(np.atleast_1d(self.b), dtype=float))
         if len(A) != len(b):
             raise GeometryError("halfspace matrix and offsets differ in length")
         object.__setattr__(self, "A", A)

@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -134,8 +136,15 @@ class VepProblem:
     K: ParamBox | ParamPolytope
     objective: ex.Expr
     omega: geo.Box | geo.Halfspaces
-    window: dict = field(default_factory=dict)
+    window: Mapping = field(default_factory=dict)
     asserts: frozenset = frozenset()
+
+    def __post_init__(self):
+        # ``load`` hands one problem to every command that names its file, so
+        # the window is a read-only mapping of read-only copies
+        object.__setattr__(self, "window", MappingProxyType({
+            k: tuple(geo._read_only(np.array(a, dtype=float)) for a in v)
+            for k, v in self.window.items()}))
 
     def xi_window(self) -> tuple[np.ndarray, np.ndarray]:
         if "xi" in self.window:
@@ -498,9 +507,15 @@ _BUILTINS = {
 
 
 def load(source: str) -> VepProblem:
-    """Load a problem from a builtin id or a problem file path."""
+    """Load a problem from a builtin id or a problem file path.
+
+    The file is read and hashed on every call, so an edit is always seen.
+    The same text from the same path gives the same frozen problem, so the
+    parse, the standing-assumption check and the data derived from C, K and
+    f (cone caps, facets, slice tables) are computed once per process.  A
+    builtin id is built once."""
     if source in _BUILTINS:
-        return _BUILTINS[source]()
+        return _builtin(source)
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -509,7 +524,19 @@ def load(source: str) -> VepProblem:
     import hashlib  # on first use: ``import vep`` and builtin problems do without it
 
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
-    return parse_problem_text(text, name=f"{source}#{digest}")
+    return _parsed(text, f"{source}#{digest}")
+
+
+@functools.cache
+def _builtin(source: str) -> VepProblem:
+    return _BUILTINS[source]()
+
+
+@functools.lru_cache(maxsize=8)
+def _parsed(text: str, name: str) -> VepProblem:
+    # keyed on the full text, not on the digest in ``name``; a failed parse
+    # raises and is not cached, so it raises again on the next load
+    return parse_problem_text(text, name)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 import vep
 from vep import cli
+from vep import problem as pb
 
 GENCONE = Path(__file__).resolve().parents[1] / "perfbench" / "problems" / "gencone.vep"
 POLYTOPE = GENCONE.with_name("polytope.vep")
@@ -348,6 +349,39 @@ def test_determinism_of_fast_commands(capsys):
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+
+def test_build_parser_is_built_once(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # a command function wrapped after the parser was built (as the benchmark
+    # tracer wraps them) is still the one called
+    calls, original = [], cli.cmd_eval
+    monkeypatch.setattr(cli, "cmd_eval", lambda *a: calls.append(a) or original(*a))
+    assert run_cli(capsys, "eval", "example:paper", "--xi", "0", "--x", "0")[0] == 0
+    assert len(calls) == 1
+
+
+def test_one_process_gives_the_same_bodies_in_any_order(capsys):
+    # loaded problems and their derived data are shared by every command in
+    # a process, so no command may leave a value that changes a later body;
+    # each order starts from problems loaded afresh
+    runs = [("--seed", "3", *argv)
+            for source in ("example:paper", str(GENCONE))
+            for argv in (
+                ("check-stationarity", source, "--xi-bar", "0.5", "--x-bar", "1.5",
+                 "--gamma", "0.5"),
+                ("check-stationarity", source, "--xi-bar", "0.5", "--x-bar", "1.5",
+                 "--gamma", "0.5", "--smooth-concave"),
+                ("probe-stability", source, "--xi-bar", "0", "--x-bar", "1", "--gamma", "0.9"),
+                ("solve", source, "--starts", "1"),
+            )]
+
+    def bodies(order):
+        pb._parsed.cache_clear()
+        pb._builtin.cache_clear()
+        return [run_cli(capsys, *argv) for argv in order]
+
+    assert bodies(runs) == bodies(runs[::-1])[::-1]
 
 
 DATA = Path(__file__).parent / "data"

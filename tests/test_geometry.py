@@ -904,6 +904,15 @@ def test_on_segments_sums_squares_as_the_reduce():
             assert all(np.array_equal(g, r) for g, r in zip(got, ref)), dim
 
 
+def test_box_and_halfspaces_hold_read_only_copies():
+    a, b = np.zeros(2), np.ones(2)
+    box, half = geo.Box(a, b), geo.Halfspaces(np.eye(2), b)
+    a[0] = -1.0
+    assert a.flags.writeable and b.flags.writeable
+    assert box.lower.tolist() == [0.0, 0.0]
+    assert not any(v.flags.writeable for v in (box.lower, box.upper, half.A, half.b))
+
+
 def test_box_corners_cache_one_table_per_dimension():
     lo, up = np.array([[0.0, -1.0, 2.0]]), np.array([[1.0, 3.0, 4.0]])
     corners = geo.box_corners(lo, up)

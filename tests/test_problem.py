@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -84,15 +85,49 @@ def test_the_readme_example_loads(tent):
         assert np.allclose(a.lower, b.lower) and np.allclose(a.upper, b.upper)
 
 
+def test_load_gives_one_problem_per_file_text(tmp_path):
+    path = tmp_path / "tent.vep"
+    path.write_text(FILE_TEXT)
+    first = pb.load(str(path))
+    assert pb.load(str(path)) is first
+    # the file is read again on every load, so an edit gives a new problem
+    edited = FILE_TEXT.replace("window_x = -4, 4", "window_x = -3, 3")
+    path.write_text(edited)
+    second = pb.load(str(path))
+    digest = hashlib.sha256(edited.encode()).hexdigest()[:12]
+    assert second is not first and second.name == f"{path}#{digest}" != first.name
+    assert second.x_window()[1].tolist() == [3.0]
+    assert pb.load(str(path)) is second
+
+
+def test_each_builtin_id_is_built_once():
+    for source in ("example:paper", "example:tent"):
+        assert pb.load(source) is pb.load(source)
+
+
+def test_a_shared_problem_cannot_be_changed(tent):
+    with pytest.raises(ValueError, match="read-only"):
+        tent.omega.lower[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        tent.window["xi"][0][0] = 1.0
+    with pytest.raises(TypeError):
+        tent.window["xi"] = (np.zeros(1), np.ones(1))
+    S = pb.slice_at(pb.load(str(POLYTOPE)).K, [0.0])
+    with pytest.raises(ValueError, match="read-only"):
+        S.A[0, 0] = 1.0
+
+
 def test_load_rejects_crossed_bounds(tmp_path):
     bad = FILE_TEXT.replace("upper = abs(xi1) + 1", "upper = -abs(xi1) - 2")
     path = tmp_path / "bad.vep"
     path.write_text(bad)
-    # the message names the first of the 1000 sampled xi, the first bad one
+    # the message names the first of the 1000 sampled xi, the first bad one;
+    # a failed load is not kept, so the next load fails again
     first = np.random.default_rng(0).uniform(-2.0, 2.0, 1)
-    with pytest.raises(pb.ProblemError, match="standing assumption") as err:
-        pb.load(str(path))
-    assert str(err.value).endswith(f"empty slice at xi={first.tolist()}: lower > upper")
+    for _ in range(2):
+        with pytest.raises(pb.ProblemError, match="standing assumption") as err:
+            pb.load(str(path))
+        assert str(err.value).endswith(f"empty slice at xi={first.tolist()}: lower > upper")
 
 
 EMPTY_POLYTOPE_TEXT = """

@@ -539,10 +539,11 @@ def test_smooth_concave_prune_hull_calls(monkeypatch):
     # mu branch) triple, this check made 33 calls, and 21 with the nu
     # bodies' Lipschitz ball summed as a 180-point ring per (nu body,
     # lambda); the ball taken exactly needs no hull; 9 with the 1-D unit
-    # ball discretized per coderivative-ball product, not once per dimension
+    # ball discretized per coderivative-ball product, not once per dimension;
+    # a fresh instance, since ``load`` shares one whose cone cap may be warm
     geo._normal_cone.cache_clear()
     geo._unit_ball_points.cache_clear()
-    prob = pb.load("example:paper")
+    prob = pb._builtin_tent()
     hull, calls = geo._prune_hull, []
     monkeypatch.setattr(geo, "_prune_hull", lambda pts: calls.append(None) or hull(pts))
     sv.check_stationarity_smooth_concave(prob, [0.0], [1.0], None, 0.5,

@@ -67,8 +67,12 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     """Smallest sampled distance from the origin to the x-block subgradient
     of nu plus the truncated normal map, over non-solution samples.
 
-    The samples are tested in order, and the scan stops at the first
-    distance within ``GAMMA_MARGIN`` of zero.  A one-point row (see
+    The samples are the (xi, x) grid, then ``n_random`` uniform draws in
+    (xi_bar +- rho) x (x window), taken as one block of raw doubles: row k
+    holds the p + n doubles that the k-th pair of ``Generator.uniform``
+    calls would read, mapped by its arithmetic low + (high - low) u.  They
+    are tested in order, and the scan stops at the first distance within
+    ``GAMMA_MARGIN`` of zero.  A one-point row (see
     ``_one_point_min_norms``) takes its distance from one numpy pass over
     all samples; every other row takes ``_min_norm_body``, the min-norm
     point of the two bodies."""
@@ -76,18 +80,19 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
     xi_bar, _ = prob.point(xi_bar, None)
     _check_xi_range(xi_bar, rho)
     xlo, xup = spec.x_window if spec.x_window is not None else prob.x_window()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(xup - xlo).all():
+            raise pb.ProblemError("the x window is not a finite range")
     rng = np.random.default_rng(spec.seed)
     n_xi, n_x = spec.grid_shape
     xi_axes = [np.linspace(c - rho, c + rho, n_xi) for c in xi_bar]
     x_axes = [np.linspace(xlo[i], xup[i], n_x) for i in range(prob.n)]
     xi_pts = pb._grid_points(xi_axes)
     x_pts = pb._grid_points(x_axes)
-    XI = [np.repeat(xi_pts, len(x_pts), axis=0)]
-    X = [np.tile(x_pts, (len(xi_pts), 1))]
-    for _ in range(spec.n_random):
-        XI.append(rng.uniform(xi_bar - rho, xi_bar + rho)[None])
-        X.append(rng.uniform(xlo, xup)[None])
-    XI, X = np.concatenate(XI), np.concatenate(X)
+    U = rng.random((spec.n_random, prob.p + prob.n))
+    lo, hi = xi_bar - rho, xi_bar + rho
+    XI = np.concatenate([np.repeat(xi_pts, len(x_pts), axis=0), lo + (hi - lo) * U[:, :prob.p]])
+    X = np.concatenate([np.tile(x_pts, (len(xi_pts), 1)), xlo + (xup - xlo) * U[:, prob.p:]])
     flags: set[str] = set()
     # a range whose samples overflow f or a distance gives no gamma: it
     # ends as a load error, not as a verdict on inf and NaN values
@@ -125,11 +130,26 @@ def estimate_gamma(prob: pb.VepProblem, xi_bar, rho: float,
 def _min_norm_body(prob: pb.VepProblem, xi, x) -> tuple[float, tuple]:
     """The distance of one sample and the flags of its subgradient estimate:
     the min-norm point of ``nu_partial_subgradient_smooth``'s body plus the
-    truncated normal map."""
+    truncated normal map, {0} where x is strictly inside its slice."""
     est = sd.nu_partial_subgradient_smooth(prob, xi, x)
-    trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
+    if _strictly_inside(prob, *pb.slice_arrays(prob.K, xi[None]), x[None])[0]:
+        trunc = geo.ConvexBody(prob.n, np.zeros((1, prob.n)))
+    else:
+        trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
     _, d = geo.min_norm_point(geo.minkowski(est.body, trunc))
     return d, est.qc_flags
+
+
+def _strictly_inside(prob: pb.VepProblem, first: np.ndarray, second: np.ndarray,
+                     X: np.ndarray) -> np.ndarray:
+    """(N,) true where X[i] is strictly inside its slice, given as
+    ``pb.slice_arrays`` gives it: lo < x < up for a box map, A x < b for a
+    polytope map.  There the normal cone is {0}.  ``geo.truncated_normal``
+    gives a cap to points within its band of the boundary, which a point
+    given on the boundary needs; a sample strictly inside has no normal."""
+    if isinstance(prob.K, pb.ParamBox):
+        return np.all((first < X) & (X < second), axis=1)
+    return np.all(np.matmul(first, X[..., None])[..., 0] < second, axis=1)
 
 
 def _one_point_min_norms(prob: pb.VepProblem, XI, X, far: mr.Farthest | None,
@@ -177,15 +197,17 @@ def _one_point_min_norms(prob: pb.VepProblem, XI, X, far: mr.Farthest | None,
 
 
 def _truncated_normal_points(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray):
-    """``geo.truncated_normal`` of N points on their bounded, nonempty
-    slices where that body is one point: (plain, T), ``plain`` (N,) false
-    where x is on its slice's boundary (a normal cap), T (N, n) the unit
-    outward direction (x - q)/|x - q| off the slice and 0 inside."""
+    """``_min_norm_body``'s truncated normal of N points on their bounded,
+    nonempty slices where that body is one point: (plain, T), ``plain`` (N,)
+    false where x is on its slice's boundary (a normal cap), T (N, n) the
+    unit outward direction (x - q)/|x - q| off the slice and 0 inside.  A
+    point strictly inside its slice (``_strictly_inside``) is plain."""
+    arrays = pb.slice_arrays(prob.K, XI)
     if isinstance(prob.K, pb.ParamBox):
-        lo, up = pb.slice_arrays(prob.K, XI)
+        lo, up = arrays
         Q = np.clip(X, lo, up)
     else:
-        A, b = pb.slice_arrays(prob.K, XI)
+        A, b = arrays
         Q = geo.project_polytopes(A, b, X)
     gap = mr._dist_rows(X - Q)
     off = ~(gap <= geo.TOL_ON * (1.0 + mr._dist_rows(X)))
@@ -197,7 +219,7 @@ def _truncated_normal_points(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray)
         bound = np.matmul(A, Q[..., None])[..., 0] - b >= -geo.TOL_ON * (1.0 + np.abs(b))
     T = np.zeros_like(X)
     T[off] = (X - Q)[off] / gap[off, None]
-    return off | ~bound.any(axis=1), T
+    return off | ~bound.any(axis=1) | _strictly_inside(prob, *arrays, X), T
 
 
 def check_error_bound_scope(prob: pb.VepProblem) -> None:
@@ -466,13 +488,18 @@ def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
     f(xi, x, z) (32 directions) is covered by the image of the z-ball of
     radius r sampled on a 61-point grid per axis.  Reports the minimum over
     anchors (0 when the image fails to cover any ball).
+
+    The ten (anchor, r) bisections run in lockstep: each image set is
+    padded to the largest with copies of its own first point (a repeated
+    point changes no nearest distance), and each of the 30 steps takes one
+    ``_nearest_dists`` pass over all ten.
     """
     z_resolution = 61
     rng = np.random.default_rng(seed)
     wlo, wup = prob.xi_window()
     xlo, xup = prob.x_window()
-    alpha = math.inf
     dirs = geo._sphere_dirs(prob.m, 32)
+    imgs, f0s, radii, tols, his = [], [], [], [], []
     for _ in range(5):
         xi = rng.uniform(wlo, wup)
         x = rng.uniform(xlo, xup)
@@ -490,20 +517,51 @@ def estimate_openness_rate(prob: pb.VepProblem, seed: int = 0) -> float:
             # resolution floor subtracted from the measured rate
             step = 2.0 * r / (z_resolution - 1)
             lip = float(spread.max()) / max(r, 1e-12)
-            cover_tol = 1.5 * step * max(1.0, lip)
-            lo_a, hi_a = 0.0, float(spread.max()) / r + 1e-9
-            for _ in range(30):
-                mid = 0.5 * (lo_a + hi_a)
-                # every target's nearest image point in one pass; a norm as
-                # np.linalg.norm(..., axis=1) takes it
-                D = img - (f0 + (mid * r) * dirs)[:, None, :]
-                dmin = np.sqrt(np.add.reduce(D * D, axis=-1)).min(axis=1)
-                if np.all(dmin <= cover_tol):
-                    lo_a = mid
-                else:
-                    hi_a = mid
-            alpha = min(alpha, max(0.0, lo_a - cover_tol / r))
+            imgs.append(img)
+            f0s.append(f0)
+            radii.append(r)
+            tols.append(1.5 * step * max(1.0, lip))
+            his.append(float(spread.max()) / r + 1e-9)
+    size = max(map(len, imgs))
+    img = np.stack([np.concatenate([a, np.repeat(a[:1], size - len(a), axis=0)]) for a in imgs])
+    f0, radius, tol = np.array(f0s), np.array(radii), np.array(tols)
+    lo, hi = np.zeros(len(imgs)), np.array(his)
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        targets = f0[:, None, :] + (mid * radius)[:, None, None] * dirs
+        covered = np.all(_nearest_dists(img, targets) <= tol[:, None], axis=1)
+        lo, hi = np.where(covered, mid, lo), np.where(covered, hi, mid)
+    alpha = math.inf
+    for lo_a, cover_tol, r in zip(lo.tolist(), tols, radii):
+        alpha = min(alpha, max(0.0, lo_a - cover_tol / r))
     return float(alpha if math.isfinite(alpha) else 0.0)
+
+
+def _nearest_dists(img: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """min_j |img[k, j] - targets[k, i]| of K image sets (K, V, m) and
+    their targets (K, T, m), as (K, T).  The squares are summed by one pass
+    per value column, in the order np.linalg.norm(..., axis=-1) sums up to
+    7 columns (numpy reduces a short last axis row by row, so the columns
+    are faster); more columns, which numpy sums pairwise, take its own
+    sum.  The root of each minimum is the minimum of the roots, the root
+    being monotone.  Blocks of sets bound the (sets, T, V) temporaries."""
+    m = img.shape[-1]
+    out = np.empty(targets.shape[:2])
+    block = max(1, (1 << 20) // (targets.shape[1] * img.shape[1]))
+    for s in range(0, len(img), block):
+        I, T = img[s:s + block, None], targets[s:s + block, :, None]
+        if m > 7:
+            D = I - T
+            sq = np.add.reduce(D * D, axis=-1)
+        else:
+            sq = I[..., 0] - T[..., 0]
+            sq *= sq
+            for k in range(1, m):
+                d = I[..., k] - T[..., k]
+                d *= d
+                sq += d
+        out[s:s + block] = np.sqrt(sq.min(axis=-1))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -802,9 +802,10 @@ def oracle_dist_to_solutions(prob: VepProblem, xi, x) -> float:
 
 
 def graph_samples(prob: VepProblem, xi_lo: float, xi_hi: float, n_xi: int) -> np.ndarray:
-    """Sampled graph of the solution map over a scalar-xi window (p = 1)."""
+    """Sampled graph of the solution map over a scalar-xi window (p = 1):
+    the rows (t, x) of every solution x at every t, in t order."""
     if prob.p != 1:
         raise ProblemError("graph sampling implemented for p = 1")
     ts = np.linspace(xi_lo, xi_hi, n_xi)
     per_t, _ = _oracle_rows(prob, ts[:, None], OracleGrid())
-    return np.vstack([np.column_stack([np.full(len(s), t), s]) for t, s in zip(ts, per_t)])
+    return np.column_stack([np.repeat(ts, [len(s) for s in per_t]), np.concatenate(per_t)])

@@ -407,9 +407,11 @@ def sequential_solve_penalized(prob, config, starts):
 
 def per_sample_gamma(prob, xi_bar, rho, spec):
     """``diagnostics.estimate_gamma`` with the per-sample body at every
-    sample: for each non-solution sample in order, the min-norm point of
-    ``nu_partial_subgradient_smooth``'s body plus the truncated normal map,
-    up to the first distance within ``GAMMA_MARGIN`` of zero.  Returns
+    sample, the random ones drawn by one pair of ``Generator.uniform`` calls
+    each: for each non-solution sample in order, the min-norm point of
+    ``nu_partial_subgradient_smooth``'s body plus the truncated normal map
+    ({0} strictly inside the slice), up to the first distance within
+    ``GAMMA_MARGIN`` of zero.  Returns
     (constant, verdict, witness, flags): the reference for the one-point
     rows of the batched sweep."""
     from vep import diagnostics as dg
@@ -434,7 +436,13 @@ def per_sample_gamma(prob, xi_bar, rho, spec):
             continue
         est = sd.nu_partial_subgradient_smooth(prob, xi, x)
         flags.update(est.qc_flags)
-        trunc = geo.truncated_normal(x, pb.slice_at(prob.K, xi))
+        S = pb.slice_at(prob.K, xi)
+        if isinstance(S, geo.Box):
+            inside = np.all((S.lower < x) & (x < S.upper))
+        else:
+            inside = np.all(S.A @ x < S.b)
+        # a sample strictly inside its slice has the normal cone {0}
+        trunc = geo.ConvexBody(len(x), np.zeros((1, len(x)))) if inside else geo.truncated_normal(x, S)
         _, d = geo.min_norm_point(geo.minkowski(est.body, trunc))
         tested.append((d, xi, x))
         if d <= dg.GAMMA_MARGIN:

@@ -542,6 +542,17 @@ expr = xi1^2 + x1^2 + x2^2
     assert out == "" and err == "error: error-bound sweep implemented for p = n = 1\n"
 
 
+def test_estimate_constants_gives_no_normal_strictly_inside_the_slice(capsys):
+    # this seed draws a non-solution sample strictly inside K(xi), within
+    # geo.truncated_normal's band of the upper bound: it has no normal, so
+    # gamma is the closed form 1, not a refuting 0
+    code, body = run_cli(capsys, "--seed", "248315638", "--format", "json-like",
+                         "estimate-constants", "example:paper", "--xi-bar", "0", "--rho", "1")
+    gamma = json.loads(body)["results"]["gamma"]
+    assert code == 0
+    assert (gamma["verdict"], gamma["constant"]) == ("certified-on-samples", 1.0)
+
+
 @pytest.mark.parametrize("argv", [
     ("eval", "example:paper", "--xi", "0", "--x", "0,0"),
     ("eval", "example:paper", "--xi", "0,5,7", "--x", "0"),
@@ -567,6 +578,19 @@ def test_rho_beyond_the_float_range_exits_2(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "rho" in err
+
+
+@pytest.mark.parametrize("window", ["nan, 1", "-1e308, 1e308"])
+def test_gamma_on_an_x_window_beyond_the_float_range_exits_2(capsys, tmp_path, window):
+    # the random x samples of the gamma sweep cannot be drawn in this window
+    path = tmp_path / "wide_window.vep"
+    path.write_text("[problem]\np = 1\nn = 1\nm = 1\nwindow_x = " + window + "\n[cone]\n"
+                    "type = orthant\n[K]\ntype = box\nlower = -1\nupper = 1\n[f]\n"
+                    "components = x1 - z1\n[objective]\nexpr = x1\n")
+    code = cli.main(["check-erbo", str(path), "--xi-bar", "0"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: the x window is not a finite range\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -83,6 +83,14 @@ def test_gamma_witness_is_the_first_sample_within_round_off(tent, monkeypatch):
     assert np.array_equal(xi, seen[0][0]) and np.array_equal(x, seen[0][1])
 
 
+def _two_params():
+    """p = 2: K(xi) = [-|xi1| - 1, |xi2| + 1], f = x1 - z1 + |xi1|."""
+    return pb.parse_problem_text(
+        "[problem]\np = 2\nn = 1\nm = 1\n[cone]\ntype = orthant\n[K]\ntype = box\n"
+        "lower = -abs(xi1) - 1\nupper = abs(xi2) + 1\n[f]\ncomponents = x1 - z1 + abs(xi1)\n"
+        "[objective]\nexpr = xi1 + xi2\n", "toy:two-params")
+
+
 def _gamma_cases():
     gencone = pb.load(str(PROBLEMS / "gencone.vep"))
     polytope = pb.load(str(PROBLEMS / "polytope.vep"))
@@ -99,17 +107,20 @@ def _gamma_cases():
                               dg.SampleSpec(grid_shape=(13, 12), n_random=40)),
         # a kink in x at the farthest vertex: branch-hull-at-argmax
         "kinked": (make_const_box(f_comp="abs(x1) - z1"), SMALL),
+        # each random row splits into two xi columns and one x column
+        "two-params": (_two_params(), SMALL),
     }
 
 
 @pytest.mark.parametrize("case", ["paper", "gencone", "polytope", "refuted-at-cap",
-                                  "refuted-one-point", "kinked"])
+                                  "refuted-one-point", "kinked", "two-params"])
 def test_gamma_sweep_matches_the_per_sample_loop(case, monkeypatch):
     prob, spec = _gamma_cases()[case]
     body, calls = dg._min_norm_body, []
     monkeypatch.setattr(dg, "_min_norm_body", lambda *a: calls.append(a) or body(*a))
-    cert = dg.estimate_gamma(prob, [0.0], 1.0, spec)
-    constant, verdict, (xi, x), flags = per_sample_gamma(prob, [0.0], 1.0, spec)
+    xi_bar = [0.0] * prob.p
+    cert = dg.estimate_gamma(prob, xi_bar, 1.0, spec)
+    constant, verdict, (xi, x), flags = per_sample_gamma(prob, xi_bar, 1.0, spec)
     assert cert.constant == constant and cert.verdict == verdict
     [(w_xi, w_x)] = cert.witnesses
     assert np.array_equal(w_xi, xi) and np.array_equal(w_x, x)
@@ -121,6 +132,44 @@ def test_gamma_sweep_matches_the_per_sample_loop(case, monkeypatch):
     if case in ("paper", "polytope", "refuted-at-cap", "kinked"):
         # normal-cap or kinked rows keep the per-sample body
         assert calls
+
+
+@pytest.mark.parametrize("case", ["paper", "polytope", "two-params"])
+def test_gamma_random_block_reads_the_uniform_draws(case, monkeypatch):
+    # (p, n) = (1, 1), (1, 2), (2, 1): row k of the block holds the p xi and
+    # n x doubles of the k-th pair of Generator.uniform calls, mapped by its
+    # arithmetic, so the random samples are the per-sample draws bit for bit
+    prob, _ = _gamma_cases()[case]
+    parts, seen = mr._merit_parts, []
+    monkeypatch.setattr(mr, "_merit_parts", lambda prob, XI, X, **kw: seen.append((XI, X))
+                        or parts(prob, XI, X, **kw))
+    xi_bar, rho, (xlo, xup) = np.full(prob.p, 0.25), 0.5, prob.x_window()
+    for seed in (0, 7, 248315638):
+        spec = dg.SampleSpec(grid_shape=(3, 3), n_random=30, seed=seed)
+        dg.estimate_gamma(prob, xi_bar, rho, spec)
+        XI, X = seen.pop()
+        rng = np.random.default_rng(seed)
+        draws = [(rng.uniform(xi_bar - rho, xi_bar + rho), rng.uniform(xlo, xup)) for _ in range(30)]
+        assert np.array_equal(XI[-30:], [xi for xi, _ in draws])
+        assert np.array_equal(X[-30:], [x for _, x in draws])
+
+
+def test_gamma_takes_no_normal_strictly_inside_the_slice(tent):
+    # this seed draws (0.34049573, 1.3404955): no solution (merit 2.3e-7),
+    # and 2.3e-7 inside the upper bound of K(xi) = [-|xi| - 1, |xi| + 1],
+    # within geo.truncated_normal's band.  The band's cap {0, 1} plus the
+    # subgradient {-1} held 0, a false refutation; strictly inside, the
+    # normal cone is {0} and the distance is the closed form 1
+    xi, x = np.array([0.34049572995359845]), np.array([1.3404955040686408])
+    S = pb.slice_at(tent.K, xi)
+    assert S.lower[0] < x[0] < S.upper[0] and mr.eval_merit(tent, xi, x).merit > 1e-8
+    assert len(geo.truncated_normal(x, S).points) == 2
+    assert dg._min_norm_body(tent, xi, x)[0] == 1.0
+    spec = dg.SampleSpec(seed=248315638)
+    cert = dg.estimate_gamma(tent, [0.0], 1.0, spec)
+    assert (cert.verdict, cert.constant) == (dg.CERTIFIED, 1.0)
+    constant, verdict, _, _ = per_sample_gamma(tent, [0.0], 1.0, spec)
+    assert (constant, verdict) == (cert.constant, cert.verdict)
 
 
 @pytest.mark.parametrize("on_faces", [False, True])
@@ -375,11 +424,21 @@ def _affine_toy():
                          ex.parse("0", (1, 1, 0)), geo.full_space(1))
 
 
+def _surface_toy():
+    """m = 3: f = (z1, z2, x1 + z1 z2) on K = [-1, 1]^2, whose z-slices map
+    onto a surface in R^3 (no ball is covered)."""
+    return pb.parse_problem_text(
+        "[problem]\np = 1\nn = 2\nm = 3\n[cone]\ntype = orthant\n[K]\ntype = box\n"
+        "lower = -1 ; -1\nupper = 1 ; 1\n[f]\ncomponents = z1 ; z2 ; x1 + z1*z2\n"
+        "[objective]\nexpr = x1\n", "toy:surface")
+
+
 SAMPLER_PROBLEMS = {
     "paper": lambda: pb.load("example:paper"),
     "gencone": lambda: pb.load(str(PROBLEMS / "gencone.vep")),
     "polytope": lambda: pb.load(str(PROBLEMS / "polytope.vep")),
     "affine-toy": _affine_toy,
+    "surface-toy": _surface_toy,
 }
 
 
@@ -399,12 +458,28 @@ def test_lipschitz_pass_equals_the_pair_loop(name, seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 3, 11])
 @pytest.mark.parametrize("name", list(SAMPLER_PROBLEMS))
-def test_openness_pass_equals_the_per_target_bisection(name, seed):
+def test_openness_pass_equals_the_per_target_bisection(name, seed, monkeypatch):
     prob = SAMPLER_PROBLEMS[name]()
+    f_values, sizes = mr._f_values, []
+    monkeypatch.setattr(mr, "_f_values", lambda prob, XI, X, Z: sizes.append(Z.shape[1] - 1)
+                        or f_values(prob, XI, X, Z))
     alpha = dg.estimate_openness_rate(prob, seed)
+    assert len(sizes) == 10
     assert alpha == per_target_openness_rate(prob, seed)
     if name == "affine-toy":     # a bisection that moves: alpha is near 2
         assert alpha == pytest.approx(2.0, abs=0.15)
+    if name == "polytope":       # image sets of different sizes: the lockstep pads them
+        assert len(set(sizes)) > 1
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8])
+def test_nearest_dists_equal_the_norm_per_target(m):
+    # up to 7 columns by column passes, more by numpy's sum: each minimum is
+    # the one np.linalg.norm gives, bit for bit
+    rng = np.random.default_rng(m)
+    img, targets = rng.standard_normal((3, 40, m)), rng.standard_normal((3, 5, m))
+    want = [[np.linalg.norm(img[k] - t, axis=1).min() for t in targets[k]] for k in range(3)]
+    assert dg._nearest_dists(img, targets).tolist() == want
 
 
 def test_c_bounded_filters_a_truncated_slice_to_its_members():

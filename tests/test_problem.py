@@ -551,7 +551,11 @@ def test_polytope_graph_samples_lie_on_the_face():
     prob = pb.load(str(POLYTOPE))
     cloud = pb.graph_samples(prob, -0.5, 0.5, 21)
     ts = np.linspace(-0.5, 0.5, 21)
-    steps = dict(zip(ts, pb._oracle_rows(prob, ts[:, None], pb.OracleGrid())[1]))
+    per_t, steps = pb._oracle_rows(prob, ts[:, None], pb.OracleGrid())
+    steps = dict(zip(ts, steps))
+    # the rows (t, x) of every t's solutions, in t order
+    assert np.array_equal(cloud, np.vstack([np.column_stack([np.full(len(s), t), s])
+                                            for t, s in zip(ts, per_t)]))
     assert set(cloud[:, 0]) == set(ts)
     for t, x1, x2 in cloud:
         assert abs(x1 + x2 - (1 + abs(t))) <= 2 * steps[t]

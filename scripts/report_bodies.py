@@ -5,7 +5,7 @@ Usage, from the root of a checkout (the one whose ``src/`` is run):
 
     python3 path/to/scripts/report_bodies.py OUTDIR
 
-Each of the 52 commands below runs as
+Each of the 57 commands below runs as
 ``python -m vep.cli --seed 3 --format json-like ...`` in its own
 subprocess, with ``src/`` of the current directory on the path.  For
 command k the script writes ``OUTDIR/NN.txt``: the command line, its stdout
@@ -28,6 +28,11 @@ GENCONE = "perfbench/problems/gencone.vep"
 POLYTOPE = "perfbench/problems/polytope.vep"
 CANCELLED_KINK = "tests/data/gencone_cancelled_kink.vep"
 CURVED_BOX = "tests/data/curved_box.vep"
+VI1 = "tests/data/vi1.vep"
+LCP2 = "tests/data/lcp2.vep"
+# each instance's minimizer, as its header comment gives it
+VI1_MIN = ("0.5", "0.5")
+LCP2_MIN = ("0.928571428571", "0.285714285714,0.357142857143")
 
 STATIONARITY_FLAGS = (
     (),
@@ -80,6 +85,10 @@ def commands() -> list[tuple[str, ...]]:
         ("check-subtransversality", GENCONE, "--xi-bar", "0.5", "--x-bar", "1.5"),
         ("check-subtransversality", CURVED_BOX, "--xi-bar", "0", "--x-bar", "1"),
     ]
+    for prob, (xi, x) in ((VI1, VI1_MIN), (LCP2, LCP2_MIN)):
+        cmds += [("eval", prob, "--xi", xi, "--x", x),
+                 ("check-stationarity", prob, "--xi-bar", xi, "--x-bar", x, "--gamma", "0.5")]
+    cmds.append(("solve", VI1, "--starts", "2"))
     return cmds
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr as ex
 from . import geometry as geo
 from . import merit as mr
 from . import problem as pb
@@ -177,15 +176,8 @@ def _one_point_min_norms(prob: pb.VepProblem, XI, X, far: mr.Farthest | None,
     XI, X = XI[rows[sel]], X[rows[sel]]
     e = (np.cumsum(far.exact) - 1)[rows[sel]]      # the rows' entries in ``far``
     r, v = np.nonzero(far.mask[e])                  # farthest vertices, row by row
-    pair = (XI[r], X[r], far.Z[e[r], v])
-    F, dist = far.F[e[r], v], far.dists[e[r], v]
-    J = np.empty((len(r), prob.m, prob.n))
-    kink = np.zeros(len(r), dtype=bool)
-    for k, comp in enumerate(prob.f.components):
-        _, J[:, k], active = ex.grad_rows(comp, *pair, "x")
-        kink |= active
-    owner, U = sd._dist_subgradients(prob, F, dist)     # the u of every farthest vertex
-    G = np.matmul(J[owner].swapaxes(1, 2), U[..., None])[..., 0]
+    owner, U = sd._dist_subgradients(prob, far.F[e[r], v], far.dists[e[r], v])
+    G, _, kink = sd._adjoint_points(prob, XI[r], X[r], far.Z[e[r], v], owner, U, "x")
     row = r[owner]
     first = np.argsort(row, kind="stable")[np.searchsorted(np.sort(row), np.arange(len(sel)))]
     split = np.bincount(row, ~np.all(G == G[first[row]], axis=1), len(sel))

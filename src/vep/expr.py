@@ -389,7 +389,7 @@ def switch_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray, wrt: str,
     """One forward-mode pass over N points, the rows of XI, X and Z.
 
     Returns the values (N,), the gradients (N, dim) w.r.t. the block
-    ``wrt`` ('xi', 'x', 'z' or 'xix', the stacked (xi, x) block) and the
+    ``wrt`` ('xi', 'x', 'z', or the stacked blocks 'xix' and 'xixz') and the
     switch table.  Every ``abs``/``min``/``max`` node is a switch, listed in
     post-order as (tie, split, grad): ``tie`` (N,) marks the rows where its
     argument (``abs``) or gap (``min``/``max``) is within ``ACTIVE_TOL``,
@@ -402,10 +402,10 @@ def switch_rows(e: Expr, XI: np.ndarray, X: np.ndarray, Z: np.ndarray, wrt: str,
     N, p = XI.shape
     n = X.shape[1]
     env = {"xi": XI, "x": X, "z": Z}
-    dim = {"xi": p, "x": n, "z": Z.shape[1], "xix": p + n}.get(wrt)
+    dim = {"xi": p, "x": n, "z": Z.shape[1], "xix": p + n, "xixz": p + n + Z.shape[1]}.get(wrt)
     if dim is None:
         raise ValueError(f"unknown block selector {wrt!r}")
-    offset = {"xi": 0, "x": p} if wrt == "xix" else {wrt: 0}
+    offset = {"xix": {"xi": 0, "x": p}, "xixz": {"xi": 0, "x": p, "z": p + n}}.get(wrt, {wrt: 0})
     table: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def takes_plus(tie: np.ndarray, strict: np.ndarray) -> np.ndarray:

@@ -197,26 +197,23 @@ def eval_nu(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> NuEval:
 
 def _point(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float):
     """eval_nu and mu at a point checked by ``prob.point``, the one row of a
-    kernel call, with f and its cone distance at the argmax: (NuEval, mu,
-    F, dists), F and dists None off the vertex-exact path.  A vertex-exact
-    argmax lists the farthest vertices in basis order, a degenerate
-    polytope vertex once (``geo.first_solutions``); an enlarged box in
-    n > 1 dimensions is flagged ``eps-box-superset``.  An overflow of f or
-    of a distance raises ProblemError."""
+    kernel call: (NuEval, mu).  A vertex-exact argmax lists the farthest
+    vertices in basis order, a degenerate polytope vertex once
+    (``geo.first_solutions``); an enlarged box in n > 1 dimensions is
+    flagged ``eps-box-superset``.  An overflow of f or of a distance raises
+    ProblemError."""
     try:
         with np.errstate(over="raise"):
             nu, mu, far, grid = _kernel_parts(prob, xi[None], x[None], True, eps)
     except FloatingPointError as err:
         raise pb.ProblemError(f"the point overflows f or a distance: {err}") from None
     if grid:
-        return grid[0], float(mu[0]), None, None
+        return grid[0], float(mu[0])
     mask = far.mask
     if isinstance(prob.K, pb.ParamPolytope):
         mask = mask & geo.first_solutions(far.Z, far.dists != -np.inf)
     flags = ("eps-box-superset",) if eps > 0.0 and prob.n > 1 else ()
-    arg = mask[0]
-    return (NuEval(float(nu[0]), tuple(far.Z[0][arg]), "vertex-exact", flags), float(mu[0]),
-            far.F[0][arg], far.dists[0][arg])
+    return NuEval(float(nu[0]), tuple(far.Z[0][mask[0]]), "vertex-exact", flags), float(mu[0])
 
 
 def _grid_nu(prob: pb.VepProblem, xi: np.ndarray, x: np.ndarray, eps: float, S) -> NuEval:
@@ -279,7 +276,7 @@ def eval_mu(prob: pb.VepProblem, xi, x) -> float:
 def eval_merit(prob: pb.VepProblem, xi, x, eps: float = 0.0) -> MeritEval:
     """nu, mu and their sum at one point: the one row of a kernel call."""
     xi, x = prob.point(xi, x)
-    nu, mu = _point(prob, xi, x, eps)[:2]
+    nu, mu = _point(prob, xi, x, eps)
     return MeritEval(nu.value, mu, nu.value + mu, nu.argmax, nu.method, nu.flags)
 
 

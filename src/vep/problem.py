@@ -142,9 +142,15 @@ class VepProblem:
     def __post_init__(self):
         # ``load`` hands one problem to every command that names its file, so
         # the window is a read-only mapping of read-only copies
-        object.__setattr__(self, "window", MappingProxyType({
-            k: tuple(geo._read_only(np.array(a, dtype=float)) for a in v)
-            for k, v in self.window.items()}))
+        window = {k: tuple(geo._read_only(np.array(a, dtype=float)) for a in v)
+                  for k, v in self.window.items()}
+        # samples are drawn between a window's bounds: each bound and the
+        # width between them must be finite
+        for k, (lo, up) in window.items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                if not np.isfinite(up - lo).all():
+                    raise ProblemError(f"the {k} window is not a finite range")
+        object.__setattr__(self, "window", MappingProxyType(window))
 
     def xi_window(self) -> tuple[np.ndarray, np.ndarray]:
         if "xi" in self.window:
@@ -602,8 +608,7 @@ def E_system(prob: VepProblem, xi) -> tuple:
 
 # why a slice has no grid, by the code ``_grid_bounds`` returns
 _NO_GRID = ("", "empty slice at xi={}: lower > upper",
-            "unbounded slice requires an explicit window in the problem",
-            "unbounded slice without an explicit window")
+            "unbounded slice requires an explicit window in the problem")
 
 
 def _grid_bounds(prob: VepProblem, first: np.ndarray, second: np.ndarray):
@@ -632,8 +637,7 @@ def _grid_bounds(prob: VepProblem, first: np.ndarray, second: np.ndarray):
         empty, unbounded = np.zeros(len(Z), dtype=bool), code != 0
         if window is not None:
             lo[unbounded], up[unbounded] = window
-    infinite = ~np.all(np.isfinite(lo) & np.isfinite(up), axis=1)
-    code = np.select([empty, unbounded & (window is None), infinite], [1, 2, 3], 0)
+    code = np.select([empty, unbounded & (window is None)], [1, 2], 0)
     return lo, up, unbounded, code
 
 

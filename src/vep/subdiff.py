@@ -1,15 +1,20 @@
 """Structured subgradient-set estimates.
 
-Covers the x-block subgradient of the excess value via the adjoint-image
-formula, full-block subgradients via gradient-limit hulls, the
-enlargement-based outer estimate with a Lipschitz ball, the graph normal
-cone of the feasible-set map (exact, from the one-sided slopes or gradients
-of the active constraints of a box or polytope map) with its coderivative
-(exact for any number of rows), one capped normal cone per graph branch,
-read by both outer estimates of the feasibility-gap subdifferential (the
-coderivative-ball product and the coupled graph-normal cap), and the
-regular and limiting normal cones to the graph of the solution map, exact
-from its finite vertex-form system (p = n = 1, f affine in z).
+The three estimates of the excess value nu read one batched adjoint pass
+over (row, farthest slice point) pairs: Danskin's rule J^T u at the
+argmax, u the unit residual of the cone projection or the dual cone's cap,
+and, for the full block, the term of the farthest point moving with xi on
+its active constraints.  They are the x-block subgradient, full-block
+subgradients as hulls of the gradient limits on a ring around the point,
+and the enlargement-based outer estimate with a Lipschitz ball.  The module
+also covers the graph normal cone of the feasible-set map (exact, from the
+one-sided slopes or gradients of the active constraints of a box or
+polytope map) with its coderivative (exact for any number of rows), one
+capped normal cone per graph branch, read by both outer estimates of the
+feasibility-gap subdifferential (the coderivative-ball product and the
+coupled graph-normal cap), and the regular and limiting normal cones to
+the graph of the solution map, exact from its finite vertex-form system
+(p = n = 1, f affine in z).
 """
 
 from __future__ import annotations
@@ -65,31 +70,137 @@ class CoderivativeImage:
 
 
 # ---------------------------------------------------------------------------
-# x-block subgradient of nu by the adjoint-image formula
+# the adjoint pass at the farthest points, and the x-block subgradient of nu
 # ---------------------------------------------------------------------------
 
-def _dist_subgradients(prob: pb.VepProblem, F: np.ndarray, dist: np.ndarray):
+def _dist_subgradients(prob: pb.VepProblem, F: np.ndarray, dist: np.ndarray,
+                       normals: bool = True):
     """The subgradient sets of dist(., C) at the values F (V, m), whose
     distances are ``dist`` (V,), as points: (owner, U), owner[j] the value
     whose set holds U[j].  Off the cone
     (dist > 1e-9 (1 + |F|)) a set is the unit outward direction
     (F - P_C F)/dist; on it, the points w of ``geo.dual_cone(C)``'s cap
     with |w·F| <= 1e-7 max(1, |F|) in cap order, or the origin when none is
-    (F inside the cone)."""
+    (F inside the cone) or no ``normals`` are asked for (where nu is 0, its
+    minimum, a gradient is 0)."""
     size = mr._dist_rows(F)
     off = dist > 1e-9 * (1.0 + size)
-    owner, U = [np.flatnonzero(off)], [(F[off] - geo.project_cone_rows(F[off], prob.cone))
-                                       / dist[off, None]]
-    on = np.flatnonzero(~off)
+    owner, U, on = [np.flatnonzero(off)], [np.zeros((0, prob.m))], np.flatnonzero(~off)
+    if len(owner[0]):
+        U = [(F[off] - geo.project_cone_rows(F[off], prob.cone)) / dist[off, None]]
     if len(on):
-        cap = geo.cap_points(geo.dual_cone(prob.cone))
+        cap = geo.cap_points(geo.dual_cone(prob.cone)) if normals else np.zeros((0, prob.m))
         Fon, tol = F[on, None, :], 1e-7 * np.maximum(1.0, size[on])
         # one cap point at a time keeps the temporaries at one number per value
-        normal = np.stack([np.abs(np.matmul(Fon, w[:, None])[:, 0, 0]) <= tol for w in cap], axis=1)
+        normal = np.stack([np.abs(np.matmul(Fon, w[:, None])[:, 0, 0]) <= tol for w in cap]
+                          + [np.zeros(len(on), dtype=bool)], axis=1)
         at, w = np.nonzero(normal)
         owner += [on[at], on[~normal.any(axis=1)]]
         U += [cap[w], np.zeros((len(owner[-1]), prob.m))]
     return np.concatenate(owner), np.concatenate(U)
+
+
+def _point_motion(prob: pb.VepProblem, XI: np.ndarray, Z: np.ndarray, vertex: np.ndarray):
+    """dz/dxi (N, n, p) of the farthest slice points Z of the rows XI on
+    the constraints of K(xi) active at them, and (N,) the points where a
+    switch of one splits.  A box coordinate takes its active bound's
+    gradient: the least-squares motion on the active rows, which the KKT
+    conditions make exact at a maximizer that is no vertex.  A polytope
+    vertex takes A_B^-1 (db_B - dA_B z) over the rows B of its basis,
+    ``vertex`` indexing B in ``geo.basis_points``' order; a polytope argmax
+    off the vertex-exact path (``vertex`` -1) is a grid point off the
+    faces, and stays."""
+    (first, second), none = pb.slice_arrays(prob.K, XI), np.zeros((len(XI), 0))
+    grads = [np.zeros((len(XI),) + table.shape + shape, dtype=dtype) for table, _ in prob.K.entries
+             for shape, dtype in (((prob.p,), float), ((), bool))]
+    for (_, variable), d, tied in zip(prob.K.entries, grads[::2], grads[1::2]):
+        for idx, e in variable:
+            _, d[idx], tied[idx] = ex.grad_rows(e, XI, none, none, "xi")
+    dfirst, tfirst, dsecond, tsecond = grads
+    if isinstance(prob.K, pb.ParamBox):
+        up, lo = Z >= second, Z <= first
+        D = np.where(up[..., None], dsecond, np.where(lo[..., None], dfirst, 0.0))
+        return D, (up & tsecond | lo & tfirst).any(axis=1)
+    D, tied, at = np.zeros(Z.shape + (prob.p,)), np.zeros(len(Z), dtype=bool), vertex >= 0
+    B = geo._row_subsets(*first.shape[1:])[vertex[at]][..., None]
+    dA = np.take_along_axis(dfirst[at], B[..., None], axis=1)
+    D[at] = np.linalg.solve(np.take_along_axis(first[at], B, axis=1),
+                            np.take_along_axis(dsecond[at], B, axis=1)
+                            - np.einsum("vkjp,vj->vkp", dA, Z[at]))
+    tied[at] = (np.take_along_axis(tfirst[at], B, axis=1).any(axis=(1, 2))
+                | np.take_along_axis(tsecond[at], B[..., 0], axis=1).any(axis=1))
+    return D, tied
+
+
+def _adjoint_points(prob: pb.VepProblem, XI, X, Z, owner, U, block: str, vertex=None):
+    """Danskin's rule at N (row, farthest slice point) pairs, the rows of
+    XI, X and Z: (G, J, kink), G[j] = J[owner[j]]^T U[j] for the u given as
+    (owner, U), J (N, m, dim) the Jacobians of f w.r.t. ``block`` ('x' or
+    'xix') from one ``expr.grad_rows`` pass per component, and ``kink``
+    (N,) the pairs where a tied switch of f splits.  Given the pairs'
+    ``vertex`` indices, the farthest points move with xi
+    (``_point_motion``): J's xi-columns take J_z f dz/dxi, and ``kink`` also
+    marks the splits of J_z f and of the active constraints."""
+    dim, extra = prob.n + prob.p * (block == "xix"), prob.n * (vertex is not None)
+    J, kink = np.empty((len(Z), prob.m, dim + extra)), np.zeros(len(Z), dtype=bool)
+    for k, comp in enumerate(prob.f.components):
+        _, J[:, k], split = ex.grad_rows(comp, XI, X, Z, "xixz" if extra else block)
+        kink |= split
+    if extra:
+        D, tied = _point_motion(prob, XI, Z, vertex)
+        J[..., : prob.p] += np.matmul(J[..., dim:], D)
+        J, kink = J[..., :dim], kink | tied
+    return np.matmul(J[owner].swapaxes(1, 2), U[..., None])[..., 0], J, kink
+
+
+def _farthest_pairs(prob: pb.VepProblem, XI: np.ndarray, X: np.ndarray, eps: float = 0.0):
+    """The (row, farthest slice point) pairs of the rows XI and X, by one
+    kernel call on the slices enlarged by eps: (row, vertex, Z, F, dists).
+    A vertex-exact row gives its farthest vertices in basis order,
+    ``vertex`` their index among its basis points, a degenerate polytope
+    vertex once (``geo.first_solutions``); the pairs of the other rows
+    follow, ``_grid_nu``'s argmax points with ``vertex`` -1.  F holds the
+    values of f there and dists their cone distances."""
+    _, _, far, grid = mr._kernel_parts(prob, XI, X, True, eps)
+    exact, (r, v) = np.zeros(len(XI), dtype=bool), np.zeros((2, 0), dtype=int)
+    if far is not None:
+        mask = far.mask
+        if isinstance(prob.K, pb.ParamPolytope):
+            mask = mask & geo.first_solutions(far.Z, far.dists != -np.inf)
+        exact, (r, v) = far.exact, np.nonzero(mask)
+    row = np.concatenate([np.flatnonzero(exact)[r],
+                          np.repeat(np.flatnonzero(~exact), [len(g.argmax) for g in grid])])
+    vertex = np.concatenate([v, np.full(len(row) - len(v), -1)])
+    if not grid:
+        return row, vertex, far.Z[r, v], far.F[r, v], far.dists[r, v]
+    # the grid keeps no values: f again at every pair
+    Z = np.concatenate(([far.Z[r, v]] if far is not None else [])
+                       + [np.reshape(g.argmax, (-1, prob.n)) for g in grid])
+    F = mr._f_values(prob, XI[row], X[row], Z[:, None])[:, 0]
+    return row, vertex, Z, F, mr._cone_dists(prob, F)
+
+
+def _argmax_points(prob: pb.VepProblem, xi, x, eps: float, block: str, cap=None):
+    """``_adjoint_points`` at one point's farthest points of its slice
+    enlarged by eps, with each Jacobian of ``jac_branches`` where a switch
+    of f splits; u is ``_dist_subgradients``' or, given, every point of
+    ``cap``.  Returns (points, Jacobians, branched) in argmax order,
+    ``branched`` true where some farthest point has several branches."""
+    _, _, Z, F, dist = _farthest_pairs(prob, xi[None], x[None], eps)
+    if not len(Z):
+        raise SubdiffError("empty farthest-point set")
+    if cap is not None:
+        owner, U = np.repeat(np.arange(len(Z)), len(cap)), np.tile(cap, (len(Z), 1))
+    else:
+        owner, U = _dist_subgradients(prob, F, dist)
+    G, J, kink = _adjoint_points(prob, np.tile(xi, (len(Z), 1)), np.tile(x, (len(Z), 1)),
+                                 Z, owner, U, block)
+    pts, jacs = [], []
+    for k in range(len(Z)):
+        jacs.append(np.stack(prob.f.jac_branches((xi, x, Z[k]), block)) if kink[k] else J[k:k + 1])
+        pts.append(np.matmul(jacs[-1][:, None].swapaxes(2, 3), U[owner == k][None, ..., None])
+                   [..., 0].reshape(-1, J.shape[2]) if kink[k] else G[owner == k])
+    return np.concatenate(pts), np.concatenate(jacs), max(map(len, jacs)) > 1
 
 
 def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
@@ -97,19 +208,8 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
     u the unit outward direction of f(xi, x, z) from the cone (or the
     normal-cone cap when the value sits on the cone)."""
     xi, x = prob.point(xi, x)
-    nu, _, F, dist = mr._point(prob, xi, x, 0.0)
-    if not nu.argmax:
-        raise SubdiffError("empty farthest-point set")
-    if F is None:       # the grid keeps no values: f at its argmax points
-        F = mr._f_values(prob, xi[None], x[None], np.array(nu.argmax)[None])[0]
-        dist = mr._cone_dists(prob, F)
-    owner, U = _dist_subgradients(prob, F, dist)
-    pts, kinked = [], False
-    for k, z in enumerate(nu.argmax):
-        jacs = prob.f.jac_branches((xi, x, np.asarray(z, dtype=float)), "x")
-        kinked |= len(jacs) > 1
-        pts.extend(J.T @ u for J in jacs for u in U[owner == k])
-    body = geo.body_from_points(np.asarray(pts))
+    pts, _, kinked = _argmax_points(prob, xi, x, 0.0, "x")
+    body = geo.body_from_points(pts)
     if kinked:
         return SubgradEstimate((body,), BRANCH_HULL, ("branch-hull-at-argmax",))
     smooth_ok = ("K-concave" in prob.asserts
@@ -121,52 +221,37 @@ def nu_partial_subgradient_smooth(prob: pb.VepProblem, xi, x) -> SubgradEstimate
 # full-block subgradient of nu by gradient-limit hulls
 # ---------------------------------------------------------------------------
 
-def _nu_rows(prob: pb.VepProblem, Q: np.ndarray) -> np.ndarray:
-    """nu at the rows of Q = [xi, x], by one call of the merit kernel."""
-    return mr._merit_parts(prob, Q[:, : prob.p], Q[:, prob.p:])[0]
-
-
 def nu_subgradient_full(prob: pb.VepProblem, xi, x) -> SubgradEstimate:
-    """Full (xi, x)-block subgradient of nu as the convex hull of sampled
-    gradient limits around the point.
+    """Full (xi, x)-block subgradient of nu as the convex hull of gradient
+    limits around the point.
 
-    Samples 64 directions on a ring of radius 1e-3, keeps points where nu is
-    numerically smooth (one-sided differences of step 1e-5 agree), clusters
-    the resulting gradients and returns their hull.  For a convex nu this
-    hull equals the convex subdifferential whenever every smooth region
-    adjacent to the point is hit by a sample; the sampling resolution is
-    recorded.  The ring points and their 2d difference neighbours go
-    through one kernel call; where no ring point is smooth, the central
-    difference at the point itself takes a second.
+    Puts 64 directions on a ring of radius 1e-3 through one kernel call and
+    takes the gradient at each ring point by ``_adjoint_points`` at its
+    farthest slice points, every tied one (``_grid_nu``'s argmax off the
+    vertex-exact path), as they move: the (xi, x)-gradient of
+    dist(f(xi, x, z(xi)), C) (Danskin's rule; Clarke 1983, Thm 2.5.1;
+    Burke, Lewis and Overton 2005).  Ring points where a switch of f or of
+    an active constraint is tied are skipped.  For a convex nu the hull
+    equals the convex subdifferential whenever every smooth region
+    adjacent to the point holds a ring point; the sampling resolution is
+    recorded.
     """
     xi, x = prob.point(xi, x)
-    q0 = np.concatenate([xi, x])
-    h = 1e-5
-    steps = h * np.eye(len(q0))
-    ring = q0 + 1e-3 * geo._sphere_dirs(len(q0), 64)
-    # per ring point q: q, then q + h e_i and q - h e_i for every i
-    stencil = np.concatenate([ring[:, None], ring[:, None] + steps, ring[:, None] - steps], axis=1)
-    nu = _nu_rows(prob, stencil.reshape(-1, len(q0))).reshape(stencil.shape[:2])
-    f0, fp, fm = nu[:, :1], nu[:, 1:len(q0) + 1], nu[:, len(q0) + 1:]
-    fwd, bwd = (fp - f0) / h, (f0 - fm) / h
-    # a ring point whose one-sided slopes disagree straddles a kink
-    smooth = ~np.any(np.abs(fwd - bwd) > 1e-5 * (1.0 + np.abs(fwd) + np.abs(bwd)), axis=1)
-    grads: list[np.ndarray] = []
-    for g in 0.5 * (fwd[smooth] + bwd[smooth]):
-        if not any(np.max(np.abs(g - c)) <= 1e-6 for c in grads):
-            grads.append(g)
+    ring = np.concatenate([xi, x]) + 1e-3 * geo._sphere_dirs(prob.p + prob.n, 64)
+    XI, X = ring[:, : prob.p], ring[:, prob.p:]
+    row, vertex, Z, F, dists = _farthest_pairs(prob, XI, X)
+    owner, U = _dist_subgradients(prob, F, dists, normals=False)
+    G, _, kink = _adjoint_points(prob, XI[row], X[row], Z, owner, U, "xix", vertex)
+    smooth = np.bincount(row, kink, len(ring)) == 0
+    grads = dict.fromkeys(map(tuple, G[smooth[row[owner]]].tolist()))   # exact copies once
     if not grads:
-        nu = _nu_rows(prob, np.concatenate([q0 + steps, q0 - steps]))
-        grads = [(nu[: len(q0)] - nu[len(q0):]) / (2 * h)]
-    body = geo.body_from_points(np.asarray(grads))
+        raise SubdiffError("no ring point around the point is smooth")
     convex = "nu-convex" in prob.asserts or (
         "K-concave" in prob.asserts and "f-C-concave" in prob.asserts
     )
-    exact = EXACT_CONVEX if convex else OUTER
-    flags = ("ring-radius=0.001", "dirs=64")
-    if not convex:
-        flags = flags + ("convexity-not-asserted",)
-    return SubgradEstimate((body,), exact, flags)
+    flags = ("ring-radius=0.001", "dirs=64") + ("convexity-not-asserted",) * (not convex)
+    return SubgradEstimate((geo.body_from_points(list(grads)),),
+                           EXACT_CONVEX if convex else OUTER, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +265,8 @@ class NuOuterEstimate(SubgradEstimate):
 
 def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOuterEstimate:
     """Per-enlargement outer estimate: conv over enlarged farthest points of
-    the adjoint images of the polar-cone cap, fattened by the Lipschitz ball.
+    the adjoint images of the polar-cone cap, fattened by the Lipschitz
+    ball, which also stands in for the farthest points' motion.
 
     The estimate for each eps is an outer bound; the checker tests every
     eps body rather than constructing their intersection.
@@ -189,25 +275,13 @@ def nu_outer_estimate(prob: pb.VepProblem, xi, x, eps_list, l_f: float) -> NuOut
     eps_list = sorted(float(e) for e in eps_list)
     if any(e <= 0 for e in eps_list):
         raise SubdiffError("enlargements must be positive")
-    flags: list[str] = []
     cap = geo.cap_points(geo.dual_cone(prob.cone))
-    per_eps = []
-    for eps in eps_list:
-        nu = mr.eval_nu(prob, xi, x, eps=eps)
-        pts: list[np.ndarray] = []
-        for z in nu.argmax:
-            jacs = prob.f.jac_branches((xi, x, np.asarray(z, dtype=float)), "xix")
-            if len(jacs) > 1:
-                if "branch-hull" not in flags:
-                    flags.append("branch-hull")
-            for J in jacs:
-                if np.linalg.matrix_rank(J) < prob.m and "derivative-not-onto" not in flags:
-                    flags.append("derivative-not-onto")
-                pts.extend(J.T @ u for u in cap)
-        body = geo.ConvexBody(prob.p + prob.n, geo._prune_hull(np.asarray(pts)), ball=float(l_f))
-        per_eps.append((eps, body))
-    bodies = (per_eps[0][1],)
-    return NuOuterEstimate(bodies, OUTER, tuple(flags), tuple(per_eps))
+    parts = [_argmax_points(prob, xi, x, eps, "xix", cap) for eps in eps_list]
+    per_eps = tuple((eps, geo.ConvexBody(prob.p + prob.n, geo._prune_hull(pts), ball=float(l_f)))
+                    for eps, (pts, _, _) in zip(eps_list, parts))
+    flags = ("branch-hull",) * any(b for _, _, b in parts) + ("derivative-not-onto",) * any(
+        np.any(np.linalg.matrix_rank(jacs) < prob.m) for _, jacs, _ in parts)
+    return NuOuterEstimate((per_eps[0][1],), OUTER, flags, per_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +516,7 @@ def _graph_E_cones(prob: pb.VepProblem, xi, x) -> tuple[geo.RayUnion, geo.RayUni
     if prob.p != 1 or prob.n != 1:
         raise pb.ProblemError("solution-graph normals need p = n = 1")
     rows = pb.E_system(prob, xi)
-    nu, mu = mr._point(prob, xi, x, 0.0)[:2]
+    nu, mu = mr._point(prob, xi, x, 0.0)
     if nu.value + mu > 1e-6:
         raise pb.ProblemError(f"point is not on the solution graph (merit {nu.value + mu:.3g} > 1e-06)")
     active = [h for h in rows if float(ex.eval_expr(h, xi=xi, x=x)) <= 1e-6]

@@ -275,45 +275,6 @@ def pairwise_oracle_solutions(prob, xi, grid=None):
     return np.vstack(sols)
 
 
-def per_point_nu_gradients(prob, xi, x):
-    """The sampled gradient limits of ``subdiff.nu_subgradient_full`` with
-    one scalar ``eval_nu`` per difference: at each of 64 ring points of
-    radius 1e-3, one-sided differences of step 1e-5, kept where they agree
-    and deduplicated in ring order; the central difference at the point
-    where none agree.  The reference for the stencil's kernel call."""
-    from vep import geometry as geo
-    from vep import merit as mr
-
-    q0 = np.concatenate([np.atleast_1d(np.asarray(xi, dtype=float)),
-                         np.atleast_1d(np.asarray(x, dtype=float))])
-    p, h = prob.p, 1e-5
-
-    def nu(q):
-        return mr.eval_nu(prob, q[:p], q[p:]).value
-
-    def one_sided(q):
-        g = np.empty(len(q))
-        f0 = nu(q)
-        for i in range(len(q)):
-            e = np.zeros(len(q))
-            e[i] = h
-            fwd = (nu(q + e) - f0) / h
-            bwd = (f0 - nu(q - e)) / h
-            if abs(fwd - bwd) > 1e-5 * (1.0 + abs(fwd) + abs(bwd)):
-                return None
-            g[i] = 0.5 * (fwd + bwd)
-        return g
-
-    grads = []
-    for u in geo._sphere_dirs(len(q0), 64):
-        g = one_sided(q0 + 1e-3 * u)
-        if g is not None and not any(np.max(np.abs(g - c)) <= 1e-6 for c in grads):
-            grads.append(g)
-    if not grads:
-        grads = [fd_gradient(nu, q0, h)]
-    return np.asarray(grads)
-
-
 def per_row_penalized(prob, XI, X, lam, gamma):
     """objective + lam * (dist(xi, Omega) + merit/gamma) at each row, with
     a scalar objective, Omega distance and ``eval_merit`` per row: the

@@ -732,6 +732,19 @@ def test_bad_halfspace_omega_exits_2_at_load(capsys, tmp_path, omega):
     assert err.startswith("error: [Omega]") and len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("window", ["-1e308, 1e308", "nan, 1"])
+@pytest.mark.parametrize("argv", [("estimate-constants",), ("solve", "--starts", "1")])
+def test_window_that_is_not_a_finite_range_exits_2_at_load(capsys, tmp_path, window, argv):
+    # the width of -1e308, 1e308 overflows, and no sample can be drawn
+    # between such bounds: the load refuses both before any draw
+    path = tmp_path / "window.vep"
+    path.write_text(GENCONE.read_text().replace("window_x = -4, 4", f"window_x = {window}"))
+    code = cli.main([argv[0], str(path), *argv[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: the x window is not a finite range\n"
+
+
 def test_too_many_tied_switches_exit_3(capsys, tmp_path):
     # eleven switches tied at x1 = 1.5 in the objective: 2^11 sign vectors
     text = GENCONE.read_text()

@@ -236,7 +236,7 @@ _coords = st.one_of(st.sampled_from([-1.0, 0.0, 1.0, 2.0]),
 
 
 @given(trees_with_div(), st.lists(st.lists(_coords, min_size=6, max_size=6), min_size=1,
-                                  max_size=4), st.sampled_from(["xi", "x", "z"]))
+                                  max_size=4), st.sampled_from(["xi", "x", "z", "xixz"]))
 @settings(max_examples=120, deadline=None)
 def test_grad_rows_is_grad_hull_first_generator(tree, rows, wrt):
     Q = np.array(rows)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +293,13 @@ def test_merit_batch_of_no_points(tent):
 def test_merit_batch_rejects_bad_rows(tent, XI, X):
     with pytest.raises(pb.ProblemError):
         mr.eval_merit_batch(tent, XI, X)
+
+
+def test_vi1_merit_vanishes_exactly_on_the_projection_onto_k():
+    # tests/data/vi1.vep: E(xi) = clip(xi, 0, 2), so the merit is 0 at
+    # x = clip(xi, 0, 2) and positive 0.1 to either side
+    prob = pb.load(str(Path(__file__).resolve().parent / "data" / "vi1.vep"))
+    xi = np.linspace(-2.0, 3.0, 51)
+    X = np.clip(xi, 0.0, 2.0)[:, None] + [0.0, -0.1, 0.1]
+    merit = mr.eval_merit_batch(prob, np.repeat(xi, 3)[:, None], X.reshape(-1, 1)).reshape(-1, 3)
+    assert np.all(merit[:, 0] == 0.0) and np.all(merit[:, 1:] > 0.0)

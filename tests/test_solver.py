@@ -570,3 +570,14 @@ def test_smooth_concave_residual_table_per_eps(tent):
         tent, [0.0], [1.0], [0.5], gamma=0.5, eps_list=(0.05, 0.1), l_f=1.0)
     eps_seen = {row[0] for row in rep.residual_table}
     assert eps_seen == {0.05, 0.1}
+
+
+def test_vi1_solve_reaches_the_minimizer():
+    # tests/data/vi1.vep: min xi^2 + (x1 - 1)^2 over x1 = clip(xi, 0, 2) is
+    # (1/2, 1/2); the starts are those of ``vep --seed 3 solve --starts 2``
+    prob = pb.load(str(Path(__file__).resolve().parent / "data" / "vi1.vep"))
+    rng = np.random.default_rng(3)
+    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
+    starts = [(rng.uniform(wlo, wup), rng.uniform(xlo, xup)) for _ in range(2)]
+    (xi, x), _ = sv.solve_penalized(prob, sv.PenaltyConfig(seed=3), starts)
+    assert np.max(np.abs(np.concatenate([xi, x]) - 0.5)) <= 1e-3

@@ -12,7 +12,7 @@ from vep import problem as pb
 from vep import solver as sv
 from vep import subdiff as sd
 
-from _oracles import fd_gradient, nnls_cone_projection, per_point_nu_gradients
+from _oracles import fd_gradient, nnls_cone_projection
 
 
 def _vertex_set(body, digits=9):
@@ -84,35 +84,98 @@ def test_nu_full_identically_zero_region(tent):
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "perfbench" / "problems"
+DATA = Path(__file__).resolve().parent / "data"
 # the stationarity points of the benchmark's check-stationarity jobs
 STENCIL_POINTS = {
     "example:paper": [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])],
     str(PROBLEMS / "gencone.vep"): [([0.0], [1.0]), ([0.5], [1.5]), ([1.0], [2.0])],
     str(PROBLEMS / "polytope.vep"): [([0.0], [0.5, 0.5]), ([0.5], [0.75, 0.75])],
 }
+# nu in closed form: max(0, |xi| + 1 - x1) on example:paper, max(0, 1 - x1)/sqrt(2)
+# on gencone (the distance to the face u + v = 0 of C) and
+# max(0, 1 + |xi| - x1 - x2) on the polytope; the subdifferential at each point
+CLOSED_FORM_BODIES = {
+    "example:paper": [[[0, 0], [1, -1], [-1, -1]], [[0, 0], [1, -1]], [[0, 0], [1, -1]]],
+    str(PROBLEMS / "gencone.vep"): [[[0, 0], [0, -0.5 ** 0.5]], [[0, 0]], [[0, 0]]],
+    str(PROBLEMS / "polytope.vep"): [[[0, 0, 0], [1, -1, -1], [-1, -1, -1]],
+                                     [[0, 0, 0], [1, -1, -1]]],
+}
 
 
-def _seeded_points(prob, seed, count=3):
-    rng = np.random.default_rng(seed)
-    (wlo, wup), (xlo, xup) = prob.xi_window(), prob.x_window()
-    return [(rng.uniform(wlo, wup), rng.uniform(xlo, xup)) for _ in range(count)]
-
-
-@pytest.mark.parametrize("seed, source", enumerate(STENCIL_POINTS))
-def test_nu_full_stencil_equals_per_point_differences(seed, source):
+@pytest.mark.parametrize("source", STENCIL_POINTS)
+def test_nu_full_is_the_closed_form_subdifferential(source):
     prob = pb.load(source)
-    for xi, x in STENCIL_POINTS[source] + _seeded_points(prob, seed):
-        got = sd.nu_subgradient_full(prob, xi, x).body.points
-        ref = geo.body_from_points(per_point_nu_gradients(prob, xi, x)).points
-        assert np.array_equal(got, ref), (xi, x, got, ref)
+    for (xi, x), want in zip(STENCIL_POINTS[source], CLOSED_FORM_BODIES[source]):
+        got = sd.nu_subgradient_full(prob, xi, x).body
+        want = geo.body_from_points(np.array(want, dtype=float))
+        for d in geo._sphere_dirs(got.dim, 64):
+            assert abs(geo.support(got, d) - geo.support(want, d)) <= 1e-12, (xi, x, d)
 
 
-def test_nu_full_without_a_smooth_ring_point_takes_the_central_difference(tent, monkeypatch):
-    monkeypatch.setattr(geo, "_sphere_dirs", lambda dim, n: np.zeros((0, dim)))
-    for xi, x in (([0.5], [1.5]), ([0.25], [-1.5])):
-        got = sd.nu_subgradient_full(tent, xi, x).body.points
-        ref = per_point_nu_gradients(tent, xi, x)
-        assert len(ref) == 1 and np.array_equal(got, ref)
+def _distance_to_body(body, g):
+    return float(np.linalg.norm(geo.wolfe_min_norm(body.points - g)[0]))
+
+
+def _central_difference_in_body(prob, xi, x):
+    q = np.concatenate([xi, x])
+    g = fd_gradient(lambda w: mr.eval_nu(prob, w[: prob.p], w[prob.p:]).value, q, h=1e-6)
+    return g, _distance_to_body(sd.nu_subgradient_full(prob, xi, x).body, g)
+
+
+def test_nu_full_holds_the_gradient_as_the_farthest_vertex_moves(tent):
+    # nu = |xi| + 1 - x1 near (0.5, 1): the upper bound |xi| + 1, the farthest
+    # vertex, moves with xi, so the gradient is (1, -1), not J^T u = (0, -1)
+    g, dist = _central_difference_in_body(tent, [0.5], [1.0])
+    assert np.allclose(g, [1.0, -1.0], atol=1e-8) and dist <= 1e-8
+
+
+def test_nu_full_holds_the_gradient_at_a_moving_polytope_vertex():
+    # nu = 1 + |xi| - x1 - x2 near (0.3; 0.2, 0.3): the farthest vertices lie on
+    # the face x1 + x2 = 1 + |xi|, whose offset moves with xi
+    prob = pb.load(str(PROBLEMS / "polytope.vep"))
+    g, dist = _central_difference_in_body(prob, [0.3], [0.2, 0.3])
+    assert np.allclose(g, [1.0, -1.0, -1.0], atol=1e-8) and dist <= 1e-8
+
+
+def test_nu_full_holds_the_gradient_on_the_grid_path():
+    # f = x1 - z1 + 0.1 z1^2 is not affine in z, so nu goes through the grid
+    # and ascent; the max over K(xi) = [xi - 1, xi + 1] sits at the moving
+    # upper bound: nu = xi + 1 - 0.1 (xi + 1)^2 - x1, gradient (0.7, -1) at
+    # (0.5, 0)
+    dims = (1, 1, 1)
+    prob = pb.VepProblem(
+        name="toy:curved-f", p=1, n=1, m=1,
+        f=ex.VectorFunc((ex.parse("x1 - z1 + 0.1*z1^2", dims),), dims),
+        cone=geo.orthant(1),
+        K=pb.ParamBox((ex.parse("xi1 - 1", (1, 0, 0)),), (ex.parse("xi1 + 1", (1, 0, 0)),)),
+        objective=ex.parse("xi1^2 + x1^2", (1, 1, 0)), omega=geo.full_space(1),
+        window={"xi": (np.array([-1.0]), np.array([1.0])),
+                "x": (np.array([-2.0]), np.array([2.0]))})
+    assert not prob.f.affine_in_z
+    g, dist = _central_difference_in_body(prob, [0.5], [0.0])
+    assert np.allclose(g, [0.7, -1.0], atol=1e-6) and dist <= 1e-6
+
+
+def test_nu_full_holds_all_four_pieces_at_the_lcp_minimizer():
+    # at (13/14; 2/7, 5/14) F = M x - (xi, 1) = 0 and x is interior to
+    # [0, 2]^2: nu is the max over the corners v of <-F, v - x>, whose
+    # gradient at the point is (v1 - x1, -M (v - x))
+    prob = pb.load(str(DATA / "lcp2.vep"))
+    xi, x = np.array([13 / 14]), np.array([2 / 7, 5 / 14])
+    body = sd.nu_subgradient_full(prob, xi, x).body
+    M = np.array([[2.0, 1.0], [1.0, 2.0]])
+    for v in geo.box_corners(np.zeros(2), np.full(2, 2.0)):
+        piece = np.concatenate([[v[0] - x[0]], -M @ (v - x)])
+        assert np.min(np.linalg.norm(body.points - piece, axis=1)) <= 1e-2, v
+
+
+def test_nu_full_takes_the_ring_through_one_kernel_call_of_64_rows(tent, monkeypatch):
+    rows = []
+    kernel = mr._kernel_parts
+    monkeypatch.setattr(mr, "_kernel_parts", lambda prob, XI, *a: rows.append(len(XI))
+                        or kernel(prob, XI, *a))
+    sd.nu_subgradient_full(tent, [0.0], [1.0])
+    assert rows == [64]
 
 
 def test_stationarity_check_makes_no_scalar_nu_call(monkeypatch):
